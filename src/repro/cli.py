@@ -647,7 +647,7 @@ def _command_table(args: argparse.Namespace) -> int:
         return 2
     metrics = run_cases(
         names=names,
-        full=args.full,
+        full=True if args.full else None,
         jobs=jobs,
         cache_dir=cache_dir,
         timeout=args.timeout,

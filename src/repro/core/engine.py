@@ -2,9 +2,8 @@
 
 The Table 2 reproduction and the ablation study run many independent
 verification problems; nothing couples one automaton pair to another, so the
-engine fans jobs out across worker processes (one :mod:`multiprocessing`
-process per job, a bounded number alive at once) while keeping the interface
-deterministic:
+engine fans jobs out across long-lived worker processes while keeping the
+interface deterministic:
 
 * results are returned **in job-submission order**, whatever the completion
   order of the workers;
@@ -22,7 +21,10 @@ deterministic:
 
 With ``jobs=1`` (the default) everything runs inline in the calling process —
 no pool, no pickling — which is the baseline that parallel runs are required
-to reproduce exactly.  Workers can share solver work through the persistent
+to reproduce exactly.  With ``jobs > 1`` each :meth:`EquivalenceEngine.run`
+call spawns up to ``jobs`` workers, feeds them jobs over pipes (a worker keeps
+its imports and memo tables warm from one job to the next) and joins them
+before it returns.  Workers can share solver work through the persistent
 query cache: pass ``cache_dir`` and every job's checker stacks a
 :class:`~repro.smt.cache.CachingBackend` over the same sqlite store.
 
@@ -41,6 +43,7 @@ local :class:`~repro.core.equivalence.EquivalenceResult`) and case jobs as
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import multiprocessing
 import multiprocessing.connection
@@ -148,7 +151,7 @@ class EngineStatistics:
 
 
 # ---------------------------------------------------------------------------
-# Worker entry point (top level so it pickles under the spawn start method)
+# Job execution and the pooled worker (top level so they pickle under spawn)
 # ---------------------------------------------------------------------------
 
 
@@ -164,53 +167,27 @@ def _effective_config(
     share_clauses: Optional[bool] = None,
     clause_db_max: Optional[int] = None,
 ) -> Optional[CheckerConfig]:
-    config = job.config
-    if (
-        cache_dir is None and use_incremental is None
-        and oracle_packets is None and oracle_seed is None
-        and use_aig is None and solver is None
-        and portfolio is None and share_clauses is None
-        and clause_db_max is None
-    ):
-        return config
-    if config is None:
-        config = CheckerConfig()
-    if cache_dir is not None and config.cache_dir is None:
-        config = dataclasses.replace(config, cache_dir=cache_dir)
-    if use_incremental is not None and config.use_incremental != use_incremental:
-        config = dataclasses.replace(config, use_incremental=use_incremental)
-    if use_aig is not None and config.use_aig != use_aig:
-        config = dataclasses.replace(config, use_aig=use_aig)
-    if oracle_packets is not None and config.oracle_packets == 0:
-        config = dataclasses.replace(config, oracle_packets=oracle_packets)
-    if oracle_seed is not None and config.oracle_seed is None:
-        config = dataclasses.replace(config, oracle_seed=oracle_seed)
-    if solver is not None and config.solver is None:
-        config = dataclasses.replace(config, solver=solver)
-    if portfolio is not None and config.portfolio != portfolio:
-        config = dataclasses.replace(config, portfolio=portfolio)
-    if share_clauses is not None and config.share_clauses != share_clauses:
-        config = dataclasses.replace(config, share_clauses=share_clauses)
-    if clause_db_max is not None and config.clause_db_max is None:
-        config = dataclasses.replace(config, clause_db_max=clause_db_max)
-    return config
+    """``job.config`` with the engine-wide knobs folded in: the toggles
+    override the job's setting, the rest only fill a setting the job left at
+    its default, and a ``None`` knob is left alone."""
+    overrides = {"use_incremental": use_incremental, "use_aig": use_aig,
+                 "portfolio": portfolio, "share_clauses": share_clauses}
+    fills = {"cache_dir": cache_dir, "oracle_packets": oracle_packets,
+             "oracle_seed": oracle_seed, "solver": solver, "clause_db_max": clause_db_max}
+    if all(value is None for value in (*overrides.values(), *fills.values())):
+        return job.config
+    config = job.config if job.config is not None else CheckerConfig()
+    default = CheckerConfig()
+    changes = {name: value for name, value in overrides.items() if value is not None}
+    changes.update(
+        (name, value) for name, value in fills.items()
+        if value is not None and getattr(config, name) == getattr(default, name)
+    )
+    return dataclasses.replace(config, **changes) if changes else config
 
 
-def _execute_job(
-    job: Job,
-    cache_dir: Optional[str] = None,
-    use_incremental: Optional[bool] = None,
-    oracle_packets: Optional[int] = None,
-    oracle_seed: Optional[int] = None,
-    use_aig: Optional[bool] = None,
-    solver: Optional[str] = None,
-    portfolio: Optional[bool] = None,
-    share_clauses: Optional[bool] = None,
-    clause_db_max: Optional[int] = None,
-) -> object:
-    config = _effective_config(job, cache_dir, use_incremental, oracle_packets,
-                               oracle_seed, use_aig, solver, portfolio,
-                               share_clauses, clause_db_max)
+def _execute_job(job: Job) -> object:
+    """Run one job whose config the engine has already resolved."""
     if isinstance(job, CaseJob):
         from ..reporting.runner import case_studies
 
@@ -219,48 +196,96 @@ def _execute_job(
             raise EngineError(
                 f"unknown case study {job.case!r}; known: {', '.join(sorted(registry))}"
             )
-        return registry[job.case](full=job.full, config=config)
+        return registry[job.case](full=job.full, config=job.config)
     if isinstance(job, EquivalenceJob):
         from .equivalence import check_language_equivalence
 
         return check_language_equivalence(
-            job.left,
-            job.left_start,
-            job.right,
-            job.right_start,
-            config=config,
-            find_counterexamples=job.find_counterexamples,
+            job.left, job.left_start, job.right, job.right_start,
+            config=job.config, find_counterexamples=job.find_counterexamples,
         )
     raise EngineError(f"unknown job type {type(job).__name__}")
 
 
-def _pooled_worker(
-    conn,
-    job: Job,
-    cache_dir: Optional[str],
-    use_incremental: Optional[bool],
-    oracle_packets: Optional[int] = None,
-    oracle_seed: Optional[int] = None,
-    use_aig: Optional[bool] = None,
-    solver: Optional[str] = None,
-    portfolio: Optional[bool] = None,
-    share_clauses: Optional[bool] = None,
-    clause_db_max: Optional[int] = None,
-) -> None:
-    """Child-process entry point: run one job, ship the outcome over a pipe."""
-    try:
-        payload = ("ok", _execute_job(job, cache_dir, use_incremental,
-                                      oracle_packets, oracle_seed, use_aig,
-                                      solver, portfolio, share_clauses,
-                                      clause_db_max))
-    except Exception as exc:  # noqa: BLE001 - report, don't crash the batch
-        payload = ("error", f"{type(exc).__name__}: {exc}")
-    try:
-        conn.send(payload)
-    except Exception as exc:  # unpicklable result
-        conn.send(("error", f"result not transferable: {type(exc).__name__}: {exc}"))
-    finally:
-        conn.close()
+def _worker_loop(conn) -> None:
+    """Pooled worker: report ready with ``None``, then answer each
+    ``(index, job)`` message with ``(index, status, payload)`` until the
+    ``None`` sentinel arrives."""
+    with contextlib.suppress(EOFError):  # the engine is gone: just exit
+        conn.send(None)
+        for index, job in iter(conn.recv, None):
+            try:
+                reply = (index, "ok", _execute_job(job))
+            except Exception as exc:  # noqa: BLE001 - report, don't crash the batch
+                reply = (index, "error", f"{type(exc).__name__}: {exc}")
+            try:
+                conn.send(reply)
+            except Exception as exc:  # unpicklable result
+                conn.send((index, "error",
+                           f"result not transferable: {type(exc).__name__}: {exc}"))
+
+
+class _Worker:
+    """One pooled worker process and the job it is running, if any."""
+
+    def __init__(self, context) -> None:
+        self.conn, child = context.Pipe()
+        self.process = context.Process(target=_worker_loop, args=(child,), daemon=True)
+        self.process.start()
+        child.close()
+        self.index, self.job, self.limit = 0, None, None  # the job in flight
+        self.started: Optional[float] = None  # None until the worker is ready
+
+    def submit(self, index: int, job: Job, limit: Optional[float]) -> None:
+        self.index, self.job, self.limit = index, job, limit
+        if self.started is not None:  # a fresh worker's clock starts when ready
+            self.started = time.perf_counter()
+        with contextlib.suppress(OSError):  # a dead worker: collect() reports it
+            self.conn.send((index, job))
+
+    @property
+    def deadline(self) -> Optional[float]:
+        if self.started is None or self.limit is None:
+            return None
+        return self.started + self.limit
+
+    def collect(self) -> Optional[JobResult]:
+        """The result of the job in flight once it is decided, else ``None``.
+        A worker that loses its job (it died, sent an unreadable reply or ran
+        out of time) is closed, and the caller drops it from the pool."""
+        now = time.perf_counter()
+        elapsed = now - self.started if self.started is not None else 0.0
+        if self.conn.poll():
+            try:
+                message = self.conn.recv()
+            except (EOFError, ConnectionResetError):  # the worker died
+                status, error = "error", None
+            except Exception as exc:  # truncated pickle, OSError
+                detail = f": {exc}" if str(exc) else ""
+                status, error = "error", f"worker result unreadable: {type(exc).__name__}{detail}"
+            else:
+                if message is None:
+                    self.started = now
+                    return None
+                _, status, payload = message
+                job, self.job = self.job, None
+                if status == "ok":
+                    return JobResult(job.label, "ok", value=payload, elapsed=elapsed)
+                return JobResult(job.label, "error", error=payload, elapsed=elapsed)
+        elif not self.process.is_alive():
+            status, error = "error", None
+        elif self.deadline is not None and now > self.deadline:
+            status, error = "timeout", f"no result within {self.limit} seconds"
+        else:
+            return None
+        self.close()
+        return JobResult(self.job.label, status, elapsed=elapsed,
+                         error=error or f"worker exited with code {self.process.exitcode}")
+
+    def close(self) -> None:
+        self.process.terminate()  # a no-op once the process has been joined
+        self.process.join()
+        self.conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +294,7 @@ def _pooled_worker(
 
 
 class EquivalenceEngine:
-    """Executes equivalence-checking jobs, sequentially or across processes.
+    """Executes equivalence-checking jobs, inline or across worker processes.
 
     ``jobs`` is the worker count (1 = inline, no subprocesses).  ``timeout``
     is the default per-job wall-clock limit in seconds, overridable per job.
@@ -278,28 +303,21 @@ class EquivalenceEngine:
     enforce the limit *after the fact* — an inline job that finishes beyond
     its budget is reported as a ``timeout`` result with its value discarded.
     (The two modes can differ right at the boundary: a pooled worker that
-    delivers its result just past the limit but before the reaper's next
-    poll still counts as ``ok``, whereas inline enforcement is strict.)
-    The pooled clock includes
-    worker startup (process spawn plus package import, a fraction of a
-    second), so limits should comfortably exceed that.  ``cache_dir`` threads
-    a shared persistent query cache into every job's checker configuration;
-    ``use_incremental`` (when not ``None``) overrides the incremental-session
-    toggle of every job's configuration, and ``use_aig`` likewise overrides
-    the AIG-simplification toggle.  ``oracle_packets``/``oracle_seed``
-    (when not ``None``) switch on the differential concrete oracle for every
-    job that does not already configure it — each verdict is cross-checked
-    against that many seeded random packets (see
-    :mod:`repro.oracle.differential`).
+    delivers its result just past the limit but before the engine wakes to
+    reap it still counts as ``ok``, whereas inline enforcement is strict.)
+    The pooled clock starts when a job's worker is ready for it, so worker
+    start-up is not charged to the job.
 
-    ``solver``/``portfolio``/``share_clauses``/``clause_db_max`` thread the
-    solver-backend selection of :class:`~repro.core.algorithm.CheckerConfig`
-    into every job that does not already configure it.  ``share_clauses``
-    combines with
-    ``cache_dir``: the clause channel lives next to the query cache, so
-    pooled workers pointed at the same directory trade learned clauses.
-    These are local execution knobs — remote (``server``) dispatch does not
-    forward them; the daemon picks its own backend.
+    The other arguments are engine-wide knobs that :func:`_effective_config`
+    folds into every job's :class:`~repro.core.algorithm.CheckerConfig`:
+    ``cache_dir`` shares a persistent query cache (and, with
+    ``share_clauses``, a learned-clause channel) between workers;
+    ``use_incremental``/``use_aig``/``portfolio``/``share_clauses`` override
+    each job's toggle; ``oracle_packets``/``oracle_seed`` (the differential
+    concrete oracle, :mod:`repro.oracle.differential`), ``solver`` and
+    ``clause_db_max`` apply to every job that does not set them itself.
+    Remote (``server``) dispatch forwards only the oracle settings; the
+    daemon picks its own cache and backend.
     """
 
     def __init__(
@@ -355,6 +373,7 @@ class EquivalenceEngine:
             raise EngineError("job labels must be unique; set job_id to disambiguate")
         start = time.perf_counter()
         self.statistics = EngineStatistics(jobs=len(jobs), workers=min(self.jobs, max(len(jobs), 1)))
+        jobs = [self._resolve(job) for job in jobs]
         if self.server is not None:
             # Remote jobs run on the daemon, which cannot be preempted from
             # here; timeouts are applied to the observed wall-clock time
@@ -394,18 +413,23 @@ class EquivalenceEngine:
     def _job_limit(self, job: Job) -> Optional[float]:
         return job.timeout if job.timeout is not None else self.timeout
 
+    def _resolve(self, job: Job) -> Job:
+        """``job`` with the engine-wide knobs folded into its config."""
+        return dataclasses.replace(job, config=_effective_config(
+            job, self.cache_dir, self.use_incremental, self.oracle_packets,
+            self.oracle_seed, self.use_aig, self.solver, self.portfolio,
+            self.share_clauses, self.clause_db_max,
+        ))
+
     def _run_inline(self, job: Job) -> JobResult:
         start = time.perf_counter()
         limit = self._job_limit(job)
         try:
-            value = _execute_job(job, self.cache_dir, self.use_incremental,
-                                 self.oracle_packets, self.oracle_seed,
-                                 self.use_aig, self.solver, self.portfolio,
-                                 self.share_clauses, self.clause_db_max)
+            value = _execute_job(job)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the batch
             elapsed = time.perf_counter() - start
             if limit is not None and elapsed > limit:
-                # A pooled worker would have been killed before it could
+                # A pooled worker would have been stopped before it could
                 # raise, so the over-budget failure is a timeout there too.
                 return self._inline_timeout(job, limit, elapsed)
             return JobResult(
@@ -472,22 +496,20 @@ class EquivalenceEngine:
             return self._inline_timeout(job, limit, elapsed)
         return JobResult(job.label, "ok", value=value, elapsed=elapsed)
 
-    def _execute_remote(self, client, job: Job) -> object:
+    @staticmethod
+    def _execute_remote(client, job: Job) -> object:
         from ..service.client import check_options_from_config
 
-        config = _effective_config(job, None, self.use_incremental,
-                                   self.oracle_packets, self.oracle_seed,
-                                   self.use_aig)
+        config = job.config
         if isinstance(job, CaseJob):
             from ..reporting.metrics import CaseMetrics
             from ..reporting.runner import CaseOutcome
 
             options = {}
-            if config is not None:
-                if config.oracle_packets:
-                    options["oracle_packets"] = config.oracle_packets
-                if config.oracle_seed is not None:
-                    options["oracle_seed"] = config.oracle_seed
+            if config is not None and config.oracle_packets:
+                options["oracle_packets"] = config.oracle_packets
+            if config is not None and config.oracle_seed is not None:
+                options["oracle_seed"] = config.oracle_seed
             answer = client.case(job.case, full=job.full, options=options)
             return CaseOutcome(CaseMetrics.from_dict(answer.metrics), answer.verdict)
         if isinstance(job, EquivalenceJob):
@@ -502,80 +524,57 @@ class EquivalenceEngine:
         jobs: Sequence[Job],
         on_result: Optional[Callable[[JobResult], None]] = None,
     ) -> List[JobResult]:
-        """One process per job, at most ``self.jobs`` alive at a time.
-
-        A dedicated process (instead of an executor pool) is what makes the
-        per-job timeout real: an expired job is ``terminate()``d, freeing its
-        slot immediately instead of leaving a hung worker to starve the queue.
-        Elapsed times are measured from each job's own start.  ``on_result``
-        streams the contiguous done-prefix in submission order, whatever
-        order the workers finish in.
+        """Up to ``self.jobs`` long-lived workers, started here and joined
+        before returning.  Dedicated processes (instead of an executor pool)
+        are what make the per-job timeout real: an expired job's worker is
+        ``terminate()``d instead of left to starve the queue.  A worker that
+        dies or sends an unreadable reply costs only its current job, and a
+        lost worker is replaced only while jobs are still pending.
+        ``on_result`` streams the contiguous done-prefix in submission order,
+        whatever order the workers finish in.
         """
         context = multiprocessing.get_context(self.mp_context)
+        size = min(self.jobs, len(jobs))
         results: List[Optional[JobResult]] = [None] * len(jobs)
         delivered = 0
         pending = deque(enumerate(jobs))
-        running: Dict[int, tuple] = {}  # index -> (process, pipe, started, limit, job)
+        workers: List[_Worker] = []
         try:
-            while pending or running:
-                while pending and len(running) < self.jobs:
+            while True:
+                for worker in [w for w in workers if w.job is None and not w.process.is_alive()]:
+                    worker.close()  # died while idle: no job lost
+                    workers.remove(worker)
+                idle = [worker for worker in workers if worker.job is None]
+                for _ in range(min(size - len(workers), len(pending) - len(idle))):
+                    workers.append(_Worker(context))
+                    idle.append(workers[-1])
+                for worker in idle[:len(pending)]:
                     index, job = pending.popleft()
-                    receiver, sender = context.Pipe(duplex=False)
-                    process = context.Process(
-                        target=_pooled_worker,
-                        args=(sender, job, self.cache_dir, self.use_incremental,
-                              self.oracle_packets, self.oracle_seed,
-                              self.use_aig, self.solver, self.portfolio,
-                              self.share_clauses, self.clause_db_max),
-                        daemon=True,
-                    )
-                    process.start()
-                    sender.close()
-                    limit = self._job_limit(job)
-                    running[index] = (process, receiver, time.perf_counter(), limit, job)
+                    worker.submit(index, job, self._job_limit(job))
+                busy = [worker for worker in workers if worker.job is not None]
+                if not busy:
+                    break
+                deadlines = [w.deadline for w in busy if w.deadline is not None]
                 multiprocessing.connection.wait(
-                    [entry[1] for entry in running.values()], timeout=0.05
+                    [w.conn for w in busy] + [w.process.sentinel for w in busy],
+                    timeout=max(0.0, min(deadlines) - time.perf_counter()) if deadlines else None,
                 )
-                for index in list(running):
-                    process, receiver, started, limit, job = running[index]
-                    elapsed = time.perf_counter() - started
-                    if receiver.poll():
-                        try:
-                            status, payload = receiver.recv()
-                        except Exception as exc:  # EOF, truncated pickle, OSError
-                            status = "error"
-                            detail = f": {exc}" if str(exc) else ""
-                            payload = f"worker result unreadable: {type(exc).__name__}{detail}"
-                        if status == "ok":
-                            results[index] = JobResult(job.label, "ok", value=payload,
-                                                       elapsed=elapsed)
-                        else:
-                            results[index] = JobResult(job.label, "error", error=payload,
-                                                       elapsed=elapsed)
-                    elif not process.is_alive():
-                        results[index] = JobResult(
-                            job.label, "error",
-                            error=f"worker exited with code {process.exitcode}",
-                            elapsed=elapsed,
-                        )
-                    elif limit is not None and elapsed > limit:
-                        process.terminate()
-                        results[index] = JobResult(
-                            job.label, "timeout",
-                            error=f"no result within {limit} seconds", elapsed=elapsed,
-                        )
-                    else:
-                        continue
-                    receiver.close()
-                    process.join()
-                    del running[index]
+                for worker in busy:
+                    result = worker.collect()
+                    if result is not None:
+                        results[worker.index] = result
+                        if worker.conn.closed:
+                            workers.remove(worker)
                 if on_result is not None:
                     while delivered < len(jobs) and results[delivered] is not None:
                         on_result(results[delivered])
                         delivered += 1
+            for worker in workers:
+                with contextlib.suppress(OSError):
+                    worker.conn.send(None)  # the sentinel: an idle worker exits
+            for worker in workers:
+                worker.process.join()
         finally:
-            for process, receiver, _, _, _ in running.values():
-                process.terminate()
-                receiver.close()
-                process.join()
+            for worker in workers:
+                worker.close()
         return [result for result in results if result is not None]

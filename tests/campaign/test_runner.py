@@ -92,6 +92,19 @@ class TestDeterminism:
         only_one = _run(CampaignConfig(pairs=6, shards=2, seed=SEED, shard=1))
         assert only_one.as_dict()["shards"] == [full.as_dict()["shards"][1]]
 
+    def test_pooled_report_matches_inline_byte_for_byte(self):
+        # chunk_size=5 splits the 12 pairs over three engine run() calls, so
+        # the pooled side starts and joins its workers three times.
+        reports = [
+            json.dumps(
+                _run(CampaignConfig(pairs=12, seed=SEED, chunk_size=5, jobs=jobs)).as_dict(),
+                sort_keys=True,
+            )
+            for jobs in (1, 2)
+        ]
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["totals"]["agreements"] == 12
+
     def test_elapsed_stays_out_of_the_payload(self):
         report = _run(CampaignConfig(pairs=2, seed=SEED))
         assert report.elapsed > 0

@@ -1,5 +1,8 @@
 """Tests for the job-based parallel equivalence engine."""
 
+import multiprocessing
+import os
+import signal
 import warnings
 
 import pytest
@@ -234,6 +237,72 @@ class TestParallelEngine:
         assert [r.job_id for r in results] == ["bad", "good"]
         assert results[0].status == "error"
         assert results[1].ok
+
+
+def _fast_jobs(prefix, count):
+    """Cheap jobs: a 3-bit fixed-length parser checked against itself."""
+    return [
+        EquivalenceJob(
+            fixed_length_automaton(3), "s0", fixed_length_automaton(3), "s0",
+            job_id=f"{prefix}{index}",
+        )
+        for index in range(count)
+    ]
+
+
+def _slow_job(timeout=None):
+    """A job that runs for many seconds: the paper-sized Edge row."""
+    return CaseJob(case="Edge", full=True, job_id="slow", timeout=timeout)
+
+
+class TestPooledWorkers:
+    """Long-lived workers: a lost worker costs only its job, none outlives run()."""
+
+    def test_timed_out_slot_respawns_for_the_remaining_jobs(self):
+        jobs = [_slow_job(timeout=0.05)] + _fast_jobs("fast", 4)
+        engine = EquivalenceEngine(jobs=2)
+        results = engine.run(jobs)
+        assert [r.job_id for r in results] == [job.job_id for job in jobs]
+        assert results[0].status == "timeout"
+        assert "0.05" in results[0].error
+        assert all(r.ok and r.value.verdict is True for r in results[1:])
+        assert engine.statistics.timed_out == 1
+        assert engine.statistics.succeeded == 4
+
+    def test_killed_workers_cost_only_their_jobs(self):
+        jobs = _fast_jobs("before", 1) + [_slow_job()] + _fast_jobs("after", 3)
+        killed = []
+
+        def kill_workers(result):
+            # On the first result one worker is idle and the other is deep
+            # inside the slow job.
+            if killed:
+                return
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+                child.join(timeout=30)
+                assert not child.is_alive()
+                killed.append(child.pid)
+
+        results = EquivalenceEngine(jobs=2).run(jobs, on_result=kill_workers)
+        assert len(killed) == 2
+        assert [r.job_id for r in results] == [job.job_id for job in jobs]
+        assert results[0].ok
+        assert results[1].status == "error"
+        assert "worker exited with code" in results[1].error
+        assert all(r.ok and r.value.verdict is True for r in results[2:])
+
+    def test_no_worker_outlives_run(self):
+        engine = EquivalenceEngine(jobs=2)
+        assert all(r.ok for r in engine.run(_fast_jobs("fast", 3)))
+        assert multiprocessing.active_children() == []
+
+        def explode(result):
+            raise RuntimeError("callback failed")
+
+        with pytest.raises(RuntimeError, match="callback failed"):
+            engine.run(_fast_jobs("fast", 3), on_result=explode)
+        assert multiprocessing.active_children() == []
 
 
 class TestConfigPlumbing:

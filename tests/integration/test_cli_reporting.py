@@ -1,5 +1,6 @@
 """Tests for the reporting metrics and the command-line interface."""
 
+import pytest
 
 from repro.cli import main
 from repro.p4a.pretty import pretty
@@ -66,6 +67,42 @@ class TestCli:
         code = main(["table", "--case", "Speculative loop", "--markdown"])
         assert code == 0
         assert "Speculative loop" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, env, passed, resolved", [
+        ([], "1", None, True),
+        ([], "0", None, False),
+        (["--full"], "0", True, True),
+    ])
+    def test_table_size_follows_flag_then_environment(
+        self, monkeypatch, argv, env, passed, resolved
+    ):
+        # Only the size decision is under test: the engine is faked, so no
+        # row (least of all a paper-sized one) is checked.
+        import repro.cli as cli
+        from repro.core.engine import EquivalenceEngine, JobResult
+        from repro.reporting.runner import CaseOutcome
+
+        received, sizes = [], []
+        real_run_cases = cli.run_cases
+
+        def spy_run_cases(**kwargs):
+            received.append(kwargs["full"])
+            return real_run_cases(**kwargs)
+
+        def fake_run(self, jobs, on_result=None):
+            sizes.extend(job.full for job in jobs)
+            return [
+                JobResult(job.label, "ok",
+                          value=CaseOutcome(CaseMetrics(job.case, 1, 0, 1), True))
+                for job in jobs
+            ]
+
+        monkeypatch.setenv("LEAPFROG_FULL", env)
+        monkeypatch.setattr(cli, "run_cases", spy_run_cases)
+        monkeypatch.setattr(EquivalenceEngine, "run", fake_run)
+        assert main(["table", "--case", "Edge", *argv]) == 0
+        assert received == [passed]
+        assert sizes == [resolved]
 
     def test_dump_scenario(self, capsys):
         code = main(["dump-scenario", "mini_edge", "--hardware"])
