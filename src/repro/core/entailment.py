@@ -18,6 +18,10 @@ Three strategies are layered, mirroring the engineering in Section 6:
    spurious, which at worst adds redundant conjuncts to the relation.
 3. **exact** — a CEGIS exists-forall check with the premises' variables
    properly renamed apart and treated as universal, restoring completeness.
+   The loop starts from the fast path's counter-model.  That model often is
+   an exact counter-model already, so one verification query refutes the
+   entailment; when it is not, the instantiation refuting it often leaves
+   no candidate, so one more query proves the entailment.
 
 The exact mode is the default (and is what the certificate re-checker uses):
 the fast path still answers most queries with a single quantifier-free check,
@@ -29,10 +33,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..logic import folbv
-from ..logic.compile import compile_entailment, lower_formula
+from ..logic.compile import compile_entailment, lower_formula, variable_name
 from ..logic.confrel import (
     FTrue,
     Formula,
@@ -73,6 +77,8 @@ class EntailmentStatistics:
     smt_refuted: int = 0
     cegis_entailed: int = 0
     cegis_refuted: int = 0
+    #: CEGIS iterations summed over every exact-mode fallback.
+    cegis_rounds: int = 0
     unknown: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -110,6 +116,7 @@ class EntailmentStatistics:
             "smt_refuted": self.smt_refuted,
             "cegis_entailed": self.cegis_entailed,
             "cegis_refuted": self.cegis_refuted,
+            "cegis_rounds": self.cegis_rounds,
             "unknown": self.unknown,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -154,6 +161,11 @@ class EntailmentChecker:
         # back to the one-shot path.
         self._session = self.backend.incremental_session() if use_incremental else None
         self._lowered_premises: Dict[str, folbv.BFormula] = {}
+        # Exact-mode lowering of premise ``index`` renamed apart, with its
+        # universal variables, keyed by (fingerprint, index).
+        self._lowered_apart: Dict[
+            Tuple[str, int], Tuple[folbv.BFormula, Dict[str, int]]
+        ] = {}
         # The compiled FOL(BV) query of the most recent fast-path check; used
         # to re-validate refutation models by concrete evaluation (cached
         # models in particular are never validated by the solver itself).
@@ -225,9 +237,11 @@ class EntailmentChecker:
 
         # Fast path: shared-variable quantifier-free query.
         if self._session is not None:
-            result = self._check_sat_incremental(canonical_premises, canonical_goal)
+            lowered_goal = lower_formula(canonical_goal)
+            result = self._check_sat_incremental(canonical_premises, lowered_goal)
         else:
             query = compile_entailment(canonical_premises, canonical_goal)
+            lowered_goal = query.goal
             self._last_query = query.formula
             caching = self.backend.capabilities.caching
             cache_stats = self.backend.cache_statistics if caching else None
@@ -248,7 +262,7 @@ class EntailmentChecker:
             self.statistics.smt_refuted += 1
             self._validate_refutation_model(result)
             return EntailmentOutcome(False, "smt", result.model)
-        return self._check_exact(canonical_premises, canonical_goal)
+        return self._check_exact(canonical_premises, lowered_goal, result.model)
 
     def _validate_refutation_model(self, result: SatResult) -> None:
         """Concretely re-evaluate a refutation model against the query.
@@ -291,7 +305,7 @@ class EntailmentChecker:
         return lowered
 
     def _check_sat_incremental(
-        self, premises: Sequence[Formula], goal: Formula
+        self, premises: Sequence[Formula], lowered_goal: folbv.BFormula
     ) -> SatResult:
         """The fast-path query via the incremental session.
 
@@ -302,7 +316,6 @@ class EntailmentChecker:
         fingerprint the one-shot path uses, so both paths share cache entries.
         """
         lowered_premises = tuple(self._lower_premise(p) for p in premises)
-        lowered_goal = lower_formula(goal)
         negated_goal = folbv.b_not(lowered_goal)
         combined = folbv.b_and(list(lowered_premises) + [negated_goal])
         self._last_query = combined
@@ -325,22 +338,46 @@ class EntailmentChecker:
 
     # ------------------------------------------------------------------
 
+    def _lower_premise_apart(
+        self, premise: Formula, index: int
+    ) -> Tuple[folbv.BFormula, Dict[str, int]]:
+        """Premise ``index`` renamed apart (``u{index}_…``) and lowered, memoized.
+
+        Returns the lowered formula and its universal variables (FOL(BV) name →
+        width).  Like :meth:`_lower_premise` the memo is keyed structurally, so
+        the one-shot path (which rebuilds canonical premises every check)
+        hits it too.
+        """
+        key = (confrel_fingerprint(premise), index)
+        entry = self._lowered_apart.get(key)
+        if entry is None:
+            variables = formula_variables(premise)
+            mapping = {name: f"u{index}_{name}" for name in variables}
+            universal = {
+                variable_name(mapping[name]): width for name, width in variables.items()
+            }
+            entry = (lower_formula(rename_variables(premise, mapping)), universal)
+            self._lowered_apart[key] = entry
+        return entry
+
     def _check_exact(
-        self, premises: Sequence[Formula], goal: Formula
+        self,
+        premises: Sequence[Formula],
+        lowered_goal: folbv.BFormula,
+        guess: Optional[Dict[str, Bits]],
     ) -> EntailmentOutcome:
-        """CEGIS exists-forall check with premise variables renamed apart."""
+        """CEGIS exists-forall check with premise variables renamed apart.
+
+        ``guess`` is the fast path's counter-model; its values for the
+        existential block (the goal's variables, headers and buffers) are the
+        loop's first candidate.
+        """
         universal_vars: Dict[str, int] = {}
         lowered_premises: List[folbv.BFormula] = []
         for index, premise in enumerate(premises):
-            variables = formula_variables(premise)
-            mapping = {name: f"u{index}_{name}" for name in variables}
-            renamed = rename_variables(premise, mapping)
-            for name, width in formula_variables(renamed).items():
-                from ..logic.compile import variable_name
-
-                universal_vars[variable_name(name)] = width
-            lowered_premises.append(lower_formula(renamed))
-        lowered_goal = lower_formula(goal)
+            lowered, universal = self._lower_premise_apart(premise, index)
+            lowered_premises.append(lowered)
+            universal_vars.update(universal)
         matrix = folbv.b_and(lowered_premises + [folbv.b_not(lowered_goal)])
         # Backends whose stack bottoms out in the internal CDCL solver expose
         # it via the protocol; external backends yield None and CEGIS builds
@@ -352,7 +389,9 @@ class EntailmentChecker:
             solver=internal_solver,
             max_rounds=self.cegis_rounds,
             session=self._session,
+            guess=guess,
         )
+        self.statistics.cegis_rounds += outcome.rounds
         if outcome.holds is True:
             self.statistics.cegis_refuted += 1
             return EntailmentOutcome(False, "cegis", outcome.witness)

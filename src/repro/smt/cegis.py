@@ -10,13 +10,17 @@ The paper discharges such queries with an SMT solver's quantifier support;
 here they are solved with the classic counterexample-guided instantiation
 loop over the internal QF_BV procedure:
 
-1. guess values for the existential block that satisfy the matrix under the
-   instantiations collected so far;
-2. check whether the universal block really holds for that guess;
-3. if not, add the refuting universal assignment as a new instantiation and
-   repeat.
+1. check whether the universal block holds for the caller's guess of the
+   existential block (zero-filled where the guess is silent; all zeros
+   without one);
+2. if not, add the refuting universal assignment as a new instantiation;
+3. guess values for the existential block that satisfy the matrix under the
+   instantiations collected so far — none means the query is false — and
+   repeat from 1 with that guess.
 
-Both sub-queries are quantifier free.  The loop terminates because the
+Both sub-queries are quantifier free.  Every guess, the caller's included, is
+checked by the exact verification query of step 1, so a poor guess costs at
+most a round and never changes the answer.  The loop terminates because the
 variable domains are finite, though a round limit is enforced in practice.
 """
 
@@ -75,35 +79,6 @@ def substitute(formula: BFormula, values: Mapping[str, Bits]) -> BFormula:
     raise CegisError(f"unknown formula {formula!r}")
 
 
-def rename_formula_variables(formula: BFormula, mapping: Mapping[str, str]) -> BFormula:
-    """Rename variables (keeping widths) according to ``mapping``."""
-    def substitute_var_term(term: Term) -> Term:
-        if isinstance(term, BVVar) and term.name in mapping:
-            return BVVar(mapping[term.name], term.var_width)
-        if isinstance(term, folbv.BVExtract):
-            return folbv.BVExtract(substitute_var_term(term.term), term.lo, term.hi)
-        if isinstance(term, folbv.BVConcatT):
-            return folbv.BVConcatT(
-                substitute_var_term(term.left), substitute_var_term(term.right)
-            )
-        return term
-
-    def walk(f: BFormula) -> BFormula:
-        if isinstance(f, folbv.BEq):
-            return folbv.BEq(substitute_var_term(f.left), substitute_var_term(f.right))
-        if isinstance(f, folbv.BNot):
-            return folbv.b_not(walk(f.operand))
-        if isinstance(f, folbv.BAnd):
-            return folbv.b_and([walk(op) for op in f.operands])
-        if isinstance(f, folbv.BOr):
-            return folbv.b_or([walk(op) for op in f.operands])
-        if isinstance(f, folbv.BImplies):
-            return folbv.b_implies(walk(f.premise), walk(f.conclusion))
-        return f
-
-    return walk(formula)
-
-
 # ---------------------------------------------------------------------------
 # Exists-forall solving
 # ---------------------------------------------------------------------------
@@ -129,11 +104,16 @@ def solve_exists_forall(
     solver: Optional[InternalBVSolver] = None,
     max_rounds: int = 64,
     session=None,
+    guess: Optional[Mapping[str, Bits]] = None,
 ) -> ExistsForallResult:
     """Decide ``∃ E ∀ U . matrix`` where ``U`` is ``universal_vars``.
 
     Every free variable of ``matrix`` not listed in ``universal_vars`` belongs
     to the existential block.
+
+    ``guess`` seeds the first round: its values for existential variables
+    (zeros for any it lacks) are verified before any candidate query runs.
+    A guess that is already a witness settles the query with one solver call.
 
     With a ``session`` (an :class:`~repro.smt.incremental.IncrementalSession`)
     the loop solves incrementally: every collected instantiation is pushed
@@ -161,34 +141,29 @@ def solve_exists_forall(
             return ExistsForallResult(None, None, 1)
         return ExistsForallResult(result.is_sat, result.model, 1)
 
-    instantiations: List[Dict[str, Bits]] = []
-    instances: List[BFormula] = []  # substituted matrices, session mode only
-    activations: List[int] = []
+    instances: List[BFormula] = []  # substituted matrices
+    activations: List[int] = []  # their activation literals, session mode only
+    candidate_model: Mapping[str, Bits] = guess or {}
     for round_index in range(1, max_rounds + 1):
-        if session is not None:
-            # Free variables of every instance lie in the existential block
-            # (the universal ones were substituted away), so the decoded model
-            # covers the validation formula.
-            candidate = session.check(
-                activations,
-                variables=existential,
-                validate_formula=folbv.b_and(instances) if instances else None,
-            )
-        else:
-            if instantiations:
-                candidate_formula = folbv.b_and(
-                    [substitute(matrix, instantiation) for instantiation in instantiations]
+        if round_index > 1:
+            if session is not None:
+                # Free variables of every instance lie in the existential
+                # block (the universal ones were substituted away), so the
+                # decoded model covers the validation formula.
+                candidate = session.check(
+                    activations,
+                    variables=existential,
+                    validate_formula=folbv.b_and(instances),
                 )
             else:
-                candidate_formula = folbv.B_TRUE
-            candidate = solver.check_sat(candidate_formula)
-        if candidate.status is SatStatus.UNKNOWN:
-            return ExistsForallResult(None, None, round_index)
-        if candidate.is_unsat:
-            return ExistsForallResult(False, None, round_index)
-        witness = {name: candidate.model.get(name, Bits.zeros(width))
-                   for name, width in existential.items()} if candidate.model else {
-                       name: Bits.zeros(width) for name, width in existential.items()}
+                candidate = solver.check_sat(folbv.b_and(instances))
+            if candidate.status is SatStatus.UNKNOWN:
+                return ExistsForallResult(None, None, round_index)
+            if candidate.is_unsat:
+                return ExistsForallResult(False, None, round_index)
+            candidate_model = candidate.model or {}
+        witness = {name: candidate_model.get(name, Bits.zeros(width))
+                   for name, width in existential.items()}
         # Verify the universal block for this witness.
         negated_instance = folbv.b_not(substitute(matrix, witness))
         if session is not None:
@@ -205,9 +180,8 @@ def solve_exists_forall(
         refutation = {
             name: check.model.get(name, Bits.zeros(width)) for name, width in universal.items()
         }
-        instantiations.append(refutation)
+        instance = substitute(matrix, refutation)
+        instances.append(instance)
         if session is not None:
-            instance = substitute(matrix, refutation)
-            instances.append(instance)
             activations.append(session.activation(instance))
     return ExistsForallResult(None, None, max_rounds)

@@ -16,8 +16,9 @@ from repro.core.naive import (
     explicit_bisimulation_check,
     random_differential_test,
 )
-from repro.logic.confrel import LEFT, RIGHT, CBuf, CHdr, CVar, FFalse, TRUE
+from repro.logic.confrel import LEFT, RIGHT, CBuf, CHdr, CLit, CVar, FFalse, TRUE
 from repro.logic.simplify import mk_eq
+from repro.p4a.bitvec import Bits
 from repro.p4a.semantics import accepts
 from repro.protocols import mpls, tiny
 
@@ -57,6 +58,19 @@ class TestEntailmentChecker:
         outcome = checker.check([premise], FFalse())
         assert outcome.entailed
         assert outcome.method == "cegis"
+
+    @pytest.mark.parametrize("use_incremental", [True, False])
+    def test_ledger_sums_cegis_rounds(self, use_incremental):
+        # ∀x. x = h entails h = 01, but the fast path's shared x cannot see
+        # it: CEGIS refutes the fast path's guess, then finds no candidate.
+        checker = EntailmentChecker(mode=EXACT, use_incremental=use_incremental)
+        premise = mk_eq(CVar("x", 2), CHdr(LEFT, "h", 2))
+        goal = mk_eq(CHdr(LEFT, "h", 2), CLit(Bits("01")))
+        outcome = checker.check([premise], goal)
+        assert outcome.entailed and outcome.method == "cegis"
+        assert checker.statistics.as_dict()["cegis_rounds"] == 2
+        checker.check([premise], goal)
+        assert checker.statistics.cegis_rounds == 4
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):

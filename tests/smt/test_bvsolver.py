@@ -1,5 +1,7 @@
 """Tests for bit-blasting, the QF_BV decision procedure, CEGIS and backends."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -105,6 +107,72 @@ def test_bitblast_agrees_with_evaluation(a_value, b_value, lo, hi):
     assert result.is_sat == expected
 
 
+# Tiny ∃∀ matrices for the exactness property: every variable is at most 3
+# bits wide, so both blocks can be enumerated outright.
+_EXISTENTIAL = {"e0": 2, "e1": 3}
+_UNIVERSAL = {"u0": 3, "u1": 2}
+_ALL_VARS = {**_EXISTENTIAL, **_UNIVERSAL}
+
+
+def _bits(width):
+    return st.integers(0, 2 ** width - 1).map(lambda value: Bits.from_int(value, width))
+
+
+@st.composite
+def _terms(draw, width):
+    if draw(st.booleans()):
+        return BVConst(draw(_bits(width)))
+    name = draw(st.sampled_from([n for n, w in _ALL_VARS.items() if w >= width]))
+    variable = BVVar(name, _ALL_VARS[name])
+    if _ALL_VARS[name] == width and draw(st.booleans()):
+        return variable
+    lo = draw(st.integers(0, _ALL_VARS[name] - width))
+    return BVExtract(variable, lo, lo + width - 1)
+
+
+_atoms = st.integers(1, 3).flatmap(lambda width: st.builds(BEq, _terms(width), _terms(width)))
+_matrices = st.recursive(
+    _atoms,
+    lambda children: st.one_of(
+        children.map(b_not),
+        st.lists(children, min_size=2, max_size=3).map(b_and),
+        st.lists(children, min_size=2, max_size=3).map(b_or),
+    ),
+    max_leaves=6,
+)
+# Complete, partial or absent guesses with arbitrary (mostly wrong) values;
+# universal names may appear too and must be ignored.
+_guesses = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({}, optional={name: _bits(w) for name, w in _ALL_VARS.items()}),
+)
+
+
+def _assignments(variables):
+    names = list(variables)
+    for values in product(*(range(2 ** variables[name]) for name in names)):
+        yield {name: Bits.from_int(value, variables[name]) for name, value in zip(names, values)}
+
+
+def _holds_for_every_universal(matrix, existential_values):
+    return all(
+        folbv.eval_formula(matrix, {**existential_values, **universal_values})
+        for universal_values in _assignments(_UNIVERSAL)
+    )
+
+
+def _brute_force_witnesses(matrix):
+    return [
+        values for values in _assignments(_EXISTENTIAL)
+        if _holds_for_every_universal(matrix, values)
+    ]
+
+
+def _session_and_solver(use_session):
+    solver = InternalBVSolver()
+    return (solver.incremental_session() if use_session else None), solver
+
+
 class TestCegis:
     def test_substitution(self):
         formula = BEq(A, B)
@@ -134,6 +202,43 @@ class TestCegis:
         result = solve_exists_forall(matrix, {"c": 2})
         assert result.holds is True
         assert result.witness["a"].slice(0, 1) == Bits("11")
+
+    @pytest.mark.parametrize("use_session", [False, True], ids=["one-shot", "session"])
+    @settings(max_examples=100, deadline=None)
+    @given(matrix=_matrices, guess=_guesses, seed_with_witness=st.booleans())
+    def test_guessed_loop_matches_brute_force(self, use_session, matrix, guess,
+                                              seed_with_witness):
+        witnesses = _brute_force_witnesses(matrix)
+        if seed_with_witness and witnesses:
+            guess = witnesses[-1]
+        session, solver = _session_and_solver(use_session)
+        result = solve_exists_forall(
+            matrix, _UNIVERSAL, solver=solver, session=session, guess=guess
+        )
+        assert result.holds is bool(witnesses)
+        if result.holds:
+            completed = {name: result.witness.get(name, Bits.zeros(width))
+                         for name, width in _EXISTENTIAL.items()}
+            assert _holds_for_every_universal(matrix, completed)
+        else:
+            assert result.witness is None
+
+    @pytest.mark.parametrize("use_session", [False, True], ids=["one-shot", "session"])
+    def test_witness_guess_settles_in_one_query(self, use_session):
+        # ∃a ∀c. (c = 11 ⇒ a[0:1] = 11): a = 1100 is already a witness.
+        matrix = folbv.b_implies(
+            BEq(C2, BVConst(Bits("11"))), BEq(BVExtract(A, 0, 1), BVConst(Bits("11")))
+        )
+        guess = {"a": Bits("1100")}
+        session, solver = _session_and_solver(use_session)
+        result = solve_exists_forall(
+            matrix, {"c": 2}, solver=solver, session=session, guess=guess
+        )
+        assert result.holds is True
+        assert result.rounds == 1
+        assert result.witness == guess
+        queries = session.queries if use_session else solver.statistics.queries
+        assert queries == 1
 
 
 class TestBackends:
