@@ -14,14 +14,11 @@ from repro.core.algorithm import CheckerConfig
 from repro.core.entailment import EntailmentChecker
 from repro.core.equivalence import check_language_equivalence
 from repro.logic.confrel import LEFT, RIGHT, CHdr, CSlice
-from repro.logic.folbv import BEq, BNot, BVVar, b_and
 from repro.logic.simplify import mk_eq
 from repro.protocols import mpls
 from repro.reporting import attach_run_statistics, structural_metrics
 from repro.smt.backend import InternalBackend, PortfolioBackend
-from repro.smt.bvsolver import InternalBVSolver
 from repro.smt.cache import CachingBackend
-from repro.smt.clauses import ClauseChannel
 
 # LEAPFROG_INCREMENTAL=0/1 pins the incremental solver session for the
 # distribution and micro benchmarks, and LEAPFROG_PORTFOLIO=0/1 pins the
@@ -297,122 +294,6 @@ def test_aig_speedup(benchmark, record_case):
     assert speedup >= 1.5, (
         f"AIG pipeline speedup {speedup:.2f}x below the 1.5x floor "
         f"(baseline {baseline_seconds:.3f}s, AIG {aig_seconds:.3f}s)"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Cross-worker clause sharing: cold-cache churn workload
-# ---------------------------------------------------------------------------
-
-_CHURN_WIDTH = 32
-_CHURN_CHAIN = 5
-_CHURN_QUERIES = 12
-_CHURN_WORKERS = 4
-
-
-def _churn_queries():
-    """Distinct equality-chain queries: UNSAT, but not AIG-collapsible.
-
-    ``v0 = v1, ..., v3 = v4 |= v0 = v4`` needs transitivity, which the graph
-    cannot see, so CDCL earns every refutation with real conflicts — the
-    exact by-product clause sharing exists to amortize.  Each query uses its
-    own variables so the query cache (off here anyway) could never help.
-    """
-    queries = []
-    for q in range(_CHURN_QUERIES):
-        chain = [BVVar(f"q{q}_v{i}", _CHURN_WIDTH) for i in range(_CHURN_CHAIN)]
-        premises = [BEq(chain[i], chain[i + 1]) for i in range(_CHURN_CHAIN - 1)]
-        queries.append((premises, BNot(BEq(chain[0], chain[-1]))))
-    return queries
-
-
-def _churn_worker(queries, share_dir=None):
-    """One cold worker: a fresh solver session per query, no query cache."""
-    start = time.perf_counter()
-    verdicts = []
-    conflicts = exported = imported = 0
-    for premises, goal in queries:
-        channel = ClauseChannel(share_dir) if share_dir else None
-        session = InternalBVSolver(clause_channel=channel).incremental_session()
-        assumptions = [session.activation(p) for p in premises]
-        combined = b_and(list(premises) + [goal])
-        verdicts.append(
-            session.check(assumptions, goal=goal, validate_formula=combined).status
-        )
-        conflicts += session._solver.stats.conflicts
-        exported += session.statistics.clauses_exported
-        imported += session.statistics.clauses_imported
-        if channel is not None:
-            channel.close()
-    elapsed = time.perf_counter() - start
-    return elapsed, verdicts, conflicts, exported, imported
-
-
-def _churn_round(share_dir):
-    """All workers run the same cold query stream, sequentially.
-
-    Sequential execution deliberately removes scheduling noise: the measured
-    difference is pure solving work, exactly what a process pool would save
-    per worker.  With a shared directory the first worker pays the full CDCL
-    cost and publishes its refutations; every later worker imports them and
-    decides nothing it has to retract.
-    """
-    queries = _churn_queries()
-    runs = [_churn_worker(queries, share_dir) for _ in range(_CHURN_WORKERS)]
-    total = sum(run[0] for run in runs)
-    verdicts = [run[1] for run in runs]
-    return total, verdicts, runs
-
-
-def test_clause_sharing_speedup(benchmark, record_case, tmp_path_factory):
-    """Clause sharing makes a multi-worker cold-cache churn run ≥1.2× faster.
-
-    Baseline: every worker refutes every equality chain from scratch.
-    Shared: workers point at one clause channel; the exporter's learned
-    clauses carry the whole refutation, so importers finish with zero
-    conflicts.  Verdicts must agree exactly, and the import/export counters
-    must show the channel actually carried the clauses.
-    """
-    # Warm-up outside the timed region (imports, first-touch allocations).
-    _churn_worker(_churn_queries())
-
-    baseline_seconds, baseline_verdicts, _ = min(
-        (_churn_round(None) for _ in range(3)), key=lambda run: run[0]
-    )
-    shared_runs = [
-        _churn_round(str(tmp_path_factory.mktemp("clauses"))) for _ in range(2)
-    ]
-    shared_runs.append(
-        benchmark.pedantic(
-            lambda: _churn_round(str(tmp_path_factory.mktemp("clauses"))),
-            iterations=1, rounds=1,
-        )
-    )
-    shared_seconds, shared_verdicts, workers = min(
-        shared_runs, key=lambda run: run[0]
-    )
-
-    assert shared_verdicts == baseline_verdicts
-    exporter, importers = workers[0], workers[1:]
-    assert exporter[3] > 0, "the first worker should publish learned clauses"
-    for run in importers:
-        assert run[4] > 0, "every later worker should import clauses"
-        assert run[2] == 0, "imported clauses should pre-empt every conflict"
-
-    speedup = baseline_seconds / shared_seconds
-    metrics = structural_metrics(
-        "Equality-chain churn [clause sharing]",
-        mpls.reference_parser(), mpls.vectorized_parser(),
-    )
-    metrics.extra["baseline_seconds"] = round(baseline_seconds, 4)
-    metrics.extra["shared_seconds"] = round(shared_seconds, 4)
-    metrics.extra["speedup"] = round(speedup, 2)
-    metrics.extra["clauses_exported"] = exporter[3]
-    metrics.extra["clauses_imported"] = sum(run[4] for run in importers)
-    record_case(metrics)
-    assert speedup >= 1.2, (
-        f"clause-sharing speedup {speedup:.2f}x below the 1.2x floor "
-        f"(baseline {baseline_seconds:.3f}s, shared {shared_seconds:.3f}s)"
     )
 
 

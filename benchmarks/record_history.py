@@ -2,7 +2,7 @@
 
 Runs the solver-layer speedup workloads from ``bench_smt_queries`` (the
 repeated-premise incremental-session comparison, the entailed-sweep AIG
-comparison and the multi-worker clause-sharing churn comparison), times each
+comparison and the learned-clause database churn comparison), times each
 side best-of-three, measures the calibration microbenchmark on the same
 machine, and writes one schema-versioned JSON entry.  Usage::
 
@@ -13,16 +13,12 @@ The committed entries form the in-repo perf trajectory (ROADMAP item 5);
 """
 
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_smt_queries import (
     _DB_CAP,
-    _churn_queries,
-    _churn_round,
-    _churn_worker,
     _clause_db_churn,
     _entailed_sweep_workload,
     _repeated_premise_workload,
@@ -40,26 +36,17 @@ def _best_of(workload, *args, repeats=3):
     return min(workload(*args)[0] for _ in range(repeats))
 
 
-def _shared_churn_round():
-    """One clause-sharing churn round over a fresh (cold) channel directory."""
-    with tempfile.TemporaryDirectory() as share_dir:
-        return _churn_round(share_dir)
-
-
 def measure() -> dict:
     """Best-of-three seconds for every tracked benchmark."""
     # Warm-up: first-touch allocations and imports stay out of the timings.
     _repeated_premise_workload(True)
     _entailed_sweep_workload(True)
-    _churn_worker(_churn_queries())
     _clause_db_churn(_DB_CAP, rounds=4)
     return {
         "repeated_premise.incremental_on": _best_of(_repeated_premise_workload, True),
         "repeated_premise.incremental_off": _best_of(_repeated_premise_workload, False),
         "entailed_sweep.aig_on": _best_of(_entailed_sweep_workload, True),
         "entailed_sweep.aig_off": _best_of(_entailed_sweep_workload, False),
-        "clause_churn.shared": _best_of(_shared_churn_round),
-        "clause_churn.unshared": _best_of(_churn_round, None),
         "clause_db_churn.capped": _best_of(_clause_db_churn, _DB_CAP),
         "clause_db_churn.unbounded": _best_of(_clause_db_churn, 0),
     }

@@ -244,11 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-aig", action="store_true",
         help="disable AIG simplification in every case's solver pipeline",
     )
-    table.add_argument(
-        "--share-clauses", action="store_true",
-        help="let workers exchange short learned clauses through a channel "
-             "in --cache-dir (requires --cache-dir or LEAPFROG_CACHE_DIR)",
-    )
     _add_solver_arguments(table)
     _add_oracle_arguments(table)
     _add_server_argument(table)
@@ -638,13 +633,6 @@ def _command_table(args: argparse.Namespace) -> int:
     use_aig = False if args.no_aig else envconfig.aig_from_env()
     oracle_packets, oracle_seed = _oracle_settings(args)
     solver, portfolio = _solver_settings(args)
-    if args.share_clauses and cache_dir is None:
-        print(
-            "error: --share-clauses needs a shared directory; pass "
-            "--cache-dir or set LEAPFROG_CACHE_DIR",
-            file=sys.stderr,
-        )
-        return 2
     metrics = run_cases(
         names=names,
         full=True if args.full else None,
@@ -658,7 +646,6 @@ def _command_table(args: argparse.Namespace) -> int:
         server=_server_setting(args),
         solver=solver,
         portfolio=portfolio or None,
-        share_clauses=args.share_clauses or None,
         clause_db_max=_clause_db_setting(args),
     )
     renderer = render_markdown if args.markdown else render_text

@@ -30,7 +30,7 @@ from ..p4a.typing import check_automaton
 from ..smt.backend import SolverBackend
 from ..smt.cache import make_backend
 from .certificate import Certificate
-from .entailment import EntailmentChecker, EXACT
+from .entailment import EntailmentChecker
 from .init_rels import initial_relation
 from .reachability import ReachabilityAnalysis
 from .templates import GuardedFormula, Template, TemplatePair
@@ -47,7 +47,7 @@ class CheckerConfig:
 
     ``use_leaps`` and ``use_reachability`` correspond to the two optimizations
     of Section 5 and exist primarily so the ablation benchmarks can disable
-    them.  ``entailment_mode`` selects the fast or exact entailment strategy.
+    them.
 
     ``use_query_cache`` memoizes solver queries by structural fingerprint for
     the duration of the run; ``cache_dir`` additionally persists the memo to a
@@ -81,10 +81,7 @@ class CheckerConfig:
     CDCL solver, honouring ``LEAPFROG_SOLVER`` only through the CLI layer).
     ``portfolio`` instead races the internal solver against every external
     solver found on PATH, first definitive answer wins; it cannot be
-    combined with an explicit external ``solver``.  ``share_clauses``
-    exports short learned clauses keyed by structural AIG fingerprints to a
-    channel in ``cache_dir`` so concurrent engine workers warm each other's
-    solvers; it requires ``cache_dir``.  All three only apply when the
+    combined with an explicit external ``solver``.  Both only apply when the
     checker builds its own backend.
 
     ``clause_db_max`` caps the internal CDCL solver's learned-clause
@@ -99,10 +96,8 @@ class CheckerConfig:
 
     use_leaps: bool = True
     use_reachability: bool = True
-    entailment_mode: str = EXACT
     max_iterations: int = 200_000
     track_memory: bool = True
-    frontier_order: str = "fifo"  # or "lifo"
     use_query_cache: bool = True
     cache_dir: Optional[str] = None
     use_incremental: bool = True
@@ -112,7 +107,6 @@ class CheckerConfig:
     minimize_counterexamples: bool = True
     solver: Optional[str] = None
     portfolio: bool = False
-    share_clauses: bool = False
     clause_db_max: Optional[int] = None
 
 
@@ -197,21 +191,16 @@ class PreBisimulationChecker:
         self.right_start = right_start
         self.config = config or CheckerConfig()
         self._owns_backend = backend is None
-        if self.config.share_clauses and self.config.cache_dir is None:
-            raise CheckerError("share_clauses requires cache_dir (the clause channel lives there)")
         self.backend = backend if backend is not None else make_backend(
             use_cache=self.config.use_query_cache,
             cache_dir=self.config.cache_dir,
             use_aig=self.config.use_aig,
             solver=self.config.solver,
             portfolio=self.config.portfolio,
-            share_dir=self.config.cache_dir if self.config.share_clauses else None,
             clause_db_max=self.config.clause_db_max,
         )
         self.entailment = EntailmentChecker(
-            self.backend,
-            mode=self.config.entailment_mode,
-            use_incremental=self.config.use_incremental,
+            self.backend, use_incremental=self.config.use_incremental
         )
         self.initial_pure = initial_pure
         self.store_relation = store_relation
@@ -307,10 +296,7 @@ class PreBisimulationChecker:
                     f"exceeded {self.config.max_iterations} iterations; "
                     "the pre-bisimulation did not converge"
                 )
-            if self.config.frontier_order == "lifo":
-                candidate = frontier.pop()
-            else:
-                candidate = frontier.popleft()
+            candidate = frontier.popleft()
             pure = simplify_formula(candidate.pure)
             if isinstance(pure, FTrue):
                 statistics.skipped += 1

@@ -90,14 +90,14 @@ def verify_certificate(
     is marked as failed with an explanatory message rather than silently
     passing.
     """
-    from .entailment import EntailmentChecker, EXACT
+    from .entailment import EntailmentChecker
     from .reachability import ReachabilityAnalysis
     from .wp import wp_formula
 
     # The re-checker is a deliberately independent backstop: it stays on the
     # one-shot solving path so a defect in the incremental session machinery
     # cannot corrupt both the proof search and its re-validation.
-    checker = EntailmentChecker(backend, mode=EXACT, use_incremental=False)
+    checker = EntailmentChecker(backend, use_incremental=False)
     result = CertificateCheckResult(ok=True)
     recorded = set(certificate.reachable_pairs)
 

@@ -164,14 +164,13 @@ def _effective_config(
     use_aig: Optional[bool] = None,
     solver: Optional[str] = None,
     portfolio: Optional[bool] = None,
-    share_clauses: Optional[bool] = None,
     clause_db_max: Optional[int] = None,
 ) -> Optional[CheckerConfig]:
     """``job.config`` with the engine-wide knobs folded in: the toggles
     override the job's setting, the rest only fill a setting the job left at
     its default, and a ``None`` knob is left alone."""
     overrides = {"use_incremental": use_incremental, "use_aig": use_aig,
-                 "portfolio": portfolio, "share_clauses": share_clauses}
+                 "portfolio": portfolio}
     fills = {"cache_dir": cache_dir, "oracle_packets": oracle_packets,
              "oracle_seed": oracle_seed, "solver": solver, "clause_db_max": clause_db_max}
     if all(value is None for value in (*overrides.values(), *fills.values())):
@@ -310,9 +309,8 @@ class EquivalenceEngine:
 
     The other arguments are engine-wide knobs that :func:`_effective_config`
     folds into every job's :class:`~repro.core.algorithm.CheckerConfig`:
-    ``cache_dir`` shares a persistent query cache (and, with
-    ``share_clauses``, a learned-clause channel) between workers;
-    ``use_incremental``/``use_aig``/``portfolio``/``share_clauses`` override
+    ``cache_dir`` shares a persistent query cache between workers;
+    ``use_incremental``/``use_aig``/``portfolio`` override
     each job's toggle; ``oracle_packets``/``oracle_seed`` (the differential
     concrete oracle, :mod:`repro.oracle.differential`), ``solver`` and
     ``clause_db_max`` apply to every job that does not set them itself.
@@ -333,7 +331,6 @@ class EquivalenceEngine:
         use_aig: Optional[bool] = None,
         solver: Optional[str] = None,
         portfolio: Optional[bool] = None,
-        share_clauses: Optional[bool] = None,
         clause_db_max: Optional[int] = None,
     ) -> None:
         if jobs < 1:
@@ -349,7 +346,6 @@ class EquivalenceEngine:
         self.server = server
         self.solver = solver
         self.portfolio = portfolio
-        self.share_clauses = share_clauses
         self.clause_db_max = clause_db_max
         self.statistics = EngineStatistics()
 
@@ -418,7 +414,7 @@ class EquivalenceEngine:
         return dataclasses.replace(job, config=_effective_config(
             job, self.cache_dir, self.use_incremental, self.oracle_packets,
             self.oracle_seed, self.use_aig, self.solver, self.portfolio,
-            self.share_clauses, self.clause_db_max,
+            self.clause_db_max,
         ))
 
     def _run_inline(self, job: Job) -> JobResult:

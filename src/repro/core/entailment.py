@@ -23,10 +23,10 @@ Three strategies are layered, mirroring the engineering in Section 6:
    entailment; when it is not, the instantiation refuting it often leaves
    no candidate, so one more query proves the entailment.
 
-The exact mode is the default (and is what the certificate re-checker uses):
-the fast path still answers most queries with a single quantifier-free check,
-and CEGIS only runs when that check fails with universally quantified premises
-present.  The pure fast mode is kept for experiments on the trade-off.
+The checker runs the layers in that order (the certificate re-checker uses
+the same procedure): the fast path answers most queries with a single
+quantifier-free check, and CEGIS only runs when that check fails with
+universally quantified premises present.
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ from ..smt.backend import InternalBackend, SolverBackend
 from ..smt.bvsolver import SatResult, SatStatus, complete_model
 from ..smt.cegis import solve_exists_forall
 
-FAST = "fast"
-EXACT = "exact"
-ENTAILMENT_MODES = (FAST, EXACT)
-
-
 @dataclass
 class EntailmentOutcome:
     """Result of one entailment check."""
@@ -77,7 +72,7 @@ class EntailmentStatistics:
     smt_refuted: int = 0
     cegis_entailed: int = 0
     cegis_refuted: int = 0
-    #: CEGIS iterations summed over every exact-mode fallback.
+    #: CEGIS iterations summed over every exact fallback.
     cegis_rounds: int = 0
     unknown: int = 0
     cache_hits: int = 0
@@ -91,9 +86,6 @@ class EntailmentStatistics:
     aig_nodes: int = 0
     aig_clauses_saved: int = 0
     aig_shortcuts: int = 0
-    #: Cross-worker learned-clause traffic, mirrored from the solver ledger.
-    clauses_exported: int = 0
-    clauses_imported: int = 0
     #: Learned-clause database management, mirrored from the solver ledger:
     #: reductions run, clauses deleted by them, literals removed by
     #: conflict-clause minimization, and the LBD sum/count ledger behind the
@@ -124,8 +116,6 @@ class EntailmentStatistics:
             "aig_nodes": self.aig_nodes,
             "aig_clauses_saved": self.aig_clauses_saved,
             "aig_shortcuts": self.aig_shortcuts,
-            "clauses_exported": self.clauses_exported,
-            "clauses_imported": self.clauses_imported,
             "db_reductions": self.db_reductions,
             "clauses_deleted": self.clauses_deleted,
             "minimized_literals": self.minimized_literals,
@@ -145,14 +135,10 @@ class EntailmentChecker:
     def __init__(
         self,
         backend: Optional[SolverBackend] = None,
-        mode: str = EXACT,
         cegis_rounds: int = 64,
         use_incremental: bool = True,
     ) -> None:
-        if mode not in ENTAILMENT_MODES:
-            raise ValueError(f"unknown entailment mode {mode!r}")
         self.backend = backend or InternalBackend()
-        self.mode = mode
         self.cegis_rounds = cegis_rounds
         self.statistics = EntailmentStatistics()
         self.use_incremental = use_incremental
@@ -161,7 +147,7 @@ class EntailmentChecker:
         # back to the one-shot path.
         self._session = self.backend.incremental_session() if use_incremental else None
         self._lowered_premises: Dict[str, folbv.BFormula] = {}
-        # Exact-mode lowering of premise ``index`` renamed apart, with its
+        # Exact-fallback lowering of premise ``index`` renamed apart, with its
         # universal variables, keyed by (fingerprint, index).
         self._lowered_apart: Dict[
             Tuple[str, int], Tuple[folbv.BFormula, Dict[str, int]]
@@ -197,8 +183,6 @@ class EntailmentChecker:
         self.statistics.aig_nodes = solver_stats.aig_nodes
         self.statistics.aig_clauses_saved = solver_stats.aig_clauses_saved
         self.statistics.aig_shortcuts = solver_stats.aig_shortcuts
-        self.statistics.clauses_exported = solver_stats.clauses_exported
-        self.statistics.clauses_imported = solver_stats.clauses_imported
         self.statistics.db_reductions = solver_stats.db_reductions
         self.statistics.clauses_deleted = solver_stats.clauses_deleted
         self.statistics.minimized_literals = solver_stats.minimized_literals
@@ -257,7 +241,7 @@ class EntailmentChecker:
         if result.status is SatStatus.UNKNOWN:
             self.statistics.unknown += 1
             return EntailmentOutcome(False, "unknown")
-        if self.mode == FAST or not premises:
+        if not premises:
             # With no premises the fast path is already exact.
             self.statistics.smt_refuted += 1
             self._validate_refutation_model(result)

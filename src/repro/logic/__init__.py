@@ -2,7 +2,7 @@
 
 from . import confrel, fingerprint, folbv, folconf, simplify, smtlib
 from .compile import EntailmentQuery, compile_entailment, compile_validity, lower_formula
-from .fingerprint import confrel_fingerprint, folbv_fingerprint, intern_formula, intern_term
+from .fingerprint import confrel_fingerprint, folbv_fingerprint
 
 __all__ = [
     "EntailmentQuery",
@@ -14,8 +14,6 @@ __all__ = [
     "folbv",
     "folbv_fingerprint",
     "folconf",
-    "intern_formula",
-    "intern_term",
     "lower_formula",
     "simplify",
     "smtlib",

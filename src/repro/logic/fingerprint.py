@@ -1,4 +1,4 @@
-"""Structural fingerprints and hash-consing for logic objects.
+"""Structural fingerprints for logic objects.
 
 The entailment queries issued by the pre-bisimulation inner loop are highly
 repetitive: the same goal is re-checked as the relation grows, the done step
@@ -8,21 +8,15 @@ repeated query syntactically is enough to skip the bit-blasting and SAT work
 entirely, because the lowering pipeline is deterministic and the entailment
 checker canonicalizes variable names before compiling.
 
-Two facilities are provided:
-
-* **Fingerprints** — a stable, collision-resistant digest of the structure of
-  a FOL(BV) formula/term or a pure ConfRel formula/expression.  Fingerprints
-  are plain hex strings, safe to use as dictionary keys, file names or sqlite
-  primary keys, and stable across processes and Python versions (unlike
-  ``hash()``, which is salted per process for strings).
-* **Hash-consing** — an intern table mapping structurally equal terms and
-  formulas to one canonical object, so that repeated subterms share storage;
-  an opt-in utility for formula builders, deliberately kept off the query
-  cache's hot path (see :data:`GLOBAL_INTERN`).
+A fingerprint is a stable, collision-resistant digest of the structure of a
+FOL(BV) formula/term or a pure ConfRel formula/expression.  Fingerprints are
+plain hex strings, safe to use as dictionary keys, file names or sqlite
+primary keys, and stable across processes and Python versions (unlike
+``hash()``, which is salted per process for strings).
 
 Shared subterms are visited once per fingerprint computation: the serializer
 memoizes on object identity within a call, which makes fingerprinting of
-hash-consed (DAG-shaped) formulas linear in the number of distinct nodes.
+DAG-shaped formulas linear in the number of distinct objects.
 """
 
 from __future__ import annotations
@@ -191,80 +185,3 @@ def fingerprint(obj: Union[FingerprintableBV, FingerprintableConfRel]) -> str:
     if isinstance(obj, (confrel.Formula, confrel.BVExpr)):
         return confrel_fingerprint(obj)
     raise FingerprintError(f"cannot fingerprint {obj!r}")
-
-
-# ---------------------------------------------------------------------------
-# Hash-consing
-# ---------------------------------------------------------------------------
-
-
-class InternTable:
-    """An intern table mapping structural keys to canonical objects.
-
-    Interning rebuilds a formula bottom-up, replacing every node whose
-    structure has been seen before by the first object that exhibited it.
-    Interned formulas share subterm storage (a DAG instead of a tree), which
-    both reduces memory and speeds up later fingerprint computations via the
-    identity memo in the serializers.
-    """
-
-    def __init__(self) -> None:
-        self._table: "weakref.WeakValueDictionary[str, object]" = weakref.WeakValueDictionary()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def _canon(self, key: str, obj: object) -> object:
-        existing = self._table.get(key)
-        if existing is not None:
-            self.hits += 1
-            return existing
-        self.misses += 1
-        self._table[key] = obj
-        return obj
-
-    def intern_term(self, term: folbv.Term) -> folbv.Term:
-        if isinstance(term, folbv.BVExtract):
-            inner = self.intern_term(term.term)
-            if inner is not term.term:
-                term = folbv.BVExtract(inner, term.lo, term.hi)
-        elif isinstance(term, folbv.BVConcatT):
-            left, right = self.intern_term(term.left), self.intern_term(term.right)
-            if left is not term.left or right is not term.right:
-                term = folbv.BVConcatT(left, right)
-        return self._canon(_folbv_key(term, {}), term)  # type: ignore[return-value]
-
-    def intern_formula(self, formula: folbv.BFormula) -> folbv.BFormula:
-        if isinstance(formula, folbv.BEq):
-            formula = folbv.BEq(self.intern_term(formula.left), self.intern_term(formula.right))
-        elif isinstance(formula, folbv.BNot):
-            formula = folbv.BNot(self.intern_formula(formula.operand))
-        elif isinstance(formula, folbv.BAnd):
-            formula = folbv.BAnd(tuple(self.intern_formula(op) for op in formula.operands))
-        elif isinstance(formula, folbv.BOr):
-            formula = folbv.BOr(tuple(self.intern_formula(op) for op in formula.operands))
-        elif isinstance(formula, folbv.BImplies):
-            formula = folbv.BImplies(
-                self.intern_formula(formula.premise), self.intern_formula(formula.conclusion)
-            )
-        return self._canon(_folbv_key(formula, {}), formula)  # type: ignore[return-value]
-
-
-#: Process-wide intern table for callers that build formulas incrementally
-#: and want subterm sharing.  The query cache does NOT intern: its per-query
-#: fingerprint walk is linear, whereas per-node canonicalization is quadratic
-#: in formula depth, so interning on the hot path would cost more than the
-#: lookup it feeds.
-GLOBAL_INTERN = InternTable()
-
-
-def intern_formula(formula: folbv.BFormula) -> folbv.BFormula:
-    """Hash-cons a FOL(BV) formula through the process-wide table."""
-    return GLOBAL_INTERN.intern_formula(formula)
-
-
-def intern_term(term: folbv.Term) -> folbv.Term:
-    """Hash-cons a FOL(BV) term through the process-wide table."""
-    return GLOBAL_INTERN.intern_term(term)

@@ -47,10 +47,6 @@ from .confrel import (
 # ---------------------------------------------------------------------------
 
 
-def mk_lit(value: Bits) -> BVExpr:
-    return CLit(value)
-
-
 def mk_slice(expr: BVExpr, lo: int, hi: int) -> BVExpr:
     """Build ``expr[lo:hi]`` (inclusive), simplifying where possible."""
     width = expr.width

@@ -11,7 +11,7 @@ and the transition block selects the next state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .bitvec import EMPTY, Bits
 from .errors import P4ASemanticsError
@@ -54,13 +54,6 @@ def initial_store(aut: P4Automaton, fill: int = 0) -> Store:
     return {name: Bits(bit * size) for name, size in aut.headers.items()}
 
 
-def store_update(store: Store, header: str, value: Bits) -> Store:
-    """Functional store update ``s[v/h]`` (Definition 3.2)."""
-    updated = dict(store)
-    updated[header] = value
-    return updated
-
-
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -85,11 +78,6 @@ def eval_expr(expr: Expr, store: Mapping[str, Bits]) -> Bits:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def op_bits(aut: P4Automaton, ops: Iterable) -> int:
-    """``||op||``: the number of bits consumed by an operation block."""
-    return sum(aut.header_size(op.header) for op in ops if isinstance(op, Extract))
 
 
 def exec_ops(aut: P4Automaton, state: State, store: Store, data: Bits) -> Store:

@@ -67,12 +67,3 @@ def buggy_parser(
         "vlan[0:3]", [("1111", "reject"), ("_", "accept")]
     )
     return builder.build()
-
-
-def scaled_vlan_parser(scale: int = 4) -> P4Automaton:
-    """A narrow variant keeping the same five-state structure (for tests)."""
-    return vlan_parser(eth_bits=2 * scale, vlan_bits=scale, ip_bits=2 * scale, udp_bits=scale)
-
-
-def scaled_buggy_parser(scale: int = 4) -> P4Automaton:
-    return buggy_parser(eth_bits=2 * scale, vlan_bits=scale, ip_bits=2 * scale, udp_bits=scale)

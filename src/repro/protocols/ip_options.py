@@ -115,11 +115,6 @@ def _add_timestamp_state(builder: AutomatonBuilder, slot: int, slots: int) -> No
     )
 
 
-def scaled_generic(slots: int = 1, max_data_bytes: int = 2) -> P4Automaton:
-    """A small generic parser for tests (one slot, two data lengths)."""
-    return generic_parser(slots=slots, max_data_bytes=max_data_bytes)
-
-
 def broken_generic(slots: int = 2, max_data_bytes: int = 6) -> P4Automaton:
     """A generic parser with an off-by-one in one length case: the length-2
     state extracts only one byte.  Not equivalent to :func:`generic_parser`."""

@@ -100,13 +100,6 @@ def attach_run_statistics(metrics: CaseMetrics, statistics: CheckerStatistics,
             metrics.extra["aig_shortcuts"] = int(
                 statistics.entailment.get("aig_shortcuts", 0)
             )
-        # Cross-worker clause sharing: only rendered when traffic happened,
-        # so non-sharing runs keep their old column set.
-        exported = int(statistics.entailment.get("clauses_exported", 0))
-        imported = int(statistics.entailment.get("clauses_imported", 0))
-        if exported or imported:
-            metrics.extra["clauses_exported"] = exported
-            metrics.extra["clauses_imported"] = imported
         # Learned-clause database management: rendered only when the run
         # actually learned clauses, so DPLL/external-solver rows keep "-".
         lbd_clauses = int(statistics.entailment.get("lbd_clauses", 0))

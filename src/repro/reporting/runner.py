@@ -254,7 +254,6 @@ def run_cases(
     use_aig: Optional[bool] = None,
     solver: Optional[str] = None,
     portfolio: Optional[bool] = None,
-    share_clauses: Optional[bool] = None,
     clause_db_max: Optional[int] = None,
 ) -> List[CaseMetrics]:
     """Run the selected case studies and return their metric rows.
@@ -275,10 +274,8 @@ def run_cases(
     ``jobs`` then sizes the client fan-out and the other execution knobs
     stay daemon-side.
 
-    ``solver``/``portfolio``/``share_clauses``/``clause_db_max`` select the
-    solver backend of every case's checker (see
-    :class:`~repro.core.algorithm.CheckerConfig`); ``share_clauses``
-    additionally needs ``cache_dir``, where the shared clause channel lives.
+    ``solver``/``portfolio``/``clause_db_max`` select the solver backend of
+    every case's checker (see :class:`~repro.core.algorithm.CheckerConfig`).
     """
     from ..core.engine import CaseJob, EquivalenceEngine
 
@@ -295,7 +292,7 @@ def run_cases(
         use_incremental=use_incremental,
         oracle_packets=oracle_packets, oracle_seed=oracle_seed,
         server=server, use_aig=use_aig,
-        solver=solver, portfolio=portfolio, share_clauses=share_clauses,
+        solver=solver, portfolio=portfolio,
         clause_db_max=clause_db_max,
     )
     # --case is repeatable, so the same name may appear twice; suffix repeats

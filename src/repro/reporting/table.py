@@ -30,11 +30,10 @@ _COLUMNS = (
     ("Divergences", "divergences"),
 )
 
-#: Columns appended only when some row carries the key, so runs without
-#: clause sharing or portfolio mode keep the classic Table 2 layout.
+#: Columns appended only when some row carries the key: the learned-clause
+#: columns need a CDCL run that learned clauses, the wins column portfolio
+#: mode, so rows without them keep the classic Table 2 layout.
 _OPTIONAL_COLUMNS = (
-    ("Clauses out", "clauses_exported"),
-    ("Clauses in", "clauses_imported"),
     ("Deleted", "clauses_deleted"),
     ("Avg LBD", "avg_lbd"),
     ("Portfolio wins", "portfolio_wins"),

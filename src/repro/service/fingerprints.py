@@ -63,12 +63,13 @@ def config_fingerprint(
 ) -> str:
     """A digest of the checker options that can change the reported result."""
     effective = config if config is not None else CheckerConfig()
+    # Retired options stay as literals: persisted verdict stores are keyed by this digest.
     fields = (
         ("use_leaps", effective.use_leaps),
         ("use_reachability", effective.use_reachability),
-        ("entailment_mode", effective.entailment_mode),
+        ("entailment_mode", "exact"),
         ("max_iterations", effective.max_iterations),
-        ("frontier_order", effective.frontier_order),
+        ("frontier_order", "fifo"),
         ("oracle_packets", effective.oracle_packets),
         ("oracle_seed", effective.oracle_seed),
         ("minimize_counterexamples", effective.minimize_counterexamples),

@@ -17,12 +17,10 @@ from .bitblast import Bitblaster, BitblastResult, bitblast
 from .bvsolver import InternalBVSolver, SatResult, SatStatus, SolverStatistics
 from .cache import CacheStatistics, CachingBackend, PersistentQueryCache, make_backend
 from .cegis import ExistsForallResult, solve_exists_forall, substitute
-from .clauses import AigFingerprinter, ClauseChannel
 
 __all__ = [
     "Aig",
     "AigError",
-    "AigFingerprinter",
     "AigToCnf",
     "FolbvToAig",
     "aig_to_cnf",
@@ -32,7 +30,6 @@ __all__ = [
     "BitblastResult",
     "CacheStatistics",
     "CachingBackend",
-    "ClauseChannel",
     "ExistsForallResult",
     "ExternalBackend",
     "InternalBackend",

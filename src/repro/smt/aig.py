@@ -351,25 +351,10 @@ class AigToCnf:
         self.aig = aig
         self.builder = builder
         self._vars: Dict[int, int] = {}
-        self._nodes: Dict[int, int] = {}
 
     def var_of(self, index: int) -> Optional[int]:
         """The SAT variable of an emitted node, or ``None``."""
         return self._vars.get(index)
-
-    def node_of(self, var: int) -> Optional[int]:
-        """The AIG node behind a SAT variable, or ``None``.
-
-        ``None`` covers variables that do not name graph structure at all —
-        activation literals and the constant-true variable are allocated on
-        the builder directly.  Clause sharing relies on this to recognise
-        (and refuse to export) literals with no structural identity.
-        """
-        return self._nodes.get(var)
-
-    def emitted_nodes(self) -> Dict[int, int]:
-        """A snapshot of node index → SAT variable for every emitted node."""
-        return dict(self._vars)
 
     def literal(self, ref: int) -> int:
         """The SAT literal equivalent to ``ref``, emitting its cone."""
@@ -395,7 +380,6 @@ class AigToCnf:
             if kind == _INPUT:
                 var = builder.new_var()
                 self._vars[index] = var
-                self._nodes[var] = index
                 stack.pop()
                 continue
             operands = aig.operands(index)
@@ -416,7 +400,6 @@ class AigToCnf:
             else:
                 raise AigError(f"cannot emit node kind {kind!r}")
             self._vars[index] = output
-            self._nodes[output] = index
             stack.pop()
 
     def cone(self, ref: int) -> frozenset:

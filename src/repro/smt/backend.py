@@ -186,7 +186,6 @@ class InternalBackend(SolverBackend):
         engine: str = "cdcl",
         validate_models: bool = True,
         use_aig: bool = True,
-        clause_channel=None,
         clause_db_max: Optional[int] = None,
     ) -> None:
         self._engine = engine
@@ -194,7 +193,6 @@ class InternalBackend(SolverBackend):
             engine=engine,
             validate_models=validate_models,
             use_aig=use_aig,
-            clause_channel=clause_channel,
             clause_db_max=clause_db_max,
         )
 
@@ -225,11 +223,6 @@ class InternalBackend(SolverBackend):
     @property
     def solver(self) -> InternalBVSolver:
         return self._solver
-
-    def close(self) -> None:
-        channel = self._solver.clause_channel
-        if channel is not None:
-            channel.close()
 
 
 #: Known external solvers and the command lines that make them read SMT-LIB
@@ -606,7 +599,6 @@ def backend_for_solver(
     choice: Optional[str],
     use_aig: bool = True,
     validate_models: bool = True,
-    clause_channel=None,
     clause_db_max: Optional[int] = None,
 ) -> SolverBackend:
     """The backend for a validated ``--solver``/``LEAPFROG_SOLVER`` choice.
@@ -620,7 +612,6 @@ def backend_for_solver(
         return InternalBackend(
             validate_models=validate_models,
             use_aig=use_aig,
-            clause_channel=clause_channel,
             clause_db_max=clause_db_max,
         )
     if choice in ("dpll", "internal-dpll"):

@@ -73,9 +73,6 @@ class SolverStatistics:
     #: at the deadline vs. queries whose output the SMT-LIB parser rejected.
     external_timeouts: int = 0
     parse_failures: int = 0
-    #: Cross-worker learned-clause traffic (see ``repro.smt.clauses``).
-    clauses_exported: int = 0
-    clauses_imported: int = 0
     #: Learned-clause database management (see ``repro.smt.sat.solver``):
     #: reductions run, learned clauses deleted by them, literals removed by
     #: conflict-clause minimization, and the LBD ledger (sum over every
@@ -125,7 +122,6 @@ class InternalBVSolver:
         engine: str = "cdcl",
         validate_models: bool = True,
         use_aig: bool = True,
-        clause_channel=None,
         clause_db_max: Optional[int] = None,
     ) -> None:
         if engine not in ("cdcl", "dpll"):
@@ -133,7 +129,6 @@ class InternalBVSolver:
         self._engine = engine
         self._validate_models = validate_models
         self.use_aig = use_aig
-        self.clause_channel = clause_channel
         #: Learned-clause cap for the CDCL engine (``None`` = the solver
         #: default, ``0`` = keep every learned clause forever).
         self.clause_db_max = (
@@ -208,7 +203,6 @@ class InternalBVSolver:
             validate_models=self._validate_models,
             statistics=self.statistics,
             use_aig=self.use_aig,
-            clause_channel=self.clause_channel,
             clause_db_max=self.clause_db_max,
         )
 

@@ -312,7 +312,6 @@ def make_backend(
     use_aig: bool = True,
     solver: Optional[str] = None,
     portfolio: bool = False,
-    share_dir: Optional[str] = None,
     clause_db_max: Optional[int] = None,
 ) -> SolverBackend:
     """Build the standard backend stack, innermost layer first.
@@ -322,9 +321,6 @@ def make_backend(
       ``solver`` (a validated ``--solver``/``LEAPFROG_SOLVER`` choice;
       default the internal solver) — the two are mutually exclusive since a
       portfolio already contains every lane;
-    * ``share_dir`` attaches a cross-worker learned-clause channel
-      (:mod:`repro.smt.clauses`) to the internal solver's incremental
-      sessions;
     * ``use_cache`` wraps the lane in :class:`CachingBackend`.
       ``use_cache=False`` wins: it disables both cache layers even when a
       ``cache_dir`` is supplied, so an explicit opt-out is never overridden.
@@ -346,14 +342,8 @@ def make_backend(
             )
         backend = PortfolioBackend(use_aig=use_aig, clause_db_max=clause_db_max)
     else:
-        channel = None
-        if share_dir is not None:
-            from .clauses import ClauseChannel
-
-            channel = ClauseChannel(share_dir)
         backend = backend_for_solver(
-            solver, use_aig=use_aig, clause_channel=channel,
-            clause_db_max=clause_db_max,
+            solver, use_aig=use_aig, clause_db_max=clause_db_max
         )
     if use_cache:
         return CachingBackend(backend, cache_dir=cache_dir)

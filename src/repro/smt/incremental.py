@@ -70,7 +70,6 @@ class IncrementalSession:
         validate_models: bool = True,
         statistics: Optional[SolverStatistics] = None,
         use_aig: bool = True,
-        clause_channel=None,
         clause_db_max: Optional[int] = None,
     ) -> None:
         self._aig = Aig(simplify=use_aig)
@@ -81,27 +80,6 @@ class IncrementalSession:
         self._emitter = AigToCnf(self._aig, self._builder)
         self._solver = CdclSolver(clause_db_max=clause_db_max)
         self._use_aig = use_aig
-        # Cross-worker learned-clause sharing (repro.smt.clauses): short
-        # learned clauses are buffered — with the LBD the learning run
-        # measured — as they are learned, translated to structural
-        # fingerprints and published after each query; foreign clauses are
-        # pulled and translated back before each solve.
-        self._channel = clause_channel
-        self._fingerprinter = None
-        self._export_buffer: List[Tuple[List[int], int]] = []
-        self._exported_keys: set = set()
-        self._channel_since = 0
-        if clause_channel is not None:
-            from .clauses import AigFingerprinter
-
-            self._fingerprinter = AigFingerprinter(self._aig, self._lowerer)
-            max_len = clause_channel.max_len
-
-            def _collect(learned: List[int], lbd: int) -> None:
-                if len(learned) <= max_len and len(self._export_buffer) < 512:
-                    self._export_buffer.append((learned, lbd))
-
-            self._solver.on_learn = _collect
         # fingerprint -> (activation literal, graph ref, encoding cone)
         self._activations: Dict[str, Tuple[int, int, frozenset]] = {}
         # activation literal -> (graph ref, cone), for check() assumption lists
@@ -203,78 +181,6 @@ class IncrementalSession:
         self._published_learned = solver_stats.learned_clauses
 
     # ------------------------------------------------------------------
-    # Cross-worker clause sharing
-    # ------------------------------------------------------------------
-
-    def _import_shared_clauses(self) -> None:
-        """Translate foreign clauses into local CNF numbering and add them.
-
-        A clause is accepted only when *every* signed fingerprint resolves
-        to a locally known node whose cone has already been emitted — then
-        the local gate clauses imply the clause (see ``repro.smt.clauses``)
-        and adding it is sound.  Anything else is skipped, not an error:
-        other workers legitimately solve formulas this session never saw.
-        """
-        if self._channel is None:
-            return
-        from .clauses import decode_literal
-
-        # Make every emitted node resolvable by fingerprint (memoised, so
-        # each node is hashed once over the session's lifetime).
-        for node in self._emitter._vars:
-            self._fingerprinter.fingerprint(node)
-        self._channel_since, clauses = self._channel.fetch(self._channel_since)
-        for encoded, lbd in clauses:
-            literals: List[int] = []
-            for signed in encoded:
-                fingerprint, positive = decode_literal(signed)
-                node = self._fingerprinter.node_for(fingerprint)
-                var = None if node is None else self._emitter.var_of(node)
-                if var is None:
-                    literals = []
-                    break
-                literals.append(var if positive else -var)
-            if literals:
-                # Imports join the learned database under the LBD measured by
-                # the exporting solver, so the reduction policy triages them
-                # instead of keeping foreign clauses forever.
-                self._solver.add_learned_clause(literals, lbd)
-                self.statistics.clauses_imported += 1
-
-    def _export_shared_clauses(self) -> None:
-        """Publish this query's short learned clauses, translated to fingerprints.
-
-        Clauses mentioning a variable with no structural identity (activation
-        literals, the constant variable) are dropped: they are only implied
-        *together with* session-local clauses, so exporting them would be
-        unsound (and meaningless) elsewhere.
-        """
-        buffered, self._export_buffer = self._export_buffer, []
-        if self._channel is None or not buffered:
-            return
-        from .clauses import encode_literal
-
-        outgoing: List[Tuple[List[str], int]] = []
-        for learned, lbd in buffered:
-            encoded: List[str] = []
-            for literal in learned:
-                node = self._emitter.node_of(abs(literal))
-                fingerprint = (
-                    None if node is None else self._fingerprinter.fingerprint(node)
-                )
-                if fingerprint is None:
-                    encoded = []
-                    break
-                encoded.append(encode_literal(fingerprint, literal > 0))
-            if encoded:
-                key = tuple(sorted(encoded))
-                if key not in self._exported_keys:
-                    self._exported_keys.add(key)
-                    outgoing.append((encoded, lbd))
-        if outgoing:
-            self.statistics.clauses_exported += self._channel.publish(outgoing)
-
-    # ------------------------------------------------------------------
 
     def check(
         self,
@@ -329,13 +235,11 @@ class IncrementalSession:
                 return result
         self._shortcut_assumptions = None
         self._sync_solver()
-        self._import_shared_clauses()
         sat, sat_values = self._solver.solve_values(
             max_conflicts=max_conflicts,
             assumptions=assumed,
             decision_vars=decision_vars,
         )
-        self._export_shared_clauses()
         elapsed = time.perf_counter() - start
         num_clauses = self.num_clauses
         num_vars = self.num_vars

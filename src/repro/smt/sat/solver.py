@@ -173,12 +173,6 @@ class CdclSolver:
         )
         self.stats = SolverStats()
         self._ok = True
-        #: Optional callback invoked as ``on_learn(literals, lbd)`` with a
-        #: copy of every learned clause (including unit clauses, LBD 1) the
-        #: moment it is learned.  The incremental session uses it to export
-        #: short clauses — LBD attached so importers can triage — to other
-        #: workers.
-        self.on_learn = None
         #: After an unsat :meth:`solve` under assumptions: a subset of the
         #: assumption literals whose conjunction is already contradictory.
         #: Empty when the clause database is unsat regardless of assumptions.
@@ -251,15 +245,14 @@ class CdclSolver:
         self._store_clause(_Clause(unique))
 
     def add_learned_clause(self, literals: Iterable[int], lbd: int) -> None:
-        """Add an *implied* clause to the learned database (e.g. an import).
+        """Add an *implied* clause to the learned database with a given LBD.
 
         Same root-level simplification as :meth:`add_clause`, but the clause
         is stored as learned with the supplied LBD, so it competes for
-        retention like a locally learned clause: glue imports are kept, junk
-        imports are the first out at the next reduction.  Callers must only
-        pass clauses implied by the problem clauses (the clause channel's
-        translation guarantees this), or deleting them would be unsound to
-        begin with.
+        retention like a locally learned clause: glue clauses are kept, high
+        LBD clauses are the first out at the next reduction.  Callers must
+        only pass clauses implied by the problem clauses, or deleting them
+        would be unsound to begin with.
         """
         if not self._ok:
             return
@@ -580,7 +573,7 @@ class CdclSolver:
         clause is minimized by self-subsumption against reason clauses (the
         MiniSat ``ccmin`` step): a literal whose negation is implied by other
         clause literals through the implication graph is redundant and
-        dropped, shrinking what is stored, propagated and exported.
+        dropped, shrinking what is stored and propagated.
         """
         learned: List[int] = [0]  # placeholder for the asserting literal
         seen = [False] * (self._num_vars + 1)
@@ -876,10 +869,6 @@ class CdclSolver:
                     return False, None
                 learned, backjump_level, lbd = self._analyze(conflict)
                 self._backjump(backjump_level)
-                if self.on_learn is not None:
-                    # Hand out a copy: watched-literal bookkeeping reorders
-                    # the stored clause in place as the search continues.
-                    self.on_learn(list(learned), lbd)
                 if len(learned) == 1:
                     self.stats.learned_clauses += 1
                     self.stats.lbd_sum += lbd

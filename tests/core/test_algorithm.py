@@ -5,7 +5,7 @@ import pytest
 from repro.core.algorithm import CheckerConfig, CheckerError, PreBisimulationChecker
 from repro.core.certificate import Certificate, verify_certificate
 from repro.core.counterexample import find_counterexample
-from repro.core.entailment import EntailmentChecker, EXACT, FAST
+from repro.core.entailment import EntailmentChecker
 from repro.core.equivalence import (
     check_initial_store_independence,
     check_language_equivalence,
@@ -44,7 +44,7 @@ class TestEntailmentChecker:
         assert outcome.entailed
 
     def test_refutation_produces_model(self):
-        checker = EntailmentChecker(mode=FAST)
+        checker = EntailmentChecker()
         goal = mk_eq(CHdr(LEFT, "h", 2), CHdr(RIGHT, "g", 2))
         outcome = checker.check([], goal)
         assert not outcome.entailed
@@ -53,7 +53,7 @@ class TestEntailmentChecker:
     def test_exact_mode_handles_universal_premises(self):
         # Premise: ∀x. buf< = x  (only satisfiable when... never for 1-bit x),
         # so it entails anything, including ⊥ — the fast path cannot see this.
-        checker = EntailmentChecker(mode=EXACT)
+        checker = EntailmentChecker()
         premise = mk_eq(CBuf(LEFT, 1), CVar("x", 1))
         outcome = checker.check([premise], FFalse())
         assert outcome.entailed
@@ -63,7 +63,7 @@ class TestEntailmentChecker:
     def test_ledger_sums_cegis_rounds(self, use_incremental):
         # ∀x. x = h entails h = 01, but the fast path's shared x cannot see
         # it: CEGIS refutes the fast path's guess, then finds no candidate.
-        checker = EntailmentChecker(mode=EXACT, use_incremental=use_incremental)
+        checker = EntailmentChecker(use_incremental=use_incremental)
         premise = mk_eq(CVar("x", 2), CHdr(LEFT, "h", 2))
         goal = mk_eq(CHdr(LEFT, "h", 2), CLit(Bits("01")))
         outcome = checker.check([premise], goal)
@@ -71,10 +71,6 @@ class TestEntailmentChecker:
         assert checker.statistics.as_dict()["cegis_rounds"] == 2
         checker.check([premise], goal)
         assert checker.statistics.cegis_rounds == 4
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            EntailmentChecker(mode="sloppy")
 
     def test_statistics(self):
         checker = EntailmentChecker()
@@ -96,14 +92,6 @@ class TestCheckerConfiguration:
         )
         with pytest.raises(CheckerError, match="did not converge"):
             checker.run()
-
-    def test_lifo_frontier_also_converges(self):
-        config = CheckerConfig(frontier_order="lifo", track_memory=False)
-        checker = PreBisimulationChecker(
-            tiny.incremental_bits_checked(), tiny.big_bits_checked(), "Start", "Parse",
-            config=config,
-        )
-        assert checker.run().proved
 
     def test_statistics_populated(self):
         result = check_language_equivalence(

@@ -249,13 +249,3 @@ class TestCliIntegration:
         captured = capsys.readouterr()
         assert code == 2
         assert "not on PATH" in captured.err
-
-    def test_cli_rejects_share_clauses_without_cache_dir(self, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.delenv("LEAPFROG_CACHE_DIR", raising=False)
-        code = main(["table", "--case", "Header initialization",
-                     "--share-clauses"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "--cache-dir" in captured.err

@@ -71,18 +71,3 @@ def test_external_solver_matches_internal(name):
     baseline = _run(name, _config())
     shelled = _run(name, _config(solver=external[0], use_incremental=False))
     _assert_agreement(name, baseline, shelled, external[0])
-
-
-def test_clause_sharing_preserves_verdicts(tmp_path):
-    # Two sequential runs over the same shared directory: the second imports
-    # the first's clauses and must still agree with an unshared baseline.
-    for name in ("mini_qinq", "mini_qinq_broken"):
-        baseline = _run(name, _config())
-        shared_config = _config(
-            share_clauses=True, cache_dir=str(tmp_path / name), use_query_cache=False
-        )
-        first = _run(name, shared_config)
-        second = _run(name, shared_config)
-        assert first.verdict == baseline.verdict
-        assert second.verdict == baseline.verdict
-        _assert_witness_replays(name, second)

@@ -71,6 +71,19 @@ class TestConfigFingerprint:
         )
         assert base != config_fingerprint(CheckerConfig(), find_counterexamples=False)
 
+    def test_digests_are_pinned(self):
+        # Persisted verdict stores are keyed by these digests; a change to
+        # the hashed fields or their values would orphan every stored entry.
+        assert config_fingerprint(CheckerConfig()) == (
+            "9405374a7b62a0e03088510a3dfeda212ea0e7f6efcb90149a7220beabe7cf23"
+        )
+        assert config_fingerprint(CheckerConfig(use_leaps=False)) == (
+            "82fc7af6b3b57d381debac8e1345fd88024350755b3fbbada1904c70741d5a02"
+        )
+        assert config_fingerprint(CheckerConfig(), find_counterexamples=False) == (
+            "1f4443ac62050ad36d6a698b46c4acea86f38c3f802d877b51b8e9af88314f58"
+        )
+
 
 class TestStoreKey:
     def test_key_depends_on_both_digests(self):

@@ -80,13 +80,6 @@ class TestMakeBackend:
         assert isinstance(backend, CachingBackend)
         assert backend.capabilities.caching
 
-    def test_share_dir_wires_a_channel(self, tmp_path):
-        backend = make_backend(use_cache=False, share_dir=str(tmp_path))
-        try:
-            assert backend.internal_solver.clause_channel is not None
-        finally:
-            backend.close()
-
 
 class TestExternalSolverTable:
     def test_command_table_matches_envconfig_vocabulary(self):

@@ -156,7 +156,7 @@ class TestIncrementalEntailment:
     def test_exact_mode_with_universal_premises_still_agrees(self):
         from repro.logic.confrel import CVar
 
-        # The premise mentions a symbolic variable, which the exact mode
+        # The premise mentions a symbolic variable, which the CEGIS fallback
         # treats as universally quantified — this routes both configurations
         # through the CEGIS loop and checks they agree.
         premise = mk_eq(CHdr(LEFT, "h", 4), CVar("v", 4))

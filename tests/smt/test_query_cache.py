@@ -4,13 +4,8 @@ import pytest
 
 from repro.logic import folbv
 from repro.logic.confrel import LEFT, RIGHT, CHdr, CVar, FAnd, FEq
-from repro.logic.fingerprint import (
-    InternTable,
-    confrel_fingerprint,
-    folbv_fingerprint,
-    intern_formula,
-)
-from repro.logic.folbv import BEq, BVConcatT, BVConst, BVExtract, BVVar, b_and, b_not
+from repro.logic.fingerprint import confrel_fingerprint, folbv_fingerprint
+from repro.logic.folbv import BEq, BVConst, BVExtract, BVVar, b_and, b_not
 from repro.p4a.bitvec import Bits
 from repro.smt.backend import InternalBackend
 from repro.smt.cache import CachingBackend, PersistentQueryCache, make_backend
@@ -59,25 +54,6 @@ class TestFingerprints:
         digest = folbv_fingerprint(BEq(BVVar("x", 2), BVConst(Bits("01"))))
         assert digest == folbv_fingerprint(BEq(BVVar("x", 2), BVConst(Bits("01"))))
         assert len(digest) == 64 and int(digest, 16) >= 0
-
-
-class TestInterning:
-    def test_interning_shares_structure(self):
-        table = InternTable()
-        first = table.intern_formula(_sat_formula())
-        second = table.intern_formula(_sat_formula())
-        assert first is second
-        assert table.hits > 0
-
-    def test_interned_formula_evaluates_identically(self):
-        formula = b_and([
-            BEq(BVConcatT(BVVar("a", 2), BVVar("b", 2)), BVConst(Bits("1100"))),
-        ])
-        interned = intern_formula(formula)
-        assignment = {"a": Bits("11"), "b": Bits("00")}
-        assert folbv.eval_formula(formula, assignment)
-        assert folbv.eval_formula(interned, assignment)
-        assert folbv_fingerprint(formula) == folbv_fingerprint(interned)
 
 
 class TestCachingBackend:

@@ -519,7 +519,7 @@ class TestClauseDbReduction:
         solver._backjump(0)
         assert solver.reduce_db() == 1  # unlocked now: fair game
 
-    def test_on_learn_reports_lbd_and_stats_track_it(self):
+    def test_learned_clause_stats_track_lbd(self):
         def var(pigeon, hole):
             return pigeon * 2 + hole + 1
 
@@ -531,13 +531,10 @@ class TestClauseDbReduction:
                 for p2 in range(p1 + 1, 3):
                     clauses.append((-var(p1, hole), -var(p2, hole)))
         solver = CdclSolver(cnf_from_clauses(6, clauses))
-        exported = []
-        solver.on_learn = lambda lits, lbd: exported.append((lits, lbd))
         assert solver.solve()[0] is False
-        assert exported
-        assert all(isinstance(lbd, int) and lbd >= 1 for _, lbd in exported)
-        assert solver.stats.learned_clauses == len(exported)
-        assert solver.stats.lbd_sum == sum(lbd for _, lbd in exported)
+        assert solver.stats.learned_clauses > 0
+        # Every learned clause spans at least one decision level.
+        assert solver.stats.lbd_sum >= solver.stats.learned_clauses
         assert solver.stats.avg_lbd == pytest.approx(
             solver.stats.lbd_sum / solver.stats.learned_clauses
         )
