@@ -9,9 +9,10 @@ pairs, relation conjuncts and solver queries grows as each optimization is
 turned off.  The explicit-state baseline is included as the extreme point.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.core.algorithm import CheckerConfig
 from repro.core.engine import EquivalenceJob
 from repro.core.naive import explicit_bisimulation_check
 from repro.protocols import mpls
@@ -32,16 +33,17 @@ def _parsers():
 # The query cache is pinned off so the ablation measures only the two paper
 # optimizations: with the memo on, repeated queries would be absorbed and the
 # growth in solver queries across variants — the point of this benchmark —
-# would be distorted.
+# would be distorted.  Each variant lists the fields it pins; the rest come
+# from the session's resolved checker config.
 _CONFIGS = {
-    "leaps+reach (paper default)": CheckerConfig(
+    "leaps+reach (paper default)": dict(
         use_leaps=True, use_reachability=True, use_query_cache=False
     ),
-    "no leaps": CheckerConfig(use_leaps=False, use_reachability=True, use_query_cache=False),
-    "no reachability": CheckerConfig(
+    "no leaps": dict(use_leaps=False, use_reachability=True, use_query_cache=False),
+    "no reachability": dict(
         use_leaps=True, use_reachability=False, use_query_cache=False
     ),
-    "no leaps, no reachability": CheckerConfig(
+    "no leaps, no reachability": dict(
         use_leaps=False, use_reachability=False, use_query_cache=False
     ),
 }
@@ -50,65 +52,58 @@ _CONFIGS = {
 # off must agree on everything the algorithm observes — verdict and relation
 # size — while the solving strategy underneath changes completely.
 _INCREMENTAL_CONFIGS = {
-    "incremental session": CheckerConfig(use_query_cache=False, use_incremental=True),
-    "one-shot solving": CheckerConfig(use_query_cache=False, use_incremental=False),
+    "incremental session": dict(use_query_cache=False, use_incremental=True),
+    "one-shot solving": dict(use_query_cache=False, use_incremental=False),
 }
 
 # The AIG-pipeline ablation: simplifying AIG lowering (with the graph-level
 # UNSAT short-circuit) versus the interning-only pipeline.  The lowering layer
 # must be invisible to the algorithm above it.
 _AIG_CONFIGS = {
-    "aig pipeline": CheckerConfig(use_query_cache=False, use_aig=True),
-    "no aig": CheckerConfig(use_query_cache=False, use_aig=False),
+    "aig pipeline": dict(use_query_cache=False, use_aig=True),
+    "no aig": dict(use_query_cache=False, use_aig=False),
 }
 
 
-@pytest.mark.parametrize("variant", list(_CONFIGS))
-def test_optimization_ablation(benchmark, record_case, engine, variant):
+def _variant_jobs(base, variants):
     left, left_start, right, right_start = _parsers()
-    config = _CONFIGS[variant]
+    return [
+        EquivalenceJob(
+            left, left_start, right, right_start,
+            config=dataclasses.replace(base, **pinned),
+            find_counterexamples=False, job_id=variant,
+        )
+        for variant, pinned in variants.items()
+    ]
 
-    def run():
-        [result] = engine.run([
-            EquivalenceJob(
-                left, left_start, right, right_start,
-                config=config, find_counterexamples=False, job_id=variant,
-            )
-        ])
+
+def _run_all(engine, jobs):
+    results = engine.run(jobs)
+    for result in results:
         assert result.ok, result.error
-        return result.value
+    return [result.value for result in results]
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
+
+@pytest.mark.parametrize("variant", list(_CONFIGS))
+def test_optimization_ablation(benchmark, record_case, engine, checker_config, variant):
+    left, _, right, _ = _parsers()
+    jobs = _variant_jobs(checker_config, {variant: _CONFIGS[variant]})
+
+    [result] = benchmark.pedantic(_run_all, args=(engine, jobs), iterations=1, rounds=1)
     assert result.proved
     metrics = structural_metrics(f"Speculative loop [{variant}]", left, right)
     attach_run_statistics(metrics, result.statistics, result.verdict)
     record_case(metrics)
 
 
-def test_incremental_ablation_verdict_parity(benchmark, record_case):
+def test_incremental_ablation_verdict_parity(benchmark, record_case, engine, checker_config):
     """Incremental on/off: identical verdicts and relation sizes, both recorded."""
-    from repro import envconfig
-    from repro.core.engine import EquivalenceEngine
+    left, _, right, _ = _parsers()
+    jobs = _variant_jobs(checker_config, _INCREMENTAL_CONFIGS)
 
-    left, left_start, right, right_start = _parsers()
-    # A local engine without the LEAPFROG_INCREMENTAL override: this benchmark
-    # *is* the on-vs-off comparison, so the per-job configs must stand.
-    engine = EquivalenceEngine(jobs=envconfig.jobs_from_env())
-
-    def run():
-        jobs = [
-            EquivalenceJob(
-                left, left_start, right, right_start,
-                config=config, find_counterexamples=False, job_id=variant,
-            )
-            for variant, config in _INCREMENTAL_CONFIGS.items()
-        ]
-        results = engine.run(jobs)
-        for result in results:
-            assert result.ok, result.error
-        return [result.value for result in results]
-
-    incremental, one_shot = benchmark.pedantic(run, iterations=1, rounds=1)
+    incremental, one_shot = benchmark.pedantic(
+        _run_all, args=(engine, jobs), iterations=1, rounds=1
+    )
     assert incremental.verdict is True and one_shot.verdict is True
     assert incremental.verdict == one_shot.verdict
     assert (incremental.statistics.relation_size
@@ -121,34 +116,19 @@ def test_incremental_ablation_verdict_parity(benchmark, record_case):
         record_case(metrics)
 
 
-def test_aig_ablation_verdict_parity(benchmark, record_case):
+def test_aig_ablation_verdict_parity(benchmark, record_case, engine, checker_config):
     """AIG on/off: identical verdicts, relation sizes and reachable pairs.
 
-    A local engine without the LEAPFROG_AIG override, since this benchmark
-    *is* the on-vs-off comparison.  Both rows report the pipeline counters
-    (the off mode still lowers through the interning-only graph), but only
-    the simplifying mode saves clauses and answers queries on the graph.
+    Both rows report the pipeline counters (the off mode still lowers
+    through the interning-only graph), but only the simplifying mode saves
+    clauses and answers queries on the graph.
     """
-    from repro import envconfig
-    from repro.core.engine import EquivalenceEngine
+    left, _, right, _ = _parsers()
+    jobs = _variant_jobs(checker_config, _AIG_CONFIGS)
 
-    left, left_start, right, right_start = _parsers()
-    engine = EquivalenceEngine(jobs=envconfig.jobs_from_env())
-
-    def run():
-        jobs = [
-            EquivalenceJob(
-                left, left_start, right, right_start,
-                config=config, find_counterexamples=False, job_id=variant,
-            )
-            for variant, config in _AIG_CONFIGS.items()
-        ]
-        results = engine.run(jobs)
-        for result in results:
-            assert result.ok, result.error
-        return [result.value for result in results]
-
-    with_aig, without_aig = benchmark.pedantic(run, iterations=1, rounds=1)
+    with_aig, without_aig = benchmark.pedantic(
+        _run_all, args=(engine, jobs), iterations=1, rounds=1
+    )
     assert with_aig.verdict is True and without_aig.verdict is True
     assert with_aig.verdict == without_aig.verdict
     assert (with_aig.statistics.relation_size

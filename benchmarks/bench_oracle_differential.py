@@ -15,6 +15,8 @@ uses.  ``LEAPFROG_SEED`` overrides the seed, ``LEAPFROG_ORACLE`` the packet
 budget.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import envconfig
@@ -56,14 +58,17 @@ def test_oracle_full_scenario(benchmark, name):
     assert row.ok, f"{name}: {row.divergences} divergences (seed {_SEED})"
 
 
-def test_oracle_riding_on_verification(benchmark, record_case, engine):
+def test_oracle_riding_on_verification(benchmark, record_case, engine, checker_config):
     """Cross-check a Table 2 verdict in the same run that produces it."""
-    engine.oracle_packets = engine.oracle_packets or _PACKETS
-    engine.oracle_seed = engine.oracle_seed if engine.oracle_seed is not None else _SEED
+    config = dataclasses.replace(
+        checker_config, oracle_packets=_PACKETS, oracle_seed=_SEED
+    )
     full = full_scale_requested()
 
     def run():
-        [result] = engine.run([CaseJob(case="Translation Validation", full=full)])
+        [result] = engine.run([
+            CaseJob(case="Translation Validation", full=full, config=config)
+        ])
         assert result.ok, result.error
         return result.value
 

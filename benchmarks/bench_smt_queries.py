@@ -26,16 +26,12 @@ from repro.smt.cache import CachingBackend
 # record both timing profiles as separate artifacts.  The explicit
 # on-vs-off comparisons below always measure both sides regardless of the
 # environment.
-_INCREMENTAL = envconfig.incremental_from_env()
-_PORTFOLIO = envconfig.portfolio_from_env()
-_CONFIG = CheckerConfig(
-    use_incremental=True if _INCREMENTAL is None else _INCREMENTAL,
-    use_query_cache=False,
-)
+_RESOLVED = envconfig.resolve_checker_config()
+_CONFIG = CheckerConfig(use_incremental=_RESOLVED.use_incremental, use_query_cache=False)
 
 
 def _distribution_backend():
-    return PortfolioBackend() if _PORTFOLIO else InternalBackend()
+    return PortfolioBackend() if _RESOLVED.portfolio else InternalBackend()
 
 
 def test_query_time_distribution(benchmark, record_case):
@@ -115,9 +111,7 @@ def test_query_cache_speedup(benchmark, record_case):
 
 def test_single_entailment_query(benchmark):
     """Micro-benchmark: one 64-bit store-equality entailment check."""
-    checker = EntailmentChecker(
-        use_incremental=True if _INCREMENTAL is None else _INCREMENTAL
-    )
+    checker = EntailmentChecker(use_incremental=_RESOLVED.use_incremental)
     premise = mk_eq(CHdr(LEFT, "udp", 64), CHdr(RIGHT, "udp", 64))
     goal = mk_eq(CHdr(RIGHT, "udp", 64), CHdr(LEFT, "udp", 64))
 

@@ -24,11 +24,11 @@ if _SEED is None:
 _COUNT = 24
 
 
-def _jobs(pairs):
+def _jobs(pairs, config):
     return [
         EquivalenceJob(
             pair.left, pair.left_start, pair.right, pair.right_start,
-            find_counterexamples=True, job_id=pair.name,
+            config=config, find_counterexamples=True, job_id=pair.name,
         )
         for pair in pairs
     ]
@@ -49,12 +49,12 @@ def test_synthesis_throughput(benchmark):
             assert pair.replay_witness(), pair.name
 
 
-def test_synth_churn_agreement(benchmark, engine):
+def test_synth_churn_agreement(benchmark, engine, checker_config):
     """The headline number: checked pairs per second, with 100% agreement."""
     pairs = synthesize_batch(_COUNT, _SEED)
 
     def run():
-        return engine.run(_jobs(pairs))
+        return engine.run(_jobs(pairs, checker_config))
 
     results = benchmark.pedantic(run, iterations=1, rounds=1)
     mismatches = []
@@ -70,7 +70,7 @@ def test_synth_churn_agreement(benchmark, engine):
     assert not mismatches, mismatches
 
 
-def test_synth_churn_broken_only(benchmark, engine):
+def test_synth_churn_broken_only(benchmark, engine, checker_config):
     """Refutation-heavy batch: every job must find a counterexample."""
     pairs = [
         pair for pair in synthesize_batch(2 * _COUNT, _SEED + 1000)
@@ -78,7 +78,7 @@ def test_synth_churn_broken_only(benchmark, engine):
     ][:_COUNT // 2]
 
     def run():
-        return engine.run(_jobs(pairs))
+        return engine.run(_jobs(pairs, checker_config))
 
     results = benchmark.pedantic(run, iterations=1, rounds=1)
     for pair, result in zip(pairs, results):

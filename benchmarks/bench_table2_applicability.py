@@ -22,11 +22,11 @@ _APPLICABILITY_ROWS = [
 
 
 @pytest.mark.parametrize("name", _APPLICABILITY_ROWS)
-def test_applicability_case(benchmark, record_case, engine, name):
+def test_applicability_case(benchmark, record_case, engine, checker_config, name):
     full = full_scale_requested()
 
     def run():
-        [result] = engine.run([CaseJob(case=name, full=full)])
+        [result] = engine.run([CaseJob(case=name, full=full, config=checker_config)])
         assert result.ok, result.error
         return result.value
 

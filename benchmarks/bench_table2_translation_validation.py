@@ -10,11 +10,13 @@ from repro.core.engine import CaseJob
 from repro.reporting import full_scale_requested
 
 
-def test_translation_validation(benchmark, record_case, engine):
+def test_translation_validation(benchmark, record_case, engine, checker_config):
     full = full_scale_requested()
 
     def run():
-        [result] = engine.run([CaseJob(case="Translation Validation", full=full)])
+        [result] = engine.run([
+            CaseJob(case="Translation Validation", full=full, config=checker_config)
+        ])
         assert result.ok, result.error
         return result.value
 

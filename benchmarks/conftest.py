@@ -16,36 +16,39 @@ from typing import List
 
 import pytest
 
-from repro import envconfig
+from repro.core.algorithm import CheckerConfig
 from repro.core.engine import EquivalenceEngine
+from repro.envconfig import jobs_from_env, resolve_checker_config
 from repro.reporting import CaseMetrics, render_text
 
 _COLLECTED: List[CaseMetrics] = []
 
 
+@pytest.fixture(scope="session")
+def checker_config() -> CheckerConfig:
+    """The checker configuration every benchmark job carries as ``config=``.
+
+    Resolved once from the environment by
+    :func:`repro.envconfig.resolve_checker_config`: ``LEAPFROG_CACHE_DIR``
+    enables the persistent solver-query cache, ``LEAPFROG_INCREMENTAL=0/1``
+    and ``LEAPFROG_AIG=0/1`` pin the incremental solver session and the
+    simplifying AIG lowering pipeline, and ``LEAPFROG_ORACLE``/
+    ``LEAPFROG_SEED`` cross-check every verdict against that many seeded
+    concrete packets (the solver variables apply too), so the same benchmark
+    files measure cold, warm, ablation and oracle configurations without
+    edits.  Memory is tracked because the end-of-session table shows it.  A
+    malformed value fails the session with a clear message instead of a
+    bare ``ValueError``.
+    """
+    return resolve_checker_config({"track_memory": True})
+
+
 @pytest.fixture
 def engine() -> EquivalenceEngine:
-    """The execution engine every benchmark routes its verification through.
-
+    """The execution engine every benchmark routes its verification through;
     ``LEAPFROG_JOBS`` selects the worker count (default 1, the sequential
-    baseline), ``LEAPFROG_CACHE_DIR`` enables the persistent solver-query
-    cache, ``LEAPFROG_INCREMENTAL=0/1`` pins the incremental solver session
-    on or off, ``LEAPFROG_AIG=0/1`` pins the simplifying AIG lowering
-    pipeline, and ``LEAPFROG_ORACLE``/``LEAPFROG_SEED`` cross-check every
-    verdict against that many seeded concrete packets, so the same benchmark
-    files measure sequential, parallel, cold, warm, ablation and oracle
-    configurations without edits.  All variables go through
-    :mod:`repro.envconfig`, so a malformed value fails the session with a
-    clear message instead of a bare ``ValueError``.
-    """
-    return EquivalenceEngine(
-        jobs=envconfig.jobs_from_env(),
-        cache_dir=envconfig.cache_dir_from_env(),
-        use_incremental=envconfig.incremental_from_env(),
-        use_aig=envconfig.aig_from_env(),
-        oracle_packets=envconfig.oracle_packets_from_env(),
-        oracle_seed=envconfig.seed_from_env(),
-    )
+    baseline)."""
+    return EquivalenceEngine(jobs=jobs_from_env())
 
 
 @pytest.fixture

@@ -130,35 +130,32 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _solver_settings(args: argparse.Namespace):
-    """(solver, portfolio) from flags, falling back to the environment.
+def _checker_config(args: argparse.Namespace, base: Optional[CheckerConfig] = None,
+                    **fields) -> CheckerConfig:
+    """The command's one checker config, resolved by
+    :func:`repro.envconfig.resolve_checker_config`: ``fields`` and the flags
+    in ``args`` first, then the ``LEAPFROG_*`` variables, then ``base``."""
+    given = vars(args)
 
-    External solver choices are validated against PATH here, before any
-    work (or worker process) starts, so a missing binary is a clean exit 2
-    instead of a per-job error deep inside a pool.
-    """
-    from .smt.backend import BackendError, EXTERNAL_SOLVER_COMMANDS
+    def off(flag: str) -> Optional[bool]:
+        return False if given.get(flag) else None
 
-    solver = args.solver if args.solver is not None else envconfig.solver_from_env()
-    portfolio = args.portfolio or bool(envconfig.portfolio_from_env())
-    if portfolio and solver not in (None, "", "internal", "cdcl"):
-        raise BackendError(
-            "--portfolio already races every available solver; "
-            f"it cannot be combined with --solver {solver}"
-        )
-    if solver in EXTERNAL_SOLVER_COMMANDS:
-        import shutil
-
-        if not shutil.which(EXTERNAL_SOLVER_COMMANDS[solver][0]):
-            raise BackendError(f"external solver {solver!r} is not on PATH")
-    return solver, portfolio
-
-
-def _clause_db_setting(args: argparse.Namespace) -> Optional[int]:
-    """The learned-clause cap from ``--clause-db-max``, else the environment."""
-    if args.clause_db_max is not None:
-        return args.clause_db_max
-    return envconfig.clause_db_from_env()
+    flags = {
+        "use_leaps": off("no_leaps"),
+        "use_reachability": off("no_reachability"),
+        "use_query_cache": off("no_cache"),
+        "use_incremental": off("no_incremental"),
+        "use_aig": off("no_aig"),
+        "minimize_counterexamples": off("no_minimize"),
+        "cache_dir": given.get("cache_dir"),
+        "oracle_packets": given.get("oracle_packets"),
+        "oracle_seed": given.get("seed"),
+        "solver": given.get("solver"),
+        "portfolio": True if given.get("portfolio") else None,
+        "clause_db_max": given.get("clause_db_max"),
+        **fields,
+    }
+    return envconfig.resolve_checker_config(flags, base=base)
 
 
 def _add_oracle_arguments(parser: argparse.ArgumentParser) -> None:
@@ -553,33 +550,7 @@ def _command_check(args: argparse.Namespace) -> int:
         left = parse_automaton(handle.read(), name=args.left)
     with open(args.right) as handle:
         right = parse_automaton(handle.read(), name=args.right)
-    cache_dir = args.cache_dir if args.cache_dir is not None else envconfig.cache_dir_from_env()
-    if args.no_incremental:
-        use_incremental = False
-    else:
-        env_incremental = envconfig.incremental_from_env()
-        use_incremental = True if env_incremental is None else env_incremental
-    if args.no_aig:
-        use_aig = False
-    else:
-        env_aig = envconfig.aig_from_env()
-        use_aig = True if env_aig is None else env_aig
-    oracle_packets, oracle_seed = _oracle_settings(args)
-    solver, portfolio = _solver_settings(args)
-    config = CheckerConfig(
-        use_leaps=not args.no_leaps,
-        use_reachability=not args.no_reachability,
-        use_query_cache=not args.no_cache,
-        cache_dir=cache_dir,
-        use_incremental=use_incremental,
-        use_aig=use_aig,
-        oracle_packets=oracle_packets or 0,
-        oracle_seed=oracle_seed,
-        minimize_counterexamples=not args.no_minimize,
-        solver=solver,
-        portfolio=portfolio,
-        clause_db_max=_clause_db_setting(args),
-    )
+    config = _checker_config(args)
     server = _server_setting(args)
     if server is not None:
         # Thin-client mode: the daemon solves (or replays from its verdict
@@ -608,45 +579,23 @@ def _command_check(args: argparse.Namespace) -> int:
         if "packets" in oracle and oracle.get("packets"):
             print(
                 f"oracle: {oracle.get('divergences', 0)} divergences over "
-                f"{oracle['packets']} packets (seed {oracle_seed or 0})"
+                f"{oracle['packets']} packets (seed {config.oracle_seed or 0})"
             )
     if result.proved:
         return 0
     return 1 if result.refuted else 2
 
 
-def _oracle_settings(args: argparse.Namespace):
-    """(packets, seed) from flags, falling back to the environment."""
-    packets = (
-        args.oracle_packets if args.oracle_packets is not None
-        else envconfig.oracle_packets_from_env()
-    )
-    seed = args.seed if args.seed is not None else envconfig.seed_from_env()
-    return packets, seed
-
-
 def _command_table(args: argparse.Namespace) -> int:
     names = args.case if args.case else None
     jobs = args.jobs if args.jobs is not None else envconfig.jobs_from_env()
-    cache_dir = args.cache_dir if args.cache_dir is not None else envconfig.cache_dir_from_env()
-    use_incremental = False if args.no_incremental else envconfig.incremental_from_env()
-    use_aig = False if args.no_aig else envconfig.aig_from_env()
-    oracle_packets, oracle_seed = _oracle_settings(args)
-    solver, portfolio = _solver_settings(args)
     metrics = run_cases(
         names=names,
         full=True if args.full else None,
+        config=_checker_config(args, track_memory=True),
         jobs=jobs,
-        cache_dir=cache_dir,
         timeout=args.timeout,
-        use_incremental=use_incremental,
-        use_aig=use_aig,
-        oracle_packets=oracle_packets,
-        oracle_seed=oracle_seed,
         server=_server_setting(args),
-        solver=solver,
-        portfolio=portfolio or None,
-        clause_db_max=_clause_db_setting(args),
     )
     renderer = render_markdown if args.markdown else render_text
     print(renderer(metrics, title="Table 2 reproduction"))
@@ -763,11 +712,7 @@ def _command_scenarios(args: argparse.Namespace) -> int:
 def _command_scenarios_run(args: argparse.Namespace, registry) -> int:
     info = registry.get(args.name)
     left, left_start, right, right_start = info.automata()
-    oracle_packets, oracle_seed = _oracle_settings(args)
-    config = CheckerConfig(
-        oracle_packets=oracle_packets or 0,
-        oracle_seed=oracle_seed,
-    )
+    config = _checker_config(args)
     server = _server_setting(args)
     if server is not None:
         from .service.client import ServiceClient, check_options_from_config
@@ -871,25 +816,20 @@ def _synth_run(args: argparse.Namespace, pairs, seed: int, json) -> int:
     from .core.engine import EquivalenceEngine, EquivalenceJob
 
     jobs = args.jobs if args.jobs is not None else envconfig.jobs_from_env()
-    packets = (
-        args.oracle_packets if args.oracle_packets is not None
-        else envconfig.oracle_packets_from_env()
-    )
-    if packets is None:
-        packets = envconfig.DEFAULT_ORACLE_PACKETS
     # The oracle rides on each verdict inside the worker (a proved pair that
     # diverges concretely fails its job), so --jobs parallelizes the
-    # concrete replays along with the symbolic checks.
-    engine = EquivalenceEngine(
-        jobs=jobs,
-        oracle_packets=packets or None,
-        oracle_seed=seed if packets else None,
-        server=_server_setting(args),
+    # concrete replays along with the symbolic checks.  Unlike the other
+    # commands, synth run fuzzes by default.
+    config = _checker_config(
+        args, oracle_seed=seed,
+        base=CheckerConfig(oracle_packets=envconfig.DEFAULT_ORACLE_PACKETS),
     )
+    packets = config.oracle_packets
+    engine = EquivalenceEngine(jobs=jobs, server=_server_setting(args))
     results = engine.run([
         EquivalenceJob(
             pair.left, pair.left_start, pair.right, pair.right_start,
-            find_counterexamples=True, job_id=pair.name,
+            config=config, find_counterexamples=True, job_id=pair.name,
         )
         for pair in pairs
     ])
@@ -1089,13 +1029,11 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     workers = args.workers if args.workers is not None else envconfig.jobs_from_env()
     cache_dir = args.cache_dir
-    if cache_dir is None:
-        if args.store_dir:
-            # Keep the query cache next to the verdict store so a warm store
-            # also means warm solver queries for the replay path.
-            cache_dir = os.path.join(args.store_dir, "query-cache")
-        else:
-            cache_dir = envconfig.cache_dir_from_env()
+    if cache_dir is None and args.store_dir:
+        # Keep the query cache next to the verdict store so a warm store
+        # also means warm solver queries for the replay path.
+        cache_dir = os.path.join(args.store_dir, "query-cache")
+    cache_dir = envconfig.resolve_checker_config({"cache_dir": cache_dir}).cache_dir
     config = ServiceConfig(
         workers=workers,
         store_dir=args.store_dir,

@@ -49,6 +49,13 @@ class CheckerConfig:
     of Section 5 and exist primarily so the ablation benchmarks can disable
     them.
 
+    ``track_memory`` runs the check under :mod:`tracemalloc` to report its
+    peak allocation (``CheckerStatistics.peak_memory_bytes``, Table 2's
+    Memory column).  Tracing slows the check several times over, so it is
+    off by default and only the commands that show the number turn it on
+    (``table``, the service ``case`` endpoint, the benchmark tables); with
+    it off the reported peak is 0.
+
     ``use_query_cache`` memoizes solver queries by structural fingerprint for
     the duration of the run; ``cache_dir`` additionally persists the memo to a
     sqlite store shared across runs and across engine workers.  Both only
@@ -97,7 +104,7 @@ class CheckerConfig:
     use_leaps: bool = True
     use_reachability: bool = True
     max_iterations: int = 200_000
-    track_memory: bool = True
+    track_memory: bool = False
     use_query_cache: bool = True
     cache_dir: Optional[str] = None
     use_incremental: bool = True

@@ -24,9 +24,14 @@ no pool, no pickling — which is the baseline that parallel runs are required
 to reproduce exactly.  With ``jobs > 1`` each :meth:`EquivalenceEngine.run`
 call spawns up to ``jobs`` workers, feeds them jobs over pipes (a worker keeps
 its imports and memo tables warm from one job to the next) and joins them
-before it returns.  Workers can share solver work through the persistent
-query cache: pass ``cache_dir`` and every job's checker stacks a
-:class:`~repro.smt.cache.CachingBackend` over the same sqlite store.
+before it returns.
+
+The engine has no solver settings of its own: every job carries a whole
+:class:`~repro.core.algorithm.CheckerConfig` (resolved once per command by
+:func:`repro.envconfig.resolve_checker_config`) and runs with exactly that.
+Workers share solver work when the jobs' config sets ``cache_dir``: every
+checker then stacks a :class:`~repro.smt.cache.CachingBackend` over the same
+sqlite store.
 
 With ``server`` set (an address accepted by
 :func:`repro.service.client.parse_server_address`), jobs are not executed
@@ -44,7 +49,6 @@ local :class:`~repro.core.equivalence.EquivalenceResult`) and case jobs as
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import multiprocessing
 import multiprocessing.connection
 import time
@@ -55,6 +59,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..p4a.syntax import P4Automaton
 from .algorithm import CheckerConfig
+
+
+#: Pooled workers are spawned, never forked: a fresh interpreter inherits no
+#: solver state, threads or locks from the engine's process.
+_MP_CONTEXT = "spawn"
 
 
 class EngineError(Exception):
@@ -155,38 +164,8 @@ class EngineStatistics:
 # ---------------------------------------------------------------------------
 
 
-def _effective_config(
-    job: Job,
-    cache_dir: Optional[str],
-    use_incremental: Optional[bool] = None,
-    oracle_packets: Optional[int] = None,
-    oracle_seed: Optional[int] = None,
-    use_aig: Optional[bool] = None,
-    solver: Optional[str] = None,
-    portfolio: Optional[bool] = None,
-    clause_db_max: Optional[int] = None,
-) -> Optional[CheckerConfig]:
-    """``job.config`` with the engine-wide knobs folded in: the toggles
-    override the job's setting, the rest only fill a setting the job left at
-    its default, and a ``None`` knob is left alone."""
-    overrides = {"use_incremental": use_incremental, "use_aig": use_aig,
-                 "portfolio": portfolio}
-    fills = {"cache_dir": cache_dir, "oracle_packets": oracle_packets,
-             "oracle_seed": oracle_seed, "solver": solver, "clause_db_max": clause_db_max}
-    if all(value is None for value in (*overrides.values(), *fills.values())):
-        return job.config
-    config = job.config if job.config is not None else CheckerConfig()
-    default = CheckerConfig()
-    changes = {name: value for name, value in overrides.items() if value is not None}
-    changes.update(
-        (name, value) for name, value in fills.items()
-        if value is not None and getattr(config, name) == getattr(default, name)
-    )
-    return dataclasses.replace(config, **changes) if changes else config
-
-
 def _execute_job(job: Job) -> object:
-    """Run one job whose config the engine has already resolved."""
+    """Run one job with the config it carries."""
     if isinstance(job, CaseJob):
         from ..reporting.runner import case_studies
 
@@ -307,46 +286,24 @@ class EquivalenceEngine:
     The pooled clock starts when a job's worker is ready for it, so worker
     start-up is not charged to the job.
 
-    The other arguments are engine-wide knobs that :func:`_effective_config`
-    folds into every job's :class:`~repro.core.algorithm.CheckerConfig`:
-    ``cache_dir`` shares a persistent query cache between workers;
-    ``use_incremental``/``use_aig``/``portfolio`` override
-    each job's toggle; ``oracle_packets``/``oracle_seed`` (the differential
-    concrete oracle, :mod:`repro.oracle.differential`), ``solver`` and
-    ``clause_db_max`` apply to every job that does not set them itself.
-    Remote (``server``) dispatch forwards only the oracle settings; the
-    daemon picks its own cache and backend.
+    ``server`` sends the jobs to a running daemon instead (see the module
+    docstring).  Each job runs with the
+    :class:`~repro.core.algorithm.CheckerConfig` it carries; the engine adds
+    nothing to it.  Remote dispatch forwards only the config's
+    semantics-relevant options; the daemon picks its own cache and backend.
     """
 
     def __init__(
         self,
         jobs: int = 1,
-        cache_dir: Optional[str] = None,
         timeout: Optional[float] = None,
-        mp_context: str = "spawn",
-        use_incremental: Optional[bool] = None,
-        oracle_packets: Optional[int] = None,
-        oracle_seed: Optional[int] = None,
         server: Optional[str] = None,
-        use_aig: Optional[bool] = None,
-        solver: Optional[str] = None,
-        portfolio: Optional[bool] = None,
-        clause_db_max: Optional[int] = None,
     ) -> None:
         if jobs < 1:
             raise EngineError(f"worker count must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.cache_dir = cache_dir
         self.timeout = timeout
-        self.mp_context = mp_context
-        self.use_incremental = use_incremental
-        self.use_aig = use_aig
-        self.oracle_packets = oracle_packets
-        self.oracle_seed = oracle_seed
         self.server = server
-        self.solver = solver
-        self.portfolio = portfolio
-        self.clause_db_max = clause_db_max
         self.statistics = EngineStatistics()
 
     # ------------------------------------------------------------------
@@ -369,7 +326,6 @@ class EquivalenceEngine:
             raise EngineError("job labels must be unique; set job_id to disambiguate")
         start = time.perf_counter()
         self.statistics = EngineStatistics(jobs=len(jobs), workers=min(self.jobs, max(len(jobs), 1)))
-        jobs = [self._resolve(job) for job in jobs]
         if self.server is not None:
             # Remote jobs run on the daemon, which cannot be preempted from
             # here; timeouts are applied to the observed wall-clock time
@@ -408,14 +364,6 @@ class EquivalenceEngine:
 
     def _job_limit(self, job: Job) -> Optional[float]:
         return job.timeout if job.timeout is not None else self.timeout
-
-    def _resolve(self, job: Job) -> Job:
-        """``job`` with the engine-wide knobs folded into its config."""
-        return dataclasses.replace(job, config=_effective_config(
-            job, self.cache_dir, self.use_incremental, self.oracle_packets,
-            self.oracle_seed, self.use_aig, self.solver, self.portfolio,
-            self.clause_db_max,
-        ))
 
     def _run_inline(self, job: Job) -> JobResult:
         start = time.perf_counter()
@@ -529,7 +477,7 @@ class EquivalenceEngine:
         ``on_result`` streams the contiguous done-prefix in submission order,
         whatever order the workers finish in.
         """
-        context = multiprocessing.get_context(self.mp_context)
+        context = multiprocessing.get_context(_MP_CONTEXT)
         size = min(self.jobs, len(jobs))
         results: List[Optional[JobResult]] = [None] * len(jobs)
         delivered = 0

@@ -5,12 +5,20 @@ the benchmark harness) goes through these helpers, so a typo like
 ``LEAPFROG_JOBS=abc`` fails with a message naming the variable and the
 accepted values instead of a bare ``ValueError`` from ``int()``, and an
 out-of-range value (``0`` worker processes) can never reach the engine.
+
+The checker's own settings are resolved in one place,
+:func:`resolve_checker_config`: each checking command calls it once and
+hands the resulting :class:`~repro.core.algorithm.CheckerConfig` to its jobs
+whole, so nothing downstream reads the environment again.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
+
+if TYPE_CHECKING:
+    from .core.algorithm import CheckerConfig
 
 
 class EnvConfigError(ValueError):
@@ -108,15 +116,6 @@ def shards_from_env(environ: Optional[Mapping[str, str]] = None) -> int:
     return parse_jobs(environ.get(SHARDS_VAR), source=SHARDS_VAR)
 
 
-def cache_dir_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[str]:
-    """The persistent cache directory from ``LEAPFROG_CACHE_DIR`` (or ``None``)."""
-    environ = os.environ if environ is None else environ
-    value = environ.get(CACHE_DIR_VAR)
-    if value is None or value.strip() == "":
-        return None
-    return value
-
-
 def parse_flag(raw: Optional[str], source: str) -> Optional[bool]:
     """Parse a boolean toggle; ``None``/empty means "not set"."""
     if raw is None or raw.strip() == "":
@@ -129,20 +128,6 @@ def parse_flag(raw: Optional[str], source: str) -> Optional[bool]:
     raise EnvConfigError(
         f"{source} must be one of {_TRUE_VALUES + _FALSE_VALUES}, got {raw!r}"
     )
-
-
-def incremental_from_env(
-    environ: Optional[Mapping[str, str]] = None,
-) -> Optional[bool]:
-    """The ``LEAPFROG_INCREMENTAL`` toggle: True/False, or ``None`` when unset."""
-    environ = os.environ if environ is None else environ
-    return parse_flag(environ.get(INCREMENTAL_VAR), source=INCREMENTAL_VAR)
-
-
-def aig_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[bool]:
-    """The ``LEAPFROG_AIG`` toggle: True/False, or ``None`` when unset."""
-    environ = os.environ if environ is None else environ
-    return parse_flag(environ.get(AIG_VAR), source=AIG_VAR)
 
 
 def parse_oracle_packets(raw: Optional[str], source: str = ORACLE_VAR) -> Optional[int]:
@@ -205,14 +190,6 @@ def parse_clause_db(raw: Optional[str], source: str = CLAUSE_DB_VAR) -> Optional
     return cap
 
 
-def clause_db_from_env(
-    environ: Optional[Mapping[str, str]] = None,
-) -> Optional[int]:
-    """The ``LEAPFROG_CLAUSE_DB`` cap, or ``None`` when unset."""
-    environ = os.environ if environ is None else environ
-    return parse_clause_db(environ.get(CLAUSE_DB_VAR), source=CLAUSE_DB_VAR)
-
-
 def parse_seed(raw: Optional[str], source: str = SEED_VAR) -> Optional[int]:
     """Parse a sampler seed (any integer); ``None``/empty means "not set"."""
     if raw is None or raw.strip() == "":
@@ -247,18 +224,6 @@ def parse_solver(raw: Optional[str], source: str = SOLVER_VAR) -> Optional[str]:
     )
 
 
-def solver_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[str]:
-    """The ``LEAPFROG_SOLVER`` selection, or ``None`` when unset."""
-    environ = os.environ if environ is None else environ
-    return parse_solver(environ.get(SOLVER_VAR), source=SOLVER_VAR)
-
-
-def portfolio_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[bool]:
-    """The ``LEAPFROG_PORTFOLIO`` toggle: True/False, or ``None`` when unset."""
-    environ = os.environ if environ is None else environ
-    return parse_flag(environ.get(PORTFOLIO_VAR), source=PORTFOLIO_VAR)
-
-
 def server_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[str]:
     """The ``LEAPFROG_SERVER`` daemon address, or ``None`` when unset."""
     environ = os.environ if environ is None else environ
@@ -266,3 +231,66 @@ def server_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[str
     if value is None or value.strip() == "":
         return None
     return value.strip()
+
+
+def _parse_path(raw: Optional[str], source: str) -> Optional[str]:
+    """A directory path; ``None``/blank means "not set"."""
+    if raw is None or raw.strip() == "":
+        return None
+    return raw
+
+
+#: The :class:`~repro.core.algorithm.CheckerConfig` fields an environment
+#: variable can set: field name -> (variable, parser).
+CHECKER_VARIABLES = {
+    "cache_dir": (CACHE_DIR_VAR, _parse_path),
+    "use_incremental": (INCREMENTAL_VAR, parse_flag),
+    "use_aig": (AIG_VAR, parse_flag),
+    "oracle_packets": (ORACLE_VAR, parse_oracle_packets),
+    "oracle_seed": (SEED_VAR, parse_seed),
+    "solver": (SOLVER_VAR, parse_solver),
+    "portfolio": (PORTFOLIO_VAR, parse_flag),
+    "clause_db_max": (CLAUSE_DB_VAR, parse_clause_db),
+}
+
+
+def resolve_checker_config(
+    flags: Optional[Mapping[str, object]] = None,
+    environ: Optional[Mapping[str, str]] = None,
+    base: Optional[CheckerConfig] = None,
+) -> CheckerConfig:
+    """The one :class:`~repro.core.algorithm.CheckerConfig` of a command.
+
+    ``flags`` maps config field names to command-line values, ``None``
+    meaning "not given".  Each field takes the flag if given, else its
+    ``LEAPFROG_*`` variable (:data:`CHECKER_VARIABLES`) if set, else the
+    value in ``base`` (default: a plain ``CheckerConfig()``).
+
+    The solver choice is validated here, before any work or worker process
+    starts: portfolio mode excludes an external solver, and an external
+    solver must be on PATH.  Both raise
+    :class:`~repro.smt.backend.BackendError`.
+    """
+    import dataclasses
+    import shutil
+
+    from .core.algorithm import CheckerConfig
+    from .smt.backend import EXTERNAL_SOLVER_COMMANDS, BackendError
+
+    environ = os.environ if environ is None else environ
+    values = {name: value for name, value in (flags or {}).items() if value is not None}
+    for name, (variable, parse) in CHECKER_VARIABLES.items():
+        if name not in values:
+            value = parse(environ.get(variable), variable)
+            if value is not None:
+                values[name] = value
+    config = dataclasses.replace(base if base is not None else CheckerConfig(), **values)
+    if config.portfolio and config.solver not in (None, "internal", "cdcl"):
+        raise BackendError(
+            "--portfolio already races every available solver; "
+            f"it cannot be combined with --solver {config.solver}"
+        )
+    command = EXTERNAL_SOLVER_COMMANDS.get(config.solver)
+    if command is not None and not shutil.which(command[0]):
+        raise BackendError(f"external solver {config.solver!r} is not on PATH")
+    return config

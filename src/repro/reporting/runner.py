@@ -245,37 +245,19 @@ def run_cases(
     full: Optional[bool] = None,
     config: Optional[CheckerConfig] = None,
     jobs: int = 1,
-    cache_dir: Optional[str] = None,
     timeout: Optional[float] = None,
-    use_incremental: Optional[bool] = None,
-    oracle_packets: Optional[int] = None,
-    oracle_seed: Optional[int] = None,
     server: Optional[str] = None,
-    use_aig: Optional[bool] = None,
-    solver: Optional[str] = None,
-    portfolio: Optional[bool] = None,
-    clause_db_max: Optional[int] = None,
 ) -> List[CaseMetrics]:
     """Run the selected case studies and return their metric rows.
 
-    The run goes through the :class:`~repro.core.engine.EquivalenceEngine`:
+    Every case runs with ``config`` as given (``None`` = the defaults).  The
+    run goes through the :class:`~repro.core.engine.EquivalenceEngine`:
     ``jobs`` selects the worker count (1 = in-process, the deterministic
-    baseline), ``cache_dir`` shares a persistent solver-query cache between
-    workers and across invocations, ``timeout`` bounds each case's wall-clock
-    time, ``use_incremental`` (when not ``None``) overrides the incremental
-    solver-session toggle of every case's configuration (``use_aig``
-    likewise overrides the AIG-simplification toggle), and
-    ``oracle_packets``/``oracle_seed`` (when not ``None``) cross-check every
-    verdict against that many seeded concrete packets.  Rows come back in
-    registry order regardless of which worker finished first.
-
+    baseline), ``timeout`` bounds each case's wall-clock time, and
     ``server`` (an address accepted by the service client) reroutes every
-    case to a running ``repro serve`` daemon instead of local workers;
-    ``jobs`` then sizes the client fan-out and the other execution knobs
-    stay daemon-side.
-
-    ``solver``/``portfolio``/``clause_db_max`` select the solver backend of
-    every case's checker (see :class:`~repro.core.algorithm.CheckerConfig`).
+    case to a running ``repro serve`` daemon, with ``jobs`` then sizing the
+    client fan-out.  Rows come back in registry order regardless of which
+    worker finished first.
     """
     from ..core.engine import CaseJob, EquivalenceEngine
 
@@ -287,14 +269,7 @@ def run_cases(
     unknown = [name for name in names if name not in registry]
     if unknown:
         raise KeyError(f"unknown case studies: {', '.join(unknown)}")
-    engine = EquivalenceEngine(
-        jobs=jobs, cache_dir=cache_dir, timeout=timeout,
-        use_incremental=use_incremental,
-        oracle_packets=oracle_packets, oracle_seed=oracle_seed,
-        server=server, use_aig=use_aig,
-        solver=solver, portfolio=portfolio,
-        clause_db_max=clause_db_max,
-    )
+    engine = EquivalenceEngine(jobs=jobs, timeout=timeout, server=server)
     # --case is repeatable, so the same name may appear twice; suffix repeats
     # to keep engine job labels unique while preserving one row per request.
     seen: Dict[str, int] = {}

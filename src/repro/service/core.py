@@ -548,10 +548,12 @@ class ServiceCore:
             raise ServiceRequestError("bad_request", "options must be an object")
         oracle_packets = int(options.get("oracle_packets") or 0)
         oracle_seed = options.get("oracle_seed")
+        # A case answers a Table 2 row, whose Memory column needs tracing.
         config = CheckerConfig(
             cache_dir=self.config.cache_dir,
             oracle_packets=oracle_packets,
             oracle_seed=oracle_seed,
+            track_memory=True,
         )
         priority = options.get("priority")
         if priority is None:

@@ -11,7 +11,6 @@ from .backend import (
     SolverCapabilities,
     available_external_solvers,
     backend_for_solver,
-    default_backend,
 )
 from .bitblast import Bitblaster, BitblastResult, bitblast
 from .bvsolver import InternalBVSolver, SatResult, SatStatus, SolverStatistics
@@ -44,7 +43,6 @@ __all__ = [
     "available_external_solvers",
     "backend_for_solver",
     "bitblast",
-    "default_backend",
     "make_backend",
     "solve_exists_forall",
     "substitute",

@@ -20,9 +20,9 @@ module provides the analogous abstraction as an explicitly layered stack:
   thread) against every external solver, first definitive answer wins and
   the losers are cancelled promptly.
 
-``default_backend()`` returns the internal backend unless the (validated)
-environment variable ``LEAPFROG_SOLVER`` requests another one; an unknown
-or missing solver is an error, never a silent fallback.
+:func:`backend_for_solver` maps a validated ``--solver``/``LEAPFROG_SOLVER``
+choice (see :func:`repro.envconfig.resolve_checker_config`) to its backend;
+an unknown or missing solver is an error, never a silent fallback.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import envconfig
 from ..logic import folbv, smtlib
 from ..logic.folbv import BFormula
 from ..p4a.bitvec import Bits
@@ -617,18 +616,3 @@ def backend_for_solver(
     if choice in ("dpll", "internal-dpll"):
         return InternalBackend(engine="dpll", validate_models=validate_models)
     return ExternalBackend(choice)
-
-
-def default_backend() -> SolverBackend:
-    """Pick a backend from the (validated) ``LEAPFROG_SOLVER`` variable.
-
-    An unknown solver name raises :class:`repro.envconfig.EnvConfigError`
-    and a known-but-not-installed solver raises :class:`BackendError`; both
-    map to CLI exit code 2.
-    """
-    clause_db_max = envconfig.clause_db_from_env()
-    if envconfig.portfolio_from_env():
-        return PortfolioBackend(clause_db_max=clause_db_max)
-    return backend_for_solver(
-        envconfig.solver_from_env(), clause_db_max=clause_db_max
-    )

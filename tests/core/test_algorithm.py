@@ -103,6 +103,19 @@ class TestCheckerConfiguration:
         assert stats.runtime_seconds > 0
         assert isinstance(stats.as_dict(), dict)
 
+    def test_memory_untracked_by_default(self, monkeypatch):
+        import tracemalloc
+
+        started = []
+        monkeypatch.setattr(tracemalloc, "start", lambda *a: started.append(a))
+        result = check_language_equivalence(
+            tiny.incremental_bits_checked(), "Start", tiny.big_bits_checked(), "Parse",
+            config=None,
+        )
+        assert result.verdict is True
+        assert started == [] and not tracemalloc.is_tracing()
+        assert result.statistics.peak_memory_bytes == 0
+
 
 class TestEquivalenceVerdicts:
     def test_trivially_equal_chunkings(self):

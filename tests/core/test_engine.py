@@ -1,5 +1,6 @@
 """Tests for the job-based parallel equivalence engine."""
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -187,12 +188,10 @@ class TestParallelEngine:
         assert streamed == results
 
     def test_parallel_shares_persistent_cache(self, tmp_path):
-        jobs = _tiny_jobs()
-        cache_dir = str(tmp_path / "cache")
-        warm = EquivalenceEngine(jobs=1, cache_dir=cache_dir)
-        warm_results = warm.run(jobs)
-        parallel = EquivalenceEngine(jobs=2, cache_dir=cache_dir)
-        parallel_results = parallel.run(jobs)
+        config = CheckerConfig(cache_dir=str(tmp_path / "cache"))
+        jobs = [dataclasses.replace(job, config=config) for job in _tiny_jobs()]
+        warm_results = EquivalenceEngine(jobs=1).run(jobs)
+        parallel_results = EquivalenceEngine(jobs=2).run(jobs)
         assert _comparable(parallel_results) == _comparable(warm_results)
         # Workers answered at least one solver query from the shared store.
         total_hits = sum(
@@ -306,76 +305,25 @@ class TestPooledWorkers:
 
 
 class TestConfigPlumbing:
+    """The engine runs each job's config as given, inline or pooled."""
+
     def test_engine_cache_dir_threaded_into_job_config(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        engine = EquivalenceEngine(jobs=1, cache_dir=cache_dir)
-        [result] = engine.run([
+        cache_dir = tmp_path / "cache"
+        [result] = EquivalenceEngine(jobs=2).run([
             EquivalenceJob(
                 tiny.incremental_bits_checked(), "Start", tiny.big_bits_checked(), "Parse",
-                job_id="cached",
+                config=CheckerConfig(cache_dir=str(cache_dir)), job_id="cached",
             )
         ])
-        assert result.ok
+        assert result.ok, result.error
         assert result.value.statistics.cache.get("stores", 0) > 0
-
-    def test_job_config_cache_dir_wins(self, tmp_path):
-        mine = str(tmp_path / "mine")
-        engine_dir = str(tmp_path / "engine")
-        config = CheckerConfig(cache_dir=mine)
-        engine = EquivalenceEngine(jobs=1, cache_dir=engine_dir)
-        [result] = engine.run([
-            EquivalenceJob(
-                tiny.incremental_bits_checked(), "Start", tiny.big_bits_checked(), "Parse",
-                config=config, job_id="explicit",
-            )
-        ])
-        assert result.ok
-        import os
-
-        assert os.path.isdir(mine)
-        assert not os.path.isdir(engine_dir)
-
-    def test_engine_use_incremental_override(self):
-        from repro.core.engine import _effective_config
-
-        job = EquivalenceJob(
-            tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse",
-            config=CheckerConfig(use_incremental=True), job_id="inc",
-        )
-        assert _effective_config(job, None, use_incremental=False).use_incremental is False
-        assert _effective_config(job, None, use_incremental=None).use_incremental is True
-        bare = EquivalenceJob(
-            tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse", job_id="bare"
-        )
-        config = _effective_config(bare, "/tmp/engine-cache", use_incremental=False)
-        assert config.use_incremental is False
-        assert config.cache_dir == "/tmp/engine-cache"
-        assert _effective_config(bare, None, None) is None
-
-    def test_engine_oracle_override(self):
-        from repro.core.engine import _effective_config
-
-        bare = EquivalenceJob(
-            tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse", job_id="bare"
-        )
-        config = _effective_config(bare, None, oracle_packets=40, oracle_seed=9)
-        assert config.oracle_packets == 40
-        assert config.oracle_seed == 9
-        # An explicit job config keeps its own oracle settings.
-        mine = EquivalenceJob(
-            tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse",
-            config=CheckerConfig(oracle_packets=8, oracle_seed=1), job_id="mine",
-        )
-        config = _effective_config(mine, None, oracle_packets=40, oracle_seed=9)
-        assert config.oracle_packets == 8
-        assert config.oracle_seed == 1
+        assert cache_dir.is_dir()
 
     def test_engine_oracle_cross_checks_every_job(self):
-        engine = EquivalenceEngine(jobs=1, oracle_packets=30, oracle_seed=2)
-        [result] = engine.run([
+        [result] = EquivalenceEngine(jobs=2).run([
             EquivalenceJob(
                 tiny.incremental_bits_checked(), "Start", tiny.big_bits_checked(), "Parse",
-                job_id="oracled",
+                config=CheckerConfig(oracle_packets=30, oracle_seed=2), job_id="oracled",
             )
         ])
         assert result.ok and result.value.verdict is True

@@ -68,6 +68,22 @@ class TestCli:
         assert code == 0
         assert "Speculative loop" in capsys.readouterr().out
 
+    def test_table_reports_memory(self, monkeypatch, capsys):
+        # The table is where the Memory column is shown, so only it traces.
+        import repro.cli as cli
+
+        rows = []
+        real_run_cases = cli.run_cases
+
+        def spy_run_cases(**kwargs):
+            rows.extend(real_run_cases(**kwargs))
+            return rows
+
+        monkeypatch.setattr(cli, "run_cases", spy_run_cases)
+        assert main(["table", "--case", "Header initialization"]) == 0
+        [row] = rows
+        assert row.peak_memory_mb > 0
+
     @pytest.mark.parametrize("argv, env, passed, resolved", [
         ([], "1", None, True),
         ([], "0", None, False),

@@ -5,17 +5,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import envconfig
 from repro.logic import folbv
 from repro.logic.folbv import BEq, BVConcatT, BVConst, BVExtract, BVVar, b_and, b_not, b_or
 from repro.p4a.bitvec import Bits
 from repro.smt.backend import (
     ExternalBackend,
     InternalBackend,
-    PortfolioBackend,
     available_external_solvers,
     BackendError,
-    default_backend,
 )
 from repro.smt.bitblast import BitblastError, Bitblaster, bitblast
 from repro.smt.bvsolver import InternalBVSolver, SatStatus
@@ -246,33 +243,6 @@ class TestBackends:
         backend = InternalBackend()
         backend.check_sat(BEq(A, BVConst(Bits("0001"))))
         assert backend.statistics.queries == 1
-
-    def test_default_backend_is_internal(self, monkeypatch):
-        monkeypatch.delenv("LEAPFROG_SOLVER", raising=False)
-        assert isinstance(default_backend(), InternalBackend)
-
-    def test_default_backend_refuses_missing_solver(self, monkeypatch):
-        # A requested-but-absent solver is an error, not a silent fallback to
-        # the internal solver: the user asked for z3 and must be told no.
-        monkeypatch.setenv("LEAPFROG_SOLVER", "z3")
-        if "z3" in available_external_solvers():
-            assert isinstance(default_backend(), ExternalBackend)
-        else:
-            with pytest.raises(BackendError):
-                default_backend()
-
-    def test_default_backend_rejects_unknown_solver_name(self, monkeypatch):
-        # The classic typo ("z33") dies in env validation, exit-code-2 style,
-        # instead of silently running the internal solver.
-        monkeypatch.setenv("LEAPFROG_SOLVER", "z33")
-        with pytest.raises(envconfig.EnvConfigError):
-            default_backend()
-
-    def test_default_backend_honours_portfolio_env(self, monkeypatch):
-        monkeypatch.delenv("LEAPFROG_SOLVER", raising=False)
-        monkeypatch.setenv("LEAPFROG_PORTFOLIO", "1")
-        backend = default_backend()
-        assert isinstance(backend, PortfolioBackend)
 
     def test_unknown_external_solver_rejected(self):
         with pytest.raises(BackendError):
