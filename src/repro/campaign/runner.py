@@ -357,7 +357,11 @@ def _check_chunk(
     outcome: ShardOutcome,
     pairs_out: Dict[int, SynthesizedPair],
 ) -> None:
-    """Synthesize and check one chunk of global pair indices."""
+    """Synthesize and check one chunk of global pair indices.
+
+    Only pairs with a label disagreement go into ``pairs_out`` (for
+    distillation), so a long campaign does not keep every pair alive.
+    """
     pairs = {
         index: synthesize_pair(
             config.seed + index,
@@ -366,7 +370,6 @@ def _check_chunk(
         )
         for index in chunk
     }
-    pairs_out.update(pairs)
     jobs = []
     job_meta: Dict[str, Tuple[int, str]] = {}
     for index in chunk:
@@ -411,6 +414,7 @@ def _check_chunk(
                 continue
             if observed != expected:
                 agreed = False
+                pairs_out[index] = pair
                 outcome.disagreements.append({
                     "index": index,
                     "pair": pair.name,
@@ -553,7 +557,7 @@ def run_campaign(
     engine = engine_factory(config.jobs)
     started = time.perf_counter()
     outcomes: List[ShardOutcome] = []
-    pairs: Dict[int, SynthesizedPair] = {}
+    pairs: Dict[int, SynthesizedPair] = {}  # label-disagreeing pairs, for _distill
     for shard in shards:
         indices = config.shard_indices(shard)
         outcome = _load_checkpoint(config, shard)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..p4a.bitvec import Bits
-from ..p4a.semantics import Store, accepts
+from ..p4a.semantics import Store
 from ..p4a.syntax import P4Automaton
 from .sampler import PacketSampler, _random_bits
 
@@ -135,6 +135,7 @@ def cross_check(
     rng = rng if rng is not None else random.Random(seed)
     left_sampler = PacketSampler(left_aut, left_start, rng=rng)
     right_sampler = PacketSampler(right_aut, right_start, rng=rng)
+    left_runner, right_runner = left_sampler.runner, right_sampler.runner
     report = OracleReport(left_aut.name, right_aut.name, packets, seed=seed)
     for index in range(packets):
         left_store = left_sampler.random_store()
@@ -149,8 +150,8 @@ def cross_check(
         else:
             packet = _random_bits(rng, rng.randint(0, max_uniform_bits))
             origin = "uniform"
-        left_accepts = accepts(left_aut, left_start, packet, left_store)
-        right_accepts = accepts(right_aut, right_start, packet, right_store)
+        left_accepts = left_runner.accepts(left_start, packet, left_store)
+        right_accepts = right_runner.accepts(right_start, packet, right_store)
         report.accepted_left += left_accepts
         report.accepted_right += right_accepts
         if left_accepts != right_accepts:

@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple
 
 from ..core.counterexample import Counterexample, CounterexampleSearch
 from ..p4a.bitvec import Bits
-from ..p4a.semantics import Store, accepts
+from ..p4a.semantics import BlockRunner, Store, accepts
 from ..p4a.syntax import P4Automaton
 
 
@@ -70,17 +70,17 @@ def confirm_counterexample(
 
 
 def _disagreement(
-    left_aut: P4Automaton,
+    left: BlockRunner,
     left_start: str,
-    right_aut: P4Automaton,
+    right: BlockRunner,
     right_start: str,
     packet: Bits,
-    left_store: Store,
-    right_store: Store,
+    left_store: Optional[Store],
+    right_store: Optional[Store],
 ) -> Optional[Tuple[bool, bool]]:
     """``(left, right)`` acceptance when they differ, else ``None``."""
-    left_accepts = accepts(left_aut, left_start, packet, left_store)
-    right_accepts = accepts(right_aut, right_start, packet, right_store)
+    left_accepts = left.accepts(left_start, packet, left_store)
+    right_accepts = right.accepts(right_start, packet, right_store)
     if left_accepts == right_accepts:
         return None
     return left_accepts, right_accepts
@@ -121,6 +121,8 @@ def minimize_counterexample(
                 break
             best = shorter
 
+    left, right = BlockRunner(left_aut), BlockRunner(right_aut)
+
     # Pass 2: drop whole leaps while the concrete disagreement survives.
     widths: List[int] = list(best.leap_widths)
     packet = best.packet
@@ -133,7 +135,7 @@ def minimize_counterexample(
                 offset = sum(widths[:index])
                 candidate = packet.take(offset).concat(packet.drop(offset + widths[index]))
                 verdicts = _disagreement(
-                    left_aut, left_start, right_aut, right_start,
+                    left, left_start, right, right_start,
                     candidate, left_store, right_store,
                 )
                 if verdicts is not None:
@@ -150,7 +152,7 @@ def minimize_counterexample(
             for index in range(packet.width - 1, -1, -1):
                 candidate = packet.take(index).concat(packet.drop(index + 1))
                 verdicts = _disagreement(
-                    left_aut, left_start, right_aut, right_start,
+                    left, left_start, right, right_start,
                     candidate, left_store, right_store,
                 )
                 if verdicts is not None:
@@ -159,7 +161,7 @@ def minimize_counterexample(
                     changed = True
 
     final_verdicts = _disagreement(
-        left_aut, left_start, right_aut, right_start, packet, left_store, right_store
+        left, left_start, right, right_start, packet, left_store, right_store
     )
     if final_verdicts is None:
         # Cannot happen (every accepted candidate was replay-confirmed), but
@@ -196,7 +198,8 @@ def minimize_witness_packet(
     does not actually diverge (the caller decides what that means).
     """
     verdicts = _disagreement(
-        left_aut, left_start, right_aut, right_start, packet, None, None
+        BlockRunner(left_aut), left_start, BlockRunner(right_aut), right_start,
+        packet, None, None,
     )
     if verdicts is None:
         return packet

@@ -27,7 +27,7 @@ import random
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..p4a.bitvec import Bits
-from ..p4a.semantics import Store, accepts, eval_transition, exec_ops
+from ..p4a.semantics import BlockRunner, Store
 from ..p4a.syntax import (
     ACCEPT,
     Concat,
@@ -50,8 +50,19 @@ def sample_store(aut: P4Automaton, rng: random.Random, edge_bias: float = 0.5) -
     With probability ``edge_bias`` each header draws from its edge set
     (all-zeros, all-ones, and every select-pattern constant embedded at the
     slice offset it is compared against); otherwise the bits are uniform.
+    This one-off form derives the edge sets on every call; a
+    :class:`PacketSampler` derives them once and draws the same values from
+    the same ``rng`` state.
     """
-    edges = _header_edge_values(aut)
+    return _draw_store(aut, _header_edge_values(aut), rng, edge_bias)
+
+
+def _draw_store(
+    aut: P4Automaton,
+    edges: Dict[str, Tuple[Bits, ...]],
+    rng: random.Random,
+    edge_bias: float,
+) -> Store:
     store: Store = {}
     for name, width in aut.headers.items():
         candidates = edges.get(name, ())
@@ -63,7 +74,8 @@ def sample_store(aut: P4Automaton, rng: random.Random, edge_bias: float = 0.5) -
 
 
 def _random_bits(rng: random.Random, width: int) -> Bits:
-    return Bits("".join(rng.choice("01") for _ in range(width)))
+    choice = rng.choice
+    return Bits._trusted("".join([choice("01") for _ in range(width)]))
 
 
 def _header_edge_values(aut: P4Automaton) -> Dict[str, Tuple[Bits, ...]]:
@@ -114,6 +126,13 @@ class PacketSampler:
     the automaton's *paths* rather than the (exponentially skewed) space of
     raw bitstrings.  The walk is seeded and fully deterministic for a given
     ``random.Random``.
+
+    Everything that depends only on the automaton is derived once, when the
+    sampler is built: the per-header edge values, each state's extract
+    layout and the block positions its select reads.  The walk executes
+    each state's block through :attr:`runner`, a
+    :class:`~repro.p4a.semantics.BlockRunner` that callers can reuse to
+    replay the packets they draw.
     """
 
     def __init__(
@@ -134,8 +153,11 @@ class PacketSampler:
         self.truncate_bias = truncate_bias
         self.overrun_bias = overrun_bias
         self.edge_bias = edge_bias
-        # Per-state layout of extracted headers within the state's input block.
-        self._layouts: Dict[str, Dict[str, int]] = {}
+        self.runner = BlockRunner(aut)
+        self._edges = _header_edge_values(aut)
+        # Per state, the block positions each select expression reads
+        # directly from this state's extracts (``None`` when it does not).
+        self._positions: Dict[str, Tuple[Optional[List[int]], ...]] = {}
         for name, state in aut.states.items():
             layout: Dict[str, int] = {}
             position = 0
@@ -143,17 +165,27 @@ class PacketSampler:
                 if isinstance(op, Extract):
                     layout[op.header] = position
                     position += aut.header_size(op.header)
-            self._layouts[name] = layout
+            if isinstance(state.transition, Select):
+                self._positions[name] = tuple(
+                    self._expr_positions(expr, layout) for expr in state.transition.exprs
+                )
 
     # ------------------------------------------------------------------
 
     def random_store(self) -> Store:
-        return sample_store(self.aut, self.rng, edge_bias=self.edge_bias)
+        return _draw_store(self.aut, self._edges, self.rng, self.edge_bias)
 
     def random_packet(self, store: Optional[Store] = None) -> Bits:
-        """One structure-aware random packet (with boundary/overrun bias)."""
+        """One structure-aware random packet (with boundary/overrun bias).
+
+        Without ``store`` the walk draws one as :func:`sample_store` does
+        (edge bias 0.5, not :attr:`edge_bias`).
+        """
         rng = self.rng
-        current = dict(store) if store is not None else sample_store(self.aut, rng)
+        if store is None:
+            store = _draw_store(self.aut, self._edges, rng, 0.5)
+        values = {name: bits.to_bitstring() for name, bits in store.items()}
+        runner = self.runner
         state_name = self.start
         packet: List[str] = []
         for _ in range(self.max_states):
@@ -164,8 +196,7 @@ class PacketSampler:
                 break
             if state_name == REJECT:
                 break
-            state = self.aut.state(state_name)
-            needed = self.aut.op_size(state_name)
+            needed = runner.block_width(state_name)
             if needed == 0:
                 break  # cannot make progress without consuming bits
             if rng.random() < self.truncate_bias:
@@ -174,11 +205,10 @@ class PacketSampler:
                 cut = rng.choice((0, 1, max(needed - 1, 0)))
                 packet.extend(rng.choice("01") for _ in range(cut))
                 break
-            data = self._data_block(state, needed)
-            packet.extend(data)
-            current = exec_ops(self.aut, state, current, Bits("".join(data)))
-            state_name = eval_transition(state.transition, current)
-        return Bits("".join(packet))
+            data = "".join(self._data_block(self.aut.states[state_name], needed))
+            packet.append(data)
+            state_name = runner.run_block(state_name, values, data)
+        return Bits._trusted("".join(packet))
 
     def sample(self, count: int) -> Iterator[Tuple[Bits, Store]]:
         """``count`` (packet, initial store) pairs; the store drives the walk."""
@@ -197,14 +227,18 @@ class PacketSampler:
         elif roll < 0.3:
             data = ["1"] * needed
         else:
-            data = [rng.choice("01") for _ in range(needed)]
+            choice = rng.choice
+            data = [choice("01") for _ in range(needed)]
         transition = state.transition
         if isinstance(transition, Select) and transition.cases and rng.random() < 0.85:
             case = rng.choice(transition.cases)
-            self._steer(state, case, transition, data)
+            self._steer(self._positions[state.name], case, data)
         return data
 
-    def _steer(self, state: State, case: SelectCase, transition: Select, data: List[str]) -> None:
+    @staticmethod
+    def _steer(
+        positions: Tuple[Optional[List[int]], ...], case: SelectCase, data: List[str]
+    ) -> None:
         """Overwrite pattern-constrained positions of ``data`` to take ``case``.
 
         Only bits that flow directly from this state's extracts can be
@@ -212,14 +246,12 @@ class PacketSampler:
         left to chance (the walk still follows whatever branch the concrete
         transition takes).
         """
-        layout = self._layouts[state.name]
-        for expr, pattern in zip(transition.exprs, case.patterns):
+        for read, pattern in zip(positions, case.patterns):
             if not isinstance(pattern, ExactPattern):
                 continue
-            positions = self._expr_positions(expr, layout)
-            if positions is None or len(positions) != pattern.value.width:
+            if read is None or len(read) != pattern.value.width:
                 continue
-            for position, bit in zip(positions, pattern.value.to_bitstring()):
+            for position, bit in zip(read, pattern.value.to_bitstring()):
                 if 0 <= position < len(data):
                     data[position] = bit
 
@@ -264,6 +296,7 @@ def seeded_language_sample(
     """
     rng = random.Random(seed)
     sampler = PacketSampler(aut, start, rng=rng, truncate_bias=0.0, overrun_bias=0.0)
+    runner = sampler.runner
     found: List[Bits] = []
     seen = set()
     attempts = 0
@@ -274,7 +307,7 @@ def seeded_language_sample(
         packet = sampler.random_packet(walk_store)
         if packet in seen:
             continue
-        if accepts(aut, start, packet, walk_store):
+        if runner.accepts(start, packet, walk_store):
             seen.add(packet)
             found.append(packet)
     return found

@@ -36,15 +36,23 @@ class Bits:
             chars.append("1" if b else "0")
         self._bits = "".join(chars)
 
+    @classmethod
+    def _trusted(cls, bits: str) -> "Bits":
+        """Wrap ``bits`` unchecked: only for strings already known to be bits
+        (slices and concatenations of valid bit strings, formatted integers)."""
+        value = object.__new__(cls)
+        value._bits = bits
+        return value
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zeros(width: int) -> "Bits":
-        return Bits("0" * width)
+        return Bits._trusted("0" * width)
 
     @staticmethod
     def ones(width: int) -> "Bits":
-        return Bits("1" * width)
+        return Bits._trusted("1" * width)
 
     @staticmethod
     def from_int(value: int, width: int) -> "Bits":
@@ -58,12 +66,12 @@ class Bits:
         if width == 0:
             if value != 0:
                 raise ValueError("nonzero value in zero width")
-            return Bits("")
-        return Bits(format(value, f"0{width}b"))
+            return Bits._trusted("")
+        return Bits._trusted(format(value, f"0{width}b"))
 
     @staticmethod
     def from_bytes(data: bytes) -> "Bits":
-        return Bits("".join(format(byte, "08b") for byte in data))
+        return Bits._trusted("".join(format(byte, "08b") for byte in data))
 
     # -- accessors -----------------------------------------------------------
 
@@ -86,7 +94,7 @@ class Bits:
     # -- operations ----------------------------------------------------------
 
     def concat(self, other: "Bits") -> "Bits":
-        return Bits(self._bits + other._bits)
+        return Bits._trusted(self._bits + other._bits)
 
     def slice(self, n1: int, n2: int) -> "Bits":
         """The paper's clamped, inclusive slice ``w[n1:n2]`` (Definition 3.1).
@@ -95,18 +103,18 @@ class Bits:
         inclusive.  Slicing the empty bitvector yields the empty bitvector.
         """
         if self.width == 0:
-            return Bits("")
+            return EMPTY
         lo = min(n1, self.width - 1)
         hi = min(n2, self.width - 1)
         if lo > hi:
-            return Bits("")
-        return Bits(self._bits[lo : hi + 1])
+            return EMPTY
+        return Bits._trusted(self._bits[lo : hi + 1])
 
     def take(self, n: int) -> "Bits":
-        return Bits(self._bits[:n])
+        return Bits._trusted(self._bits[:n])
 
     def drop(self, n: int) -> "Bits":
-        return Bits(self._bits[n:])
+        return Bits._trusted(self._bits[n:])
 
     def bit(self, index: int) -> int:
         return 1 if self._bits[index] == "1" else 0
@@ -121,7 +129,7 @@ class Bits:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Bits(self._bits[index])
+            return Bits._trusted(self._bits[index])
         return self.bit(index)
 
     def __add__(self, other: "Bits") -> "Bits":

@@ -6,12 +6,20 @@ headers to bitvectors, and ``w`` a buffer of bits not yet consumed by the
 current state's operation block.  The step function reads one bit at a time;
 once the buffer holds exactly ``||op(q)||`` bits the operation block executes
 and the transition block selects the next state.
+
+:func:`step`, :func:`multi_step` and :func:`run_trace` are that definition,
+literally, and serve as the reference.  Everything that runs many packets —
+:func:`accepts`, :func:`parse_packet`, the oracle's sampler and differential
+cross-check, witness search and replay — goes through a
+:class:`BlockRunner` instead, which takes the leap the symbolic algorithm
+takes: it consumes a state's whole ``||op(q)||``-bit block at once.  The
+differential tests in ``tests/p4a/test_semantics.py`` pin the two together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 from .bitvec import EMPTY, Bits
 from .errors import P4ASemanticsError
@@ -207,9 +215,15 @@ def multi_step(aut: P4Automaton, config: Configuration, packet: Bits) -> Configu
 
 
 def accepts(aut: P4Automaton, state: str, packet: Bits, store: Optional[Store] = None) -> bool:
-    """Language membership: does ``packet`` drive ``state`` to acceptance?"""
-    config = initial_configuration(aut, state, store)
-    return multi_step(aut, config, packet).is_accepting()
+    """Language membership: does ``packet`` drive ``state`` to acceptance?
+
+    Equal to ``multi_step(...).is_accepting()`` from the initial
+    configuration (all-zero headers when ``store`` is ``None``), and raises
+    the same errors, but runs a block at a time.  Callers that run many
+    packets through one automaton should hold a :class:`BlockRunner`, which
+    keeps its per-state tables between packets.
+    """
+    return BlockRunner(aut).accepts(state, packet, store)
 
 
 def run_trace(
@@ -229,10 +243,206 @@ def parse_packet(
     """Run the parser and return (accepted, final store).
 
     This is the "user level" view of a parser: whether the packet is accepted
-    and the headers it populated.
+    and the headers it populated.  Equal to the final configuration of
+    :func:`multi_step` (``is_accepting()``, ``store_dict()``).
     """
-    final = multi_step(aut, initial_configuration(aut, state, store), packet)
-    return final.is_accepting(), final.store_dict()
+    return BlockRunner(aut).parse_packet(state, packet, store)
+
+
+# ---------------------------------------------------------------------------
+# Block-at-a-time runner
+# ---------------------------------------------------------------------------
+
+#: A store over plain bit strings: the runner's working representation.
+_Values = Dict[str, str]
+#: One compiled state: ``(||op(q)||, ops, transition)``.  An op is
+#: ``(True, header, lo, hi)`` for an extract of ``data[lo:hi]`` or
+#: ``(False, header, read, width)`` for an assignment (``width`` is ``None``
+#: when the header is undeclared, so the run raises as ``exec_ops`` does).
+_Block = Tuple[int, Tuple[tuple, ...], Callable[[_Values], str]]
+
+
+class BlockRunner:
+    """Runs packets through one automaton a whole operation block at a time.
+
+    Per state it takes ``||op(q)||`` bits at once, stores the extracts as
+    slices, evaluates the assignments in order and then the ``select``.
+    States are compiled on first use and kept for the runner's lifetime, so
+    hold one runner per automaton across packets.  Results and errors match
+    the bit-level :func:`multi_step` (a zero-extract state fed a bit, a read
+    of a header missing from a partial store, an assignment of the wrong
+    width); ill-formed syntax (an unknown operation, expression, pattern or
+    transition class) raises when its state is compiled.  The automaton must
+    not change while the runner is in use.
+    """
+
+    def __init__(self, aut: P4Automaton) -> None:
+        self.aut = aut
+        self._blocks: Dict[str, _Block] = {}
+        self._zeros: Optional[_Values] = None
+
+    def accepts(self, state: str, packet: Bits, store: Optional[Store] = None) -> bool:
+        """Whether ``packet`` drives ``state`` to acceptance from ``store``."""
+        return self._run(state, packet.to_bitstring(), self._values(store)) == ACCEPT
+
+    def parse_packet(
+        self, state: str, packet: Bits, store: Optional[Store] = None
+    ) -> Tuple[bool, Store]:
+        """``(accepted, final store)``, the store ordered as ``store_dict()``."""
+        values = self._values(store)
+        accepted = self._run(state, packet.to_bitstring(), values) == ACCEPT
+        return accepted, {name: Bits._trusted(values[name]) for name in sorted(values)}
+
+    def block_width(self, state: str) -> int:
+        """``||op(q)||`` for the non-final ``state``."""
+        return self._block(state)[0]
+
+    def run_block(self, state: str, values: _Values, data: str) -> str:
+        """Execute ``state``'s blocks on exactly ``||op(q)||`` bits of ``data``.
+
+        ``values`` (header name → bit string) is updated in place; returns
+        the next state.  The sampler's walk uses this to follow its own
+        steered input.
+        """
+        width, ops, transition = self._block(state)
+        if len(data) != width:
+            raise P4ASemanticsError(f"state {state!r} expects {width} bits, got {len(data)}")
+        self._exec(ops, values, data)
+        return transition(values)
+
+    # ------------------------------------------------------------------
+
+    def _values(self, store: Optional[Store]) -> _Values:
+        if store is not None:
+            return {name: value.to_bitstring() for name, value in store.items()}
+        if self._zeros is None:
+            self._zeros = {name: "0" * size for name, size in self.aut.headers.items()}
+        return dict(self._zeros)
+
+    def _run(self, state: str, bits: str, values: _Values) -> str:
+        """The state the run of ``bits`` ends in, updating ``values`` in place.
+
+        Only an accepting run ends in ``accept``: bits past a final state end
+        in ``reject``, and bits left over mid-block end in that block's state.
+        """
+        position, length = 0, len(bits)
+        blocks = self._blocks
+        while position < length:
+            if state == ACCEPT or state == REJECT:
+                return REJECT
+            width, ops, transition = blocks.get(state) or self._block(state)
+            end = position + width
+            if end > length:
+                return state
+            if not width:
+                raise P4ASemanticsError(f"state {state!r} expects 0 bits, got 1")
+            self._exec(ops, values, bits[position:end])
+            state = transition(values)
+            position = end
+        return state
+
+    def _exec(self, ops: Tuple[tuple, ...], values: _Values, data: str) -> None:
+        for extract, header, first, second in ops:
+            if extract:
+                values[header] = data[first:second]
+                continue
+            value = first(values)
+            if len(value) != second:
+                raise P4ASemanticsError(
+                    f"assignment to {header!r} produced {len(value)} bits, "
+                    f"expected {self.aut.header_size(header)}"
+                )
+            values[header] = value
+
+    def _block(self, name: str) -> _Block:
+        block = self._blocks.get(name)
+        if block is None:
+            aut = self.aut
+            state = aut.state(name)
+            width = aut.op_size(name)
+            ops = []
+            position = 0
+            for op in state.ops:
+                if isinstance(op, Extract):
+                    size = aut.header_size(op.header)
+                    ops.append((True, op.header, position, position + size))
+                    position += size
+                elif isinstance(op, Assign):
+                    ops.append(
+                        (False, op.header, _compile_expr(op.expr), aut.headers.get(op.header))
+                    )
+                else:
+                    raise P4ASemanticsError(f"unknown operation {op!r}")
+            block = (width, tuple(ops), _compile_transition(state.transition))
+            self._blocks[name] = block
+        return block
+
+
+def _compile_expr(expr: Expr) -> Callable[[_Values], str]:
+    """``eval_expr`` over bit strings, as a closure."""
+    if isinstance(expr, HeaderRef):
+        name = expr.name
+
+        def read(values: _Values) -> str:
+            try:
+                return values[name]
+            except KeyError:
+                raise P4ASemanticsError(f"header {name!r} is not in the store") from None
+
+        return read
+    if isinstance(expr, BVLit):
+        literal = expr.value.to_bitstring()
+        return lambda values: literal
+    if isinstance(expr, Slice):
+        inner, n1, n2 = _compile_expr(expr.expr), expr.lo, expr.hi
+
+        def clamped(values: _Values) -> str:
+            word = inner(values)
+            if not word:
+                return word
+            last = len(word) - 1
+            lo, hi = min(n1, last), min(n2, last)
+            return word[lo : hi + 1] if lo <= hi else ""
+
+        return clamped
+    if isinstance(expr, Concat):
+        left, right = _compile_expr(expr.left), _compile_expr(expr.right)
+        return lambda values: left(values) + right(values)
+    raise P4ASemanticsError(f"unknown expression form: {expr!r}")
+
+
+def _compile_transition(transition: Transition) -> Callable[[_Values], str]:
+    """``eval_transition`` over bit strings; wildcards compile to ``None``."""
+    if isinstance(transition, Goto):
+        target = transition.target
+        return lambda values: target
+    if not isinstance(transition, Select):
+        raise P4ASemanticsError(f"unknown transition {transition!r}")
+    readers = tuple(_compile_expr(expr) for expr in transition.exprs)
+    cases = []
+    for case in transition.cases:
+        patterns = []
+        for pattern in case.patterns:
+            if isinstance(pattern, ExactPattern):
+                patterns.append(pattern.value.to_bitstring())
+            elif isinstance(pattern, WildcardPattern):
+                patterns.append(None)
+            else:
+                raise P4ASemanticsError(f"unknown pattern {pattern!r}")
+        cases.append((tuple(patterns), case.target))
+    cases = tuple(cases)
+
+    def select(values: _Values) -> str:
+        keys = [read(values) for read in readers]
+        for patterns, target in cases:
+            for pattern, key in zip(patterns, keys):
+                if pattern is not None and pattern != key:
+                    break
+            else:
+                return target
+        return REJECT
+
+    return select
 
 
 def language_sample(

@@ -30,7 +30,7 @@ import random
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..p4a.bitvec import Bits
-from ..p4a.semantics import accepts
+from ..p4a.semantics import BlockRunner
 from ..p4a.syntax import (
     ACCEPT,
     FINAL_STATES,
@@ -334,8 +334,9 @@ def find_witness(
             if key not in seen:
                 seen.add(key)
                 expanded.append(variant)
+    left_runner, right_runner = BlockRunner(left), BlockRunner(right)
     for packet in expanded:
-        if accepts(left, left_start, packet) != accepts(right, right_start, packet):
+        if left_runner.accepts(left_start, packet) != right_runner.accepts(right_start, packet):
             return packet
     from ..oracle.sampler import PacketSampler
 
@@ -345,7 +346,7 @@ def find_witness(
     )
     for index in range(fuzz_packets):
         packet = samplers[index % 2].random_packet()
-        if accepts(left, left_start, packet) != accepts(right, right_start, packet):
+        if left_runner.accepts(left_start, packet) != right_runner.accepts(right_start, packet):
             return packet
     return None
 

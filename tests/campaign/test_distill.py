@@ -123,6 +123,23 @@ class TestWitnessShrinking:
         assert minimize_pair_witness(pair) is pair
 
 
+class TestKeptPairs:
+    def test_only_label_disagreements_are_kept_for_distillation(self):
+        from repro.campaign.runner import ShardOutcome, _check_chunk
+
+        config = CampaignConfig(pairs=PLANTED_INDEX + 2, seed=SEED)
+        chunk = [PLANTED_INDEX - 1, PLANTED_INDEX, PLANTED_INDEX + 1]
+        outcome = ShardOutcome(shard=0, indices=len(chunk))
+        kept = {}
+        _check_chunk(
+            config, LyingEngine(jobs=1), config.resolved_stacks(), chunk, outcome, kept
+        )
+        assert outcome.completed == len(chunk)
+        assert [d["index"] for d in outcome.disagreements] == [PLANTED_INDEX]
+        assert list(kept) == [PLANTED_INDEX]
+        assert kept[PLANTED_INDEX] == _planted_pair()
+
+
 class TestPlantedLieEndToEnd:
     """The acceptance scenario: a planted engine bug must come out the other
     end as a registered, replayable regression test that fails on the buggy

@@ -5,8 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.p4a import Bits
+from repro.oracle.sampler import PacketSampler
+from repro.p4a import Assign, Bits, Extract, P4ASemanticsError, P4Automaton, State
 from repro.p4a.semantics import (
+    BlockRunner,
     accepts,
     eval_expr,
     eval_transition,
@@ -21,6 +23,8 @@ from repro.p4a.semantics import (
 )
 from repro.p4a.syntax import ACCEPT, BVLit, Concat, Goto, HeaderRef, REJECT, Slice
 from repro.protocols import mpls, tiny
+from repro.scenarios.registry import get, mini_names
+from repro.synth import synthesize_batch
 
 from ..helpers import chained_automaton, fixed_length_automaton, one_bit_automaton
 
@@ -268,3 +272,117 @@ class TestEdgeCases:
         final = list(run_trace(aut, "q1", packet))[-1]
         assert accepted == final.is_accepting()
         assert store == final.store_dict()
+
+
+# ---------------------------------------------------------------------------
+# The block runner against the bit-level reference (Definitions 3.5/3.6)
+# ---------------------------------------------------------------------------
+
+
+def _registry_automata():
+    automata = []
+    for name in mini_names():
+        left, left_start, right, right_start = get(name).automata()
+        automata.append((f"{name}:left", left, left_start))
+        automata.append((f"{name}:right", right, right_start))
+    return automata
+
+
+def _synthesized_automata():
+    automata = []
+    for pair in synthesize_batch(50, 20220613):
+        automata.append((f"{pair.name}:left", pair.left, pair.left_start))
+        automata.append((f"{pair.name}:right", pair.right, pair.right_start))
+    return automata
+
+
+_DIFFERENTIAL_AUTOMATA = _registry_automata() + _synthesized_automata()
+
+
+def _reference_run(aut, state, packet, store):
+    """``(accepted, store)`` from the literal bit-at-a-time δ*, or the error."""
+    try:
+        final = multi_step(aut, initial_configuration(aut, state, store), packet)
+    except P4ASemanticsError as error:
+        return "error", str(error)
+    return final.is_accepting(), final.store_dict()
+
+
+def _block_run(run, *args):
+    try:
+        return run(*args)
+    except P4ASemanticsError as error:
+        return "error", str(error)
+
+
+def _assert_runner_matches_reference(runner, start, packet, store):
+    expected = _reference_run(runner.aut, start, packet, store)
+    assert _block_run(runner.parse_packet, start, packet, store) == expected
+    assert _block_run(parse_packet, runner.aut, start, packet, store) == expected
+    if expected[0] == "error":
+        assert _block_run(runner.accepts, start, packet, store) == expected
+    else:
+        assert runner.accepts(start, packet, store) is expected[0]
+        assert accepts(runner.aut, start, packet, store) is expected[0]
+
+
+class TestBlockRunnerMatchesReference:
+    """``BlockRunner`` (and so ``accepts``/``parse_packet``) must equal
+    ``multi_step``'s final configuration on every mini registry scenario and
+    50 synthesized pairs: acceptance, final store and raised errors."""
+
+    @pytest.mark.parametrize(
+        "aut,start",
+        [(aut, start) for _, aut, start in _DIFFERENTIAL_AUTOMATA],
+        ids=[label for label, _, _ in _DIFFERENTIAL_AUTOMATA],
+    )
+    @settings(settings.get_profile("ci"), max_examples=4)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_sampled_packets_and_stores(self, aut, start, seed):
+        rng = random.Random(seed)
+        runner = BlockRunner(aut)
+        walks = (
+            PacketSampler(aut, start, rng=rng),  # steered, default biases
+            PacketSampler(aut, start, rng=rng, truncate_bias=1.0),
+            PacketSampler(aut, start, rng=rng, truncate_bias=0.0, overrun_bias=1.0),
+        )
+        for sampler in walks:
+            store = sampler.random_store()
+            packet = sampler.random_packet(store)
+            _assert_runner_matches_reference(runner, start, packet, store)
+            _assert_runner_matches_reference(runner, start, packet, None)
+            # A partial store: whichever header is missing may be read.
+            partial = {h: v for h, v in store.items() if rng.random() < 0.5}
+            _assert_runner_matches_reference(runner, start, packet, partial)
+        noise = Bits("".join(rng.choice("01") for _ in range(rng.randint(0, 160))))
+        _assert_runner_matches_reference(runner, start, noise, walks[0].random_store())
+        _assert_runner_matches_reference(runner, start, noise, None)
+
+    def test_zero_extract_state_fed_a_bit_raises_in_both(self):
+        aut = P4Automaton("zero", {"h": 2}, {"s": State("s", (), Goto(ACCEPT))})
+        runner = BlockRunner(aut)
+        expected = _reference_run(aut, "s", Bits("1"), None)
+        assert expected == ("error", "state 's' expects 0 bits, got 1")
+        _assert_runner_matches_reference(runner, "s", Bits("1"), None)
+        _assert_runner_matches_reference(runner, "s", Bits(""), None)
+        with pytest.raises(P4ASemanticsError):
+            runner.accepts("s", Bits("01"))
+
+    def test_wrong_width_assignment_raises_in_both(self):
+        aut = P4Automaton(
+            "widths",
+            {"h": 2, "g": 3},
+            {"s": State("s", (Extract("h"), Assign("g", HeaderRef("h"))), Goto(ACCEPT))},
+        )
+        expected = _reference_run(aut, "s", Bits("10"), None)
+        assert expected[0] == "error" and "expected 3" in expected[1]
+        _assert_runner_matches_reference(BlockRunner(aut), "s", Bits("10"), None)
+
+    def test_missing_header_read_raises_the_same_error(self):
+        aut = tiny.store_dependent()
+        partial = {"data": Bits("0")}
+        expected = _reference_run(aut, "Start", Bits("0"), partial)
+        assert expected[0] == "error" and "ghost" in expected[1]
+        _assert_runner_matches_reference(BlockRunner(aut), "Start", Bits("0"), partial)
+        # The run never reaches the read: no error on either side.
+        _assert_runner_matches_reference(BlockRunner(aut), "Start", Bits(""), partial)
