@@ -6,7 +6,10 @@ sharded sweep), times each best-of-three, measures the calibration
 microbenchmark on the same machine, and writes one schema-versioned JSON
 entry.  Usage::
 
-    python benchmarks/record_campaign_history.py [<label> [<filename>]]
+    python benchmarks/record_campaign_history.py <label> [<filename>]
+
+The entry goes to ``<filename>`` (default ``<label>.json``); an existing
+entry is refused, never overwritten.
 
 ``benchmarks/history/0009-campaign.json`` was produced by this script;
 ``tests/integration/test_history.py`` validates every file in the directory.
@@ -21,7 +24,7 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "benchmarks"))
 
 
-def main(label="0009-campaign", filename=None):
+def main(label, filename=None):
     from bench_campaign import _campaign_round
     from repro.reporting.history import (
         HistoryEntry,
@@ -58,4 +61,7 @@ def main(label="0009-campaign", filename=None):
 
 
 if __name__ == "__main__":
+    if not 2 <= len(sys.argv) <= 3:
+        print(__doc__)
+        sys.exit(2)
     main(*sys.argv[1:3])

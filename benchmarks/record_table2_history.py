@@ -6,7 +6,10 @@ best-of-three, measures the calibration microbenchmark on the same machine,
 and writes one schema-versioned JSON entry.  The tracked rows are Edge,
 Translation Validation, and the other fourteen rows summed.  Usage::
 
-    python benchmarks/record_table2_history.py [<label> [<filename>]]
+    python benchmarks/record_table2_history.py <label> [<filename>]
+
+The entry goes to ``<filename>`` (default ``<label>.json``); an existing
+entry is refused, never overwritten.
 
 ``tests/integration/test_history.py`` validates every file in the directory.
 """
@@ -25,7 +28,7 @@ _OWN_ROWS = {
 }
 
 
-def main(label="table2-full", filename=None):
+def main(label, filename=None):
     from repro.core.algorithm import CheckerConfig
     from repro.reporting.history import (
         HistoryEntry,
@@ -68,4 +71,7 @@ def main(label="table2-full", filename=None):
 
 
 if __name__ == "__main__":
+    if not 2 <= len(sys.argv) <= 3:
+        print(__doc__)
+        sys.exit(2)
     main(*sys.argv[1:3])

@@ -18,7 +18,10 @@ Scale machinery:
   separate CI jobs (``--shard K``) and their reports merge by construction;
 * **chunked execution** — each shard feeds the engine fixed-size chunks of
   jobs, streaming verdict evaluation through the engine's ordered
-  ``on_result`` callback;
+  ``on_result`` callback.  The whole campaign runs inside one ``with
+  engine:`` block, so pooled workers live across chunks and shards, and a
+  chunk's pairs are synthesized by :meth:`EquivalenceEngine.map` in the same
+  workers that then check them;
 * **checkpoints** — with a state directory, a shard records its progress
   after every chunk (atomic rename, keyed by a fingerprint of the campaign
   parameters), and a re-run of the same campaign resumes after the last
@@ -169,6 +172,12 @@ class CampaignConfig:
 def _verdict_for_index(index: int) -> str:
     """Parity-pinned ground truth, matching ``synthesize_batch``."""
     return EQUIVALENT if index % 2 == 0 else NOT_EQUIVALENT
+
+
+def _synthesize(seed: int, size: str, verdict: str) -> SynthesizedPair:
+    """One campaign pair; top level so that ``engine.map`` can send it to a
+    worker by name."""
+    return synthesize_pair(seed, config=campaign_config_for_size(size), verdict=verdict)
 
 
 def _observed(result: JobResult) -> Optional[str]:
@@ -362,14 +371,9 @@ def _check_chunk(
     Only pairs with a label disagreement go into ``pairs_out`` (for
     distillation), so a long campaign does not keep every pair alive.
     """
-    pairs = {
-        index: synthesize_pair(
-            config.seed + index,
-            config=campaign_config_for_size(config.size),
-            verdict=_verdict_for_index(index),
-        )
-        for index in chunk
-    }
+    pairs = dict(zip(chunk, engine.map(_synthesize, [
+        (config.seed + index, config.size, _verdict_for_index(index)) for index in chunk
+    ])))
     jobs = []
     job_meta: Dict[str, Tuple[int, str]] = {}
     for index in chunk:
@@ -475,11 +479,7 @@ def _distill(
         pair = pairs.get(index)
         if pair is None:
             # Caught before a checkpoint resume: re-synthesize (deterministic).
-            pair = synthesize_pair(
-                config.seed + index,
-                config=campaign_config_for_size(config.size),
-                verdict=_verdict_for_index(index),
-            )
+            pair = _synthesize(config.seed + index, config.size, _verdict_for_index(index))
         name = scenario_name_for(pair, config.size, stack)
         if name in seen:
             continue
@@ -558,27 +558,28 @@ def run_campaign(
     started = time.perf_counter()
     outcomes: List[ShardOutcome] = []
     pairs: Dict[int, SynthesizedPair] = {}  # label-disagreeing pairs, for _distill
-    for shard in shards:
-        indices = config.shard_indices(shard)
-        outcome = _load_checkpoint(config, shard)
-        if outcome is None:
-            outcome = ShardOutcome(shard=shard, indices=len(indices))
-        elif log is not None and outcome.resumed_from:
-            log(
-                f"shard {shard}: resuming after "
-                f"{outcome.resumed_from}/{len(indices)} pairs"
-            )
-        remaining = indices[outcome.completed:]
-        for offset in range(0, len(remaining), config.chunk_size):
-            chunk = remaining[offset: offset + config.chunk_size]
-            _check_chunk(config, engine, stacks, chunk, outcome, pairs)
-            _write_checkpoint(config, outcome)
-            if log is not None:
+    with engine:
+        for shard in shards:
+            indices = config.shard_indices(shard)
+            outcome = _load_checkpoint(config, shard)
+            if outcome is None:
+                outcome = ShardOutcome(shard=shard, indices=len(indices))
+            elif log is not None and outcome.resumed_from:
                 log(
-                    f"shard {shard}: {outcome.completed}/{len(indices)} pairs, "
-                    f"{len(outcome.disagreements)} disagreement(s)"
+                    f"shard {shard}: resuming after "
+                    f"{outcome.resumed_from}/{len(indices)} pairs"
                 )
-        outcomes.append(outcome)
+            remaining = indices[outcome.completed:]
+            for offset in range(0, len(remaining), config.chunk_size):
+                chunk = remaining[offset: offset + config.chunk_size]
+                _check_chunk(config, engine, stacks, chunk, outcome, pairs)
+                _write_checkpoint(config, outcome)
+                if log is not None:
+                    log(
+                        f"shard {shard}: {outcome.completed}/{len(indices)} pairs, "
+                        f"{len(outcome.disagreements)} disagreement(s)"
+                    )
+            outcomes.append(outcome)
     distilled = _distill(config, outcomes, pairs, engine_factory, log)
     report = CampaignReport(
         config={

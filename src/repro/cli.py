@@ -366,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_synth_arguments(synth_run)
     synth_run.add_argument(
         "--jobs", type=_jobs_argument, default=None, metavar="N",
-        help="check pairs across N worker processes "
+        help="synthesize and check pairs across N worker processes "
              "(default: LEAPFROG_JOBS or 1, sequential)",
     )
     synth_run.add_argument(
@@ -414,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     campaign_run.add_argument(
         "--jobs", type=_jobs_argument, default=None, metavar="N",
-        help="check pairs across N worker processes "
+        help="synthesize and check pairs across N worker processes "
              "(default: LEAPFROG_JOBS or 1, sequential)",
     )
     campaign_run.add_argument(
@@ -753,10 +753,10 @@ def _command_synth(args: argparse.Namespace) -> int:
 
     seed = args.seed if args.seed is not None else envconfig.seed_from_env()
     seed = seed if seed is not None else 0
-    pairs = synthesize_batch(args.count, seed, config=config_for_size(args.size))
+    generator = config_for_size(args.size)
     if args.synth_command == "emit":
-        return _synth_emit(args, pairs, seed, json)
-    return _synth_run(args, pairs, seed, json)
+        return _synth_emit(args, synthesize_batch(args.count, seed, config=generator), seed, json)
+    return _synth_run(args, generator, seed, json)
 
 
 def _synth_emit(args: argparse.Namespace, pairs, seed: int, json) -> int:
@@ -806,7 +806,7 @@ def _render_synth_table(pairs, observations=None) -> str:
     return render_fixed_width(tuple(headers), table)
 
 
-def _synth_run(args: argparse.Namespace, pairs, seed: int, json) -> int:
+def _synth_run(args: argparse.Namespace, generator, seed: int, json) -> int:
     """Check every synthesized pair against its ground-truth label.
 
     Exit codes match ``scenarios run``: 0 when every engine verdict agrees
@@ -814,6 +814,7 @@ def _synth_run(args: argparse.Namespace, pairs, seed: int, json) -> int:
     proof), 1 on a disagreement, 2 when any pair gets no verdict at all.
     """
     from .core.engine import EquivalenceEngine, EquivalenceJob
+    from .synth import synthesize_batch
 
     jobs = args.jobs if args.jobs is not None else envconfig.jobs_from_env()
     # The oracle rides on each verdict inside the worker (a proved pair that
@@ -826,13 +827,15 @@ def _synth_run(args: argparse.Namespace, pairs, seed: int, json) -> int:
     )
     packets = config.oracle_packets
     engine = EquivalenceEngine(jobs=jobs, server=_server_setting(args))
-    results = engine.run([
-        EquivalenceJob(
-            pair.left, pair.left_start, pair.right, pair.right_start,
-            config=config, find_counterexamples=True, job_id=pair.name,
-        )
-        for pair in pairs
-    ])
+    with engine:  # one pool synthesizes and checks the pairs
+        pairs = synthesize_batch(args.count, seed, config=generator, map_calls=engine.map)
+        results = engine.run([
+            EquivalenceJob(
+                pair.left, pair.left_start, pair.right, pair.right_start,
+                config=config, find_counterexamples=True, job_id=pair.name,
+            )
+            for pair in pairs
+        ])
 
     observations = []
     mismatches = 0

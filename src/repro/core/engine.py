@@ -21,10 +21,16 @@ interface deterministic:
 
 With ``jobs=1`` (the default) everything runs inline in the calling process —
 no pool, no pickling — which is the baseline that parallel runs are required
-to reproduce exactly.  With ``jobs > 1`` each :meth:`EquivalenceEngine.run`
-call spawns up to ``jobs`` workers, feeds them jobs over pipes (a worker keeps
-its imports and memo tables warm from one job to the next) and joins them
-before it returns.
+to reproduce exactly.  With ``jobs > 1`` the engine spawns up to ``jobs``
+workers and feeds them jobs over pipes (a worker keeps its imports and memo
+tables warm from one job to the next).  Outside a ``with engine:`` block each
+:meth:`EquivalenceEngine.run` call spawns its workers and joins them before
+it returns.  Inside one, the workers that the first call starts stay alive
+and later calls reuse them; leaving the block joins them, and an exception
+inside a call tears the pool down so the next call starts a fresh one.
+:meth:`EquivalenceEngine.map` runs a top-level function over the same pool
+(inline with ``jobs=1``), which is how a campaign synthesizes its pairs in
+the workers that then check them.
 
 The engine has no solver settings of its own: every job carries a whole
 :class:`~repro.core.algorithm.CheckerConfig` (resolved once per command by
@@ -55,7 +61,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..p4a.syntax import P4Automaton
 from .algorithm import CheckerConfig
@@ -164,8 +170,24 @@ class EngineStatistics:
 # ---------------------------------------------------------------------------
 
 
-def _execute_job(job: Job) -> object:
-    """Run one job with the config it carries."""
+@dataclass(frozen=True)
+class _Call:
+    """One :meth:`EquivalenceEngine.map` task, labelled by its position."""
+
+    fn: Callable
+    args: tuple
+    label: str
+
+
+def _execute_job(job: Union[Job, _Call]) -> object:
+    """Run one job with the config it carries.  A map task returns
+    ``(exception, None)`` or ``(None, value)``, so that ``map`` can re-raise
+    the worker's exception itself in the engine's process."""
+    if isinstance(job, _Call):
+        try:
+            return None, job.fn(*job.args)
+        except Exception as exc:  # noqa: BLE001 - re-raised by map
+            return exc, None
     if isinstance(job, CaseJob):
         from ..reporting.runner import case_studies
 
@@ -266,6 +288,20 @@ class _Worker:
         self.conn.close()
 
 
+def _shut_down(workers: List[_Worker]) -> None:
+    """Send every idle worker the sentinel, join them and empty the list."""
+    try:
+        for worker in workers:
+            with contextlib.suppress(OSError):
+                worker.conn.send(None)  # the sentinel: an idle worker exits
+        for worker in workers:
+            worker.process.join()
+    finally:
+        for worker in workers:
+            worker.close()
+        workers.clear()
+
+
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
@@ -286,6 +322,11 @@ class EquivalenceEngine:
     The pooled clock starts when a job's worker is ready for it, so worker
     start-up is not charged to the job.
 
+    The engine is also a context manager that scopes its worker pool: inside
+    ``with engine:`` the pooled workers outlive each :meth:`run` and
+    :meth:`map` call and are joined when the block ends; outside one, every
+    call starts and joins its own workers.
+
     ``server`` sends the jobs to a running daemon instead (see the module
     docstring).  Each job runs with the
     :class:`~repro.core.algorithm.CheckerConfig` it carries; the engine adds
@@ -305,6 +346,39 @@ class EquivalenceEngine:
         self.timeout = timeout
         self.server = server
         self.statistics = EngineStatistics()
+        #: The workers kept across calls; ``None`` outside ``with engine:``.
+        self._pool: Optional[List[_Worker]] = None
+
+    def __enter__(self) -> "EquivalenceEngine":
+        self._pool = []
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pool, self._pool = self._pool, None
+        _shut_down(pool)
+
+    def map(self, fn: Callable, arg_tuples: Iterable[tuple]) -> list:
+        """``[fn(*args) for args in arg_tuples]``, computed by the pooled
+        workers and returned in order.
+
+        ``fn`` must be a top-level (picklable) function.  With ``jobs=1`` or
+        ``server`` set it runs inline in the caller.  An exception ``fn``
+        raises in a worker is re-raised here with its type and message; a
+        worker lost mid-call raises :class:`EngineError`.  No timeout
+        applies, and :attr:`statistics` is left alone.
+        """
+        if self.jobs == 1 or self.server is not None:
+            return [fn(*args) for args in arg_tuples]
+        calls = [_Call(fn, tuple(args), str(index)) for index, args in enumerate(arg_tuples)]
+        values = []
+        for result in self._run_pooled(calls, [None] * len(calls)):
+            if not result.ok:
+                raise EngineError(f"map call {result.job_id} failed: {result.error}")
+            raised, value = result.value
+            if raised is not None:
+                raise raised
+            values.append(value)
+        return values
 
     # ------------------------------------------------------------------
 
@@ -348,7 +422,9 @@ class EquivalenceEngine:
                 results.append(result)
         else:
             # Pooled even for a single job, so per-job timeouts stay enforced.
-            results = self._run_pooled(jobs, on_result)
+            results = self._run_pooled(
+                jobs, [self._job_limit(job) for job in jobs], on_result
+            )
         self.statistics.wall_seconds = time.perf_counter() - start
         for result in results:
             self.statistics.by_job[result.job_id] = result.elapsed
@@ -465,24 +541,28 @@ class EquivalenceEngine:
 
     def _run_pooled(
         self,
-        jobs: Sequence[Job],
+        jobs: Sequence[Union[Job, _Call]],
+        limits: Sequence[Optional[float]],
         on_result: Optional[Callable[[JobResult], None]] = None,
     ) -> List[JobResult]:
-        """Up to ``self.jobs`` long-lived workers, started here and joined
-        before returning.  Dedicated processes (instead of an executor pool)
-        are what make the per-job timeout real: an expired job's worker is
-        ``terminate()``d instead of left to starve the queue.  A worker that
-        dies or sends an unreadable reply costs only its current job, and a
-        lost worker is replaced only while jobs are still pending.
-        ``on_result`` streams the contiguous done-prefix in submission order,
-        whatever order the workers finish in.
+        """Run ``jobs`` (``limits[i]`` is job ``i``'s timeout) on up to
+        ``self.jobs`` long-lived workers.  Outside ``with engine:`` they are
+        started here and joined before returning; inside, they come from and
+        stay in the engine's pool, and any exception terminates the whole
+        pool before it propagates.  Dedicated processes (instead of an
+        executor pool) are what make the per-job timeout real: an expired
+        job's worker is ``terminate()``d instead of left to starve the queue.
+        A worker that dies or sends an unreadable reply costs only its
+        current job, and a lost worker is replaced only while jobs are still
+        pending.  ``on_result`` streams the contiguous done-prefix in
+        submission order, whatever order the workers finish in.
         """
         context = multiprocessing.get_context(_MP_CONTEXT)
         size = min(self.jobs, len(jobs))
         results: List[Optional[JobResult]] = [None] * len(jobs)
         delivered = 0
-        pending = deque(enumerate(jobs))
-        workers: List[_Worker] = []
+        pending = deque(zip(range(len(jobs)), jobs, limits))
+        workers: List[_Worker] = self._pool if self._pool is not None else []
         try:
             while True:
                 for worker in [w for w in workers if w.job is None and not w.process.is_alive()]:
@@ -493,8 +573,7 @@ class EquivalenceEngine:
                     workers.append(_Worker(context))
                     idle.append(workers[-1])
                 for worker in idle[:len(pending)]:
-                    index, job = pending.popleft()
-                    worker.submit(index, job, self._job_limit(job))
+                    worker.submit(*pending.popleft())
                 busy = [worker for worker in workers if worker.job is not None]
                 if not busy:
                     break
@@ -513,12 +592,13 @@ class EquivalenceEngine:
                     while delivered < len(jobs) and results[delivered] is not None:
                         on_result(results[delivered])
                         delivered += 1
-            for worker in workers:
-                with contextlib.suppress(OSError):
-                    worker.conn.send(None)  # the sentinel: an idle worker exits
-            for worker in workers:
-                worker.process.join()
-        finally:
+        except BaseException:
+            # A job in flight cannot be recalled: stop every worker, so the
+            # next call starts a fresh pool.
             for worker in workers:
                 worker.close()
+            workers.clear()
+            raise
+        if self._pool is None:
+            _shut_down(workers)
         return [result for result in results if result is not None]

@@ -136,7 +136,12 @@ def load_history(directory: Path) -> List[HistoryEntry]:
 
 
 def write_entry(directory: Path, filename: str, entry: HistoryEntry) -> Path:
+    """Write ``entry`` to a new file; an existing entry is never replaced."""
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / filename
-    path.write_text(json.dumps(entry.as_dict(), indent=2) + "\n")
+    try:
+        with path.open("x") as handle:
+            handle.write(json.dumps(entry.as_dict(), indent=2) + "\n")
+    except FileExistsError:
+        raise HistoryError(f"{path.name} already exists; record under a new label") from None
     return path

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..p4a.bitvec import Bits
 from ..p4a.semantics import accepts
@@ -171,23 +171,25 @@ def synthesize_batch(
     count: int,
     seed: int,
     config: GeneratorConfig = MINI_CONFIG,
+    map_calls: Optional[Callable[[Callable, List[tuple]], list]] = None,
 ) -> List[SynthesizedPair]:
     """``count`` deterministic pairs, alternating expected verdicts.
 
     Pair ``i`` uses the derived seed ``seed + i`` with a pinned verdict
     (even = equivalent, odd = broken), so growing ``count`` extends a batch
-    without changing the pairs already in it.
+    without changing the pairs already in it.  ``map_calls(fn, arg_tuples)``
+    makes the per-pair calls (an engine's ``map`` spreads them over its
+    workers); by default they run here, in order.
     """
     if count < 0:
         raise SynthesisError(f"count must be >= 0, got {count}")
-    return [
-        synthesize_pair(
-            seed + index,
-            config=config,
-            verdict=EQUIVALENT if index % 2 == 0 else NOT_EQUIVALENT,
-        )
+    calls = [
+        (seed + index, config, EQUIVALENT if index % 2 == 0 else NOT_EQUIVALENT)
         for index in range(count)
     ]
+    if map_calls is None:
+        return [synthesize_pair(*args) for args in calls]
+    return map_calls(synthesize_pair, calls)
 
 
 def config_for_size(size: str) -> GeneratorConfig:

@@ -1,6 +1,7 @@
 """The campaign runner: config validation, determinism, checkpoints, exits."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -93,8 +94,8 @@ class TestDeterminism:
         assert only_one.as_dict()["shards"] == [full.as_dict()["shards"][1]]
 
     def test_pooled_report_matches_inline_byte_for_byte(self):
-        # chunk_size=5 splits the 12 pairs over three engine run() calls, so
-        # the pooled side starts and joins its workers three times.
+        # chunk_size=5 splits the 12 pairs over three map() and three run()
+        # calls, all served by the pooled side's one set of workers.
         reports = [
             json.dumps(
                 _run(CampaignConfig(pairs=12, seed=SEED, chunk_size=5, jobs=jobs)).as_dict(),
@@ -104,6 +105,22 @@ class TestDeterminism:
         ]
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["totals"]["agreements"] == 12
+
+    def test_pooled_campaign_starts_one_pool(self, monkeypatch):
+        import repro.core.engine as engine_module
+
+        started = []
+
+        class CountingWorker(engine_module._Worker):
+            def __init__(self, context):
+                started.append(self)
+                super().__init__(context)
+
+        monkeypatch.setattr(engine_module, "_Worker", CountingWorker)
+        report = _run(CampaignConfig(pairs=12, seed=SEED, chunk_size=5, jobs=2))
+        assert report.totals["agreements"] == 12
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
 
     def test_elapsed_stays_out_of_the_payload(self):
         report = _run(CampaignConfig(pairs=2, seed=SEED))
@@ -115,8 +132,8 @@ class TestDeterminism:
 class _AbortAfterChunks(EquivalenceEngine):
     """Raises after N run() calls — simulates a campaign killed mid-shard."""
 
-    def __init__(self, chunks: int):
-        super().__init__(jobs=1)
+    def __init__(self, chunks: int, jobs: int = 1):
+        super().__init__(jobs=jobs)
         self._left = chunks
 
     def run(self, jobs, on_result=None):
@@ -140,6 +157,14 @@ class TestCheckpoints:
         assert resumed.as_dict()["shards"] == plain["shards"]
         # Something really was restored, not recomputed from scratch.
         assert any(s.get("completed") for s in resumed.as_dict()["shards"])
+
+    def test_interrupted_pooled_run_leaves_no_workers(self):
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(
+                CampaignConfig(**self.CONFIG, jobs=2),
+                engine_factory=lambda jobs: _AbortAfterChunks(1, jobs=jobs),
+            )
+        assert multiprocessing.active_children() == []
 
     def test_completed_campaign_resumes_without_rechecking(self, tmp_path):
         state = str(tmp_path / "state")

@@ -304,6 +304,83 @@ class TestPooledWorkers:
         assert multiprocessing.active_children() == []
 
 
+def _child_pids():
+    return sorted(child.pid for child in multiprocessing.active_children())
+
+
+class TestPoolLifetime:
+    """Inside ``with engine:`` pooled workers outlive each run() and map()."""
+
+    def test_workers_are_reused_across_calls_and_joined_at_exit(self):
+        engine = EquivalenceEngine(jobs=2)
+        with engine:
+            assert all(r.ok for r in engine.run(_fast_jobs("first", 3)))
+            pids = _child_pids()
+            assert len(pids) == 2
+            assert engine.map(pow, [(2, 5), (3, 2)]) == [32, 9]
+            assert all(r.ok for r in engine.run(_fast_jobs("second", 3)))
+            assert _child_pids() == pids
+        assert multiprocessing.active_children() == []
+
+    def test_callback_exception_tears_the_pool_down(self):
+        def explode(result):
+            raise RuntimeError("callback failed")
+
+        engine = EquivalenceEngine(jobs=2)
+        with engine:
+            assert all(r.ok for r in engine.run(_fast_jobs("first", 2)))
+            before = _child_pids()
+            with pytest.raises(RuntimeError, match="callback failed"):
+                engine.run(_fast_jobs("second", 3), on_result=explode)
+            assert multiprocessing.active_children() == []
+            assert all(r.ok for r in engine.run(_fast_jobs("third", 2)))
+            assert len(_child_pids()) == 2
+            assert set(_child_pids()).isdisjoint(before)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_killed_between_runs_is_replaced(self):
+        engine = EquivalenceEngine(jobs=2)
+        with engine:
+            assert all(r.ok for r in engine.run(_fast_jobs("first", 2)))
+            victim, survivor = multiprocessing.active_children()
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=30)
+            assert not victim.is_alive()
+            results = engine.run(_fast_jobs("second", 4))
+            assert all(r.ok and r.value.verdict is True for r in results)
+            pids = _child_pids()
+            assert len(pids) == 2
+            assert survivor.pid in pids and victim.pid not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_timed_out_worker_is_replaced_and_the_pool_goes_on(self):
+        engine = EquivalenceEngine(jobs=2)
+        with engine:
+            results = engine.run([_slow_job(timeout=0.05)] + _fast_jobs("first", 3))
+            assert results[0].status == "timeout"
+            assert all(r.ok for r in results[1:])
+            results = engine.run(_fast_jobs("second", 4))
+            assert all(r.ok and r.value.verdict is True for r in results)
+            assert len(_child_pids()) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_map_keeps_order_inline_and_pooled(self):
+        args = [(base, 2) for base in range(12)]
+        expected = [base * base for base in range(12)]
+        assert EquivalenceEngine(jobs=1).map(pow, args) == expected
+        assert EquivalenceEngine(jobs=2).map(pow, args) == expected
+        assert multiprocessing.active_children() == []
+
+    def test_map_raises_the_same_exception_inline_and_pooled(self):
+        raised = []
+        for jobs in (1, 2):
+            with pytest.raises(ValueError) as excinfo:
+                EquivalenceEngine(jobs=jobs).map(int, [("1",), ("x",), ("3",)])
+            raised.append((type(excinfo.value), str(excinfo.value)))
+        assert raised[0] == raised[1]
+        assert multiprocessing.active_children() == []
+
+
 class TestConfigPlumbing:
     """The engine runs each job's config as given, inline or pooled."""
 

@@ -8,6 +8,8 @@ comparison.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,6 +86,30 @@ class TestSchema:
         assert loaded.label == "test"
         assert loaded.rows == pytest.approx(entry.rows)
         assert loaded.normalized("bench.a") == pytest.approx(2.0)
+
+    def test_existing_entry_is_never_overwritten(self, tmp_path):
+        def entry(label):
+            return HistoryEntry(
+                label=label, date="2026-08-08", calibration_seconds=0.05,
+                rows={"bench.a": 0.1},
+            )
+
+        write_entry(tmp_path, "entry.json", entry("first"))
+        with pytest.raises(HistoryError, match="already exists"):
+            write_entry(tmp_path, "entry.json", entry("second"))
+        [loaded] = load_history(tmp_path)
+        assert loaded.label == "first"
+
+    @pytest.mark.parametrize(
+        "script", ["record_campaign_history.py", "record_table2_history.py"]
+    )
+    def test_recorders_require_a_label(self, script):
+        completed = subprocess.run(
+            [sys.executable, str(_REPO_ROOT / "benchmarks" / script)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 2
+        assert "<label>" in completed.stdout
 
     def test_schema_version_is_enforced(self):
         with pytest.raises(HistoryError):
