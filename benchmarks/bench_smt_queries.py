@@ -17,26 +17,19 @@ from repro.logic.confrel import LEFT, RIGHT, CHdr, CSlice
 from repro.logic.simplify import mk_eq
 from repro.protocols import mpls
 from repro.reporting import attach_run_statistics, structural_metrics
-from repro.smt.backend import InternalBackend, PortfolioBackend
+from repro.smt.backend import InternalBackend
 from repro.smt.cache import CachingBackend
 
 # LEAPFROG_INCREMENTAL=0/1 pins the incremental solver session for the
-# distribution and micro benchmarks, and LEAPFROG_PORTFOLIO=0/1 pins the
-# backend the distribution benchmark routes queries through, so CI can
-# record both timing profiles as separate artifacts.  The explicit
-# on-vs-off comparisons below always measure both sides regardless of the
-# environment.
+# distribution and micro benchmarks.  The explicit on-vs-off comparisons
+# below always measure both sides regardless of the environment.
 _RESOLVED = envconfig.resolve_checker_config()
 _CONFIG = CheckerConfig(use_incremental=_RESOLVED.use_incremental, use_query_cache=False)
 
 
-def _distribution_backend():
-    return PortfolioBackend() if _RESOLVED.portfolio else InternalBackend()
-
-
 def test_query_time_distribution(benchmark, record_case):
     left, right = mpls.reference_parser(), mpls.vectorized_parser()
-    backend = _distribution_backend()
+    backend = InternalBackend()
 
     def run():
         return check_language_equivalence(
@@ -289,195 +282,3 @@ def test_aig_speedup(benchmark, record_case):
         f"AIG pipeline speedup {speedup:.2f}x below the 1.5x floor "
         f"(baseline {baseline_seconds:.3f}s, AIG {aig_seconds:.3f}s)"
     )
-
-
-# ---------------------------------------------------------------------------
-# Learned-clause database management: long incremental churn
-# ---------------------------------------------------------------------------
-
-_DB_VARS = 150
-_DB_CLAUSES = 620
-_DB_ROUNDS = 80
-_DB_ASSUMPTIONS = 8
-_DB_CAP = 500
-_DB_SEED = 7
-
-
-def _clause_db_problem(seed=_DB_SEED):
-    """A fixed random 3-CNF near the satisfiability threshold.
-
-    Every assumption round below hits the same variable pool, so learned
-    clauses from earlier rounds stay on hot watch lists — without reduction
-    the solver drags an ever-growing database through every propagation.
-    """
-    import random
-
-    rng = random.Random(seed)
-    clauses = []
-    for _ in range(_DB_CLAUSES):
-        chosen = rng.sample(range(1, _DB_VARS + 1), 3)
-        clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
-    return clauses
-
-
-def _clause_db_churn(clause_db_max, rounds=_DB_ROUNDS, seed=_DB_SEED):
-    """One long incremental session: ``rounds`` assumption-based solves.
-
-    Returns (seconds, verdicts, stats, live learned clauses at the end).
-    """
-    import random
-
-    from repro.smt.sat.solver import CdclSolver
-
-    solver = CdclSolver(clause_db_max=clause_db_max)
-    for clause in _clause_db_problem(seed):
-        solver.add_clause(clause)
-    rng = random.Random(seed + 1)
-    start = time.perf_counter()
-    verdicts = []
-    for _ in range(rounds):
-        assumptions = [
-            v if rng.random() < 0.5 else -v
-            for v in rng.sample(range(1, _DB_VARS + 1), _DB_ASSUMPTIONS)
-        ]
-        sat, _ = solver.solve(assumptions=assumptions)
-        verdicts.append(sat)
-    return time.perf_counter() - start, verdicts, solver.stats, solver.learned_live
-
-
-def test_clause_db_reduction_speedup(benchmark, record_case):
-    """DB reduction is ≥1.5× faster on long incremental churn, same verdicts.
-
-    Both sides run the identical deterministic assumption stream through one
-    incremental CDCL solver; the capped side periodically deletes high-LBD
-    inactive learned clauses, the uncapped side keeps every one forever.  The
-    verdict sequences must agree exactly, the capped database must stay
-    bounded, and the uncapped one must actually have grown past the cap
-    (otherwise the comparison measured nothing).
-    """
-    # Warm-up outside the timed region (imports, first-touch allocations).
-    _clause_db_churn(_DB_CAP, rounds=4)
-
-    unbounded_seconds, unbounded_verdicts, unbounded_stats, unbounded_live = min(
-        (_clause_db_churn(0) for _ in range(2)), key=lambda run: run[0]
-    )
-    capped_runs = [_clause_db_churn(_DB_CAP)]
-    capped_runs.append(
-        benchmark.pedantic(lambda: _clause_db_churn(_DB_CAP),
-                           iterations=1, rounds=1)
-    )
-    capped_seconds, capped_verdicts, capped_stats, capped_live = min(
-        capped_runs, key=lambda run: run[0]
-    )
-
-    assert capped_verdicts == unbounded_verdicts
-    assert capped_stats.db_reductions > 0
-    assert capped_stats.clauses_deleted > 0
-    assert capped_live <= _DB_CAP, (
-        f"reduction left {capped_live} live learned clauses above the "
-        f"{_DB_CAP}-clause cap"
-    )
-    assert unbounded_live > _DB_CAP, (
-        "the unbounded run never outgrew the cap; the workload is too easy "
-        "to measure reduction"
-    )
-    assert unbounded_stats.db_reductions == 0
-
-    speedup = unbounded_seconds / capped_seconds
-    metrics = structural_metrics(
-        "Assumption churn [clause-DB reduction]",
-        mpls.reference_parser(), mpls.vectorized_parser(),
-    )
-    metrics.extra["unbounded_seconds"] = round(unbounded_seconds, 4)
-    metrics.extra["capped_seconds"] = round(capped_seconds, 4)
-    metrics.extra["speedup"] = round(speedup, 2)
-    metrics.extra["clauses_deleted"] = capped_stats.clauses_deleted
-    metrics.extra["db_reductions"] = capped_stats.db_reductions
-    metrics.extra["avg_lbd"] = round(capped_stats.avg_lbd, 1)
-    record_case(metrics)
-    assert speedup >= 1.5, (
-        f"clause-DB reduction speedup {speedup:.2f}x below the 1.5x floor "
-        f"(unbounded {unbounded_seconds:.3f}s, capped {capped_seconds:.3f}s)"
-    )
-
-
-def test_clause_db_verdict_parity():
-    """The clause-DB cap never changes a verdict or the bisimulation.
-
-    Every registry mini scenario is checked twice — reduction at the solver
-    default and reduction off (``clause_db_max=0``) — and the verdicts and
-    relation sizes must match: deleting learned clauses only forgets lemmas,
-    it can never change what is derivable.
-    """
-    from repro.core.equivalence import check_language_equivalence
-    from repro.scenarios import get, mini_names
-
-    for name in mini_names():
-        left, left_start, right, right_start = get(name).automata()
-
-        def check(cap):
-            return check_language_equivalence(
-                left, left_start, right, right_start,
-                config=CheckerConfig(track_memory=False, clause_db_max=cap),
-                find_counterexamples=False,
-            )
-
-        managed = check(None)   # the solver default: reduction on
-        unbounded = check(0)    # keep every learned clause forever
-        assert managed.verdict == unbounded.verdict, (
-            f"{name}: clause-DB reduction changed the verdict "
-            f"({managed.verdict} vs {unbounded.verdict})"
-        )
-        assert (managed.statistics.relation_size
-                == unbounded.statistics.relation_size), (
-            f"{name}: clause-DB reduction changed the bisimulation size"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Portfolio mode: on-vs-off parity on a full verification
-# ---------------------------------------------------------------------------
-
-
-def test_portfolio_on_off_parity(benchmark, record_case):
-    """Portfolio mode never changes a verdict and accounts for every query.
-
-    The speculative-loop equivalence is proved twice — once against a plain
-    internal backend, once against the portfolio race (internal CDCL plus
-    whatever external solvers are on PATH; in a bare container the race
-    degenerates to the internal lane, which still exercises the full
-    worker/cancellation machinery).  The verdicts must agree and the lane
-    win counters must cover every query the portfolio answered.
-    """
-    left, right = mpls.reference_parser(), mpls.vectorized_parser()
-
-    def check(backend):
-        return check_language_equivalence(
-            left, mpls.REFERENCE_START, right, mpls.VECTORIZED_START,
-            backend=backend, config=_CONFIG, find_counterexamples=False,
-        )
-
-    start = time.perf_counter()
-    plain_result = check(InternalBackend())
-    plain_seconds = time.perf_counter() - start
-
-    portfolio = PortfolioBackend()
-    result = benchmark.pedantic(lambda: check(portfolio), iterations=1, rounds=1)
-    portfolio_seconds = result.statistics.runtime_seconds
-
-    assert result.verdict == plain_result.verdict
-    assert result.proved
-    wins = sum(counters["wins"] for counters in portfolio.lane_counters.values())
-    assert wins == portfolio.statistics.queries, (
-        "every portfolio query should be accounted to a winning lane"
-    )
-
-    metrics = structural_metrics("Speculative loop [portfolio race]", left, right)
-    attach_run_statistics(metrics, result.statistics, result.verdict)
-    metrics.extra["plain_seconds"] = round(plain_seconds, 4)
-    metrics.extra["portfolio_seconds"] = round(portfolio_seconds, 4)
-    metrics.extra["lanes"] = " ".join(
-        f"{lane}:{counters['wins']}"
-        for lane, counters in sorted(portfolio.lane_counters.items())
-    )
-    record_case(metrics)

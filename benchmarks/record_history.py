@@ -1,9 +1,8 @@
 """Record a normalized benchmark-history entry (``benchmarks/history/``).
 
 Runs the solver-layer speedup workloads from ``bench_smt_queries`` (the
-repeated-premise incremental-session comparison, the entailed-sweep AIG
-comparison and the learned-clause database churn comparison), times each
-side best-of-three, measures the calibration microbenchmark on the same
+repeated-premise incremental-session comparison and the entailed-sweep AIG
+comparison), times each side best-of-three, measures the calibration microbenchmark on the same
 machine, and writes one schema-versioned JSON entry.  Usage::
 
     PYTHONPATH=src python benchmarks/record_history.py <label> [<filename>]
@@ -17,12 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_smt_queries import (
-    _DB_CAP,
-    _clause_db_churn,
-    _entailed_sweep_workload,
-    _repeated_premise_workload,
-)
+from bench_smt_queries import _entailed_sweep_workload, _repeated_premise_workload
 
 from repro.reporting.history import (
     HistoryEntry,
@@ -41,14 +35,11 @@ def measure() -> dict:
     # Warm-up: first-touch allocations and imports stay out of the timings.
     _repeated_premise_workload(True)
     _entailed_sweep_workload(True)
-    _clause_db_churn(_DB_CAP, rounds=4)
     return {
         "repeated_premise.incremental_on": _best_of(_repeated_premise_workload, True),
         "repeated_premise.incremental_off": _best_of(_repeated_premise_workload, False),
         "entailed_sweep.aig_on": _best_of(_entailed_sweep_workload, True),
         "entailed_sweep.aig_off": _best_of(_entailed_sweep_workload, False),
-        "clause_db_churn.capped": _best_of(_clause_db_churn, _DB_CAP),
-        "clause_db_churn.unbounded": _best_of(_clause_db_churn, 0),
     }
 
 

@@ -5,8 +5,8 @@ ground-truth verdict by construction (:mod:`repro.synth`) — against the
 engine and cross-checks every verdict against the label.  Under
 ``differential`` mode each pair is additionally checked through several
 *backend stacks* (:data:`BACKEND_STACKS`): the internal solver pipeline, the
-same pipeline with AIG simplification disabled, and (when an external solver
-is on ``PATH``) the portfolio racer.  Any stack contradicting the label, or
+same pipeline with AIG simplification disabled, and (when one is on ``PATH``)
+the first external SMT solver.  Any stack contradicting the label, or
 two stacks contradicting each other, is a *disagreement* — the campaign's
 entire purpose — and is handed to :mod:`repro.campaign.distill` to become a
 permanent regression scenario.
@@ -48,6 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.algorithm import CheckerConfig
 from ..core.engine import EquivalenceEngine, EquivalenceJob, JobResult
+from ..envconfig import EXTERNAL_SOLVERS
 from ..synth.pairs import (
     EQUIVALENT,
     NOT_EQUIVALENT,
@@ -70,11 +71,12 @@ class CampaignError(ValueError):
 #: Backend stacks a differential campaign races against each other.  Each
 #: entry is a set of :class:`~repro.core.algorithm.CheckerConfig` overrides;
 #: ``internal`` is the everyday default pipeline and the only stack of a
-#: non-differential campaign.
+#: non-differential campaign.  Each external solver is a stack of its own,
+#: named after the solver.
 BACKEND_STACKS: Dict[str, Dict[str, object]] = {
     "internal": {},
     "aig-off": {"use_aig": False},
-    "portfolio": {"portfolio": True},
+    **{name: {"solver": name} for name in EXTERNAL_SOLVERS},
 }
 
 #: Checkpoint schema version (bumped on incompatible layout changes).
@@ -85,16 +87,13 @@ REPORT_SCHEMA = 1
 
 
 def available_stacks(differential: bool) -> Tuple[str, ...]:
-    """The stacks a campaign runs: just ``internal``, or every stack whose
-    prerequisites hold (``portfolio`` needs an external solver on PATH)."""
+    """The stacks a campaign runs: just ``internal``, or ``internal``,
+    ``aig-off`` and the first external solver found on PATH, if any."""
     if not differential:
         return ("internal",)
     from ..smt.backend import available_external_solvers
 
-    stacks = ["internal", "aig-off"]
-    if available_external_solvers():
-        stacks.append("portfolio")
-    return tuple(stacks)
+    return ("internal", "aig-off", *available_external_solvers()[:1])
 
 
 @dataclass(frozen=True)

@@ -74,15 +74,6 @@ def _oracle_argument(value: str) -> int:
     return parsed if parsed is not None else 0
 
 
-def _clause_db_argument(value: str) -> int:
-    """argparse type for ``--clause-db-max``: a validated non-negative cap."""
-    try:
-        parsed = envconfig.parse_clause_db(value, source="--clause-db-max")
-    except envconfig.EnvConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return parsed if parsed is not None else 0
-
-
 def _seed_argument(value: str) -> int:
     """argparse type for ``--seed``: a validated integer."""
     try:
@@ -108,25 +99,12 @@ def _server_setting(args: argparse.Namespace) -> Optional[str]:
     return envconfig.server_from_env()
 
 
-def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_solver_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--solver", choices=envconfig.SOLVER_CHOICES, default=None,
         help="solver backend for entailment queries; external choices "
              "(z3, cvc5, cvc4, boolector) must be on PATH "
              "(default: LEAPFROG_SOLVER or the internal CDCL solver)",
-    )
-    parser.add_argument(
-        "--portfolio", action="store_true",
-        help="race the internal solver against every external solver found "
-             "on PATH, first definitive answer wins (default: "
-             "LEAPFROG_PORTFOLIO or off; excludes an external --solver)",
-    )
-    parser.add_argument(
-        "--clause-db-max", type=_clause_db_argument, default=None, metavar="N",
-        help="cap the internal CDCL solver's learned-clause database at N "
-             "clauses, periodically deleting high-LBD inactive clauses "
-             "(0 keeps every learned clause; also accepts on/off; default: "
-             f"LEAPFROG_CLAUSE_DB or {envconfig.DEFAULT_CLAUSE_DB_MAX})",
     )
 
 
@@ -151,8 +129,6 @@ def _checker_config(args: argparse.Namespace, base: Optional[CheckerConfig] = No
         "oracle_packets": given.get("oracle_packets"),
         "oracle_seed": given.get("seed"),
         "solver": given.get("solver"),
-        "portfolio": True if given.get("portfolio") else None,
-        "clause_db_max": given.get("clause_db_max"),
         **fields,
     }
     return envconfig.resolve_checker_config(flags, base=base)
@@ -210,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-minimize", action="store_true",
         help="report counterexamples as extracted, without greedy minimization",
     )
-    _add_solver_arguments(check)
+    _add_solver_argument(check)
     _add_oracle_arguments(check)
     _add_server_argument(check)
 
@@ -241,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-aig", action="store_true",
         help="disable AIG simplification in every case's solver pipeline",
     )
-    _add_solver_arguments(table)
+    _add_solver_argument(table)
     _add_oracle_arguments(table)
     _add_server_argument(table)
 
@@ -420,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument(
         "--differential", action="store_true",
         help="cross-check every pair across the backend stacks (internal, "
-             "AIG-off, and — when an external solver is on PATH — portfolio) "
+             "AIG-off, and the first external solver found on PATH, if any) "
              "in addition to the ground-truth label",
     )
     campaign_run.add_argument(
@@ -1095,7 +1071,7 @@ def _service_error():
 
 
 def _backend_error():
-    """The solver stack's error type (bad --solver/--portfolio combinations)."""
+    """The solver stack's error type (e.g. an uninstalled --solver)."""
     from .smt.backend import BackendError
 
     return BackendError

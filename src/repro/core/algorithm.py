@@ -86,19 +86,7 @@ class CheckerConfig:
     ``solver`` selects which solver backend answers entailment queries (one
     of :data:`repro.envconfig.SOLVER_CHOICES`; ``None`` means the internal
     CDCL solver, honouring ``LEAPFROG_SOLVER`` only through the CLI layer).
-    ``portfolio`` instead races the internal solver against every external
-    solver found on PATH, first definitive answer wins; it cannot be
-    combined with an explicit external ``solver``.  Both only apply when the
-    checker builds its own backend.
-
-    ``clause_db_max`` caps the internal CDCL solver's learned-clause
-    database: reductions delete high-LBD inactive learned clauses once a
-    geometrically growing budget is exceeded (see
-    :mod:`repro.smt.sat.solver`).  ``None`` means the solver default (on);
-    ``0`` disables reduction and keeps every learned clause forever, the
-    pre-database behaviour kept for the ablation benchmarks.  A pure
-    performance knob: verdicts are unaffected, so it stays outside the
-    service/campaign configuration fingerprints.
+    It only applies when the checker builds its own backend.
     """
 
     use_leaps: bool = True
@@ -113,8 +101,6 @@ class CheckerConfig:
     oracle_seed: Optional[int] = None
     minimize_counterexamples: bool = True
     solver: Optional[str] = None
-    portfolio: bool = False
-    clause_db_max: Optional[int] = None
 
 
 @dataclass
@@ -203,8 +189,6 @@ class PreBisimulationChecker:
             cache_dir=self.config.cache_dir,
             use_aig=self.config.use_aig,
             solver=self.config.solver,
-            portfolio=self.config.portfolio,
-            clause_db_max=self.config.clause_db_max,
         )
         self.entailment = EntailmentChecker(
             self.backend, use_incremental=self.config.use_incremental

@@ -32,7 +32,7 @@ universally quantified premises present.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..logic import folbv
@@ -86,21 +86,12 @@ class EntailmentStatistics:
     aig_nodes: int = 0
     aig_clauses_saved: int = 0
     aig_shortcuts: int = 0
-    #: Learned-clause database management, mirrored from the solver ledger:
-    #: reductions run, clauses deleted by them, literals removed by
-    #: conflict-clause minimization, and the LBD sum/count ledger behind the
-    #: reported mean glue.
-    db_reductions: int = 0
-    clauses_deleted: int = 0
+    #: Literals removed by conflict-clause minimization, mirrored from the
+    #: solver ledger.
     minimized_literals: int = 0
-    lbd_sum: int = 0
-    lbd_clauses: int = 0
-    #: Per-lane portfolio counters (wins/losses/cancelled/errors), mirrored
-    #: from the solver ledger; empty outside portfolio mode.
-    portfolio: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, int]:
-        payload = {
+        return {
             "checks": self.checks,
             "trivial": self.trivial,
             "syntactic": self.syntactic,
@@ -116,17 +107,8 @@ class EntailmentStatistics:
             "aig_nodes": self.aig_nodes,
             "aig_clauses_saved": self.aig_clauses_saved,
             "aig_shortcuts": self.aig_shortcuts,
-            "db_reductions": self.db_reductions,
-            "clauses_deleted": self.clauses_deleted,
             "minimized_literals": self.minimized_literals,
-            "lbd_sum": self.lbd_sum,
-            "lbd_clauses": self.lbd_clauses,
         }
-        if self.portfolio:
-            payload["portfolio"] = {
-                lane: dict(counters) for lane, counters in self.portfolio.items()
-            }
-        return payload
 
 
 class EntailmentChecker:
@@ -142,8 +124,8 @@ class EntailmentChecker:
         self.cegis_rounds = cegis_rounds
         self.statistics = EntailmentStatistics()
         self.use_incremental = use_incremental
-        # May be None (DPLL engine, external solvers, portfolio — anything
-        # whose capabilities lack ``incremental``): then every query falls
+        # May be None (DPLL engine, external solvers — anything whose
+        # capabilities lack ``incremental``): then every query falls
         # back to the one-shot path.
         self._session = self.backend.incremental_session() if use_incremental else None
         self._lowered_premises: Dict[str, folbv.BFormula] = {}
@@ -183,16 +165,7 @@ class EntailmentChecker:
         self.statistics.aig_nodes = solver_stats.aig_nodes
         self.statistics.aig_clauses_saved = solver_stats.aig_clauses_saved
         self.statistics.aig_shortcuts = solver_stats.aig_shortcuts
-        self.statistics.db_reductions = solver_stats.db_reductions
-        self.statistics.clauses_deleted = solver_stats.clauses_deleted
         self.statistics.minimized_literals = solver_stats.minimized_literals
-        self.statistics.lbd_sum = solver_stats.lbd_sum
-        self.statistics.lbd_clauses = solver_stats.lbd_clauses
-        if solver_stats.portfolio_lanes:
-            self.statistics.portfolio = {
-                lane: dict(counters)
-                for lane, counters in solver_stats.portfolio_lanes.items()
-            }
 
     def check(self, premises: Sequence[Formula], goal: Formula) -> EntailmentOutcome:
         try:

@@ -50,13 +50,6 @@ SERVER_VAR = "LEAPFROG_SERVER"
 #: the external SMT solvers in :data:`EXTERNAL_SOLVERS`; anything else is a
 #: configuration error, never a silent fallback.
 SOLVER_VAR = "LEAPFROG_SOLVER"
-#: Portfolio-mode toggle: race the internal solver against every external
-#: solver found on PATH, first definitive answer wins (default off).
-PORTFOLIO_VAR = "LEAPFROG_PORTFOLIO"
-#: Learned-clause database cap for the internal CDCL solver; also accepts
-#: on/off (on = the solver's default cap, off/0 = keep every learned clause).
-#: Unset = per-config default, which is the default cap.
-CLAUSE_DB_VAR = "LEAPFROG_CLAUSE_DB"
 
 #: The external SMT solvers the backend layer knows how to drive, in
 #: preference order.  ``smt.backend.EXTERNAL_SOLVER_COMMANDS`` maps each name
@@ -71,12 +64,6 @@ SOLVER_CHOICES = INTERNAL_SOLVERS + EXTERNAL_SOLVERS
 
 #: Packet budget used when ``LEAPFROG_ORACLE`` is a bare "on"/"true".
 DEFAULT_ORACLE_PACKETS = 64
-
-#: Learned-clause cap used when ``LEAPFROG_CLAUSE_DB`` is a bare "on"/"true".
-#: Mirrors ``repro.smt.sat.solver.DEFAULT_CLAUSE_DB_MAX`` (a test pins the
-#: two in sync) — duplicated here so parsing an environment variable does not
-#: import the solver stack.
-DEFAULT_CLAUSE_DB_MAX = 4000
 
 _TRUE_VALUES = ("1", "true", "yes", "on")
 _FALSE_VALUES = ("0", "false", "no", "off")
@@ -164,32 +151,6 @@ def oracle_packets_from_env(
     return parse_oracle_packets(environ.get(ORACLE_VAR), source=ORACLE_VAR)
 
 
-def parse_clause_db(raw: Optional[str], source: str = CLAUSE_DB_VAR) -> Optional[int]:
-    """Parse a learned-clause database cap; ``None``/empty means "not set".
-
-    Accepts a non-negative integer (0 = keep every learned clause forever) or
-    the boolean words accepted by :func:`parse_flag` (``on`` = the solver's
-    default cap of ``DEFAULT_CLAUSE_DB_MAX`` clauses, ``off`` = 0).
-    """
-    if raw is None or raw.strip() == "":
-        return None
-    value = raw.strip().lower()
-    if value in _TRUE_VALUES:
-        return DEFAULT_CLAUSE_DB_MAX
-    if value in _FALSE_VALUES:
-        return 0
-    try:
-        cap = int(value)
-    except ValueError:
-        raise EnvConfigError(
-            f"{source} must be a non-negative integer or one of "
-            f"{_TRUE_VALUES + _FALSE_VALUES}, got {raw!r}"
-        ) from None
-    if cap < 0:
-        raise EnvConfigError(f"{source} must be >= 0, got {cap}")
-    return cap
-
-
 def parse_seed(raw: Optional[str], source: str = SEED_VAR) -> Optional[int]:
     """Parse a sampler seed (any integer); ``None``/empty means "not set"."""
     if raw is None or raw.strip() == "":
@@ -249,8 +210,6 @@ CHECKER_VARIABLES = {
     "oracle_packets": (ORACLE_VAR, parse_oracle_packets),
     "oracle_seed": (SEED_VAR, parse_seed),
     "solver": (SOLVER_VAR, parse_solver),
-    "portfolio": (PORTFOLIO_VAR, parse_flag),
-    "clause_db_max": (CLAUSE_DB_VAR, parse_clause_db),
 }
 
 
@@ -267,9 +226,8 @@ def resolve_checker_config(
     value in ``base`` (default: a plain ``CheckerConfig()``).
 
     The solver choice is validated here, before any work or worker process
-    starts: portfolio mode excludes an external solver, and an external
-    solver must be on PATH.  Both raise
-    :class:`~repro.smt.backend.BackendError`.
+    starts: an external solver must be on PATH, else
+    :class:`~repro.smt.backend.BackendError` is raised.
     """
     import dataclasses
     import shutil
@@ -285,11 +243,6 @@ def resolve_checker_config(
             if value is not None:
                 values[name] = value
     config = dataclasses.replace(base if base is not None else CheckerConfig(), **values)
-    if config.portfolio and config.solver not in (None, "internal", "cdcl"):
-        raise BackendError(
-            "--portfolio already races every available solver; "
-            f"it cannot be combined with --solver {config.solver}"
-        )
     command = EXTERNAL_SOLVER_COMMANDS.get(config.solver)
     if command is not None and not shutil.which(command[0]):
         raise BackendError(f"external solver {config.solver!r} is not on PATH")

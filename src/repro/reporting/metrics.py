@@ -100,23 +100,6 @@ def attach_run_statistics(metrics: CaseMetrics, statistics: CheckerStatistics,
             metrics.extra["aig_shortcuts"] = int(
                 statistics.entailment.get("aig_shortcuts", 0)
             )
-        # Learned-clause database management: rendered only when the run
-        # actually learned clauses, so DPLL/external-solver rows keep "-".
-        lbd_clauses = int(statistics.entailment.get("lbd_clauses", 0))
-        if lbd_clauses:
-            metrics.extra["clauses_deleted"] = int(
-                statistics.entailment.get("clauses_deleted", 0)
-            )
-            metrics.extra["avg_lbd"] = round(
-                int(statistics.entailment.get("lbd_sum", 0)) / lbd_clauses, 1
-            )
-        # Portfolio lane outcomes, summarized as "lane:wins" pairs.
-        portfolio = statistics.entailment.get("portfolio")
-        if portfolio:
-            metrics.extra["portfolio_wins"] = " ".join(
-                f"{lane}:{counters.get('wins', 0)}"
-                for lane, counters in sorted(portfolio.items())
-            )
     oracle_divergences = int(statistics.oracle.get("divergences", 0)) if statistics.oracle else 0
     if statistics.oracle or statistics.replay_divergences:
         # Model-vs-replay mismatches plus concrete oracle disagreements; 0 is

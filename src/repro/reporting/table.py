@@ -30,14 +30,7 @@ _COLUMNS = (
     ("Divergences", "divergences"),
 )
 
-#: Columns appended only when some row carries the key: the learned-clause
-#: columns need a CDCL run that learned clauses, the wins column portfolio
-#: mode, so rows without them keep the classic Table 2 layout.
-_OPTIONAL_COLUMNS = (
-    ("Deleted", "clauses_deleted"),
-    ("Avg LBD", "avg_lbd"),
-    ("Portfolio wins", "portfolio_wins"),
-)
+_HEADERS = [label for label, _ in _COLUMNS]
 
 
 def _format_value(value) -> str:
@@ -50,20 +43,10 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _columns(cases: Sequence[CaseMetrics]):
+def _rows(cases: Sequence[CaseMetrics]) -> List[List[str]]:
     records = [case.as_dict() for case in cases]
-    columns = list(_COLUMNS)
-    columns.extend(
-        (label, key)
-        for label, key in _OPTIONAL_COLUMNS
-        if any(record.get(key) is not None for record in records)
-    )
-    return columns, records
-
-
-def _rows(records, columns) -> List[List[str]]:
     return [
-        [_format_value(record.get(key)) for _, key in columns]
+        [_format_value(record.get(key)) for _, key in _COLUMNS]
         for record in records
     ]
 
@@ -91,21 +74,17 @@ def render_fixed_width(headers: Sequence[str], rows: Sequence[Sequence[str]],
 
 def render_text(cases: Sequence[CaseMetrics], title: Optional[str] = None) -> str:
     """Fixed-width text table (printed by the benchmark harness)."""
-    columns, records = _columns(cases)
-    headers = [label for label, _ in columns]
-    return render_fixed_width(headers, _rows(records, columns), title=title)
+    return render_fixed_width(_HEADERS, _rows(cases), title=title)
 
 
 def render_markdown(cases: Sequence[CaseMetrics], title: Optional[str] = None) -> str:
     """Markdown table (embedded in EXPERIMENTS.md)."""
-    columns, records = _columns(cases)
-    headers = [label for label, _ in columns]
     lines = []
     if title:
         lines.append(f"### {title}")
         lines.append("")
-    lines.append("| " + " | ".join(headers) + " |")
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in _rows(records, columns):
+    lines.append("| " + " | ".join(_HEADERS) + " |")
+    lines.append("|" + "|".join("---" for _ in _HEADERS) + "|")
+    for row in _rows(cases):
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)

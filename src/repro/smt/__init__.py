@@ -6,7 +6,6 @@ from .backend import (
     BackendMiddleware,
     ExternalBackend,
     InternalBackend,
-    PortfolioBackend,
     SolverBackend,
     SolverCapabilities,
     available_external_solvers,
@@ -34,7 +33,6 @@ __all__ = [
     "InternalBackend",
     "InternalBVSolver",
     "PersistentQueryCache",
-    "PortfolioBackend",
     "SatResult",
     "SatStatus",
     "SolverBackend",

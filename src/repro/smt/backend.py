@@ -16,9 +16,6 @@ module provides the analogous abstraction as an explicitly layered stack:
 * :class:`ExternalBackend` — shells out to any SMT-LIB 2 compliant solver
   found on ``PATH`` via the pretty-printer in :mod:`repro.logic.smtlib`,
   distinguishing timeouts, cancellations and unparseable output.
-* :class:`PortfolioBackend` — races the internal solver (in a worker
-  thread) against every external solver, first definitive answer wins and
-  the losers are cancelled promptly.
 
 :func:`backend_for_solver` maps a validated ``--solver``/``LEAPFROG_SOLVER``
 choice (see :func:`repro.envconfig.resolve_checker_config`) to its backend;
@@ -35,7 +32,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..logic import folbv, smtlib
 from ..logic.folbv import BFormula
@@ -185,14 +182,10 @@ class InternalBackend(SolverBackend):
         engine: str = "cdcl",
         validate_models: bool = True,
         use_aig: bool = True,
-        clause_db_max: Optional[int] = None,
     ) -> None:
         self._engine = engine
         self._solver = InternalBVSolver(
-            engine=engine,
-            validate_models=validate_models,
-            use_aig=use_aig,
-            clause_db_max=clause_db_max,
+            engine=engine, validate_models=validate_models, use_aig=use_aig
         )
 
     def check_sat(self, formula: BFormula, stop: Optional[threading.Event] = None) -> SatResult:
@@ -390,215 +383,10 @@ def _solver_diagnostics(stdout: str, stderr: str, returncode: Optional[int]) -> 
     return "; ".join(parts)
 
 
-class PortfolioBackend(SolverBackend):
-    """First-answer-wins race between the internal solver and external lanes.
-
-    Each ``check_sat`` runs every lane in its own thread sharing one stop
-    event; the first definitive (SAT/UNSAT) answer wins, the event is set,
-    and the remaining lanes cancel promptly — the internal CDCL loop polls
-    the event between propagations and external subprocesses are killed.
-    Per-lane win/loss/cancel/error counters are kept in
-    ``statistics.portfolio_lanes`` and flow into Table 2.
-
-    Lanes that disagree on a definitive answer raise :class:`BackendError`:
-    a portfolio must never trade soundness for speed.
-    """
-
-    def __init__(
-        self,
-        use_aig: bool = True,
-        validate_models: bool = True,
-        solvers: Optional[Sequence[str]] = None,
-        external_backends: Optional[Sequence[SolverBackend]] = None,
-        timeout: float = 60.0,
-        include_internal: bool = True,
-        clause_db_max: Optional[int] = None,
-    ) -> None:
-        self._validate_models = validate_models
-        self._internal = (
-            InternalBackend(
-                validate_models=validate_models,
-                use_aig=use_aig,
-                clause_db_max=clause_db_max,
-            )
-            if include_internal
-            else None
-        )
-        if external_backends is not None:
-            self._externals = list(external_backends)
-        else:
-            names = list(solvers) if solvers is not None else available_external_solvers()
-            self._externals = [ExternalBackend(name, timeout=timeout) for name in names]
-        lanes = ([] if self._internal is None else [("internal", self._internal)])
-        lanes += [(backend.name, backend) for backend in self._externals]
-        if not lanes:
-            raise BackendError("portfolio needs at least one lane")
-        self._lanes: List[Tuple[str, SolverBackend]] = lanes
-        self.name = "portfolio(" + "+".join(name for name, _ in lanes) + ")"
-        self._statistics = SolverStatistics()
-        self._statistics.portfolio_lanes = {
-            name: {"wins": 0, "losses": 0, "cancelled": 0, "errors": 0}
-            for name, _ in lanes
-        }
-
-    @property
-    def lane_counters(self) -> Dict[str, Dict[str, int]]:
-        return self._statistics.portfolio_lanes
-
-    def check_sat(self, formula: BFormula, stop: Optional[threading.Event] = None) -> SatResult:
-        start = time.perf_counter()
-        if len(self._lanes) == 1:
-            # A single lane needs no race (the common no-external-solver
-            # case); account for it as an uncontested win.
-            name, backend = self._lanes[0]
-            result = backend.check_sat(formula, stop=stop)
-            outcome = self._finish([(name, result)], start, formula)
-            self._statistics.record(outcome)
-            self._mirror_internal_counters()
-            return outcome
-
-        local_stop = threading.Event()
-        lock = threading.Lock()
-        arrivals: List[Tuple[str, SatResult]] = []
-        answered = threading.Event()
-
-        def run_lane(lane_name: str, backend: SolverBackend) -> None:
-            try:
-                result = backend.check_sat(formula, stop=local_stop)
-            except Exception as error:  # noqa: BLE001 - a lane crash must not sink the race
-                with lock:
-                    self.lane_counters[lane_name]["errors"] += 1
-                    arrivals.append(
-                        (lane_name, SatResult(SatStatus.UNKNOWN, None, 0.0,
-                                              reason="error", detail=str(error)))
-                    )
-                return
-            with lock:
-                arrivals.append((lane_name, result))
-                if result.status in (SatStatus.SAT, SatStatus.UNSAT):
-                    local_stop.set()
-                    answered.set()
-
-        threads = [
-            threading.Thread(target=run_lane, args=lane, daemon=True)
-            for lane in self._lanes
-        ]
-        for thread in threads:
-            thread.start()
-        while not answered.is_set() and any(t.is_alive() for t in threads):
-            if stop is not None and stop.is_set():
-                break
-            answered.wait(_POLL_INTERVAL)
-        local_stop.set()
-        for thread in threads:
-            thread.join()
-        with lock:
-            collected = list(arrivals)
-        outcome = self._finish(collected, start, formula)
-        self._statistics.record(outcome)
-        self._mirror_internal_counters()
-        return outcome
-
-    def _finish(
-        self,
-        arrivals: Sequence[Tuple[str, SatResult]],
-        start: float,
-        formula: BFormula,
-    ) -> SatResult:
-        winner_lane, result = self._combine(arrivals)
-        elapsed = time.perf_counter() - start
-        if result is None:
-            reasons = sorted({r.reason for _, r in arrivals if r.reason})
-            return SatResult(
-                SatStatus.UNKNOWN, None, elapsed,
-                reason=";".join(reasons) or "all-lanes-unknown",
-            )
-        if result.is_sat and self._validate_models and result.model is not None:
-            complete = dict(result.model)
-            for name, width in folbv.free_variables(formula).items():
-                complete.setdefault(name, Bits.zeros(width))
-            if not folbv.eval_formula(formula, complete):
-                raise BackendError(
-                    f"portfolio lane {winner_lane!r} returned a bogus model"
-                )
-        return SatResult(
-            result.status, result.model, elapsed,
-            num_clauses=result.num_clauses, num_variables=result.num_variables,
-            reason=result.reason, detail=result.detail,
-        )
-
-    def _combine(
-        self, arrivals: Sequence[Tuple[str, SatResult]]
-    ) -> Tuple[Optional[str], Optional[SatResult]]:
-        """Pick the winner from arrival-ordered lane results; count the rest.
-
-        Raises :class:`BackendError` when two lanes give contradictory
-        definitive answers (the race must be abandoned, not adjudicated).
-        """
-        definitive = [
-            (lane, result)
-            for lane, result in arrivals
-            if result.status in (SatStatus.SAT, SatStatus.UNSAT)
-        ]
-        if {result.status for _, result in definitive} == {SatStatus.SAT, SatStatus.UNSAT}:
-            detail = ", ".join(f"{lane}={result.status.value}" for lane, result in definitive)
-            raise BackendError(f"portfolio lanes disagree: {detail}")
-        answered = {lane for lane, _ in arrivals}
-        winner = definitive[0] if definitive else None
-        for lane, _ in self._lanes:
-            counters = self.lane_counters[lane]
-            if winner is not None and lane == winner[0]:
-                counters["wins"] += 1
-            elif any(lane == name for name, _ in definitive):
-                counters["losses"] += 1
-            elif lane in answered and any(
-                name == lane and result.reason == "error" for name, result in arrivals
-            ):
-                pass  # already counted as an error when the lane crashed
-            else:
-                counters["cancelled"] += 1
-        if winner is None:
-            return None, None
-        return winner
-
-    def _mirror_internal_counters(self) -> None:
-        # The AIG lowering counters live in the internal lane's ledger;
-        # surface them on the portfolio's own statistics so the usual
-        # SolverStatistics → EntailmentStatistics flow keeps working.
-        if self._internal is None:
-            return
-        inner = self._internal.statistics
-        self._statistics.aig_nodes = inner.aig_nodes
-        self._statistics.aig_clauses_saved = inner.aig_clauses_saved
-        self._statistics.aig_shortcuts = inner.aig_shortcuts
-        self._statistics.db_reductions = inner.db_reductions
-        self._statistics.clauses_deleted = inner.clauses_deleted
-        self._statistics.minimized_literals = inner.minimized_literals
-        self._statistics.lbd_sum = inner.lbd_sum
-        self._statistics.lbd_clauses = inner.lbd_clauses
-
-    @property
-    def statistics(self) -> SolverStatistics:
-        return self._statistics
-
-    @property
-    def capabilities(self) -> SolverCapabilities:
-        return SolverCapabilities(
-            models=True,
-            cancellation=True,
-            internal_solver=self._internal is not None,
-        )
-
-    @property
-    def internal_solver(self) -> Optional[InternalBVSolver]:
-        return None if self._internal is None else self._internal.internal_solver
-
-
 def backend_for_solver(
     choice: Optional[str],
     use_aig: bool = True,
     validate_models: bool = True,
-    clause_db_max: Optional[int] = None,
 ) -> SolverBackend:
     """The backend for a validated ``--solver``/``LEAPFROG_SOLVER`` choice.
 
@@ -608,11 +396,9 @@ def backend_for_solver(
     errors must surface, not silently degrade to a different prover.
     """
     if choice in (None, "", "internal", "cdcl"):
-        return InternalBackend(
-            validate_models=validate_models,
-            use_aig=use_aig,
-            clause_db_max=clause_db_max,
-        )
+        return InternalBackend(validate_models=validate_models, use_aig=use_aig)
     if choice in ("dpll", "internal-dpll"):
-        return InternalBackend(engine="dpll", validate_models=validate_models)
+        return InternalBackend(
+            engine="dpll", validate_models=validate_models, use_aig=use_aig
+        )
     return ExternalBackend(choice)

@@ -18,7 +18,7 @@ from ..logic.folbv import BFormula
 from ..p4a.bitvec import Bits
 from .bitblast import Bitblaster
 from .sat.dpll import dpll_solve
-from .sat.solver import DEFAULT_CLAUSE_DB_MAX, CdclSolver
+from .sat.solver import CdclSolver
 
 
 class SatStatus(Enum):
@@ -73,24 +73,9 @@ class SolverStatistics:
     #: at the deadline vs. queries whose output the SMT-LIB parser rejected.
     external_timeouts: int = 0
     parse_failures: int = 0
-    #: Learned-clause database management (see ``repro.smt.sat.solver``):
-    #: reductions run, learned clauses deleted by them, literals removed by
-    #: conflict-clause minimization, and the LBD ledger (sum over every
-    #: learned clause plus the clause count, so ``avg_lbd`` is their mean).
-    db_reductions: int = 0
-    clauses_deleted: int = 0
+    #: Literals removed from learned clauses by conflict-clause
+    #: minimization (see ``repro.smt.sat.solver``).
     minimized_literals: int = 0
-    lbd_sum: int = 0
-    lbd_clauses: int = 0
-    #: Per-lane win/loss/cancel/error counters, filled by PortfolioBackend.
-    portfolio_lanes: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    @property
-    def avg_lbd(self) -> float:
-        """Mean LBD (glue) over every learned clause (0.0 before the first)."""
-        if not self.lbd_clauses:
-            return 0.0
-        return self.lbd_sum / self.lbd_clauses
 
     def record(self, result: SatResult) -> None:
         self.queries += 1
@@ -122,18 +107,12 @@ class InternalBVSolver:
         engine: str = "cdcl",
         validate_models: bool = True,
         use_aig: bool = True,
-        clause_db_max: Optional[int] = None,
     ) -> None:
         if engine not in ("cdcl", "dpll"):
             raise ValueError(f"unknown SAT engine {engine!r}")
         self._engine = engine
         self._validate_models = validate_models
         self.use_aig = use_aig
-        #: Learned-clause cap for the CDCL engine (``None`` = the solver
-        #: default, ``0`` = keep every learned clause forever).
-        self.clause_db_max = (
-            DEFAULT_CLAUSE_DB_MAX if clause_db_max is None else clause_db_max
-        )
         self.statistics = SolverStatistics()
 
     def check_sat(
@@ -152,14 +131,9 @@ class InternalBVSolver:
         if self._engine == "dpll":
             sat, sat_model = dpll_solve(blasted.cnf)
         else:
-            sat_solver = CdclSolver(blasted.cnf, clause_db_max=self.clause_db_max)
+            sat_solver = CdclSolver(blasted.cnf)
             sat, sat_model = sat_solver.solve(max_conflicts=max_conflicts, stop=stop)
-            sat_stats = sat_solver.stats
-            self.statistics.db_reductions += sat_stats.db_reductions
-            self.statistics.clauses_deleted += sat_stats.clauses_deleted
-            self.statistics.minimized_literals += sat_stats.minimized_literals
-            self.statistics.lbd_sum += sat_stats.lbd_sum
-            self.statistics.lbd_clauses += sat_stats.learned_clauses
+            self.statistics.minimized_literals += sat_solver.stats.minimized_literals
         elapsed = time.perf_counter() - start
         if sat is None:
             reason = "cancelled" if stop is not None and stop.is_set() else None
@@ -203,7 +177,6 @@ class InternalBVSolver:
             validate_models=self._validate_models,
             statistics=self.statistics,
             use_aig=self.use_aig,
-            clause_db_max=self.clause_db_max,
         )
 
 

@@ -35,7 +35,6 @@ from ..p4a.bitvec import Bits
 from .backend import (
     BackendMiddleware,
     InternalBackend,
-    PortfolioBackend,
     SolverBackend,
     SolverCapabilities,
     backend_for_solver,
@@ -311,40 +310,23 @@ def make_backend(
     inner: Optional[SolverBackend] = None,
     use_aig: bool = True,
     solver: Optional[str] = None,
-    portfolio: bool = False,
-    clause_db_max: Optional[int] = None,
 ) -> SolverBackend:
     """Build the standard backend stack, innermost layer first.
 
-    * the base lane comes from ``portfolio`` (a :class:`PortfolioBackend`
-      racing the internal solver against every external solver on PATH) or
-      ``solver`` (a validated ``--solver``/``LEAPFROG_SOLVER`` choice;
-      default the internal solver) — the two are mutually exclusive since a
-      portfolio already contains every lane;
-    * ``use_cache`` wraps the lane in :class:`CachingBackend`.
+    * the base backend comes from ``solver`` (a validated
+      ``--solver``/``LEAPFROG_SOLVER`` choice; default the internal solver);
+    * ``use_cache`` wraps it in :class:`CachingBackend`.
       ``use_cache=False`` wins: it disables both cache layers even when a
       ``cache_dir`` is supplied, so an explicit opt-out is never overridden.
 
     ``use_aig`` selects AIG simplification in the internal solver's lowering
-    pipeline, and ``clause_db_max`` caps its learned-clause database
-    (``None`` = the solver default, ``0`` = keep everything).  All lane
-    options are ignored when an explicit ``inner`` backend is supplied.
+    pipeline.  Both base options are ignored when an explicit ``inner``
+    backend is supplied.
     """
     if inner is not None:
         backend = inner
-    elif portfolio:
-        if solver not in (None, "", "internal", "cdcl"):
-            from .backend import BackendError
-
-            raise BackendError(
-                "--portfolio already races every available solver; "
-                f"it cannot be combined with --solver {solver}"
-            )
-        backend = PortfolioBackend(use_aig=use_aig, clause_db_max=clause_db_max)
     else:
-        backend = backend_for_solver(
-            solver, use_aig=use_aig, clause_db_max=clause_db_max
-        )
+        backend = backend_for_solver(solver, use_aig=use_aig)
     if use_cache:
         return CachingBackend(backend, cache_dir=cache_dir)
     return backend

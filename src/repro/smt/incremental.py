@@ -53,7 +53,7 @@ from ..p4a.bitvec import Bits
 from .aig import FALSE_REF, Aig, AigToCnf, FolbvToAig
 from .bvsolver import SatResult, SatStatus, SolverStatistics, complete_model
 from .sat.cnf import CnfBuilder
-from .sat.solver import DEFAULT_CLAUSE_DB_MAX, CdclSolver
+from .sat.solver import CdclSolver
 
 
 class IncrementalSession:
@@ -70,15 +70,12 @@ class IncrementalSession:
         validate_models: bool = True,
         statistics: Optional[SolverStatistics] = None,
         use_aig: bool = True,
-        clause_db_max: Optional[int] = None,
     ) -> None:
         self._aig = Aig(simplify=use_aig)
         self._lowerer = FolbvToAig(self._aig)
         self._builder = CnfBuilder()
-        if clause_db_max is None:
-            clause_db_max = DEFAULT_CLAUSE_DB_MAX
         self._emitter = AigToCnf(self._aig, self._builder)
-        self._solver = CdclSolver(clause_db_max=clause_db_max)
+        self._solver = CdclSolver()
         self._use_aig = use_aig
         # fingerprint -> (activation literal, graph ref, encoding cone)
         self._activations: Dict[str, Tuple[int, int, frozenset]] = {}
@@ -95,11 +92,7 @@ class IncrementalSession:
         # deltas into the (possibly shared) statistics ledger.
         self._published_nodes = 0
         self._published_saved = 0
-        self._published_reductions = 0
-        self._published_deleted = 0
         self._published_minimized = 0
-        self._published_lbd_sum = 0
-        self._published_learned = 0
         #: Statistics sink; pass the owning solver's object to keep one ledger.
         self.statistics = statistics if statistics is not None else SolverStatistics()
         #: Number of queries answered by this session.
@@ -159,26 +152,10 @@ class IncrementalSession:
         self.statistics.aig_clauses_saved += saved - self._published_saved
         self._published_nodes = nodes
         self._published_saved = saved
-        # Learned-database management counters, same delta discipline.
-        solver_stats = self._solver.stats
-        self.statistics.db_reductions += (
-            solver_stats.db_reductions - self._published_reductions
-        )
-        self.statistics.clauses_deleted += (
-            solver_stats.clauses_deleted - self._published_deleted
-        )
-        self.statistics.minimized_literals += (
-            solver_stats.minimized_literals - self._published_minimized
-        )
-        self.statistics.lbd_sum += solver_stats.lbd_sum - self._published_lbd_sum
-        self.statistics.lbd_clauses += (
-            solver_stats.learned_clauses - self._published_learned
-        )
-        self._published_reductions = solver_stats.db_reductions
-        self._published_deleted = solver_stats.clauses_deleted
-        self._published_minimized = solver_stats.minimized_literals
-        self._published_lbd_sum = solver_stats.lbd_sum
-        self._published_learned = solver_stats.learned_clauses
+        # The solver's minimization counter, same delta discipline.
+        minimized = self._solver.stats.minimized_literals
+        self.statistics.minimized_literals += minimized - self._published_minimized
+        self._published_minimized = minimized
 
     # ------------------------------------------------------------------
 

@@ -3,13 +3,12 @@
 from .brute import brute_force_solve, check_model
 from .cnf import Cnf, CnfBuilder
 from .dpll import dpll_solve
-from .solver import DEFAULT_CLAUSE_DB_MAX, CdclSolver, SolverStats, cdcl_solve
+from .solver import CdclSolver, SolverStats, cdcl_solve
 
 __all__ = [
     "CdclSolver",
     "Cnf",
     "CnfBuilder",
-    "DEFAULT_CLAUSE_DB_MAX",
     "SolverStats",
     "brute_force_solve",
     "cdcl_solve",

@@ -11,14 +11,6 @@ implementation follows the standard MiniSat-style architecture:
 * VSIDS-like variable activities with exponential decay (heap-ordered),
 * Luby-sequence restarts,
 * phase saving,
-* **learned-clause database management** in the Glucose tradition: every
-  learned clause carries its LBD ("glue": the number of distinct decision
-  levels among its literals, Audemard & Simon), and when the live learned
-  set outgrows a geometrically growing budget the worst half — highest LBD
-  first, least active as the tie-break — is deleted.  Binary clauses, glue
-  clauses (LBD ≤ 2) and clauses currently locked as the reason of an
-  assigned variable are never deleted, so reductions are sound at any point
-  of the search and across incremental :meth:`CdclSolver.solve` calls,
 * **incremental solving under assumptions**: clauses can be added between
   :meth:`CdclSolver.solve` calls, and each call may pass a list of assumption
   literals that are seeded as the first decisions.  Learned clauses, variable
@@ -28,13 +20,11 @@ implementation follows the standard MiniSat-style architecture:
   assumptions that is already sufficient for the conflict (the MiniSat
   "final conflict" analysis).
 
-Clauses live in an **arena** of stable ids (:attr:`CdclSolver._arena`):
-watch lists and variable reasons store arena ids, deletion tombstones a slot
-without disturbing any other id, and the occasional compaction that squeezes
-the tombstones out rebuilds every id-bearing structure (watches, reasons) in
-one pass.  Deleting a *learned* clause is always sound — learned clauses are
-implied by the problem clauses, so dropping one can only make the solver
-rediscover it.
+Clauses live in an **arena** (:attr:`CdclSolver._arena`), a list of literal
+lists that only grows: watch lists and variable reasons store arena indices.
+Every learned clause is kept for the solver's lifetime: the verification
+conditions here learn few clauses, far from the long searches where
+learned-clause deletion pays off.
 
 Learned clauses are sound across calls because conflict analysis only resolves
 over clauses in the database — an assumption enters a learned clause only as a
@@ -59,18 +49,6 @@ _UNASSIGNED = 0
 _TRUE = 1
 _FALSE = -1
 
-#: Default cap on the live learned-clause set (see ``clause_db_max``); 0
-#: disables reduction entirely and keeps every learned clause forever.
-DEFAULT_CLAUSE_DB_MAX = 4000
-
-#: Learned clauses with an LBD at or below this are "glue" and never deleted.
-GLUE_LBD = 2
-
-#: The reduction budget starts at this fraction of ``clause_db_max`` ...
-_BUDGET_START_DIVISOR = 4
-#: ... and grows by this factor after every reduction, up to the cap.
-_BUDGET_GROWTH = 1.5
-
 
 @dataclass
 class SolverStats:
@@ -79,10 +57,7 @@ class SolverStats:
     ``propagations`` counts **implications enqueued** — assignments forced by
     a clause during unit propagation — not trail positions scanned (earlier
     versions conflated the two).  ``minimized_literals`` counts literals
-    removed from learned clauses by conflict-clause minimization;
-    ``db_reductions``/``clauses_deleted`` account for learned-database
-    reductions, and ``lbd_sum`` accumulates the LBD of every learned clause
-    (so :attr:`avg_lbd` is the running mean glue).
+    removed from learned clauses by conflict-clause minimization.
     """
 
     decisions: int = 0
@@ -92,29 +67,7 @@ class SolverStats:
     restarts: int = 0
     max_decision_level: int = 0
     solve_calls: int = 0
-    db_reductions: int = 0
-    clauses_deleted: int = 0
     minimized_literals: int = 0
-    lbd_sum: int = 0
-
-    @property
-    def avg_lbd(self) -> float:
-        """Mean LBD over every clause learned so far (0.0 before the first)."""
-        if not self.learned_clauses:
-            return 0.0
-        return self.lbd_sum / self.learned_clauses
-
-
-class _Clause:
-    """One arena entry: literals plus the learned-clause metadata."""
-
-    __slots__ = ("literals", "learned", "lbd", "activity")
-
-    def __init__(self, literals: List[int], learned: bool = False, lbd: int = 0) -> None:
-        self.literals = literals
-        self.learned = learned
-        self.lbd = lbd
-        self.activity = 0.0
 
 
 class CdclSolver:
@@ -124,26 +77,13 @@ class CdclSolver:
     empty.  :meth:`add_clause` appends problem clauses at any point between
     solve calls, and :meth:`ensure_num_vars` grows the variable range (both
     are implicit for clauses mentioning new variables).
-
-    ``clause_db_max`` caps the live learned-clause set: once more than a
-    geometrically growing budget (starting at a quarter of the cap) of
-    non-binary learned clauses is live, a reduction deletes the highest-LBD,
-    least-active half of the deletable ones.  ``0`` disables reduction and
-    keeps every learned clause, the pre-database behaviour.
     """
 
-    def __init__(
-        self,
-        cnf: Optional[Cnf] = None,
-        clause_db_max: int = DEFAULT_CLAUSE_DB_MAX,
-    ) -> None:
-        if clause_db_max < 0:
-            raise ValueError(f"clause_db_max must be >= 0, got {clause_db_max}")
+    def __init__(self, cnf: Optional[Cnf] = None) -> None:
         self._num_vars = 0
-        #: Stable-id clause arena; a deleted clause leaves a ``None`` slot so
-        #: no other id moves.  Compaction (see :meth:`_compact_arena`) renames
-        #: the survivors and rebuilds watches and reasons to match.
-        self._arena: List[Optional[_Clause]] = []
+        #: Every stored clause (problem and learned) of two or more literals;
+        #: watches and reasons refer to clauses by their index here.
+        self._arena: List[List[int]] = []
         # values[v] ∈ {_TRUE, _FALSE, _UNASSIGNED}, indexed by variable.
         self._values: List[int] = [_UNASSIGNED]
         self._levels: List[int] = [0]
@@ -160,17 +100,9 @@ class CdclSolver:
         self._order_heap: List[Tuple[float, int]] = []
         self._activity_increment = 1.0
         self._activity_decay = 0.95
-        self._clause_activity_increment = 1.0
-        self._clause_activity_decay = 0.999
         self._queue_position = 0
         # (decision-var set, local activity heap) during a restricted solve.
         self._restricted: Optional[Tuple[set, List[Tuple[float, int]]]] = None
-        self.clause_db_max = clause_db_max
-        self._learned_live = 0  # live learned clauses of length >= 3
-        self._deleted_slots = 0
-        self._learned_budget = (
-            max(256, clause_db_max // _BUDGET_START_DIVISOR) if clause_db_max else 0
-        )
         self.stats = SolverStats()
         self._ok = True
         #: After an unsat :meth:`solve` under assumptions: a subset of the
@@ -205,11 +137,6 @@ class CdclSolver:
     # Clause management
     # ------------------------------------------------------------------
 
-    @property
-    def learned_live(self) -> int:
-        """Live learned clauses of length ≥ 3 (the reduction's working set)."""
-        return self._learned_live
-
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a problem clause; callable between :meth:`solve` calls.
 
@@ -242,61 +169,21 @@ class CdclSolver:
             if not self._enqueue(unique[0], None):
                 self._ok = False
             return
-        self._store_clause(_Clause(unique))
+        self._store_clause(unique)
 
-    def add_learned_clause(self, literals: Iterable[int], lbd: int) -> None:
-        """Add an *implied* clause to the learned database with a given LBD.
-
-        Same root-level simplification as :meth:`add_clause`, but the clause
-        is stored as learned with the supplied LBD, so it competes for
-        retention like a locally learned clause: glue clauses are kept, high
-        LBD clauses are the first out at the next reduction.  Callers must
-        only pass clauses implied by the problem clauses, or deleting them
-        would be unsound to begin with.
-        """
-        if not self._ok:
-            return
-        self._backjump(0)
-        unique: List[int] = []
-        seen = set()
-        for literal in literals:
-            if -literal in seen:
-                return  # tautology
-            if literal in seen:
-                continue
-            seen.add(literal)
-            self.ensure_num_vars(abs(literal))
-            value = self._value(literal)
-            if value == _TRUE:
-                return
-            if value == _FALSE:
-                continue
-            unique.append(literal)
-        if not unique:
-            self._ok = False
-            return
-        if len(unique) == 1:
-            if not self._enqueue(unique[0], None):
-                self._ok = False
-            return
-        self._store_clause(_Clause(unique, learned=True, lbd=max(1, lbd)))
-
-    def _store_clause(self, clause: _Clause) -> int:
+    def _store_clause(self, literals: List[int]) -> int:
         """Place a clause in the arena and register its watches."""
         index = len(self._arena)
-        self._arena.append(clause)
-        literals = clause.literals
+        self._arena.append(literals)
         if len(literals) == 2:
             self._bin_watches.setdefault(-literals[0], []).append((literals[1], index))
             self._bin_watches.setdefault(-literals[1], []).append((literals[0], index))
         else:
             self._watch(literals[0], index)
             self._watch(literals[1], index)
-            if clause.learned:
-                self._learned_live += 1
         return index
 
-    def _add_learned(self, literals: List[int], lbd: int) -> int:
+    def _add_learned(self, literals: List[int]) -> int:
         if len(literals) < 2:
             raise ValueError("learned clauses with < 2 literals are enqueued directly")
         # Watch invariant for an asserting clause learned at a backjump:
@@ -311,122 +198,12 @@ class CdclSolver:
                 best = position
         if best != 1:
             literals[1], literals[best] = literals[best], literals[1]
-        index = self._store_clause(_Clause(literals, learned=True, lbd=lbd))
+        index = self._store_clause(literals)
         self.stats.learned_clauses += 1
-        self.stats.lbd_sum += lbd
         return index
 
     def _watch(self, literal: int, clause_index: int) -> None:
         self._watches.setdefault(-literal, []).append(clause_index)
-
-    # ------------------------------------------------------------------
-    # Learned-clause database reduction
-    # ------------------------------------------------------------------
-
-    def _bump_clause(self, clause: _Clause) -> None:
-        if not clause.learned:
-            return  # only learned activities drive reduction (and rescale)
-        clause.activity += self._clause_activity_increment
-        if clause.activity > 1e20:
-            for entry in self._arena:
-                if entry is not None and entry.learned:
-                    entry.activity *= 1e-20
-            self._clause_activity_increment *= 1e-20
-
-    def _locked_clauses(self) -> set:
-        """Arena ids currently serving as the reason of an assigned variable."""
-        locked = set()
-        for literal in self._trail:
-            reason = self._reasons[abs(literal)]
-            if reason is not None:
-                locked.add(reason)
-        return locked
-
-    def reduce_db(self) -> int:
-        """Delete the worst half of the deletable learned clauses.
-
-        Deletable = learned, length ≥ 3, LBD above :data:`GLUE_LBD`, and not
-        locked as the reason of a currently assigned variable.  The worst
-        half is highest LBD first, least recently active as the tie-break.
-        Safe to call at any decision level: deletion of an implied clause is
-        always sound, and locked clauses (the only ones the trail points at)
-        are kept.  Returns the number of clauses deleted.
-        """
-        locked = self._locked_clauses()
-        candidates = [
-            (clause.lbd, clause.activity, index)
-            for index, clause in enumerate(self._arena)
-            if clause is not None
-            and clause.learned
-            and len(clause.literals) > 2
-            and clause.lbd > GLUE_LBD
-            and index not in locked
-        ]
-        if not candidates:
-            return 0
-        # Highest LBD first; among equals the least active goes first.
-        candidates.sort(key=lambda entry: (-entry[0], entry[1]))
-        doomed = candidates[: (len(candidates) + 1) // 2]
-        for _, _, index in doomed:
-            self._arena[index] = None
-            self._deleted_slots += 1
-            self._learned_live -= 1
-        self.stats.db_reductions += 1
-        self.stats.clauses_deleted += len(doomed)
-        self._rebuild_watches()
-        if self._deleted_slots * 2 > len(self._arena) > 1024:
-            self._compact_arena()
-        return len(doomed)
-
-    def _rebuild_watches(self) -> None:
-        """Recompute the non-binary watch lists from the live arena.
-
-        Positions 0 and 1 of every live clause are its watched literals (the
-        propagation loop maintains that as it swaps), so one pass over the
-        arena reproduces the watch state exactly, minus the deleted ids.
-        Binary watches never contain deleted clauses and are left alone.
-        """
-        watches: Dict[int, List[int]] = {}
-        for index, clause in enumerate(self._arena):
-            if clause is None or len(clause.literals) == 2:
-                continue
-            literals = clause.literals
-            watches.setdefault(-literals[0], []).append(index)
-            watches.setdefault(-literals[1], []).append(index)
-        self._watches = watches
-
-    def _compact_arena(self) -> None:
-        """Squeeze tombstoned slots out of the arena, renaming survivors.
-
-        Every id-bearing structure — the two watch maps and the per-variable
-        reasons — is rebuilt against the new ids, so clauses referenced by
-        ``_reasons`` and the watch lists survive compaction with their
-        identity intact.
-        """
-        remap: Dict[int, int] = {}
-        arena: List[Optional[_Clause]] = []
-        for index, clause in enumerate(self._arena):
-            if clause is None:
-                continue
-            remap[index] = len(arena)
-            arena.append(clause)
-        self._arena = arena
-        self._deleted_slots = 0
-        self._reasons = [
-            None if reason is None else remap[reason] for reason in self._reasons
-        ]
-        self._rebuild_watches()
-        self._bin_watches = {
-            literal: [(other, remap[index]) for other, index in entries]
-            for literal, entries in self._bin_watches.items()
-        }
-
-    def _maybe_reduce_db(self) -> None:
-        if self.clause_db_max and self._learned_live > self._learned_budget:
-            self.reduce_db()
-            self._learned_budget = min(
-                self.clause_db_max, int(self._learned_budget * _BUDGET_GROWTH)
-            )
 
     # ------------------------------------------------------------------
     # Assignment
@@ -487,10 +264,7 @@ class CdclSolver:
             while i < len(watch_list):
                 clause_index = watch_list[i]
                 i += 1
-                entry = arena[clause_index]
-                if entry is None:
-                    continue  # deleted since this watch was recorded
-                clause = entry.literals
+                clause = arena[clause_index]
                 # Ensure the falsified literal is at position 1.
                 if clause[0] == -literal:
                     clause[0], clause[1] = clause[1], clause[0]
@@ -564,12 +338,11 @@ class CdclSolver:
 
     def _decay_activities(self) -> None:
         self._activity_increment /= self._activity_decay
-        self._clause_activity_increment /= self._clause_activity_decay
 
-    def _analyze(self, conflict_index: int) -> Tuple[List[int], int, int]:
+    def _analyze(self, conflict_index: int) -> Tuple[List[int], int]:
         """First-UIP analysis with clause minimization.
 
-        Returns ``(learned clause, backjump level, LBD)``.  The learned
+        Returns ``(learned clause, backjump level)``.  The learned
         clause is minimized by self-subsumption against reason clauses (the
         MiniSat ``ccmin`` step): a literal whose negation is implied by other
         clause literals through the implication graph is redundant and
@@ -579,9 +352,7 @@ class CdclSolver:
         seen = [False] * (self._num_vars + 1)
         counter = 0
         literal = 0
-        entry = self._arena[conflict_index]
-        self._bump_clause(entry)
-        clause = entry.literals
+        clause = self._arena[conflict_index]
         trail_index = len(self._trail) - 1
         current_level = self._decision_level()
 
@@ -609,18 +380,14 @@ class CdclSolver:
             if counter == 0:
                 learned[0] = -resolve_literal
                 break
-            reason = self._reasons[variable]
-            entry = self._arena[reason]
-            self._bump_clause(entry)
-            clause = entry.literals
+            clause = self._arena[self._reasons[variable]]
             literal = resolve_literal
 
         learned = self._minimize(learned, seen)
-        lbd = len({self._levels[abs(l)] for l in learned})
         if len(learned) == 1:
-            return learned, 0, lbd
+            return learned, 0
         backjump = max(self._levels[abs(l)] for l in learned[1:])
-        return learned, backjump, lbd
+        return learned, backjump
 
     def _minimize(self, learned: List[int], seen: List[bool]) -> List[int]:
         """Drop reason-implied literals from a freshly learned clause.
@@ -652,8 +419,7 @@ class CdclSolver:
         while stack:
             top = stack.pop()
             reason = self._reasons[abs(top)]
-            clause = self._arena[reason].literals
-            for clause_literal in clause:
+            for clause_literal in self._arena[reason]:
                 variable = abs(clause_literal)
                 if variable == abs(top) or seen[variable] or self._levels[variable] == 0:
                     continue
@@ -696,7 +462,7 @@ class CdclSolver:
                 # A decision inside the assumption prefix is an assumption.
                 failed.append(trail_literal)
             else:
-                for clause_literal in self._arena[reason].literals:
+                for clause_literal in self._arena[reason]:
                     other = abs(clause_literal)
                     if other != variable and self._levels[other] > 0:
                         seen[other] = True
@@ -855,8 +621,9 @@ class CdclSolver:
 
         while True:
             if stop is not None and stop.is_set():
-                # Cooperative cancellation (portfolio mode): abandon the
-                # search between propagations, keeping the solver reusable.
+                # Cooperative cancellation (another thread set ``stop``):
+                # abandon the search between propagations, keeping the
+                # solver reusable.
                 self._backjump(0)
                 return None, None
             conflict = self._propagate()
@@ -867,19 +634,17 @@ class CdclSolver:
                 if self._decision_level() == 0:
                     self._ok = False
                     return False, None
-                learned, backjump_level, lbd = self._analyze(conflict)
+                learned, backjump_level = self._analyze(conflict)
                 self._backjump(backjump_level)
                 if len(learned) == 1:
                     self.stats.learned_clauses += 1
-                    self.stats.lbd_sum += lbd
                     if not self._enqueue(learned[0], None):
                         self._ok = False
                         return False, None
                 else:
-                    index = self._add_learned(learned, lbd)
+                    index = self._add_learned(learned)
                     self._enqueue(learned[0], index)
                 self._decay_activities()
-                self._maybe_reduce_db()
                 if max_conflicts is not None and total_conflicts >= max_conflicts:
                     self._backjump(0)
                     return None, None
@@ -924,9 +689,8 @@ def cdcl_solve(
     max_conflicts: Optional[int] = None,
     assumptions: Optional[Sequence[int]] = None,
     stop=None,
-    clause_db_max: int = DEFAULT_CLAUSE_DB_MAX,
 ) -> Tuple[Optional[bool], Optional[Dict[int, bool]]]:
     """Convenience wrapper: build a solver and run it once."""
-    return CdclSolver(cnf, clause_db_max=clause_db_max).solve(
+    return CdclSolver(cnf).solve(
         max_conflicts=max_conflicts, assumptions=assumptions, stop=stop
     )

@@ -6,7 +6,7 @@ import multiprocessing
 import pytest
 
 from repro.campaign import CampaignConfig, CampaignError, run_campaign
-from repro.campaign.runner import available_stacks
+from repro.campaign.runner import _stack_config, available_stacks
 from repro.core.engine import EquivalenceEngine
 
 SEED = 20220613
@@ -32,6 +32,10 @@ class TestConfigValidation:
     def test_unknown_stack_rejected(self):
         with pytest.raises(CampaignError, match="unknown stacks"):
             CampaignConfig(pairs=1, stacks=("internal", "quantum"))
+
+    def test_retired_portfolio_stack_rejected(self):
+        with pytest.raises(CampaignError, match="unknown stacks"):
+            CampaignConfig(pairs=1, stacks=("portfolio",))
 
     def test_empty_stacks_rejected(self):
         with pytest.raises(CampaignError):
@@ -75,6 +79,16 @@ class TestSharding:
         assert available_stacks(False) == ("internal",)
         differential = available_stacks(True)
         assert differential[:2] == ("internal", "aig-off")
+
+    def test_differential_adds_the_first_installed_external_solver(self, monkeypatch):
+        import repro.smt.backend as backend
+
+        monkeypatch.setattr(backend, "available_external_solvers", lambda: ["z3"])
+        stacks = available_stacks(True)
+        assert stacks == ("internal", "aig-off", "z3")
+        config = CampaignConfig(pairs=1, differential=True)
+        assert config.resolved_stacks() == stacks
+        assert _stack_config("z3", config).solver == "z3"
 
 
 class TestDeterminism:

@@ -65,6 +65,24 @@ class TestIncrementalFlag:
             resolve_checker_config({}, {"LEAPFROG_INCREMENTAL": "maybe"})
 
 
+class TestAigFlag:
+    def test_unset_is_none(self):
+        assert envconfig.parse_flag(None, "LEAPFROG_AIG") is None
+        assert resolve_checker_config({}, {"LEAPFROG_AIG": ""}).use_aig is True
+
+    @pytest.mark.parametrize("value", ["1", "true", "YES", "on"])
+    def test_truthy(self, value):
+        assert resolve_checker_config({}, {"LEAPFROG_AIG": value}).use_aig is True
+
+    @pytest.mark.parametrize("value", ["0", "false", "No", "OFF"])
+    def test_falsy(self, value):
+        assert resolve_checker_config({}, {"LEAPFROG_AIG": value}).use_aig is False
+
+    def test_garbage_rejected(self):
+        with pytest.raises(EnvConfigError, match="LEAPFROG_AIG"):
+            resolve_checker_config({}, {"LEAPFROG_AIG": "maybe"})
+
+
 class TestOraclePackets:
     def test_unset_is_none(self):
         assert envconfig.parse_oracle_packets(None) is None
@@ -91,40 +109,6 @@ class TestOraclePackets:
     def test_source_names_the_flag(self):
         with pytest.raises(EnvConfigError, match="--oracle-packets"):
             envconfig.parse_oracle_packets("x", source="--oracle-packets")
-
-
-class TestClauseDb:
-    def test_unset_is_none(self):
-        assert envconfig.parse_clause_db(None) is None
-        assert envconfig.parse_clause_db("  ") is None
-
-    def test_integer_values(self):
-        assert envconfig.parse_clause_db("0") == 0
-        assert envconfig.parse_clause_db(" 2000 ") == 2000
-        assert resolve_checker_config({}, {"LEAPFROG_CLAUSE_DB": "512"}).clause_db_max == 512
-
-    def test_boolean_words(self):
-        assert envconfig.parse_clause_db("on") == envconfig.DEFAULT_CLAUSE_DB_MAX
-        assert envconfig.parse_clause_db("true") == envconfig.DEFAULT_CLAUSE_DB_MAX
-        assert envconfig.parse_clause_db("off") == 0
-        assert envconfig.parse_clause_db("FALSE") == 0
-
-    def test_negative_and_garbage_rejected(self):
-        with pytest.raises(EnvConfigError, match=">= 0"):
-            envconfig.parse_clause_db("-1")
-        with pytest.raises(EnvConfigError, match="LEAPFROG_CLAUSE_DB"):
-            envconfig.parse_clause_db("lots")
-
-    def test_source_names_the_flag(self):
-        with pytest.raises(EnvConfigError, match="--clause-db-max"):
-            envconfig.parse_clause_db("x", source="--clause-db-max")
-
-    def test_default_matches_the_solver_default(self):
-        # envconfig duplicates the solver's default so parsing environment
-        # variables never imports the solver stack; this pins the two.
-        from repro.smt.sat.solver import DEFAULT_CLAUSE_DB_MAX
-
-        assert envconfig.DEFAULT_CLAUSE_DB_MAX == DEFAULT_CLAUSE_DB_MAX
 
 
 class TestSeed:
@@ -170,24 +154,6 @@ class TestSolver:
         )
 
 
-class TestPortfolioFlag:
-    def test_unset_is_none(self):
-        assert envconfig.parse_flag(None, "LEAPFROG_PORTFOLIO") is None
-        assert resolve_checker_config({}, {"LEAPFROG_PORTFOLIO": ""}).portfolio is False
-
-    @pytest.mark.parametrize("value", ["1", "true", "YES", "on"])
-    def test_truthy(self, value):
-        assert resolve_checker_config({}, {"LEAPFROG_PORTFOLIO": value}).portfolio is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "No", "OFF"])
-    def test_falsy(self, value):
-        assert resolve_checker_config({}, {"LEAPFROG_PORTFOLIO": value}).portfolio is False
-
-    def test_garbage_rejected(self):
-        with pytest.raises(EnvConfigError, match="LEAPFROG_PORTFOLIO"):
-            resolve_checker_config({}, {"LEAPFROG_PORTFOLIO": "maybe"})
-
-
 class TestCliIntegration:
     def test_cli_reports_env_error_cleanly(self, capsys, monkeypatch):
         from repro.cli import main
@@ -223,19 +189,6 @@ class TestCliIntegration:
                   "--right-start", "b", "--solver", "z33"])
         assert "--solver" in capsys.readouterr().err
 
-    def test_cli_rejects_portfolio_with_external_solver(self, capsys, monkeypatch):
-        import shutil as _shutil
-
-        from repro.cli import main
-
-        monkeypatch.delenv("LEAPFROG_SOLVER", raising=False)
-        monkeypatch.setattr(_shutil, "which", lambda name: f"/usr/bin/{name}")
-        code = main(["table", "--case", "Header initialization",
-                     "--solver", "z3", "--portfolio"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "cannot be combined" in captured.err
-
     def test_cli_rejects_missing_external_solver(self, capsys, monkeypatch):
         import shutil as _shutil
 
@@ -259,8 +212,6 @@ _PRECEDENCE = {
     "oracle_packets": ("32", 32, 8),
     "oracle_seed": ("7", 7, 9),
     "solver": ("dpll", "dpll", "internal"),
-    "portfolio": ("on", True, False),
-    "clause_db_max": ("512", 512, 100),
 }
 
 
@@ -299,7 +250,7 @@ class TestResolveCheckerConfig:
         from repro.smt.backend import InternalBackend, backend_for_solver
 
         config = resolve_checker_config({}, {})
-        assert config.solver is None and config.portfolio is False
+        assert config.solver is None
         assert isinstance(backend_for_solver(config.solver), InternalBackend)
 
 

@@ -1,11 +1,11 @@
 """Differential parity: every backend must agree with the internal solver.
 
-Each registry mini scenario runs through the internal backend, the portfolio
-backend and (when one is on PATH) an external SMT solver; the verdicts must
-agree pairwise, and every extracted counterexample must replay concretely —
-``accepts`` really diverging on the witness packet — whatever backend found
-it.  The portfolio rows double as the "portfolio never changes a verdict"
-acceptance gate.
+Each registry mini scenario runs through the internal CDCL backend with its
+incremental session, and again through the internal DPLL engine, through
+monolithic (one fresh query per entailment) solving, and (when one is on
+PATH) an external SMT solver; the verdicts must agree, and every extracted
+counterexample must replay concretely — ``accepts`` really diverging on the
+witness packet — whatever backend found it.
 """
 
 import pytest
@@ -53,14 +53,20 @@ def _assert_agreement(name, baseline, other, label):
 
 
 @pytest.mark.parametrize("name", mini_names())
-def test_portfolio_matches_internal(name):
+def test_dpll_matches_internal(name):
     baseline = _run(name, _config())
-    raced = _run(name, _config(portfolio=True))
-    _assert_agreement(name, baseline, raced, "portfolio")
-    # The portfolio's lane counters must account for every query it answered.
-    lanes = raced.statistics.entailment.get("portfolio")
-    if lanes:
-        assert sum(counters["wins"] for counters in lanes.values()) > 0
+    dpll = _run(name, _config(solver="dpll"))
+    _assert_agreement(name, baseline, dpll, "dpll")
+    assert dpll.verdict is get(name).expected_equivalent
+
+
+@pytest.mark.parametrize("name", mini_names())
+def test_monolithic_matches_incremental(name):
+    baseline = _run(name, _config())
+    monolithic = _run(name, _config(use_incremental=False))
+    _assert_agreement(name, baseline, monolithic, "monolithic")
+    assert (monolithic.statistics.relation_size
+            == baseline.statistics.relation_size)
 
 
 @pytest.mark.parametrize("name", mini_names())

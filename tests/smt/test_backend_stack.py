@@ -1,11 +1,11 @@
-"""Tests for the layered solver-backend stack and the portfolio race."""
+"""Tests for the layered solver-backend stack."""
 
 import threading
 import time
 
 import pytest
 
-from repro.logic.folbv import BEq, BNot, BVConst, BVVar, b_and
+from repro.logic.folbv import BEq, BVConst, BVVar
 from repro.p4a.bitvec import Bits
 from repro.smt.backend import (
     BackendError,
@@ -13,7 +13,6 @@ from repro.smt.backend import (
     EXTERNAL_SOLVER_COMMANDS,
     ExternalBackend,
     InternalBackend,
-    PortfolioBackend,
     SolverBackend,
     SolverCapabilities,
 )
@@ -22,7 +21,6 @@ from repro.smt.cache import CachingBackend, make_backend
 
 A = BVVar("a", 4)
 SAT_FORMULA = BEq(A, BVConst(Bits("1010")))
-UNSAT_FORMULA = b_and([BEq(A, BVConst(Bits("1010"))), BNot(BEq(A, BVConst(Bits("1010"))))])
 
 
 class TestProtocol:
@@ -67,18 +65,34 @@ class TestProtocol:
 
 
 class TestMakeBackend:
-    def test_portfolio_excludes_external_solver(self):
-        with pytest.raises(BackendError, match="cannot be combined"):
-            make_backend(use_cache=False, portfolio=True, solver="z3")
+    @pytest.mark.parametrize("solver", [None, "internal", "cdcl", "dpll", "internal-dpll"])
+    def test_internal_engines_honour_use_aig(self, solver):
+        backend = make_backend(solver=solver, use_aig=False, use_cache=False)
+        assert backend.internal_solver.use_aig is False
 
-    def test_portfolio_allows_internal_spellings(self):
-        backend = make_backend(use_cache=False, portfolio=True, solver="internal")
-        assert isinstance(backend, PortfolioBackend)
-
-    def test_cache_wraps_portfolio(self):
-        backend = make_backend(use_cache=True, portfolio=True)
+    def test_cache_wraps_the_internal_backend(self):
+        backend = make_backend()
         assert isinstance(backend, CachingBackend)
+        assert isinstance(backend.inner, InternalBackend)
         assert backend.capabilities.caching
+
+    def test_use_cache_false_wins_over_cache_dir(self, tmp_path):
+        backend = make_backend(use_cache=False, cache_dir=str(tmp_path))
+        assert isinstance(backend, InternalBackend)
+        assert not backend.capabilities.caching
+
+    def test_explicit_inner_ignores_the_solver_choice(self):
+        inner = InternalBackend(engine="dpll")
+        backend = make_backend(inner=inner, solver="cdcl", use_aig=False)
+        assert backend.inner is inner
+        assert backend.internal_solver.use_aig is True
+
+    def test_missing_external_solver_is_an_error(self, monkeypatch):
+        import shutil
+
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        with pytest.raises(BackendError, match="not on PATH"):
+            make_backend(solver="z3")
 
 
 class TestExternalSolverTable:
@@ -141,158 +155,5 @@ class TestExternalBackend:
         backend = _fake_solver(tmp_path, "echo sat")
         result = backend.check_sat(SAT_FORMULA)
         # No model values in the output: every variable defaults to zeros,
-        # which is why real portfolio lanes re-validate SAT models.
+        # so a caller that needs a real witness must re-validate SAT models.
         assert result.status is SatStatus.SAT
-
-
-class _CannedBackend(SolverBackend):
-    """A scripted lane: waits, then answers (or crashes)."""
-
-    def __init__(self, name, status, delay=0.0, crash=False, obeys_stop=True):
-        self.name = name
-        self._status = status
-        self._delay = delay
-        self._crash = crash
-        self._obeys_stop = obeys_stop
-        from repro.smt.bvsolver import SolverStatistics
-
-        self._statistics = SolverStatistics()
-
-    def check_sat(self, formula, stop=None):
-        deadline = time.perf_counter() + self._delay
-        while time.perf_counter() < deadline:
-            if self._obeys_stop and stop is not None and stop.is_set():
-                return SatResult(SatStatus.UNKNOWN, None, 0.0, reason="cancelled")
-            time.sleep(0.005)
-        if self._crash:
-            raise RuntimeError("lane exploded")
-        model = {"a": Bits("1010")} if self._status is SatStatus.SAT else None
-        return SatResult(self._status, model, 0.0)
-
-    @property
-    def statistics(self):
-        return self._statistics
-
-    @property
-    def capabilities(self):
-        return SolverCapabilities(models=True, cancellation=True)
-
-
-class TestPortfolio:
-    def test_single_lane_counts_an_uncontested_win(self):
-        backend = PortfolioBackend(external_backends=[])
-        result = backend.check_sat(SAT_FORMULA)
-        assert result.is_sat
-        assert backend.lane_counters["internal"]["wins"] == 1
-
-    def test_first_answer_wins_and_loser_is_cancelled(self):
-        fast = _CannedBackend("fast", SatStatus.UNSAT, delay=0.0)
-        slow = _CannedBackend("slow", SatStatus.UNSAT, delay=10.0)
-        backend = PortfolioBackend(
-            include_internal=False, external_backends=[fast, slow]
-        )
-        start = time.perf_counter()
-        result = backend.check_sat(UNSAT_FORMULA)
-        assert result.is_unsat
-        assert time.perf_counter() - start < 5.0  # the slow lane was cancelled
-        assert backend.lane_counters["fast"]["wins"] == 1
-        assert backend.lane_counters["slow"]["cancelled"] == 1
-
-    def test_caller_stop_cancels_every_lane(self):
-        lanes = [
-            _CannedBackend("one", SatStatus.SAT, delay=10.0),
-            _CannedBackend("two", SatStatus.SAT, delay=10.0),
-        ]
-        backend = PortfolioBackend(include_internal=False, external_backends=lanes)
-        stop = threading.Event()
-        results = []
-        worker = threading.Thread(
-            target=lambda: results.append(backend.check_sat(SAT_FORMULA, stop=stop))
-        )
-        worker.start()
-        time.sleep(0.15)
-        stop.set()
-        worker.join(timeout=5)
-        assert not worker.is_alive()
-        (result,) = results
-        assert result.status is SatStatus.UNKNOWN
-
-    def test_crashing_lane_does_not_sink_the_race(self):
-        crash = _CannedBackend("crash", SatStatus.SAT, crash=True)
-        good = _CannedBackend("good", SatStatus.UNSAT, delay=0.1)
-        backend = PortfolioBackend(
-            include_internal=False, external_backends=[crash, good]
-        )
-        result = backend.check_sat(UNSAT_FORMULA)
-        assert result.is_unsat
-        assert backend.lane_counters["crash"]["errors"] == 1
-        assert backend.lane_counters["good"]["wins"] == 1
-
-    def test_internal_lane_races_real_queries(self):
-        slow_sat = _CannedBackend("ext", SatStatus.SAT, delay=10.0)
-        backend = PortfolioBackend(external_backends=[slow_sat])
-        result = backend.check_sat(SAT_FORMULA)
-        assert result.is_sat
-        assert backend.lane_counters["internal"]["wins"] == 1
-        assert backend.lane_counters["ext"]["cancelled"] == 1
-
-    def test_bogus_winning_model_is_rejected(self):
-        # The fake lane answers SAT with a model that does not satisfy the
-        # (unsatisfiable) formula; validation must catch it.
-        liar = _CannedBackend("liar", SatStatus.SAT)
-        backend = PortfolioBackend(include_internal=False, external_backends=[liar])
-        with pytest.raises(BackendError, match="bogus model"):
-            backend.check_sat(UNSAT_FORMULA)
-
-    def test_combine_raises_on_disagreement(self):
-        backend = PortfolioBackend(
-            include_internal=False,
-            external_backends=[
-                _CannedBackend("yes", SatStatus.SAT),
-                _CannedBackend("no", SatStatus.UNSAT),
-            ],
-        )
-        arrivals = [
-            ("yes", SatResult(SatStatus.SAT, {"a": Bits("1010")}, 0.0)),
-            ("no", SatResult(SatStatus.UNSAT, None, 0.0)),
-        ]
-        with pytest.raises(BackendError, match="disagree"):
-            backend._combine(arrivals)
-
-    def test_combine_all_unknown_reports_reasons(self):
-        backend = PortfolioBackend(
-            include_internal=False,
-            external_backends=[
-                _CannedBackend("one", SatStatus.UNKNOWN),
-                _CannedBackend("two", SatStatus.UNKNOWN),
-            ],
-        )
-        result = backend._finish(
-            [
-                ("one", SatResult(SatStatus.UNKNOWN, None, 0.0, reason="timeout")),
-                ("two", SatResult(SatStatus.UNKNOWN, None, 0.0, reason="cancelled")),
-            ],
-            time.perf_counter(),
-            SAT_FORMULA,
-        )
-        assert result.status is SatStatus.UNKNOWN
-        assert result.reason == "cancelled;timeout"
-
-    def test_no_lanes_is_an_error(self):
-        with pytest.raises(BackendError, match="at least one lane"):
-            PortfolioBackend(include_internal=False, external_backends=[])
-
-    def test_portfolio_mirrors_aig_counters(self):
-        backend = PortfolioBackend(external_backends=[])
-        backend.check_sat(SAT_FORMULA)
-        assert backend.statistics.aig_nodes > 0
-
-    def test_no_orphaned_threads_after_check(self):
-        lanes = [
-            _CannedBackend("one", SatStatus.UNSAT, delay=0.0),
-            _CannedBackend("two", SatStatus.UNSAT, delay=10.0),
-        ]
-        backend = PortfolioBackend(include_internal=False, external_backends=lanes)
-        before = threading.active_count()
-        backend.check_sat(UNSAT_FORMULA)
-        assert threading.active_count() == before

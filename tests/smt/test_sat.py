@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.smt.sat.brute import brute_force_solve, check_model
 from repro.smt.sat.cnf import Cnf, CnfBuilder
 from repro.smt.sat.dpll import dpll_solve
-from repro.smt.sat.solver import GLUE_LBD, CdclSolver, cdcl_solve
+from repro.smt.sat.solver import CdclSolver, cdcl_solve
 
 
 def cnf_from_clauses(num_vars, clauses) -> Cnf:
@@ -407,8 +407,8 @@ class TestSolverInternals:
         self._decide_at_level(solver, 1)   # x1 true at level 1
         self._decide_at_level(solver, 2)   # x2 true at level 2
         self._decide_at_level(solver, 3)   # x3 true at level 3
-        index = solver._add_learned([4, -1, -3, -2], lbd=3)
-        stored = solver._arena[index].literals
+        index = solver._add_learned([4, -1, -3, -2])
+        stored = solver._arena[index]
         assert stored[0] == 4
         assert stored[1] == -3  # level 3, the highest among the falsified
 
@@ -422,8 +422,8 @@ class TestSolverInternals:
         solver.ensure_num_vars(3)
         self._decide_at_level(solver, -2)  # x2 false at level 1
         self._decide_at_level(solver, -3)  # x3 false at level 2
-        index = solver._add_learned([1, 2, 3], lbd=2)
-        assert solver._arena[index].literals[:2] == [1, 3]
+        index = solver._add_learned([1, 2, 3])
+        assert solver._arena[index][:2] == [1, 3]
         # The asserting enqueue, as the search loop would do it.
         assert solver._enqueue(1, index)
         assert solver._propagate() is None
@@ -479,116 +479,50 @@ class TestSolverInternals:
         assert model[2] and model[3] and model[4]
         assert solver.stats.propagations == 3
 
-
-# ---------------------------------------------------------------------------
-# Learned-clause database management: reduction policy and its invisibility
-# in solver answers.
-# ---------------------------------------------------------------------------
-
-
-class TestClauseDbReduction:
-    def test_reduce_db_deletes_worst_protects_glue_and_binary(self):
-        solver = CdclSolver()
-        solver.ensure_num_vars(9)
-        solver.add_learned_clause([1, 2, 3], lbd=GLUE_LBD)  # glue: protected
-        solver.add_learned_clause([4, 5], lbd=5)            # binary: protected
-        solver.add_learned_clause([6, 7, 8], lbd=7)
-        solver.add_learned_clause([2, 5, 9], lbd=9)
-        assert solver.learned_live == 3  # binary is outside the working set
-        assert solver.reduce_db() == 1   # worst half of the two deletable
-        assert solver.learned_live == 2
-        live = [set(c.literals) for c in solver._arena if c is not None]
-        assert {1, 2, 3} in live       # glue survived
-        assert {6, 7, 8} in live       # lower LBD survived
-        assert {2, 5, 9} not in live   # highest LBD went first
-        assert solver.stats.db_reductions == 1
-        assert solver.stats.clauses_deleted == 1
-
-    def test_reduce_db_spares_locked_clauses(self):
-        solver = CdclSolver()
-        solver.ensure_num_vars(3)
-        solver.add_learned_clause([1, 2, 3], lbd=9)
-        index = next(
-            i for i, c in enumerate(solver._arena)
-            if c is not None and c.lbd == 9
-        )
-        # Lock the clause as the reason of an assigned variable.
-        solver._trail_limits.append(len(solver._trail))
-        assert solver._enqueue(1, index)
-        assert solver.reduce_db() == 0
-        solver._backjump(0)
-        assert solver.reduce_db() == 1  # unlocked now: fair game
-
-    def test_learned_clause_stats_track_lbd(self):
+    def test_pigeonhole_learns_and_minimizes_clauses(self):
+        # Pigeonhole 5 into 4: the refutation needs learned clauses, and
+        # conflict-clause minimization drops literals from some of them.
         def var(pigeon, hole):
-            return pigeon * 2 + hole + 1
+            return pigeon * 4 + hole + 1
 
         clauses = []
-        for pigeon in range(3):
-            clauses.append(tuple(var(pigeon, hole) for hole in range(2)))
-        for hole in range(2):
-            for p1 in range(3):
-                for p2 in range(p1 + 1, 3):
+        for pigeon in range(5):
+            clauses.append(tuple(var(pigeon, hole) for hole in range(4)))
+        for hole in range(4):
+            for p1 in range(5):
+                for p2 in range(p1 + 1, 5):
                     clauses.append((-var(p1, hole), -var(p2, hole)))
-        solver = CdclSolver(cnf_from_clauses(6, clauses))
+        solver = CdclSolver(cnf_from_clauses(20, clauses))
         assert solver.solve()[0] is False
         assert solver.stats.learned_clauses > 0
-        # Every learned clause spans at least one decision level.
-        assert solver.stats.lbd_sum >= solver.stats.learned_clauses
-        assert solver.stats.avg_lbd == pytest.approx(
-            solver.stats.lbd_sum / solver.stats.learned_clauses
-        )
+        assert solver.stats.minimized_literals > 0
 
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError):
-            CdclSolver(clause_db_max=-1)
-
-    @settings(max_examples=100, deadline=None)
-    @given(random_cnf(), st.lists(_assumption_sets, min_size=2, max_size=4))
-    def test_forced_reductions_never_change_answers(self, cnf, assumption_sets):
-        """Deleting learned clauses between and during queries is invisible:
-        a solver with reduce_db() forced after every solve agrees with an
-        unbounded solver and with DPLL on every verdict and model."""
-        reduced = CdclSolver(cnf, clause_db_max=4)
-        unbounded = CdclSolver(cnf, clause_db_max=0)
-        for assumptions in assumption_sets:
-            sat, model = reduced.solve(assumptions=assumptions)
-            other, other_model = unbounded.solve(assumptions=assumptions)
-            reference = cnf_from_clauses(
-                _NUM_VARS, list(cnf.clauses) + [(l,) for l in assumptions]
-            )
-            expected, _ = dpll_solve(reference)
-            assert sat == expected and other == expected
-            if sat:
-                assert check_model(reference, model)
-                assert check_model(reference, other_model)
-            reduced.reduce_db()  # delete mid-session, before the next query
-        assert unbounded.stats.db_reductions == 0
-
-    def test_long_churn_stays_bounded_and_agrees_with_unbounded(self):
-        """Organic reductions on a hard-ish random instance keep the live
-        learned set bounded while every verdict matches an unbounded twin."""
+    def test_long_churn_agrees_with_fresh_solvers(self):
+        """One solver re-queried under many assumption sets on a hard-ish
+        random instance keeps every learned clause and still answers as a
+        fresh solver does; its arena only ever grows, by plain literal lists."""
         rng = random.Random(11)
         clauses = []
         for _ in range(170):
             vs = rng.sample(range(1, 41), 3)
             clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
-        capped = CdclSolver(clause_db_max=64)
-        capped._learned_budget = 16  # shrink the start budget to test scale
-        unbounded = CdclSolver(clause_db_max=0)
-        for solver in (capped, unbounded):
-            solver.ensure_num_vars(40)
-            for clause in clauses:
-                solver.add_clause(clause)
+        reused = CdclSolver(cnf_from_clauses(40, clauses))
+        arena_sizes = [len(reused._arena)]
         arng = random.Random(12)
         for _ in range(25):
             assumptions = [
                 v if arng.random() < 0.5 else -v
                 for v in arng.sample(range(1, 41), 5)
             ]
-            verdict = capped.solve(assumptions=assumptions)[0]
-            assert verdict == unbounded.solve(assumptions=assumptions)[0]
-        assert capped.stats.db_reductions > 0
-        assert capped.stats.clauses_deleted > 0
-        assert capped.learned_live < unbounded.learned_live
-        assert capped.learned_live <= 2 * 64  # glue/locked may ride above cap
+            verdict, model = reused.solve(assumptions=assumptions)
+            fresh = CdclSolver(cnf_from_clauses(40, clauses))
+            assert verdict == fresh.solve(assumptions=assumptions)[0]
+            if verdict:
+                reference = cnf_from_clauses(
+                    40, clauses + [(literal,) for literal in assumptions]
+                )
+                assert check_model(reference, model)
+            arena_sizes.append(len(reused._arena))
+        assert reused.stats.learned_clauses > 0
+        assert arena_sizes == sorted(arena_sizes)
+        assert all(isinstance(clause, list) and len(clause) >= 2 for clause in reused._arena)
