@@ -135,9 +135,9 @@ def test_aig_ablation_verdict_parity(benchmark, record_case, engine, checker_con
             == without_aig.statistics.relation_size)
     assert (with_aig.statistics.reachable_pairs
             == without_aig.statistics.reachable_pairs)
-    assert int(with_aig.statistics.entailment.get("aig_nodes", 0)) > 0
-    assert int(with_aig.statistics.entailment.get("aig_clauses_saved", 0)) > 0
-    assert int(without_aig.statistics.entailment.get("aig_shortcuts", 0)) == 0
+    assert with_aig.statistics.ledger["aig.nodes"] > 0
+    assert with_aig.statistics.ledger["aig.clauses_saved"] > 0
+    assert without_aig.statistics.ledger["aig.shortcuts"] == 0
     for variant, result in zip(_AIG_CONFIGS, (with_aig, without_aig)):
         metrics = structural_metrics(f"Speculative loop [{variant}]", left, right)
         attach_run_statistics(metrics, result.statistics, result.verdict)

@@ -9,7 +9,7 @@ micro-benchmark of a single representative entailment query is also included.
 
 import time
 
-from repro import envconfig
+from repro import counters, envconfig
 from repro.core.algorithm import CheckerConfig
 from repro.core.entailment import EntailmentChecker
 from repro.core.equivalence import check_language_equivalence
@@ -39,15 +39,15 @@ def test_query_time_distribution(benchmark, record_case):
 
     result = benchmark.pedantic(run, iterations=1, rounds=1)
     assert result.proved
-    stats = backend.statistics
+    solver = result.statistics.solver
     metrics = structural_metrics("Speculative loop [query stats]", left, right)
     attach_run_statistics(metrics, result.statistics, result.verdict)
-    metrics.extra["query_p99_seconds"] = round(stats.percentile_time(0.99), 4)
-    metrics.extra["query_max_seconds"] = round(stats.max_time, 4)
+    metrics.extra["query_p99_seconds"] = round(solver["p99_time"], 4)
+    metrics.extra["query_max_seconds"] = round(solver["max_time"], 4)
     record_case(metrics)
     # The paper's observation, scaled to this solver: no query should take
     # longer than a handful of seconds.
-    assert stats.max_time < 10.0
+    assert solver["max_time"] < 10.0
 
 
 def test_query_cache_speedup(benchmark, record_case):
@@ -76,23 +76,21 @@ def test_query_cache_speedup(benchmark, record_case):
 
     cached_backend = CachingBackend(InternalBackend())
     assert check(cached_backend).proved  # cold run populates the cache
-    solves_before_warm = cached_backend.statistics.queries
 
     result = benchmark.pedantic(lambda: check(cached_backend), iterations=1, rounds=1)
     warm_seconds = result.statistics.runtime_seconds
     assert result.proved
 
-    # The checker's statistics delta the shared backend's counters, so this
-    # is the warm run's own hit rate (not the cold+warm cumulative one).
+    # Every check counts in a ledger of its own, so this is the warm run's
+    # own hit rate (not the cold+warm cumulative one).
     warm_cache = result.statistics.cache
     assert warm_cache["hits"] > 0, "the warm run should answer queries from the cache"
     assert warm_cache["hit_rate"] > 0
     # Deterministic proxy for the speedup: the warm run reaches the solver
-    # strictly less often than the uncached baseline (the backend's counter
-    # is cumulative across the cold and warm runs, hence the delta).  The
-    # wall-clock times are recorded in the metrics row rather than asserted —
-    # a one-shot timing comparison is a flake risk on a loaded CI runner.
-    warm_solver_queries = cached_backend.statistics.queries - solves_before_warm
+    # strictly less often than the uncached baseline.  The wall-clock times
+    # are recorded in the metrics row rather than asserted — a one-shot
+    # timing comparison is a flake risk on a loaded CI runner.
+    warm_solver_queries = result.statistics.solver["queries"]
     assert warm_solver_queries < uncached_result.statistics.solver["queries"]
 
     metrics = structural_metrics("Speculative loop [warm query cache]", left, right)
@@ -209,28 +207,30 @@ def _entailed_sweep_workload(use_aig, sweeps=4):
     checker's syntactic premise==goal test never fires).  With the AIG
     pipeline on, each such query collapses to FALSE on the graph — constant
     propagation and complement folding answer it with zero CDCL work; with it
-    off, every query is a fresh assumption-based CDCL solve.
+    off, every query is a fresh assumption-based CDCL solve.  Returns the
+    elapsed time, the verdicts and the run's counter ledger.
     """
-    checker = EntailmentChecker(
-        InternalBackend(use_aig=use_aig), use_incremental=True
-    )
-    verdicts = []
-    premises = []
-    start = time.perf_counter()
-    for i in range(_WIDTH // _SLICE):
-        lo, hi = i * _SLICE, (i + 1) * _SLICE - 1
-        premises.append(mk_eq(CSlice(CHdr(LEFT, "h", _WIDTH), lo, hi),
-                              CSlice(CHdr(RIGHT, "h", _WIDTH), lo, hi)))
-        goal = mk_eq(CSlice(CHdr(RIGHT, "h", _WIDTH), 0, hi),
-                     CSlice(CHdr(LEFT, "h", _WIDTH), 0, hi))
-        verdicts.append(bool(checker.check(premises, goal)))
-    for _ in range(sweeps):
+    with counters.scope() as ledger:
+        checker = EntailmentChecker(
+            InternalBackend(use_aig=use_aig), use_incremental=True
+        )
+        verdicts = []
+        premises = []
+        start = time.perf_counter()
         for i in range(_WIDTH // _SLICE):
-            hi = (i + 1) * _SLICE - 1
+            lo, hi = i * _SLICE, (i + 1) * _SLICE - 1
+            premises.append(mk_eq(CSlice(CHdr(LEFT, "h", _WIDTH), lo, hi),
+                                  CSlice(CHdr(RIGHT, "h", _WIDTH), lo, hi)))
             goal = mk_eq(CSlice(CHdr(RIGHT, "h", _WIDTH), 0, hi),
                          CSlice(CHdr(LEFT, "h", _WIDTH), 0, hi))
             verdicts.append(bool(checker.check(premises, goal)))
-    return time.perf_counter() - start, verdicts, checker
+        for _ in range(sweeps):
+            for i in range(_WIDTH // _SLICE):
+                hi = (i + 1) * _SLICE - 1
+                goal = mk_eq(CSlice(CHdr(RIGHT, "h", _WIDTH), 0, hi),
+                             CSlice(CHdr(LEFT, "h", _WIDTH), 0, hi))
+                verdicts.append(bool(checker.check(premises, goal)))
+    return time.perf_counter() - start, verdicts, ledger
 
 
 def test_aig_speedup(benchmark, record_case):
@@ -256,15 +256,14 @@ def test_aig_speedup(benchmark, record_case):
         benchmark.pedantic(lambda: _entailed_sweep_workload(True),
                            iterations=1, rounds=1)
     )
-    aig_seconds, aig_verdicts, checker = min(aig_runs, key=lambda run: run[0])
+    aig_seconds, aig_verdicts, ledger = min(aig_runs, key=lambda run: run[0])
 
     assert aig_verdicts == baseline_verdicts
     assert all(aig_verdicts), "every sweep query should be entailed"
-    stats = checker.statistics
-    assert stats.aig_shortcuts == len(aig_verdicts), (
+    assert ledger["aig.shortcuts"] == len(aig_verdicts), (
         "every entailed query should be answered by the graph short-circuit"
     )
-    assert stats.aig_clauses_saved > 0
+    assert ledger["aig.clauses_saved"] > 0
 
     speedup = baseline_seconds / aig_seconds
     metrics = structural_metrics(
@@ -274,9 +273,9 @@ def test_aig_speedup(benchmark, record_case):
     metrics.extra["baseline_seconds"] = round(baseline_seconds, 4)
     metrics.extra["aig_seconds"] = round(aig_seconds, 4)
     metrics.extra["speedup"] = round(speedup, 2)
-    metrics.extra["aig_nodes"] = stats.aig_nodes
-    metrics.extra["aig_saved"] = stats.aig_clauses_saved
-    metrics.extra["aig_shortcuts"] = stats.aig_shortcuts
+    metrics.extra["aig_nodes"] = ledger["aig.nodes"]
+    metrics.extra["aig_saved"] = ledger["aig.clauses_saved"]
+    metrics.extra["aig_shortcuts"] = ledger["aig.shortcuts"]
     record_case(metrics)
     assert speedup >= 1.5, (
         f"AIG pipeline speedup {speedup:.2f}x below the 1.5x floor "

@@ -22,6 +22,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional
 
+from .. import counters
+from ..counters import Counters
 from ..logic.confrel import FTrue, Formula, TRUE
 from ..logic.simplify import simplify_formula
 from ..p4a.bitvec import Bits
@@ -103,9 +105,44 @@ class CheckerConfig:
     solver: Optional[str] = None
 
 
+#: ``CheckerStatistics.as_dict()["entailment"]``: key → ledger name.  The
+#: cache and AIG keys show the counts of those layers.
+ENTAILMENT_KEYS = {
+    "checks": "entailment.checks",
+    "trivial": "entailment.trivial",
+    "syntactic": "entailment.syntactic",
+    "smt_entailed": "entailment.smt_entailed",
+    "smt_refuted": "entailment.smt_refuted",
+    "cegis_entailed": "entailment.cegis_entailed",
+    "cegis_refuted": "entailment.cegis_refuted",
+    "cegis_rounds": "entailment.cegis_rounds",
+    "unknown": "entailment.unknown",
+    "cache_hits": "cache.hits",
+    "cache_misses": "cache.misses",
+    "model_divergences": "entailment.model_divergences",
+    "aig_nodes": "aig.nodes",
+    "aig_clauses_saved": "aig.clauses_saved",
+    "aig_shortcuts": "aig.shortcuts",
+}
+
+#: ``CheckerStatistics.as_dict()["cache"]``: key → ledger name.
+CACHE_KEYS = {
+    "hits": "cache.hits",
+    "misses": "cache.misses",
+    "memory_hits": "cache.memory_hits",
+    "disk_hits": "cache.disk_hits",
+    "stores": "cache.stores",
+}
+
+
 @dataclass
 class CheckerStatistics:
-    """Counters describing one checker run (reported in the benchmark tables)."""
+    """Counters describing one checker run (reported in the benchmark tables).
+
+    ``ledger`` holds the run's counts (:mod:`repro.counters`); the
+    ``entailment``, ``solver`` and ``cache`` sections render from it, and are
+    empty for a result that did not come from a run (a verdict-store replay).
+    """
 
     iterations: int = 0
     extended: int = 0
@@ -115,15 +152,44 @@ class CheckerStatistics:
     relation_size: int = 0
     runtime_seconds: float = 0.0
     peak_memory_bytes: int = 0
-    entailment: Dict[str, int] = field(default_factory=dict)
-    solver: Dict[str, float] = field(default_factory=dict)
-    cache: Dict[str, float] = field(default_factory=dict)
+    ledger: Optional[Counters] = None
     #: Differential-oracle telemetry (packets, divergences, minimization).
     oracle: Dict[str, object] = field(default_factory=dict)
     #: Node/solver accounting of the counterexample search, when one ran.
     counterexample_search: Dict[str, int] = field(default_factory=dict)
     #: SAT models whose concrete replay contradicted the symbolic prediction.
     replay_divergences: int = 0
+
+    @property
+    def entailment(self) -> Dict[str, int]:
+        if self.ledger is None:
+            return {}
+        return {key: self.ledger[name] for key, name in ENTAILMENT_KEYS.items()}
+
+    @property
+    def solver(self) -> Dict[str, float]:
+        if self.ledger is None:
+            return {}
+        times = self.ledger.query_times
+        return {
+            "queries": self.ledger["solver.queries"],
+            "total_time": sum(times, 0.0),
+            "max_time": max(times, default=0.0),
+            "p99_time": self.ledger.percentile_time(0.99),
+        }
+
+    @property
+    def cache(self) -> Dict[str, float]:
+        """The query cache's counts, for a run that looked anything up."""
+        if self.ledger is None or not (
+            self.ledger["cache.hits"] or self.ledger["cache.misses"]
+        ):
+            return {}
+        section = {key: self.ledger[name] for key, name in CACHE_KEYS.items()}
+        section["hit_rate"] = round(
+            section["hits"] / (section["hits"] + section["misses"]), 4
+        )
+        return section
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -135,9 +201,9 @@ class CheckerStatistics:
             "relation_size": self.relation_size,
             "runtime_seconds": self.runtime_seconds,
             "peak_memory_bytes": self.peak_memory_bytes,
-            "entailment": dict(self.entailment),
-            "solver": dict(self.solver),
-            "cache": dict(self.cache),
+            "entailment": self.entailment,
+            "solver": self.solver,
+            "cache": self.cache,
             "oracle": dict(self.oracle),
             "counterexample_search": dict(self.counterexample_search),
             "replay_divergences": self.replay_divergences,
@@ -219,50 +285,28 @@ class PreBisimulationChecker:
     # ------------------------------------------------------------------
 
     def run(self) -> PreBisimResult:
-        statistics = CheckerStatistics()
         start_time = time.perf_counter()
-        caching = self.backend.capabilities.caching
-        cache_stats = self.backend.cache_statistics if caching else None
-        cache_before = cache_stats.as_dict() if cache_stats is not None else None
         tracking_memory = False
         if self.config.track_memory and not tracemalloc.is_tracing():
             tracemalloc.start()
             tracking_memory = True
-        try:
-            result = self._run_loop(statistics)
-        finally:
-            statistics.runtime_seconds = time.perf_counter() - start_time
-            if tracking_memory:
-                _, peak = tracemalloc.get_traced_memory()
-                statistics.peak_memory_bytes = peak
-                tracemalloc.stop()
-            elif tracemalloc.is_tracing():
-                _, peak = tracemalloc.get_traced_memory()
-                statistics.peak_memory_bytes = peak
-            statistics.entailment = self.entailment.statistics.as_dict()
-            solver_stats = self.backend.statistics
-            statistics.solver = {
-                "queries": solver_stats.queries,
-                "total_time": solver_stats.total_time,
-                "max_time": solver_stats.max_time,
-                "p99_time": solver_stats.percentile_time(0.99),
-            }
-            if cache_stats is not None:
-                # Delta against the run's start, so a backend shared across
-                # several checker runs still reports per-run cache numbers.
-                after = cache_stats.as_dict()
-                delta = {
-                    key: after[key] - cache_before[key]
-                    for key in ("hits", "misses", "memory_hits", "disk_hits", "stores")
-                }
-                lookups = delta["hits"] + delta["misses"]
-                delta["hit_rate"] = round(delta["hits"] / lookups, 4) if lookups else 0.0
-                statistics.cache = delta
-            if self._owns_backend:
-                # Release the persistent cache's file handle deterministically
-                # (the store reopens transparently if this checker runs again).
-                self.backend.close()
-        return result
+        with counters.scope() as ledger:
+            statistics = CheckerStatistics(ledger=ledger)
+            try:
+                return self._run_loop(statistics)
+            finally:
+                statistics.runtime_seconds = time.perf_counter() - start_time
+                if tracking_memory:
+                    _, peak = tracemalloc.get_traced_memory()
+                    statistics.peak_memory_bytes = peak
+                    tracemalloc.stop()
+                elif tracemalloc.is_tracing():
+                    _, peak = tracemalloc.get_traced_memory()
+                    statistics.peak_memory_bytes = peak
+                if self._owns_backend:
+                    # Release the persistent cache's file handle deterministically
+                    # (the store reopens transparently if this checker runs again).
+                    self.backend.close()
 
     # ------------------------------------------------------------------
 

@@ -39,6 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from .. import counters
 from ..logic.compile import lower_formula, variable_name
 from ..logic.confrel import (
     LEFT,
@@ -367,6 +368,18 @@ class CounterexampleSearch:
         ``None`` is *not* a proof of equivalence — the search is bounded by
         ``max_leaps`` and ``max_packet_bits``.
         """
+        # The search solves on a backend of its own.  Its work is reported in
+        # :attr:`statistics`, so it stays out of the open check's ledger.
+        with counters.suspended():
+            return self._search(max_leaps, max_packet_bits, initial_condition, dedup)
+
+    def _search(
+        self,
+        max_leaps: int,
+        max_packet_bits: int,
+        initial_condition: Formula,
+        dedup: bool,
+    ) -> Optional[Counterexample]:
         stats = self.statistics
         condition = simplify_formula(initial_condition)
         activations: Tuple[int, ...] = ()
@@ -489,7 +502,7 @@ class CounterexampleSearch:
                 "although the path condition predicted a mismatch; the "
                 "symbolic pipeline and the interpreter disagree",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=5,
             )
             return None
         return Counterexample(

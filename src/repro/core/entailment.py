@@ -35,6 +35,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import counters
 from ..logic import folbv
 from ..logic.compile import compile_entailment, lower_formula, variable_name
 from ..logic.confrel import (
@@ -63,56 +64,12 @@ class EntailmentOutcome:
         return self.entailed
 
 
-@dataclass
-class EntailmentStatistics:
-    checks: int = 0
-    trivial: int = 0
-    syntactic: int = 0
-    smt_entailed: int = 0
-    smt_refuted: int = 0
-    cegis_entailed: int = 0
-    cegis_refuted: int = 0
-    #: CEGIS iterations summed over every exact fallback.
-    cegis_rounds: int = 0
-    unknown: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Refutation models that fail concrete re-evaluation against the query —
-    #: a soundness red flag for the solver stack (or a stale cache entry).
-    model_divergences: int = 0
-    #: AIG lowering-pipeline effectiveness, mirrored from the solver ledger:
-    #: graph nodes built, clauses avoided by rewriting (an estimate), and
-    #: queries answered by graph-level collapse without CDCL work.
-    aig_nodes: int = 0
-    aig_clauses_saved: int = 0
-    aig_shortcuts: int = 0
-    #: Literals removed by conflict-clause minimization, mirrored from the
-    #: solver ledger.
-    minimized_literals: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "checks": self.checks,
-            "trivial": self.trivial,
-            "syntactic": self.syntactic,
-            "smt_entailed": self.smt_entailed,
-            "smt_refuted": self.smt_refuted,
-            "cegis_entailed": self.cegis_entailed,
-            "cegis_refuted": self.cegis_refuted,
-            "cegis_rounds": self.cegis_rounds,
-            "unknown": self.unknown,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "model_divergences": self.model_divergences,
-            "aig_nodes": self.aig_nodes,
-            "aig_clauses_saved": self.aig_clauses_saved,
-            "aig_shortcuts": self.aig_shortcuts,
-            "minimized_literals": self.minimized_literals,
-        }
-
-
 class EntailmentChecker:
-    """Checks ``⋀ premises ⊨ goal`` for pure, same-guard ConfRel formulas."""
+    """Checks ``⋀ premises ⊨ goal`` for pure, same-guard ConfRel formulas.
+
+    Each check's outcome is counted in the check's ledger under
+    ``entailment.*`` (:mod:`repro.counters`).
+    """
 
     def __init__(
         self,
@@ -122,7 +79,6 @@ class EntailmentChecker:
     ) -> None:
         self.backend = backend or InternalBackend()
         self.cegis_rounds = cegis_rounds
-        self.statistics = EntailmentStatistics()
         self.use_incremental = use_incremental
         # May be None (DPLL engine, external solvers — anything whose
         # capabilities lack ``incremental``): then every query falls
@@ -155,29 +111,11 @@ class EntailmentChecker:
         self._canonical_memo[id(formula)] = (formula, canonical)
         return canonical
 
-    def _sync_aig_statistics(self) -> None:
-        """Mirror the solver ledger's AIG counters into this checker's stats.
-
-        The backend is (in the standard stack) owned by one checker, so the
-        mirrored values are per-run; they surface in the Table 2 report.
-        """
-        solver_stats = self.backend.statistics
-        self.statistics.aig_nodes = solver_stats.aig_nodes
-        self.statistics.aig_clauses_saved = solver_stats.aig_clauses_saved
-        self.statistics.aig_shortcuts = solver_stats.aig_shortcuts
-        self.statistics.minimized_literals = solver_stats.minimized_literals
-
     def check(self, premises: Sequence[Formula], goal: Formula) -> EntailmentOutcome:
-        try:
-            return self._check(premises, goal)
-        finally:
-            self._sync_aig_statistics()
-
-    def _check(self, premises: Sequence[Formula], goal: Formula) -> EntailmentOutcome:
-        self.statistics.checks += 1
+        counters.add("entailment.checks")
         goal_simplified = simplify_formula(goal)
         if isinstance(goal_simplified, FTrue):
-            self.statistics.trivial += 1
+            counters.add("entailment.trivial")
             return EntailmentOutcome(True, "trivial")
 
         canonical_goal = canonicalize_variables(goal_simplified, prefix="x")
@@ -189,7 +127,7 @@ class EntailmentChecker:
                 for premise in premises
             ]
         if any(premise == canonical_goal for premise in canonical_premises):
-            self.statistics.syntactic += 1
+            counters.add("entailment.syntactic")
             return EntailmentOutcome(True, "syntactic")
 
         # Fast path: shared-variable quantifier-free query.
@@ -200,23 +138,16 @@ class EntailmentChecker:
             query = compile_entailment(canonical_premises, canonical_goal)
             lowered_goal = query.goal
             self._last_query = query.formula
-            caching = self.backend.capabilities.caching
-            cache_stats = self.backend.cache_statistics if caching else None
-            hits_before = cache_stats.hits if cache_stats is not None else 0
             result = self.backend.check_sat(query.formula)
-            if cache_stats is not None:
-                hit = cache_stats.hits - hits_before
-                self.statistics.cache_hits += hit
-                self.statistics.cache_misses += 1 - hit
         if result.status is SatStatus.UNSAT:
-            self.statistics.smt_entailed += 1
+            counters.add("entailment.smt_entailed")
             return EntailmentOutcome(True, "smt")
         if result.status is SatStatus.UNKNOWN:
-            self.statistics.unknown += 1
+            counters.add("entailment.unknown")
             return EntailmentOutcome(False, "unknown")
         if not premises:
             # With no premises the fast path is already exact.
-            self.statistics.smt_refuted += 1
+            counters.add("entailment.smt_refuted")
             self._validate_refutation_model(result)
             return EntailmentOutcome(False, "smt", result.model)
         return self._check_exact(canonical_premises, lowered_goal, result.model)
@@ -233,13 +164,13 @@ class EntailmentChecker:
             return
         completed = complete_model(self._last_query, result.model)
         if not folbv.eval_formula(self._last_query, completed):
-            self.statistics.model_divergences += 1
+            counters.add("entailment.model_divergences")
             warnings.warn(
                 "entailment refutation model does not satisfy the compiled "
                 "query when evaluated concretely; the solver stack (or a "
                 "cached result) and the evaluator disagree",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
 
     # ------------------------------------------------------------------
@@ -279,9 +210,7 @@ class EntailmentChecker:
         if self.backend.capabilities.caching:
             cached = self.backend.lookup(combined)
             if cached is not None:
-                self.statistics.cache_hits += 1
                 return cached
-            self.statistics.cache_misses += 1
         assumptions = [self._session.activation(p) for p in lowered_premises]
         # variables are left to the session to derive (lazily, from the
         # validation formula) so unsat answers skip the free-variable walk.
@@ -348,12 +277,12 @@ class EntailmentChecker:
             session=self._session,
             guess=guess,
         )
-        self.statistics.cegis_rounds += outcome.rounds
+        counters.add("entailment.cegis_rounds", outcome.rounds)
         if outcome.holds is True:
-            self.statistics.cegis_refuted += 1
+            counters.add("entailment.cegis_refuted")
             return EntailmentOutcome(False, "cegis", outcome.witness)
         if outcome.holds is False:
-            self.statistics.cegis_entailed += 1
+            counters.add("entailment.cegis_entailed")
             return EntailmentOutcome(True, "cegis")
-        self.statistics.unknown += 1
+        counters.add("entailment.unknown")
         return EntailmentOutcome(False, "unknown")

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .. import counters
 from ..logic.confrel import Formula, TRUE
 from ..p4a.syntax import P4Automaton
 from ..smt.backend import InternalBackend, SolverBackend
@@ -250,22 +251,24 @@ def check_language_equivalence(
 
     Acceptance is compared for *all* initial stores of both sides, matching
     ⟦aut⟧A of Definition 3.6: a proof means no choice of uninitialised header
-    values and no packet can make the parsers disagree.
+    values and no packet can make the parsers disagree.  The check's counts
+    are recorded in one ledger (:mod:`repro.counters`).
     """
-    return _run(
-        left_aut,
-        left_start,
-        right_aut,
-        right_start,
-        config,
-        backend,
-        TRUE,
-        None,
-        None,
-        True,
-        find_counterexamples,
-        counterexample_max_leaps,
-    )
+    with counters.scope():
+        return _run(
+            left_aut,
+            left_start,
+            right_aut,
+            right_start,
+            config,
+            backend,
+            TRUE,
+            None,
+            None,
+            True,
+            find_counterexamples,
+            counterexample_max_leaps,
+        )
 
 
 def check_initial_store_independence(
@@ -305,17 +308,18 @@ def check_store_relation(
     the initial stores (``TRUE`` quantifies over all of them).  No
     counterexample search is attempted for relational properties.
     """
-    return _run(
-        left_aut,
-        left_start,
-        right_aut,
-        right_start,
-        config,
-        backend,
-        initial_relation,
-        accept_relation,
-        None,
-        require_equal_acceptance,
-        False,
-        0,
-    )
+    with counters.scope():
+        return _run(
+            left_aut,
+            left_start,
+            right_aut,
+            right_start,
+            config,
+            backend,
+            initial_relation,
+            accept_relation,
+            None,
+            require_equal_acceptance,
+            False,
+            0,
+        )

@@ -11,7 +11,7 @@ harness and ``EXPERIMENTS.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Union
 
 from ..core.algorithm import CheckerStatistics
 from ..p4a.syntax import P4Automaton
@@ -73,38 +73,59 @@ def structural_metrics(name: str, left: P4Automaton, right: P4Automaton) -> Case
     )
 
 
+def _cache(key: str) -> Callable[[CheckerStatistics], object]:
+    """A cache column: shown for runs that looked up the query cache."""
+    return lambda statistics: statistics.cache[key] if statistics.cache else None
+
+
+def _divergences(statistics: CheckerStatistics) -> Optional[int]:
+    # Model-vs-replay mismatches plus concrete oracle disagreements; 0 is the
+    # healthy value and is rendered (a "-" means the oracle never ran).
+    if not (statistics.oracle or statistics.replay_divergences):
+        return None
+    return int(statistics.oracle.get("divergences", 0)) + statistics.replay_divergences
+
+
+#: The measured columns of a row, in order: CaseMetrics key → the ledger
+#: name it shows (:mod:`repro.counters`), or a function of the run's
+#: statistics.  A function that returns ``None`` leaves the column out, and
+#: the table renders it as "-".
+RUN_COLUMNS: Dict[str, Union[str, Callable[[CheckerStatistics], object]]] = {
+    "runtime_seconds": lambda statistics: statistics.runtime_seconds,
+    "peak_memory_mb": lambda statistics: statistics.peak_memory_bytes / (1024 * 1024),
+    "reachable_pairs": lambda statistics: statistics.reachable_pairs,
+    "relation_size": lambda statistics: statistics.relation_size,
+    "solver_queries": "solver.queries",
+    "cache_hit_percent": lambda statistics: (
+        round(100.0 * statistics.cache["hit_rate"], 1) if statistics.cache else None
+    ),
+    "cache_hits": _cache("hits"),
+    "cache_misses": _cache("misses"),
+    "aig_nodes": "aig.nodes",
+    "aig_saved": "aig.clauses_saved",
+    "aig_shortcuts": "aig.shortcuts",
+    "divergences": _divergences,
+    "oracle_packets": lambda statistics: statistics.oracle.get("packets") or None,
+}
+
+_FIELDS = {f.name for f in fields(CaseMetrics)}
+
+
 def attach_run_statistics(metrics: CaseMetrics, statistics: CheckerStatistics,
                           verdict: Optional[bool]) -> CaseMetrics:
     """Fill in the measured columns from a checker run."""
-    metrics.runtime_seconds = statistics.runtime_seconds
-    metrics.peak_memory_mb = statistics.peak_memory_bytes / (1024 * 1024)
     metrics.verdict = verdict
-    metrics.reachable_pairs = statistics.reachable_pairs
-    metrics.relation_size = statistics.relation_size
-    metrics.solver_queries = int(statistics.solver.get("queries", 0))
-    if statistics.cache:
-        metrics.extra["cache_hit_percent"] = round(
-            100.0 * float(statistics.cache.get("hit_rate", 0.0)), 1
-        )
-        metrics.extra["cache_hits"] = int(statistics.cache.get("hits", 0))
-        metrics.extra["cache_misses"] = int(statistics.cache.get("misses", 0))
-    if statistics.entailment:
-        # AIG lowering-pipeline effectiveness: "nodes/saved (+N collapsed)".
-        # Rendered only when the run reports the counters, so older payloads
-        # (and ablation rows from pre-AIG configs) show "-".
-        if "aig_nodes" in statistics.entailment:
-            metrics.extra["aig_nodes"] = int(statistics.entailment["aig_nodes"])
-            metrics.extra["aig_saved"] = int(
-                statistics.entailment.get("aig_clauses_saved", 0)
-            )
-            metrics.extra["aig_shortcuts"] = int(
-                statistics.entailment.get("aig_shortcuts", 0)
-            )
-    oracle_divergences = int(statistics.oracle.get("divergences", 0)) if statistics.oracle else 0
-    if statistics.oracle or statistics.replay_divergences:
-        # Model-vs-replay mismatches plus concrete oracle disagreements; 0 is
-        # the healthy value and is rendered (a "-" means the oracle never ran).
-        metrics.extra["divergences"] = oracle_divergences + statistics.replay_divergences
-    if statistics.oracle and statistics.oracle.get("packets"):
-        metrics.extra["oracle_packets"] = int(statistics.oracle["packets"])
+    for key, column in RUN_COLUMNS.items():
+        if not isinstance(column, str):
+            value = column(statistics)
+        elif statistics.ledger is not None:
+            value = statistics.ledger[column]
+        else:
+            value = None
+        if value is None:
+            continue
+        if key in _FIELDS:
+            setattr(metrics, key, value)
+        else:
+            metrics.extra[key] = value
     return metrics

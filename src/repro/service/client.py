@@ -32,8 +32,9 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..core.algorithm import CheckerStatistics
+from ..core.algorithm import CACHE_KEYS, ENTAILMENT_KEYS, CheckerStatistics
 from ..core.counterexample import Counterexample
+from ..counters import Counters
 from ..p4a.pretty import pretty
 from ..p4a.syntax import P4Automaton
 from .core import ServiceConfig, ServiceCore, ServiceRequestError
@@ -82,7 +83,19 @@ def _verdict_from_name(name: str) -> Optional[bool]:
 
 def _statistics_from_dict(payload: Dict[str, object]) -> CheckerStatistics:
     known = {f.name for f in dataclasses.fields(CheckerStatistics)}
-    return CheckerStatistics(**{k: v for k, v in payload.items() if k in known})
+    statistics = CheckerStatistics(**{k: v for k, v in payload.items() if k in known})
+    if payload.get("entailment"):
+        # The sections render the server's ledger; read its counts back.  Query
+        # times do not travel, so the client's solver timings read 0.
+        ledger = statistics.ledger = Counters()
+        sections = ((ENTAILMENT_KEYS, payload["entailment"]),
+                    (CACHE_KEYS, payload.get("cache") or {}))
+        for keys, section in sections:
+            for key, value in section.items():
+                if key in keys:
+                    ledger[keys[key]] = value
+        ledger["solver.queries"] = payload["solver"]["queries"]
+    return statistics
 
 
 @dataclass

@@ -12,8 +12,8 @@ from .backend import (
     backend_for_solver,
 )
 from .bitblast import Bitblaster, BitblastResult, bitblast
-from .bvsolver import InternalBVSolver, SatResult, SatStatus, SolverStatistics
-from .cache import CacheStatistics, CachingBackend, PersistentQueryCache, make_backend
+from .bvsolver import InternalBVSolver, SatResult, SatStatus
+from .cache import CachingBackend, PersistentQueryCache, make_backend
 from .cegis import ExistsForallResult, solve_exists_forall, substitute
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "BackendMiddleware",
     "Bitblaster",
     "BitblastResult",
-    "CacheStatistics",
     "CachingBackend",
     "ExistsForallResult",
     "ExternalBackend",
@@ -37,7 +36,6 @@ __all__ = [
     "SatStatus",
     "SolverBackend",
     "SolverCapabilities",
-    "SolverStatistics",
     "available_external_solvers",
     "backend_for_solver",
     "bitblast",

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import counters
 from ..logic import folbv
 from ..logic.fingerprint import folbv_fingerprint
 from ..logic.folbv import BFormula, Term
@@ -74,14 +75,15 @@ class Aig:
         self._iff_cache: Dict[Tuple[int, int], int] = {}
         # Cached operand frozensets of AND nodes, for subsumption probing.
         self._operand_sets: Dict[int, frozenset] = {}
-        # Effectiveness counters (estimates, surfaced through statistics).
+        # Graph shape and rewrite counters of this graph.  Nodes built and
+        # clauses avoided (an estimate) are also counted in the check's
+        # ledger as ``aig.nodes`` and ``aig.clauses_saved``.
         self.num_inputs = 0
         self.num_ands = 0
         self.num_iffs = 0
         self.cache_hits = 0
         self.folds = 0
         self.subsumptions = 0
-        self.clauses_saved = 0
 
     # -- node inspection -------------------------------------------------------
 
@@ -105,6 +107,7 @@ class Aig:
     # -- construction ----------------------------------------------------------
 
     def _new_node(self, kind: str, operands: Tuple[int, ...]) -> int:
+        counters.add("aig.nodes")
         self._kinds.append(kind)
         self._operands.append(operands)
         return len(self._kinds) - 1
@@ -189,7 +192,7 @@ class Aig:
                             # Some conjunct of AND(Y) is already false, so
                             # ¬AND(Y) holds for free: drop it.
                             self.subsumptions += 1
-                            self.clauses_saved += 1
+                            counters.add("aig.clauses_saved")
                             continue
                     elif any(-y in seen for y in inner):
                         # A kept (un-flattened) AND child contradicts a
@@ -199,7 +202,7 @@ class Aig:
             kept.append(ref)
         if len(kept) != original and original >= 2:
             self.folds += 1
-            self.clauses_saved += original - len(kept)
+            counters.add("aig.clauses_saved", original - len(kept))
         if not kept:
             return ()
         if len(kept) == 1:
@@ -211,7 +214,7 @@ class Aig:
         if original_arity >= 2:
             # A k-ary Tseitin AND gate costs k+1 clauses; collapsing to a
             # constant or literal avoids all of them.
-            self.clauses_saved += original_arity + 1
+            counters.add("aig.clauses_saved", original_arity + 1)
         return ref
 
     def or_(self, refs: Iterable[int]) -> int:

@@ -34,10 +34,11 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from .. import counters
 from ..logic import folbv, smtlib
 from ..logic.folbv import BFormula
 from ..p4a.bitvec import Bits
-from .bvsolver import InternalBVSolver, SatResult, SatStatus, SolverStatistics
+from .bvsolver import InternalBVSolver, SatResult, SatStatus
 
 
 class BackendError(Exception):
@@ -52,10 +53,9 @@ class SolverCapabilities:
     ``incremental`` means :meth:`SolverBackend.incremental_session` returns a
     live session, ``models`` that SAT answers carry assignments,
     ``cancellation`` that ``check_sat(stop=...)`` aborts promptly,
-    ``caching`` that ``lookup``/``store``/``cache_statistics`` are backed by
-    a real cache, and ``internal_solver`` that
-    :attr:`SolverBackend.internal_solver` exposes the in-process
-    :class:`InternalBVSolver` (needed by the CEGIS loop).
+    ``caching`` that ``lookup``/``store`` are backed by a real cache, and
+    ``internal_solver`` that :attr:`SolverBackend.internal_solver` exposes
+    the in-process :class:`InternalBVSolver` (needed by the CEGIS loop).
     """
 
     incremental: bool = False
@@ -80,10 +80,6 @@ class SolverBackend:
         raise NotImplementedError
 
     @property
-    def statistics(self) -> SolverStatistics:
-        raise NotImplementedError
-
-    @property
     def capabilities(self) -> SolverCapabilities:
         return SolverCapabilities()
 
@@ -97,11 +93,6 @@ class SolverBackend:
 
     def store(self, formula: BFormula, result: SatResult, fingerprint: Optional[str] = None) -> None:
         """Record ``result`` for ``formula`` (default: dropped)."""
-
-    @property
-    def cache_statistics(self):
-        """Cache hit/miss counters, or ``None`` when there is no cache."""
-        return None
 
     @property
     def internal_solver(self) -> Optional[InternalBVSolver]:
@@ -137,10 +128,6 @@ class BackendMiddleware(SolverBackend):
         return self.inner.check_sat(formula, stop=stop)
 
     @property
-    def statistics(self) -> SolverStatistics:
-        return self.inner.statistics
-
-    @property
     def capabilities(self) -> SolverCapabilities:
         return self.inner.capabilities
 
@@ -152,10 +139,6 @@ class BackendMiddleware(SolverBackend):
 
     def store(self, formula: BFormula, result: SatResult, fingerprint: Optional[str] = None) -> None:
         self.inner.store(formula, result, fingerprint=fingerprint)
-
-    @property
-    def cache_statistics(self):
-        return self.inner.cache_statistics
 
     @property
     def internal_solver(self) -> Optional[InternalBVSolver]:
@@ -194,10 +177,6 @@ class InternalBackend(SolverBackend):
     def incremental_session(self):
         """Delegate to :meth:`InternalBVSolver.incremental_session`."""
         return self._solver.incremental_session()
-
-    @property
-    def statistics(self) -> SolverStatistics:
-        return self._solver.statistics
 
     @property
     def capabilities(self) -> SolverCapabilities:
@@ -264,7 +243,6 @@ class ExternalBackend(SolverBackend):
         self.name = solver
         self._command = tuple(command)
         self._timeout = timeout
-        self._statistics = SolverStatistics()
         #: The most recently spawned solver process; tests assert it is
         #: reaped (``poll() is not None``) after every check_sat return.
         self.last_process: Optional[subprocess.Popen] = None
@@ -284,7 +262,7 @@ class ExternalBackend(SolverBackend):
                 os.unlink(path)
             except OSError:
                 pass
-        self._statistics.record(result)
+        counters.record_query(result.elapsed, result.num_clauses)
         return result
 
     def _run_solver(
@@ -329,13 +307,13 @@ class ExternalBackend(SolverBackend):
             stdout, stderr = process.communicate()
         elapsed = time.perf_counter() - start
         if reason == "timeout":
-            self._statistics.external_timeouts += 1
+            counters.add("solver.external_timeouts")
             return SatResult(SatStatus.UNKNOWN, None, elapsed, reason="timeout")
         if reason == "cancelled":
             return SatResult(SatStatus.UNKNOWN, None, elapsed, reason="cancelled")
         answer = smtlib.parse_check_sat_result(stdout)
         if answer is None:
-            self._statistics.parse_failures += 1
+            counters.add("solver.parse_failures")
             detail = _solver_diagnostics(stdout, stderr, process.returncode)
             warnings.warn(
                 f"external solver {self.name!r} produced no sat/unsat answer: {detail}",
@@ -352,10 +330,6 @@ class ExternalBackend(SolverBackend):
                 model.setdefault(name, Bits.zeros(width))
             return SatResult(SatStatus.SAT, model, elapsed)
         return SatResult(SatStatus.UNSAT, None, elapsed)
-
-    @property
-    def statistics(self) -> SolverStatistics:
-        return self._statistics
 
     @property
     def capabilities(self) -> SolverCapabilities:

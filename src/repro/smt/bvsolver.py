@@ -9,10 +9,11 @@ so a buggy solver or encoder cannot silently return a bogus "sat" answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
+from .. import counters
 from ..logic import folbv
 from ..logic.folbv import BFormula
 from ..p4a.bitvec import Bits
@@ -51,56 +52,11 @@ class SatResult:
         return self.status is SatStatus.UNSAT
 
 
-@dataclass
-class SolverStatistics:
-    """Aggregate statistics over all queries issued through one solver object."""
-
-    queries: int = 0
-    sat_queries: int = 0
-    unsat_queries: int = 0
-    unknown_queries: int = 0
-    total_time: float = 0.0
-    max_time: float = 0.0
-    total_clauses: int = 0
-    query_times: List[float] = field(default_factory=list)
-    #: AIG pipeline effectiveness (cumulative over all queries): graph nodes
-    #: built, CNF clauses the graph rewrites avoided (an estimate), and
-    #: queries answered by graph-level collapse without any CDCL work.
-    aig_nodes: int = 0
-    aig_clauses_saved: int = 0
-    aig_shortcuts: int = 0
-    #: External-lane failure modes (see ``ExternalBackend``): queries killed
-    #: at the deadline vs. queries whose output the SMT-LIB parser rejected.
-    external_timeouts: int = 0
-    parse_failures: int = 0
-    #: Literals removed from learned clauses by conflict-clause
-    #: minimization (see ``repro.smt.sat.solver``).
-    minimized_literals: int = 0
-
-    def record(self, result: SatResult) -> None:
-        self.queries += 1
-        if result.status is SatStatus.SAT:
-            self.sat_queries += 1
-        elif result.status is SatStatus.UNSAT:
-            self.unsat_queries += 1
-        else:
-            self.unknown_queries += 1
-        self.total_time += result.elapsed
-        self.max_time = max(self.max_time, result.elapsed)
-        self.total_clauses += result.num_clauses
-        self.query_times.append(result.elapsed)
-
-    def percentile_time(self, fraction: float) -> float:
-        """Time below which ``fraction`` of the queries completed (e.g. 0.99)."""
-        if not self.query_times:
-            return 0.0
-        ordered = sorted(self.query_times)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
-
-
 class InternalBVSolver:
-    """Bit-blasting QF_BV solver with model validation and statistics."""
+    """Bit-blasting QF_BV solver with model validation.
+
+    Each query is counted in the current check's ledger (:mod:`repro.counters`).
+    """
 
     def __init__(
         self,
@@ -113,7 +69,6 @@ class InternalBVSolver:
         self._engine = engine
         self._validate_models = validate_models
         self.use_aig = use_aig
-        self.statistics = SolverStatistics()
 
     def check_sat(
         self,
@@ -126,14 +81,11 @@ class InternalBVSolver:
         for name, width in folbv.free_variables(formula).items():
             blaster.variable_bits(name, width)
         blasted = blaster.result(blaster.assert_formula(formula))
-        self.statistics.aig_nodes += blaster.aig.num_nodes
-        self.statistics.aig_clauses_saved += blaster.aig.clauses_saved
         if self._engine == "dpll":
             sat, sat_model = dpll_solve(blasted.cnf)
         else:
             sat_solver = CdclSolver(blasted.cnf)
             sat, sat_model = sat_solver.solve(max_conflicts=max_conflicts, stop=stop)
-            self.statistics.minimized_literals += sat_solver.stats.minimized_literals
         elapsed = time.perf_counter() - start
         if sat is None:
             reason = "cancelled" if stop is not None and stop.is_set() else None
@@ -150,7 +102,7 @@ class InternalBVSolver:
         else:
             result = SatResult(SatStatus.UNSAT, None, elapsed, len(blasted.cnf.clauses),
                                blasted.cnf.num_vars)
-        self.statistics.record(result)
+        counters.record_query(result.elapsed, result.num_clauses)
         return result
 
     def check_valid(self, formula: BFormula) -> SatResult:
@@ -165,9 +117,7 @@ class InternalBVSolver:
         """A fresh incremental assumption-based session over this solver.
 
         Only the CDCL engine supports incremental solving; the DPLL engine
-        returns ``None`` and callers fall back to one-shot queries.  The
-        session records its query results into this solver's statistics, so
-        reporting sees one ledger whichever path answered a query.
+        returns ``None`` and callers fall back to one-shot queries.
         """
         if self._engine != "cdcl":
             return None
@@ -175,7 +125,6 @@ class InternalBVSolver:
 
         return IncrementalSession(
             validate_models=self._validate_models,
-            statistics=self.statistics,
             use_aig=self.use_aig,
         )
 

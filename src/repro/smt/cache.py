@@ -26,9 +26,10 @@ import os
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, Optional
 
+from .. import counters
 from ..logic.fingerprint import FINGERPRINT_VERSION, folbv_fingerprint
 from ..logic.folbv import BFormula
 from ..p4a.bitvec import Bits
@@ -40,35 +41,6 @@ from .backend import (
     backend_for_solver,
 )
 from .bvsolver import InternalBVSolver, SatResult, SatStatus
-
-
-@dataclass
-class CacheStatistics:
-    """Hit/miss accounting for one :class:`CachingBackend`."""
-
-    hits: int = 0
-    misses: int = 0
-    memory_hits: int = 0
-    disk_hits: int = 0
-    stores: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "stores": self.stores,
-            "hit_rate": round(self.hit_rate, 4),
-        }
 
 
 def _encode_model(model: Optional[Dict[str, Bits]]) -> Optional[str]:
@@ -194,7 +166,6 @@ class CachingBackend(BackendMiddleware):
     ) -> None:
         super().__init__(inner if inner is not None else InternalBackend())
         self.name = f"cached+{self.inner.name}"
-        self._cache_statistics = CacheStatistics()
         self._memory: Dict[str, SatResult] = {}
         self._disk = PersistentQueryCache(cache_dir) if cache_dir else None
 
@@ -215,8 +186,8 @@ class CachingBackend(BackendMiddleware):
         """Consult both cache layers without ever reaching the solver.
 
         Used directly by the incremental entailment path (cache first, live
-        session only on a miss) and by :meth:`check_sat`.  Hit/miss counters
-        are updated either way.
+        session only on a miss) and by :meth:`check_sat`.  Either way the
+        hit or miss is counted in the check's ledger (``cache.*``).
         """
         start = time.perf_counter()
         # One linear serialization walk per query; interning here would cost
@@ -228,17 +199,17 @@ class CachingBackend(BackendMiddleware):
             fingerprint = folbv_fingerprint(formula)
         cached = self._memory.get(fingerprint)
         if cached is not None:
-            self._cache_statistics.hits += 1
-            self._cache_statistics.memory_hits += 1
+            counters.add("cache.hits")
+            counters.add("cache.memory_hits")
             return self._replay(cached, start)
         if self._disk is not None:
             cached = self._disk.get(fingerprint)
             if cached is not None:
                 self._memory[fingerprint] = cached
-                self._cache_statistics.hits += 1
-                self._cache_statistics.disk_hits += 1
+                counters.add("cache.hits")
+                counters.add("cache.disk_hits")
                 return self._replay(cached, start)
-        self._cache_statistics.misses += 1
+        counters.add("cache.misses")
         return None
 
     def store(
@@ -252,15 +223,11 @@ class CachingBackend(BackendMiddleware):
         self._memory[fingerprint] = result
         if self._disk is not None:
             self._disk.put(fingerprint, result)
-        self._cache_statistics.stores += 1
+        counters.add("cache.stores")
 
     @property
     def capabilities(self) -> SolverCapabilities:
         return replace(self.inner.capabilities, caching=True)
-
-    @property
-    def cache_statistics(self) -> CacheStatistics:
-        return self._cache_statistics
 
     @property
     def memory_entries(self) -> int:

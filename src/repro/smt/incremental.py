@@ -46,12 +46,13 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .. import counters
 from ..logic import folbv
 from ..logic.fingerprint import folbv_fingerprint
 from ..logic.folbv import BFormula
 from ..p4a.bitvec import Bits
 from .aig import FALSE_REF, Aig, AigToCnf, FolbvToAig
-from .bvsolver import SatResult, SatStatus, SolverStatistics, complete_model
+from .bvsolver import SatResult, SatStatus, complete_model
 from .sat.cnf import CnfBuilder
 from .sat.solver import CdclSolver
 
@@ -65,12 +66,7 @@ class IncrementalSession:
     conjunction plus an optional per-query goal formula.
     """
 
-    def __init__(
-        self,
-        validate_models: bool = True,
-        statistics: Optional[SolverStatistics] = None,
-        use_aig: bool = True,
-    ) -> None:
+    def __init__(self, validate_models: bool = True, use_aig: bool = True) -> None:
         self._aig = Aig(simplify=use_aig)
         self._lowerer = FolbvToAig(self._aig)
         self._builder = CnfBuilder()
@@ -88,13 +84,6 @@ class IncrementalSession:
         # Assumptions of the last graph-collapsed unsat answer; the CDCL
         # final-conflict set is stale after such a query.
         self._shortcut_assumptions: Optional[List[int]] = None
-        # Watermarks for publishing cumulative AIG and solver counters as
-        # deltas into the (possibly shared) statistics ledger.
-        self._published_nodes = 0
-        self._published_saved = 0
-        self._published_minimized = 0
-        #: Statistics sink; pass the owning solver's object to keep one ledger.
-        self.statistics = statistics if statistics is not None else SolverStatistics()
         #: Number of queries answered by this session.
         self.queries = 0
         #: Queries answered by graph-level collapse, without touching CDCL.
@@ -137,25 +126,6 @@ class IncrementalSession:
         for index in range(self._clauses_fed, len(clauses)):
             self._solver.add_clause(clauses[index])
         self._clauses_fed = len(clauses)
-
-    def _publish_aig_statistics(self) -> None:
-        """Push cumulative graph and solver counters into the ledger as deltas.
-
-        Several sessions may share one :class:`SolverStatistics` (the
-        entailment checker's session and the CEGIS counterexample sessions
-        feed the same owning solver), so absolute counters cannot simply be
-        overwritten.
-        """
-        nodes = self._aig.num_nodes
-        saved = self._aig.clauses_saved
-        self.statistics.aig_nodes += nodes - self._published_nodes
-        self.statistics.aig_clauses_saved += saved - self._published_saved
-        self._published_nodes = nodes
-        self._published_saved = saved
-        # The solver's minimization counter, same delta discipline.
-        minimized = self._solver.stats.minimized_literals
-        self.statistics.minimized_literals += minimized - self._published_minimized
-        self._published_minimized = minimized
 
     # ------------------------------------------------------------------
 
@@ -200,16 +170,14 @@ class IncrementalSession:
             # the solver, because sat answers need a model.)
             if self._aig.and_(refs) == FALSE_REF:
                 self.aig_shortcuts += 1
-                self.statistics.aig_shortcuts += 1
+                counters.add("aig.shortcuts")
                 self._shortcut_assumptions = assumed
                 elapsed = time.perf_counter() - start
-                result = SatResult(
+                self.queries += 1
+                counters.record_query(elapsed, self.num_clauses)
+                return SatResult(
                     SatStatus.UNSAT, None, elapsed, self.num_clauses, self.num_vars
                 )
-                self.queries += 1
-                self.statistics.record(result)
-                self._publish_aig_statistics()
-                return result
         self._shortcut_assumptions = None
         self._sync_solver()
         sat, sat_values = self._solver.solve_values(
@@ -241,8 +209,7 @@ class IncrementalSession:
         else:
             result = SatResult(SatStatus.UNSAT, None, elapsed, num_clauses, num_vars)
         self.queries += 1
-        self.statistics.record(result)
-        self._publish_aig_statistics()
+        counters.record_query(elapsed, num_clauses)
         return result
 
     def _decode_model(

@@ -5,9 +5,8 @@ implementation follows the standard MiniSat-style architecture:
 
 * two-watched-literal unit propagation, with a dedicated fast path for
   binary clauses (the other literal is implied immediately, no watch walk),
-* first-UIP conflict analysis with clause learning, conflict-clause
-  minimization (self-subsumption against reason clauses, the MiniSat
-  ``ccmin`` step) and non-chronological backjumping,
+* first-UIP conflict analysis with clause learning and non-chronological
+  backjumping,
 * VSIDS-like variable activities with exponential decay (heap-ordered),
 * Luby-sequence restarts,
 * phase saving,
@@ -56,8 +55,7 @@ class SolverStats:
 
     ``propagations`` counts **implications enqueued** — assignments forced by
     a clause during unit propagation — not trail positions scanned (earlier
-    versions conflated the two).  ``minimized_literals`` counts literals
-    removed from learned clauses by conflict-clause minimization.
+    versions conflated the two).
     """
 
     decisions: int = 0
@@ -67,7 +65,6 @@ class SolverStats:
     restarts: int = 0
     max_decision_level: int = 0
     solve_calls: int = 0
-    minimized_literals: int = 0
 
 
 class CdclSolver:
@@ -340,13 +337,11 @@ class CdclSolver:
         self._activity_increment /= self._activity_decay
 
     def _analyze(self, conflict_index: int) -> Tuple[List[int], int]:
-        """First-UIP analysis with clause minimization.
+        """First-UIP analysis.
 
-        Returns ``(learned clause, backjump level)``.  The learned
-        clause is minimized by self-subsumption against reason clauses (the
-        MiniSat ``ccmin`` step): a literal whose negation is implied by other
-        clause literals through the implication graph is redundant and
-        dropped, shrinking what is stored and propagated.
+        Returns ``(learned clause, backjump level)``: the clause's first
+        literal is the negated first unique implication point, and the
+        backjump level is the highest level among the other literals.
         """
         learned: List[int] = [0]  # placeholder for the asserting literal
         seen = [False] * (self._num_vars + 1)
@@ -383,61 +378,10 @@ class CdclSolver:
             clause = self._arena[self._reasons[variable]]
             literal = resolve_literal
 
-        learned = self._minimize(learned, seen)
         if len(learned) == 1:
             return learned, 0
         backjump = max(self._levels[abs(l)] for l in learned[1:])
         return learned, backjump
-
-    def _minimize(self, learned: List[int], seen: List[bool]) -> List[int]:
-        """Drop reason-implied literals from a freshly learned clause.
-
-        ``seen`` marks exactly the variables of ``learned[1:]`` (the analysis
-        loop leaves it in that state).  A literal is redundant when its
-        negation is implied by the *other* clause literals: every path of its
-        reason graph terminates in level-0 facts or in variables already in
-        the clause.  The check is the standard abstract-level-pruned DFS.
-        """
-        if len(learned) <= 2:
-            return learned
-        abstract_levels = 0
-        for clause_literal in learned[1:]:
-            abstract_levels |= 1 << (self._levels[abs(clause_literal)] & 31)
-        kept = [learned[0]]
-        for clause_literal in learned[1:]:
-            if self._reasons[abs(clause_literal)] is None or not self._redundant(
-                clause_literal, abstract_levels, seen
-            ):
-                kept.append(clause_literal)
-        self.stats.minimized_literals += len(learned) - len(kept)
-        return kept
-
-    def _redundant(self, literal: int, abstract_levels: int, seen: List[bool]) -> bool:
-        """Is ``literal`` implied by the rest of the clause via reasons?"""
-        stack = [literal]
-        marked: List[int] = []
-        while stack:
-            top = stack.pop()
-            reason = self._reasons[abs(top)]
-            for clause_literal in self._arena[reason]:
-                variable = abs(clause_literal)
-                if variable == abs(top) or seen[variable] or self._levels[variable] == 0:
-                    continue
-                if (
-                    self._reasons[variable] is not None
-                    and (1 << (self._levels[variable] & 31)) & abstract_levels
-                ):
-                    seen[variable] = True
-                    marked.append(variable)
-                    stack.append(clause_literal)
-                else:
-                    # A decision, or a level outside the clause: not
-                    # redundant.  Undo the marks of this failed probe only —
-                    # the clause's own marks must survive for later probes.
-                    for undo in marked:
-                        seen[undo] = False
-                    return False
-        return True
 
     def _analyze_final(self, literal: int) -> List[int]:
         """``literal`` is an assumption found false: which assumptions caused it?

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import counters
 from repro.core.algorithm import CheckerConfig, CheckerError, PreBisimulationChecker
 from repro.core.certificate import Certificate, verify_certificate
 from repro.core.counterexample import find_counterexample
@@ -66,16 +67,18 @@ class TestEntailmentChecker:
         checker = EntailmentChecker(use_incremental=use_incremental)
         premise = mk_eq(CVar("x", 2), CHdr(LEFT, "h", 2))
         goal = mk_eq(CHdr(LEFT, "h", 2), CLit(Bits("01")))
-        outcome = checker.check([premise], goal)
-        assert outcome.entailed and outcome.method == "cegis"
-        assert checker.statistics.as_dict()["cegis_rounds"] == 2
-        checker.check([premise], goal)
-        assert checker.statistics.cegis_rounds == 4
+        with counters.scope() as ledger:
+            outcome = checker.check([premise], goal)
+            assert outcome.entailed and outcome.method == "cegis"
+            assert ledger["entailment.cegis_rounds"] == 2
+            checker.check([premise], goal)
+        assert ledger["entailment.cegis_rounds"] == 4
 
     def test_statistics(self):
         checker = EntailmentChecker()
-        checker.check([], TRUE)
-        assert checker.statistics.as_dict()["checks"] == 1
+        with counters.scope() as ledger:
+            checker.check([], TRUE)
+        assert ledger["entailment.checks"] == 1
 
 
 class TestCheckerConfiguration:

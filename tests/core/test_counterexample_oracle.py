@@ -110,10 +110,6 @@ class _ZeroModelBackend(SolverBackend):
             return SatResult(SatStatus.SAT, zeroed, result.elapsed)
         return result
 
-    @property
-    def statistics(self):
-        return self._inner.statistics
-
 
 class TestReplayDivergences:
     def test_bad_models_counted_and_warned(self):

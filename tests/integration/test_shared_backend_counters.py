@@ -1,0 +1,71 @@
+"""Counters stay per check when several checks share one backend.
+
+A service worker keeps one caching backend warm across every request it
+serves.  Each check must still report only its own solver, entailment and
+cache counts: the first check on a fresh shared backend reports what an
+owned-backend run reports, and later checks on the warm backend report
+identical counts to each other instead of a running total.
+"""
+
+from repro.core.equivalence import check_language_equivalence
+from repro.p4a.pretty import pretty
+from repro.scenarios import get
+from repro.service.core import ServiceConfig, ServiceCore
+from repro.smt.cache import make_backend
+
+#: Timings differ from run to run; everything else in ``solver`` is a count.
+_TIMINGS = ("total_time", "max_time", "p99_time")
+
+
+def _counts(statistics: dict) -> dict:
+    return {
+        "solver": {key: value for key, value in statistics["solver"].items()
+                   if key not in _TIMINGS},
+        "entailment": statistics["entailment"],
+        "cache": statistics["cache"],
+    }
+
+
+def _shared_backend_runs(count: int = 3):
+    backend = make_backend(use_cache=True)
+    automata = get("mini_edge").automata()
+    return [
+        _counts(check_language_equivalence(*automata, backend=backend).statistics.as_dict())
+        for _ in range(count)
+    ]
+
+
+def test_first_check_on_a_shared_backend_matches_an_owned_backend():
+    first = _shared_backend_runs(1)[0]
+    owned = _counts(check_language_equivalence(*get("mini_edge").automata())
+                    .statistics.as_dict())
+    assert first == owned
+    assert first["solver"]["queries"] == 311
+    assert first["entailment"]["aig_nodes"] == 334
+
+
+def test_warm_checks_on_a_shared_backend_report_their_own_counts():
+    _, second, third = _shared_backend_runs()
+    assert second == third
+    # The warm cache answers every fast-path query.
+    assert second["cache"]["misses"] == 0
+
+
+def test_service_worker_reports_per_check_counters():
+    left, left_start, right, right_start = get("mini_edge").automata()
+    params = {
+        "left": {"name": left.name, "source": pretty(left), "start": left_start},
+        "right": {"name": right.name, "source": pretty(right), "start": right_start},
+        "options": {"no_store": True},
+    }
+    core = ServiceCore(ServiceConfig(workers=0))
+    try:
+        first, second, third = (
+            _counts(core.handle("check", params)["statistics"]) for _ in range(3)
+        )
+    finally:
+        core.shutdown()
+    owned = _counts(check_language_equivalence(left, left_start, right, right_start)
+                    .statistics.as_dict())
+    assert first == owned
+    assert second == third

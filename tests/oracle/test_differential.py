@@ -102,24 +102,15 @@ class TestVerdictIntegration:
         """A backend that rubber-stamps every entailment produces a bogus
         'equivalent' verdict on a broken pair; the oracle must catch it."""
         from repro.smt.backend import SolverBackend
-        from repro.smt.bvsolver import SatResult, SatStatus, SolverStatistics
+        from repro.smt.bvsolver import SatResult, SatStatus
 
         class YesManBackend(SolverBackend):
             name = "yes-man"
 
-            def __init__(self):
-                self._statistics = SolverStatistics()
-
             def check_sat(self, formula):
                 # Everything is unsat => every entailment holds => any pair
                 # "proves" equivalent.
-                result = SatResult(SatStatus.UNSAT, None, 0.0)
-                self._statistics.record(result)
-                return result
-
-            @property
-            def statistics(self):
-                return self._statistics
+                return SatResult(SatStatus.UNSAT, None, 0.0)
 
         with pytest.raises(OracleDivergenceError) as excinfo:
             check_language_equivalence(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.engine import EquivalenceEngine, EquivalenceJob
+from repro.core.equivalence import check_language_equivalence
 from repro.protocols import tiny
 from repro.service.client import (
     CheckOutcome,
@@ -33,6 +34,15 @@ class TestOutcomeDecoding:
         assert outcome.statistics.iterations == 3  # unknown fields dropped
         assert outcome.counterexample is None
         assert outcome.elapsed_seconds == 0.25
+
+    def test_statistics_counts_survive_the_wire(self):
+        left, right = tiny.incremental_bits(), tiny.big_bits()
+        local = check_language_equivalence(left, "Start", right, "Parse").statistics
+        with InProcessClient() as client:
+            remote = client.check(left, "Start", right, "Parse").statistics
+        assert remote.entailment == local.entailment
+        assert remote.cache == local.cache
+        assert remote.solver["queries"] == local.solver["queries"]
 
     def test_unknown_verdict_maps_to_none(self):
         outcome = CheckOutcome.from_result({

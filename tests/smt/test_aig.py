@@ -11,6 +11,7 @@ through the incremental session.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import counters
 from repro.logic.folbv import (
     BEq,
     BVConcatT,
@@ -109,11 +110,13 @@ class TestAigConstruction:
         assert plain.folds == 0 and plain.subsumptions == 0
 
     def test_clauses_saved_is_never_negative(self):
-        aig = Aig()
-        bits = [aig.new_input() for _ in range(8)]
-        aig.and_([aig.and_(bits[:4]), aig.and_(bits[4:]), bits[0], -bits[1]])
-        aig.and_([bits[2], aig.not_(aig.and_([bits[2], bits[3]]))])
-        assert aig.clauses_saved >= 0
+        with counters.scope() as ledger:
+            aig = Aig()
+            bits = [aig.new_input() for _ in range(8)]
+            aig.and_([aig.and_(bits[:4]), aig.and_(bits[4:]), bits[0], -bits[1]])
+            aig.and_([bits[2], aig.not_(aig.and_([bits[2], bits[3]]))])
+        assert ledger["aig.clauses_saved"] >= 0
+        assert ledger["aig.nodes"] == aig.num_nodes
 
 
 class TestLowererAndEmitter:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro import counters
 from repro.logic.folbv import BEq, BVConst, BVVar
 from repro.p4a.bitvec import Bits
 from repro.smt.backend import (
@@ -29,7 +30,6 @@ class TestProtocol:
         assert backend.capabilities == SolverCapabilities()
         assert backend.incremental_session() is None
         assert backend.lookup(SAT_FORMULA) is None
-        assert backend.cache_statistics is None
         assert backend.internal_solver is None
         assert backend.memory_entries == 0
         assert backend.trim_memory(0) == 0
@@ -50,18 +50,19 @@ class TestProtocol:
         stacked = BackendMiddleware(inner)
         assert stacked.capabilities == inner.capabilities
         assert stacked.internal_solver is inner.internal_solver
-        assert stacked.statistics is inner.statistics
-        assert stacked.check_sat(SAT_FORMULA).is_sat
-        assert inner.statistics.queries == 1
+        with counters.scope() as ledger:
+            assert stacked.check_sat(SAT_FORMULA).is_sat
+        assert ledger["solver.queries"] == 1
 
     def test_caching_backend_adds_caching_capability(self):
         backend = CachingBackend(InternalBackend())
         caps = backend.capabilities
         assert caps.caching and caps.incremental and caps.internal_solver
-        backend.check_sat(SAT_FORMULA)
-        backend.check_sat(SAT_FORMULA)
-        assert backend.cache_statistics.hits == 1
-        assert backend.inner.statistics.queries == 1
+        with counters.scope() as ledger:
+            backend.check_sat(SAT_FORMULA)
+            backend.check_sat(SAT_FORMULA)
+        assert ledger["cache.hits"] == 1
+        assert ledger["solver.queries"] == 1
 
 
 class TestMakeBackend:
@@ -113,11 +114,12 @@ def _fake_solver(tmp_path, body: str):
 class TestExternalBackend:
     def test_timeout_is_not_a_parse_failure(self, tmp_path):
         backend = _fake_solver(tmp_path, "sleep 30")
-        result = backend.check_sat(SAT_FORMULA)
+        with counters.scope() as ledger:
+            result = backend.check_sat(SAT_FORMULA)
         assert result.status is SatStatus.UNKNOWN
         assert result.reason == "timeout"
-        assert backend.statistics.external_timeouts == 1
-        assert backend.statistics.parse_failures == 0
+        assert ledger["solver.external_timeouts"] == 1
+        assert ledger["solver.parse_failures"] == 0
         # The losing process must be reaped, not orphaned.
         assert backend.last_process.poll() is not None
 
@@ -125,14 +127,15 @@ class TestExternalBackend:
         backend = _fake_solver(
             tmp_path, 'echo "segmentation fault" >&2; echo gibberish; exit 139'
         )
-        with pytest.warns(RuntimeWarning, match="no sat/unsat answer"):
+        with pytest.warns(RuntimeWarning, match="no sat/unsat answer"), \
+                counters.scope() as ledger:
             result = backend.check_sat(SAT_FORMULA)
         assert result.status is SatStatus.UNKNOWN
         assert result.reason == "parse-failure"
         assert "segmentation fault" in result.detail
         assert "exit=139" in result.detail
-        assert backend.statistics.parse_failures == 1
-        assert backend.statistics.external_timeouts == 0
+        assert ledger["solver.parse_failures"] == 1
+        assert ledger["solver.external_timeouts"] == 0
 
     def test_cancellation_kills_the_subprocess(self, tmp_path):
         backend = _fake_solver(tmp_path, "sleep 30")

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import counters
 from repro.logic import folbv
 from repro.logic.folbv import BEq, BVConcatT, BVConst, BVExtract, BVVar, b_and, b_not, b_or
 from repro.p4a.bitvec import Bits
@@ -73,12 +74,14 @@ class TestBitblast:
 
     def test_statistics_accumulate(self):
         solver = InternalBVSolver()
-        solver.check_sat(BEq(A, BVConst(Bits("0001"))))
-        solver.check_sat(b_and([BEq(A, BVConst(Bits("0000"))), BEq(A, BVConst(Bits("1111")))]))
-        stats = solver.statistics
-        assert stats.queries == 2
-        assert stats.sat_queries == 1 and stats.unsat_queries == 1
-        assert stats.percentile_time(0.99) >= 0.0
+        with counters.scope() as ledger:
+            solver.check_sat(BEq(A, BVConst(Bits("0001"))))
+            solver.check_sat(
+                b_and([BEq(A, BVConst(Bits("0000"))), BEq(A, BVConst(Bits("1111")))])
+            )
+        assert ledger["solver.queries"] == 2
+        assert len(ledger.query_times) == 2
+        assert ledger.percentile_time(0.99) >= 0.0
 
 
 _values4 = st.integers(0, 15)
@@ -228,21 +231,22 @@ class TestCegis:
         )
         guess = {"a": Bits("1100")}
         session, solver = _session_and_solver(use_session)
-        result = solve_exists_forall(
-            matrix, {"c": 2}, solver=solver, session=session, guess=guess
-        )
+        with counters.scope() as ledger:
+            result = solve_exists_forall(
+                matrix, {"c": 2}, solver=solver, session=session, guess=guess
+            )
         assert result.holds is True
         assert result.rounds == 1
         assert result.witness == guess
-        queries = session.queries if use_session else solver.statistics.queries
-        assert queries == 1
+        assert ledger["solver.queries"] == 1
 
 
 class TestBackends:
     def test_internal_backend_statistics(self):
         backend = InternalBackend()
-        backend.check_sat(BEq(A, BVConst(Bits("0001"))))
-        assert backend.statistics.queries == 1
+        with counters.scope() as ledger:
+            backend.check_sat(BEq(A, BVConst(Bits("0001"))))
+        assert ledger["solver.queries"] == 1
 
     def test_unknown_external_solver_rejected(self):
         with pytest.raises(BackendError):

@@ -1,5 +1,6 @@
 """Tests for the incremental assumption-based solving session."""
 
+from repro import counters
 from repro.core.entailment import EntailmentChecker
 from repro.logic import folbv
 from repro.logic.confrel import LEFT, RIGHT, CHdr, CSlice
@@ -91,11 +92,11 @@ class TestIncrementalSession:
             expected = SatStatus.UNSAT if len(acts) == 3 else SatStatus.SAT
             assert result.status is expected
 
-    def test_statistics_ledger_is_shared_with_solver(self):
-        solver = InternalBVSolver()
-        session = solver.incremental_session()
-        session.check(goal=BEq(var("x"), const("1100")))
-        assert solver.statistics.queries == 1
+    def test_session_queries_are_counted_in_the_ledger(self):
+        session = InternalBVSolver().incremental_session()
+        with counters.scope() as ledger:
+            session.check(goal=BEq(var("x"), const("1100")))
+        assert ledger["solver.queries"] == 1
 
     def test_dpll_engine_has_no_session(self):
         assert InternalBVSolver(engine="dpll").incremental_session() is None
@@ -113,45 +114,45 @@ class TestIncrementalEntailment:
         verdicts = []
         premises = []
         width, step = 16, 4
-        for i in range(width // step):
-            lo, hi = i * step, (i + 1) * step - 1
-            goal = mk_eq(CSlice(CHdr(RIGHT, "h", width), 0, hi),
-                         CSlice(CHdr(LEFT, "h", width), 0, hi))
-            verdicts.append(bool(checker.check(premises, goal)))
-            premises.append(mk_eq(CSlice(CHdr(LEFT, "h", width), lo, hi),
-                                  CSlice(CHdr(RIGHT, "h", width), lo, hi)))
-            verdicts.append(bool(checker.check(premises, goal)))
-        return verdicts, checker
+        with counters.scope() as ledger:
+            for i in range(width // step):
+                lo, hi = i * step, (i + 1) * step - 1
+                goal = mk_eq(CSlice(CHdr(RIGHT, "h", width), 0, hi),
+                             CSlice(CHdr(LEFT, "h", width), 0, hi))
+                verdicts.append(bool(checker.check(premises, goal)))
+                premises.append(mk_eq(CSlice(CHdr(LEFT, "h", width), lo, hi),
+                                      CSlice(CHdr(RIGHT, "h", width), lo, hi)))
+                verdicts.append(bool(checker.check(premises, goal)))
+        return verdicts, checker, ledger
 
     def test_verdicts_identical_with_and_without_session(self):
-        incremental, inc_checker = self._workload(True)
-        baseline, base_checker = self._workload(False)
+        incremental, inc_checker, inc_ledger = self._workload(True)
+        baseline, base_checker, base_ledger = self._workload(False)
         assert incremental == baseline
-        assert inc_checker.statistics.checks == base_checker.statistics.checks
+        assert inc_ledger["entailment.checks"] == base_ledger["entailment.checks"]
         assert inc_checker._session is not None
         assert base_checker._session is None
 
     def test_incremental_entailment_encodes_less(self):
-        _, inc_checker = self._workload(True)
-        _, base_checker = self._workload(False)
+        _, inc_checker, _ = self._workload(True)
+        _, _, base_ledger = self._workload(False)
         # The one live CNF stays far smaller than the sum of the one-shot
         # encodings: shared premise structure is bit-blasted exactly once.
-        assert (inc_checker._session.num_clauses
-                < base_checker.backend.statistics.total_clauses)
+        assert inc_checker._session.num_clauses < base_ledger["solver.clauses"]
 
     def test_session_results_feed_the_query_cache(self):
         backend = CachingBackend(InternalBackend())
         checker = EntailmentChecker(backend, use_incremental=True)
         premise = mk_eq(CHdr(LEFT, "udp", 8), CHdr(RIGHT, "udp", 8))
         goal = mk_eq(CHdr(RIGHT, "udp", 8), CHdr(LEFT, "udp", 8))
-        assert checker.check([premise], goal).entailed
-        stores = backend.cache_statistics.stores
-        assert stores > 0
+        with counters.scope() as first:
+            assert checker.check([premise], goal).entailed
+        assert first["cache.stores"] > 0
         # A repeat of the same check is answered from the cache.
-        queries_before = backend.statistics.queries
-        assert checker.check([premise], goal).entailed
-        assert backend.statistics.queries == queries_before
-        assert checker.statistics.cache_hits > 0
+        with counters.scope() as repeat:
+            assert checker.check([premise], goal).entailed
+        assert repeat["solver.queries"] == 0
+        assert repeat["cache.hits"] > 0
 
     def test_exact_mode_with_universal_premises_still_agrees(self):
         from repro.logic.confrel import CVar
@@ -243,6 +244,6 @@ class TestSessionChurn:
             status = session.check(acts, goal=goal).status
             assert status is SatStatus.UNSAT
             assert status is self._fresh_status(pigeons, holes, goal)
-        assert session.statistics.queries == 2 * (pigeons + 1)
+        assert session.queries == 2 * (pigeons + 1)
         assert session._solver.stats.learned_clauses > 0
 

@@ -1,7 +1,6 @@
 """Tests for structural fingerprints and the fingerprint-keyed query cache."""
 
-import pytest
-
+from repro import counters
 from repro.logic import folbv
 from repro.logic.confrel import LEFT, RIGHT, CHdr, CVar, FAnd, FEq
 from repro.logic.fingerprint import confrel_fingerprint, folbv_fingerprint
@@ -60,17 +59,18 @@ class TestCachingBackend:
     def test_hit_miss_accounting(self):
         backend = CachingBackend(InternalBackend())
         formula = _sat_formula()
-        first = backend.check_sat(formula)
-        assert first.status is SatStatus.SAT
-        assert backend.cache_statistics.misses == 1
-        assert backend.cache_statistics.hits == 0
-        second = backend.check_sat(formula)
+        with counters.scope() as ledger:
+            first = backend.check_sat(formula)
+            assert first.status is SatStatus.SAT
+            assert ledger["cache.misses"] == 1
+            assert ledger["cache.hits"] == 0
+            second = backend.check_sat(formula)
         assert second.status is SatStatus.SAT
-        assert backend.cache_statistics.hits == 1
-        assert backend.cache_statistics.memory_hits == 1
-        assert backend.cache_statistics.hit_rate == pytest.approx(0.5)
+        assert ledger["cache.hits"] == 1
+        assert ledger["cache.memory_hits"] == 1
+        assert ledger["cache.misses"] == 1
         # The real solver ran exactly once.
-        assert backend.statistics.queries == 1
+        assert ledger["solver.queries"] == 1
 
     def test_cached_sat_model_still_satisfies(self):
         backend = CachingBackend(InternalBackend())
@@ -84,29 +84,32 @@ class TestCachingBackend:
     def test_unsat_results_are_cached(self):
         backend = CachingBackend(InternalBackend())
         formula = _unsat_formula()
-        assert backend.check_sat(formula).status is SatStatus.UNSAT
-        assert backend.check_sat(formula).status is SatStatus.UNSAT
-        assert backend.cache_statistics.hits == 1
-        assert backend.statistics.queries == 1
+        with counters.scope() as ledger:
+            assert backend.check_sat(formula).status is SatStatus.UNSAT
+            assert backend.check_sat(formula).status is SatStatus.UNSAT
+        assert ledger["cache.hits"] == 1
+        assert ledger["solver.queries"] == 1
 
     def test_persistent_round_trip(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         writer = CachingBackend(InternalBackend(), cache_dir=cache_dir)
         sat, unsat = _sat_formula(), _unsat_formula()
-        assert writer.check_sat(sat).status is SatStatus.SAT
-        assert writer.check_sat(unsat).status is SatStatus.UNSAT
-        assert writer.cache_statistics.stores == 2
+        with counters.scope() as ledger:
+            assert writer.check_sat(sat).status is SatStatus.SAT
+            assert writer.check_sat(unsat).status is SatStatus.UNSAT
+        assert ledger["cache.stores"] == 2
         writer.close()
 
         # A fresh backend over the same directory answers from disk without
         # touching its solver.
         reader = CachingBackend(InternalBackend(), cache_dir=cache_dir)
-        sat_again = reader.check_sat(sat)
-        unsat_again = reader.check_sat(unsat)
+        with counters.scope() as ledger:
+            sat_again = reader.check_sat(sat)
+            unsat_again = reader.check_sat(unsat)
         assert sat_again.status is SatStatus.SAT
         assert unsat_again.status is SatStatus.UNSAT
-        assert reader.cache_statistics.disk_hits == 2
-        assert reader.statistics.queries == 0
+        assert ledger["cache.disk_hits"] == 2
+        assert ledger["solver.queries"] == 0
         model = dict(sat_again.model)
         model.setdefault("x", Bits.zeros(8))
         assert folbv.eval_formula(sat, model)
@@ -165,16 +168,17 @@ class TestCachingBackend:
         for thread in threads:
             thread.join()
         assert errors == []
-        assert backend.cache_statistics.stores == 16
+        assert backend.memory_entries == 16
         backend.close()
 
         # Every concurrently written entry is readable from a fresh handle
         # without touching the solver.
         reader = CachingBackend(InternalBackend(), cache_dir=cache_dir)
-        for formula in formulas:
-            assert reader.check_sat(formula).status is SatStatus.SAT
-        assert reader.statistics.queries == 0
-        assert reader.cache_statistics.disk_hits == 16
+        with counters.scope() as ledger:
+            for formula in formulas:
+                assert reader.check_sat(formula).status is SatStatus.SAT
+        assert ledger["solver.queries"] == 0
+        assert ledger["cache.disk_hits"] == 16
         reader.close()
 
     def test_concurrent_handles_on_one_cache_directory(self, tmp_path):
