@@ -79,6 +79,8 @@ class IncrementalSession:
         self._activation_info: Dict[int, Tuple[int, frozenset]] = {}
         # fingerprint -> (graph ref, root literal, cone) for per-query goals
         self._goal_cache: Dict[str, Tuple[int, int, frozenset]] = {}
+        # (name, width) -> SAT variable per bit, once every bit is emitted
+        self._bit_vars: Dict[Tuple[str, int], Tuple[int, ...]] = {}
         self._clauses_fed = 0
         self._validate_models = validate_models
         # Assumptions of the last graph-collapsed unsat answer; the CDCL
@@ -217,19 +219,31 @@ class IncrementalSession:
     ) -> Dict[str, Bits]:
         values: Dict[str, Bits] = {}
         for name, width in variables.items():
-            refs = self._lowerer._variable_bits.get((name, width))
-            if refs is None:
-                values[name] = Bits.zeros(width)
-            else:
-                bits = []
-                for ref in refs:
-                    # Bits whose whole cone folded away were never emitted;
-                    # they are unconstrained, so zero is a valid choice (the
-                    # validation formula re-check backstops this).
-                    var = self._emitter.var_of(ref)
-                    bits.append("1" if var is not None and sat_values[var] == 1 else "0")
-                values[name] = Bits("".join(bits))
+            bit_vars = self._bit_vars.get((name, width))
+            if bit_vars is None:
+                bit_vars = self._variable_bit_vars(name, width)
+            # Variable 0 (a bit never emitted) reads as 0 in ``sat_values``.
+            values[name] = Bits(
+                "".join(["1" if sat_values[var] == 1 else "0" for var in bit_vars])
+            )
         return values
+
+    def _variable_bit_vars(self, name: str, width: int) -> Tuple[int, ...]:
+        """The SAT variable of each bit of ``name``, 0 for bits not emitted.
+
+        Bits whose whole cone folded away were never emitted; they are
+        unconstrained, so zero is a valid choice (the validation formula
+        re-check backstops this).  The tuple is cached once every bit has a
+        SAT variable, since an emitted bit keeps its variable for good.
+        """
+        refs = self._lowerer._variable_bits.get((name, width))
+        if refs is None:
+            return (0,) * width
+        var_of = self._emitter.var_of
+        bit_vars = tuple(var_of(ref) or 0 for ref in refs)
+        if 0 not in bit_vars:
+            self._bit_vars[(name, width)] = bit_vars
+        return bit_vars
 
     # ------------------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """An incremental CDCL (conflict-driven clause learning) SAT solver.
 
 This is the workhorse behind the internal bitvector decision procedure.  The
-implementation follows the standard MiniSat-style architecture:
+implementation follows the MiniSat architecture (Eén & Sörensson, "An
+Extensible SAT-solver", SAT 2003):
 
 * two-watched-literal unit propagation, with a dedicated fast path for
   binary clauses (the other literal is implied immediately, no watch walk),
@@ -19,21 +20,48 @@ implementation follows the standard MiniSat-style architecture:
   assumptions that is already sufficient for the conflict (the MiniSat
   "final conflict" analysis).
 
-Clauses live in an **arena** (:attr:`CdclSolver._arena`), a list of literal
-lists that only grows: watch lists and variable reasons store arena indices.
+**Storage.**  The public interface speaks DIMACS literals; inside, a literal
+is the code ``2·var + sign`` (sign 1 = negated, see :func:`literal_code`), so
+negation is ``code ^ 1`` and every per-literal table is a flat list indexed
+by code:
+
+* the assignment is one literal-indexed list, ``_value[code]`` ∈ {1 true,
+  -1 false, 0 unassigned}; assigning a variable writes both of its codes, so
+  reading a literal's value is one index;
+* the trail is a list of codes, with per-variable ``_level`` and ``_reason``
+  lists beside it (reason ``-1``: a decision or a root-level fact) and the
+  saved phase as the sign bit of the variable's last assignment;
+* clauses live in an **arena** (:attr:`CdclSolver._arena`), a list of code
+  lists that only grows; the watch lists are lists indexed by the code whose
+  truth falsifies the watch: ``_watches`` holds the ids of clauses of three
+  or more literals, and for binary clauses ``_bin_watches`` holds the
+  implied codes with the clause ids in the parallel ``_bin_clauses``.
+
+Propagation, backjumping and the search loop read these tables into locals
+and make no method call per literal.
+
+**Decision heap.**  Decisions pop ``(-activity, var)`` entries from one heap
+of the variables the solve may decide: every variable for an unrestricted
+solve, the ``decision_vars`` for a restricted one (each restricted solve
+builds its own heap, and the next unrestricted solve rebuilds the
+all-variable one).  ``_in_heap`` marks, per variable, whether it is outside
+the current scope (0), in scope without a current entry (1), or in scope
+with its current entry in the heap (2).  A variable gets a fresh entry only
+when it is unassigned without one, so the heap holds at most one current
+entry per variable; bumping leaves the old entry behind as a stale one, and
+once the heap passes ``2·num_vars + 64`` entries it is rebuilt with one entry
+per unassigned variable.  Because every unassigned variable always holds its
+current entry and stale entries only rank lower, the next decision is always
+the unassigned variable of highest activity (ties to the lowest index), so
+rebuilding never changes the search.
+
 Every learned clause is kept for the solver's lifetime: the verification
 conditions here learn few clauses, far from the long searches where
-learned-clause deletion pays off.
-
-Learned clauses are sound across calls because conflict analysis only resolves
-over clauses in the database — an assumption enters a learned clause only as a
-regular decision literal, so the learned clause is implied by the problem
-clauses alone and remains valid for every later assumption set.
-
-The solver works on the :class:`~repro.smt.sat.cnf.Cnf` representation
-produced by the bit-blaster.  It favours clarity over raw speed, but is fast
-enough to discharge the verification conditions arising from the case studies
-in this repository.
+learned-clause deletion pays off.  Learned clauses are sound across calls
+because conflict analysis only resolves over clauses in the database — an
+assumption enters a learned clause only as a regular decision literal, so
+the learned clause is implied by the problem clauses alone and remains valid
+for every later assumption set.
 """
 
 from __future__ import annotations
@@ -44,9 +72,18 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cnf import Cnf
 
-_UNASSIGNED = 0
-_TRUE = 1
-_FALSE = -1
+#: ``_reason`` of a decision or a root-level fact.
+_NO_REASON = -1
+
+
+def literal_code(literal: int) -> int:
+    """The internal code ``2·var + sign`` of a DIMACS literal."""
+    return 2 * literal if literal > 0 else 1 - 2 * literal
+
+
+def code_literal(code: int) -> int:
+    """The DIMACS literal of an internal code."""
+    return -(code >> 1) if code & 1 else code >> 1
 
 
 @dataclass
@@ -78,28 +115,30 @@ class CdclSolver:
 
     def __init__(self, cnf: Optional[Cnf] = None) -> None:
         self._num_vars = 0
-        #: Every stored clause (problem and learned) of two or more literals;
-        #: watches and reasons refer to clauses by their index here.
+        #: Every stored clause (problem and learned) of two or more literals,
+        #: as code lists; watches and reasons refer to clauses by index here.
         self._arena: List[List[int]] = []
-        # values[v] ∈ {_TRUE, _FALSE, _UNASSIGNED}, indexed by variable.
-        self._values: List[int] = [_UNASSIGNED]
-        self._levels: List[int] = [0]
-        self._reasons: List[Optional[int]] = [None]
+        # Indexed by literal code (codes 0 and 1 belong to the unused var 0).
+        self._value: List[int] = [0, 0]
+        self._watches: List[List[int]] = [[], []]
+        self._bin_watches: List[List[int]] = [[], []]
+        self._bin_clauses: List[List[int]] = [[], []]
+        # Indexed by variable.
+        self._level: List[int] = [0]
+        self._reason: List[int] = [_NO_REASON]
         self._activity: List[float] = [0.0]
-        self._phase: List[bool] = [False]
+        # Sign bit of the next decision on the variable (phase saving).
+        self._polarity: List[int] = [1]
+        self._seen: List[int] = [0]
+        self._in_heap: List[int] = [0]
         self._trail: List[int] = []
         self._trail_limits: List[int] = []
-        # Watches for clauses of three or more literals: falsified watched
-        # literal -> arena ids.  Binary clauses use the dedicated map below:
-        # falsified literal -> (implied literal, arena id) pairs.
-        self._watches: Dict[int, List[int]] = {}
-        self._bin_watches: Dict[int, List[Tuple[int, int]]] = {}
-        self._order_heap: List[Tuple[float, int]] = []
+        self._qhead = 0
+        self._heap: List[Tuple[float, int]] = []
+        #: The variables the heap ranges over; ``None`` = all of them.
+        self._heap_scope: Optional[set] = None
         self._activity_increment = 1.0
         self._activity_decay = 0.95
-        self._queue_position = 0
-        # (decision-var set, local activity heap) during a restricted solve.
-        self._restricted: Optional[Tuple[set, List[Tuple[float, int]]]] = None
         self.stats = SolverStats()
         self._ok = True
         #: After an unsat :meth:`solve` under assumptions: a subset of the
@@ -121,14 +160,27 @@ class CdclSolver:
 
     def ensure_num_vars(self, num_vars: int) -> None:
         """Grow the variable range to at least ``num_vars``."""
-        while self._num_vars < num_vars:
-            self._num_vars += 1
-            self._values.append(_UNASSIGNED)
-            self._levels.append(0)
-            self._reasons.append(None)
-            self._activity.append(0.0)
-            self._phase.append(False)
-            heapq.heappush(self._order_heap, (0.0, self._num_vars))
+        first = self._num_vars + 1
+        count = num_vars - self._num_vars
+        if count <= 0:
+            return
+        self._num_vars = num_vars
+        # Every table grows in place: the hot loops hold them in locals.
+        self._value.extend([0] * (2 * count))
+        self._watches.extend([] for _ in range(2 * count))
+        self._bin_watches.extend([] for _ in range(2 * count))
+        self._bin_clauses.extend([] for _ in range(2 * count))
+        self._level.extend([0] * count)
+        self._reason.extend([_NO_REASON] * count)
+        self._activity.extend([0.0] * count)
+        self._polarity.extend([1] * count)
+        self._seen.extend([0] * count)
+        if self._heap_scope is None:
+            for variable in range(first, num_vars + 1):
+                heapq.heappush(self._heap, (0.0, variable))
+            self._in_heap.extend([2] * count)
+        else:
+            self._in_heap.extend([0] * count)
 
     # ------------------------------------------------------------------
     # Clause management
@@ -144,7 +196,8 @@ class CdclSolver:
         if not self._ok:
             return
         self._backjump(0)
-        unique: List[int] = []
+        value = self._value
+        codes: List[int] = []
         seen = set()
         for literal in literals:
             if -literal in seen:
@@ -152,36 +205,43 @@ class CdclSolver:
             if literal in seen:
                 continue
             seen.add(literal)
-            self.ensure_num_vars(abs(literal))
-            value = self._value(literal)
-            if value == _TRUE:
+            if literal == 0:
+                raise ValueError("0 is not a valid literal")
+            if abs(literal) > self._num_vars:
+                self.ensure_num_vars(abs(literal))
+            code = literal_code(literal)
+            current = value[code]
+            if current == 1:
                 return  # satisfied by a root-level fact, forever
-            if value == _FALSE:
-                continue  # permanently false literal
-            unique.append(literal)
-        if not unique:
+            if current == 0:
+                codes.append(code)
+            # else: a permanently false literal, dropped
+        if not codes:
             self._ok = False
             return
-        if len(unique) == 1:
-            if not self._enqueue(unique[0], None):
+        if len(codes) == 1:
+            if not self._enqueue(codes[0], _NO_REASON):
                 self._ok = False
             return
-        self._store_clause(unique)
+        self._store_clause(codes)
 
-    def _store_clause(self, literals: List[int]) -> int:
+    def _store_clause(self, codes: List[int]) -> int:
         """Place a clause in the arena and register its watches."""
         index = len(self._arena)
-        self._arena.append(literals)
-        if len(literals) == 2:
-            self._bin_watches.setdefault(-literals[0], []).append((literals[1], index))
-            self._bin_watches.setdefault(-literals[1], []).append((literals[0], index))
+        self._arena.append(codes)
+        if len(codes) == 2:
+            first, second = codes
+            self._bin_watches[first ^ 1].append(second)
+            self._bin_clauses[first ^ 1].append(index)
+            self._bin_watches[second ^ 1].append(first)
+            self._bin_clauses[second ^ 1].append(index)
         else:
-            self._watch(literals[0], index)
-            self._watch(literals[1], index)
+            self._watches[codes[0] ^ 1].append(index)
+            self._watches[codes[1] ^ 1].append(index)
         return index
 
-    def _add_learned(self, literals: List[int]) -> int:
-        if len(literals) < 2:
+    def _add_learned(self, codes: List[int]) -> int:
+        if len(codes) < 2:
             raise ValueError("learned clauses with < 2 literals are enqueued directly")
         # Watch invariant for an asserting clause learned at a backjump:
         # position 0 is the asserting literal and position 1 must be a
@@ -189,271 +249,307 @@ class CdclSolver:
         # watching an arbitrary literal instead breaks the "a watch only
         # falsifies when the clause is visited" invariant after backjumping
         # and silently misses unit implications.
+        level = self._level
         best = 1
-        for position in range(2, len(literals)):
-            if self._levels[abs(literals[position])] > self._levels[abs(literals[best])]:
+        for position in range(2, len(codes)):
+            if level[codes[position] >> 1] > level[codes[best] >> 1]:
                 best = position
         if best != 1:
-            literals[1], literals[best] = literals[best], literals[1]
-        index = self._store_clause(literals)
+            codes[1], codes[best] = codes[best], codes[1]
+        index = self._store_clause(codes)
         self.stats.learned_clauses += 1
         return index
 
-    def _watch(self, literal: int, clause_index: int) -> None:
-        self._watches.setdefault(-literal, []).append(clause_index)
-
     # ------------------------------------------------------------------
-    # Assignment
+    # Assignment and propagation
     # ------------------------------------------------------------------
 
-    def _value(self, literal: int) -> int:
-        value = self._values[abs(literal)]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value if literal > 0 else -value
-
-    def _enqueue(self, literal: int, reason: Optional[int]) -> bool:
-        current = self._value(literal)
-        if current == _TRUE:
-            return True
-        if current == _FALSE:
-            return False
-        variable = abs(literal)
-        self._values[variable] = _TRUE if literal > 0 else _FALSE
-        self._levels[variable] = self._decision_level()
-        self._reasons[variable] = reason
-        self._phase[variable] = literal > 0
-        self._trail.append(literal)
-        if reason is not None:
+    def _enqueue(self, code: int, reason: int) -> bool:
+        """Assign ``code`` true at the current level; False if it is false."""
+        value = self._value
+        current = value[code]
+        if current:
+            return current == 1
+        value[code] = 1
+        value[code ^ 1] = -1
+        variable = code >> 1
+        self._level[variable] = len(self._trail_limits)
+        self._reason[variable] = reason
+        self._trail.append(code)
+        if reason != _NO_REASON:
             # An implication actually enqueued — the propagation count the
             # reports care about (not trail positions scanned).
             self.stats.propagations += 1
         return True
 
-    def _decision_level(self) -> int:
-        return len(self._trail_limits)
-
-    # ------------------------------------------------------------------
-    # Propagation
-    # ------------------------------------------------------------------
-
     def _propagate(self) -> Optional[int]:
         """Exhaustive unit propagation; returns a conflicting arena id or None."""
-        queue_position = self._queue_position
+        trail = self._trail
+        qhead = self._qhead
+        if qhead == len(trail):
+            return None
+        value = self._value
+        level = self._level
+        reason = self._reason
         arena = self._arena
-        while queue_position < len(self._trail):
-            literal = self._trail[queue_position]
-            queue_position += 1
+        watches = self._watches
+        bin_watches = self._bin_watches
+        bin_clauses = self._bin_clauses
+        value_of = value.__getitem__
+        current_level = len(self._trail_limits)
+        push = trail.append
+        implied = 0
+        conflict = None
+        while qhead < len(trail):
+            true_code = trail[qhead]
+            qhead += 1
             # Binary fast path: the other literal is implied outright, no
-            # watch relocation to attempt and no clause walk.
-            binaries = self._bin_watches.get(literal)
-            if binaries:
-                for other, clause_index in binaries:
-                    value = self._value(other)
-                    if value == _FALSE:
-                        self._queue_position = len(self._trail)
-                        return clause_index
-                    if value == _UNASSIGNED:
-                        self._enqueue(other, clause_index)
-            watch_list = self._watches.get(literal, [])
-            new_watch_list = []
-            i = 0
-            while i < len(watch_list):
-                clause_index = watch_list[i]
-                i += 1
-                clause = arena[clause_index]
+            # watch relocation to attempt and no clause walk.  Most lists
+            # imply only literals that are already true, which one C-level
+            # scan of their values confirms.
+            implied_codes = bin_watches[true_code]
+            if implied_codes and min(map(value_of, implied_codes)) != 1:
+                for other, index in zip(implied_codes, bin_clauses[true_code]):
+                    other_value = value[other]
+                    if other_value == 0:
+                        value[other] = 1
+                        value[other ^ 1] = -1
+                        variable = other >> 1
+                        level[variable] = current_level
+                        reason[variable] = index
+                        push(other)
+                        implied += 1
+                    elif other_value == -1:
+                        conflict = index
+                        break
+                if conflict is not None:
+                    break
+            watch_list = watches[true_code]
+            if not watch_list:
+                continue
+            false_code = true_code ^ 1
+            kept: List[int] = []
+            keep = kept.append
+            for position, index in enumerate(watch_list):
+                clause = arena[index]
                 # Ensure the falsified literal is at position 1.
-                if clause[0] == -literal:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) == _TRUE:
-                    new_watch_list.append(clause_index)
+                if first == false_code:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_code
+                first_value = value[first]
+                if first_value == 1:
+                    keep(index)
                     continue
                 # Look for a replacement watch.
-                found = False
-                for position in range(2, len(clause)):
-                    if self._value(clause[position]) != _FALSE:
-                        clause[1], clause[position] = clause[position], clause[1]
-                        self._watch(clause[1], clause_index)
-                        found = True
+                for other_position in range(2, len(clause)):
+                    candidate = clause[other_position]
+                    if value[candidate] != -1:
+                        clause[1] = candidate
+                        clause[other_position] = false_code
+                        watches[candidate ^ 1].append(index)
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                new_watch_list.append(clause_index)
-                if self._value(first) == _FALSE:
-                    new_watch_list.extend(watch_list[i:])
-                    self._watches[literal] = new_watch_list
-                    self._queue_position = len(self._trail)
-                    return clause_index
-                self._enqueue(first, clause_index)
-            self._watches[literal] = new_watch_list
-        self._queue_position = queue_position
-        return None
+                else:
+                    # Clause is unit or conflicting.
+                    keep(index)
+                    if first_value == -1:
+                        kept.extend(watch_list[position + 1:])
+                        conflict = index
+                        break
+                    value[first] = 1
+                    value[first ^ 1] = -1
+                    variable = first >> 1
+                    level[variable] = current_level
+                    reason[variable] = index
+                    push(first)
+                    implied += 1
+            watches[true_code] = kept
+            if conflict is not None:
+                break
+        self.stats.propagations += implied
+        self._qhead = len(trail) if conflict is not None else qhead
+        return conflict
+
+    # ------------------------------------------------------------------
+    # Decision heap
+    # ------------------------------------------------------------------
+
+    def _rebuild_heap(self, scope: Optional[set]) -> None:
+        """Rebuild the decision heap over ``scope`` (``None``: every variable).
+
+        Every unassigned variable of the scope gets exactly one entry, at its
+        current activity.  The lists are refilled in place, so callers that
+        hold them in locals stay valid.
+        """
+        num_vars = self._num_vars
+        value = self._value
+        activity = self._activity
+        if scope is None:
+            in_heap = [1] * (num_vars + 1)
+            in_heap[0] = 0
+            variables: Iterable[int] = range(1, num_vars + 1)
+        else:
+            in_heap = [0] * (num_vars + 1)
+            variables = scope
+        entries = []
+        for variable in variables:
+            if variable > num_vars:
+                continue
+            if value[2 * variable]:
+                in_heap[variable] = 1
+            else:
+                entries.append((-activity[variable], variable))
+                in_heap[variable] = 2
+        heapq.heapify(entries)
+        self._heap[:] = entries
+        self._in_heap[:] = in_heap
+        self._heap_scope = scope
 
     # ------------------------------------------------------------------
     # Conflict analysis
     # ------------------------------------------------------------------
 
     def _bump(self, variable: int) -> None:
-        self._activity[variable] += self._activity_increment
-        if self._activity[variable] > 1e100:
-            for v in range(1, self._num_vars + 1):
-                self._activity[v] *= 1e-100
+        activity = self._activity
+        activity[variable] += self._activity_increment
+        if activity[variable] > 1e100:
+            activity[:] = [value * 1e-100 for value in activity]
             self._activity_increment *= 1e-100
-            # The heaps still hold pre-rescale priorities, which would
+            # The heap still holds pre-rescale priorities, which would
             # dominate every post-rescale push and corrupt the decision
-            # order; rebuild them against the rescaled activities.
-            self._rebuild_heaps()
-        heapq.heappush(self._order_heap, (-self._activity[variable], variable))
-        if self._restricted is not None and variable in self._restricted[0]:
-            heapq.heappush(self._restricted[1], (-self._activity[variable], variable))
-
-    def _rebuild_heaps(self) -> None:
-        """Rebuild the order heap (and any restricted heap) from scratch.
-
-        Every unassigned variable gets exactly one fresh entry, preserving
-        the lazy-heap invariant that an unassigned variable is always
-        reachable by popping.
-        """
-        self._order_heap = [
-            (-self._activity[variable], variable)
-            for variable in range(1, self._num_vars + 1)
-            if self._values[variable] == _UNASSIGNED
-        ]
-        heapq.heapify(self._order_heap)
-        if self._restricted is not None:
-            decision_set = self._restricted[0]
-            local_heap = [
-                (-self._activity[variable], variable)
-                for variable in decision_set
-                if variable <= self._num_vars
-                and self._values[variable] == _UNASSIGNED
-            ]
-            heapq.heapify(local_heap)
-            self._restricted = (decision_set, local_heap)
-
-    def _decay_activities(self) -> None:
-        self._activity_increment /= self._activity_decay
+            # order; rebuild it against the rescaled activities.
+            self._rebuild_heap(self._heap_scope)
+            return
+        in_heap = self._in_heap
+        if in_heap[variable]:
+            # The variable's entry is stale now: an unassigned variable gets
+            # its fresh one at once, an assigned one when it is unassigned.
+            if self._value[2 * variable] == 0:
+                heapq.heappush(self._heap, (-activity[variable], variable))
+                in_heap[variable] = 2
+            else:
+                in_heap[variable] = 1
 
     def _analyze(self, conflict_index: int) -> Tuple[List[int], int]:
         """First-UIP analysis.
 
-        Returns ``(learned clause, backjump level)``: the clause's first
-        literal is the negated first unique implication point, and the
+        Returns ``(learned clause, backjump level)`` in codes: the clause's
+        first literal is the negated first unique implication point, and the
         backjump level is the highest level among the other literals.
         """
+        arena = self._arena
+        trail = self._trail
+        level = self._level
+        reason = self._reason
+        seen = self._seen
+        bump = self._bump
         learned: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self._num_vars + 1)
         counter = 0
-        literal = 0
-        clause = self._arena[conflict_index]
-        trail_index = len(self._trail) - 1
-        current_level = self._decision_level()
+        resolved = -1
+        clause = arena[conflict_index]
+        trail_index = len(trail) - 1
+        current_level = len(self._trail_limits)
 
         while True:
-            for clause_literal in clause:
-                if literal != 0 and clause_literal == literal:
+            for code in clause:
+                if code == resolved:
                     continue
-                variable = abs(clause_literal)
-                if seen[variable] or self._levels[variable] == 0:
+                variable = code >> 1
+                if seen[variable] or level[variable] == 0:
                     continue
-                seen[variable] = True
-                self._bump(variable)
-                if self._levels[variable] == current_level:
+                seen[variable] = 1
+                bump(variable)
+                if level[variable] == current_level:
                     counter += 1
                 else:
-                    learned.append(clause_literal)
+                    learned.append(code)
             # Find the next literal on the trail to resolve on.
-            while not seen[abs(self._trail[trail_index])]:
+            while not seen[trail[trail_index] >> 1]:
                 trail_index -= 1
-            resolve_literal = self._trail[trail_index]
-            variable = abs(resolve_literal)
-            seen[variable] = False
+            resolved = trail[trail_index]
+            variable = resolved >> 1
+            seen[variable] = 0
             counter -= 1
             trail_index -= 1
             if counter == 0:
-                learned[0] = -resolve_literal
+                learned[0] = resolved ^ 1
                 break
-            clause = self._arena[self._reasons[variable]]
-            literal = resolve_literal
+            clause = arena[reason[variable]]
 
-        if len(learned) == 1:
-            return learned, 0
-        backjump = max(self._levels[abs(l)] for l in learned[1:])
+        backjump = 0
+        for code in learned[1:]:
+            variable = code >> 1
+            seen[variable] = 0
+            if level[variable] > backjump:
+                backjump = level[variable]
         return learned, backjump
 
-    def _analyze_final(self, literal: int) -> List[int]:
-        """``literal`` is an assumption found false: which assumptions caused it?
+    def _analyze_final(self, code: int) -> List[int]:
+        """``code`` is an assumption found false: which assumptions caused it?
 
-        Walks the implication graph from ``¬literal`` back to the decisions of
+        Walks the implication graph from ``¬code`` back to the decisions of
         the current (assumption-only) prefix.  Returns a subset of the
-        assumption literals, including ``literal`` itself, whose conjunction
-        is already contradictory with the clause database.
+        assumption literals (as DIMACS literals), including ``code`` itself,
+        whose conjunction is already contradictory with the clause database.
         """
-        failed = [literal]
-        if self._decision_level() == 0:
+        failed = [code_literal(code)]
+        if not self._trail_limits:
             return failed
-        seen = [False] * (self._num_vars + 1)
-        seen[abs(literal)] = True
-        for index in range(len(self._trail) - 1, self._trail_limits[0] - 1, -1):
-            trail_literal = self._trail[index]
-            variable = abs(trail_literal)
+        trail = self._trail
+        level = self._level
+        reason = self._reason
+        arena = self._arena
+        seen = self._seen
+        seen[code >> 1] = 1
+        for index in range(len(trail) - 1, self._trail_limits[0] - 1, -1):
+            trail_code = trail[index]
+            variable = trail_code >> 1
             if not seen[variable]:
                 continue
-            reason = self._reasons[variable]
-            if reason is None:
+            clause_index = reason[variable]
+            if clause_index == _NO_REASON:
                 # A decision inside the assumption prefix is an assumption.
-                failed.append(trail_literal)
+                failed.append(code_literal(trail_code))
             else:
-                for clause_literal in self._arena[reason]:
-                    other = abs(clause_literal)
-                    if other != variable and self._levels[other] > 0:
-                        seen[other] = True
-            seen[variable] = False
+                for clause_code in arena[clause_index]:
+                    other = clause_code >> 1
+                    if other != variable and level[other] > 0:
+                        seen[other] = 1
+            seen[variable] = 0
+        # A false assumption fixed at level 0 is not on the walked trail.
+        seen[code >> 1] = 0
         return failed
 
-    def _backjump(self, level: int) -> None:
-        restricted = self._restricted
-        while self._decision_level() > level:
-            limit = self._trail_limits.pop()
-            while len(self._trail) > limit:
-                literal = self._trail.pop()
-                variable = abs(literal)
-                self._values[variable] = _UNASSIGNED
-                self._reasons[variable] = None
-                heapq.heappush(
-                    self._order_heap, (-self._activity[variable], variable)
-                )
-                if restricted is not None and variable in restricted[0]:
-                    heapq.heappush(
-                        restricted[1], (-self._activity[variable], variable)
-                    )
-        self._queue_position = min(self._queue_position, len(self._trail))
-
-    # ------------------------------------------------------------------
-    # Decisions
-    # ------------------------------------------------------------------
-
-    def _decide(self) -> Optional[int]:
-        # Lazy activity-ordered heap: entries may carry stale priorities (the
-        # heap is not rebuilt on decay/bump), but every unassigned variable
-        # always has at least one entry — pushed on creation, on unassignment
-        # and on every bump — so popping until an unassigned variable appears
-        # is a sound approximation of exact VSIDS order.  A restricted solve
-        # draws from its own heap over the decision-variable subset instead.
-        if self._restricted is not None:
-            local = self._restricted[1]
-            while local:
-                _, variable = heapq.heappop(local)
-                if self._values[variable] == _UNASSIGNED:
-                    return variable if self._phase[variable] else -variable
-            return None
-        while self._order_heap:
-            _, variable = heapq.heappop(self._order_heap)
-            if self._values[variable] == _UNASSIGNED:
-                return variable if self._phase[variable] else -variable
-        return None
+    def _backjump(self, target_level: int) -> None:
+        limits = self._trail_limits
+        if len(limits) <= target_level:
+            return
+        trail = self._trail
+        value = self._value
+        polarity = self._polarity
+        activity = self._activity
+        in_heap = self._in_heap
+        heap = self._heap
+        push = heapq.heappush
+        limit = limits[target_level]
+        del limits[target_level:]
+        for index in range(len(trail) - 1, limit - 1, -1):
+            code = trail[index]
+            value[code] = 0
+            value[code ^ 1] = 0
+            variable = code >> 1
+            polarity[variable] = code & 1
+            if in_heap[variable] == 1:
+                push(heap, (-activity[variable], variable))
+                in_heap[variable] = 2
+        del trail[limit:]
+        if self._qhead > limit:
+            self._qhead = limit
+        if len(heap) > 2 * self._num_vars + 64:
+            # Stale entries left behind by bumps; the rebuilt heap holds one
+            # entry per unassigned variable and decides in the same order.
+            self._rebuild_heap(self._heap_scope)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -495,7 +591,7 @@ class CdclSolver:
         if not sat:
             return sat, None
         model = {
-            variable: values[variable] == _TRUE
+            variable: values[variable] == 1
             for variable in range(1, self._num_vars + 1)
         }
         return True, model
@@ -511,7 +607,7 @@ class CdclSolver:
 
         ``values[v]`` is ``1`` (true) or ``-1`` (false) for variable ``v``
         (``0`` for variables left unassigned by a restricted solve; index 0
-        unused).  Incremental callers with thousands of session variables
+        belongs to no variable and is always ``0``).  Incremental callers with thousands of session variables
         decode only the bits they care about, so they skip the full
         model-dictionary construction of :meth:`solve`.
 
@@ -525,39 +621,43 @@ class CdclSolver:
         incremental session is exactly that shape; general callers must leave
         it ``None``.
         """
-        assumptions = list(assumptions) if assumptions else []
         self.last_conflict = []
         self.stats.solve_calls += 1
         if not self._ok:
             return False, None
-        for literal in assumptions:
+        codes: List[int] = []
+        for literal in assumptions or ():
             if literal == 0:
                 raise ValueError("0 is not a valid assumption literal")
             self.ensure_num_vars(abs(literal))
+            codes.append(literal_code(literal))
         self._backjump(0)
         if decision_vars is not None:
-            decision_set = set(decision_vars)
-            local_heap = [
-                (-self._activity[variable], variable)
-                for variable in decision_set
-                if variable <= self._num_vars
-                and self._values[variable] == _UNASSIGNED
-            ]
-            heapq.heapify(local_heap)
-            self._restricted = (decision_set, local_heap)
-        try:
-            return self._search(max_conflicts, assumptions, stop)
-        finally:
-            self._restricted = None
+            self._rebuild_heap(set(decision_vars))
+        elif self._heap_scope is not None:
+            self._rebuild_heap(None)
+        return self._search(max_conflicts, codes, stop)
 
     def _search(
         self, max_conflicts: Optional[int], assumptions: List[int], stop=None
     ) -> Tuple[Optional[bool], Optional[List[int]]]:
-        conflict = self._propagate()
-        if conflict is not None:
+        propagate = self._propagate
+        if propagate() is not None:
             # A root-level conflict dooms every later call too.
             self._ok = False
             return False, None
+        stats = self.stats
+        trail = self._trail
+        limits = self._trail_limits
+        value = self._value
+        level = self._level
+        reason = self._reason
+        activity = self._activity
+        polarity = self._polarity
+        in_heap = self._in_heap
+        heap = self._heap
+        pop = heapq.heappop
+        num_assumptions = len(assumptions)
         restart_count = 1
         restart_limit = 32 * self._luby(restart_count)
         conflicts_since_restart = 0
@@ -570,62 +670,76 @@ class CdclSolver:
                 # solver reusable.
                 self._backjump(0)
                 return None, None
-            conflict = self._propagate()
+            conflict = propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 total_conflicts += 1
                 conflicts_since_restart += 1
-                if self._decision_level() == 0:
+                if not limits:
                     self._ok = False
                     return False, None
                 learned, backjump_level = self._analyze(conflict)
                 self._backjump(backjump_level)
                 if len(learned) == 1:
-                    self.stats.learned_clauses += 1
-                    if not self._enqueue(learned[0], None):
+                    stats.learned_clauses += 1
+                    if not self._enqueue(learned[0], _NO_REASON):
                         self._ok = False
                         return False, None
                 else:
-                    index = self._add_learned(learned)
-                    self._enqueue(learned[0], index)
-                self._decay_activities()
+                    self._enqueue(learned[0], self._add_learned(learned))
+                self._activity_increment /= self._activity_decay
                 if max_conflicts is not None and total_conflicts >= max_conflicts:
                     self._backjump(0)
                     return None, None
                 if conflicts_since_restart >= restart_limit:
                     restart_count += 1
-                    self.stats.restarts += 1
+                    stats.restarts += 1
                     restart_limit = 32 * self._luby(restart_count)
                     conflicts_since_restart = 0
                     self._backjump(0)
                 continue
-            decision: Optional[int] = None
-            while self._decision_level() < len(assumptions):
-                assumption = assumptions[self._decision_level()]
-                value = self._value(assumption)
-                if value == _TRUE:
+            decision = -1
+            while len(limits) < num_assumptions:
+                assumption = assumptions[len(limits)]
+                assumption_value = value[assumption]
+                if assumption_value == 1:
                     # Already implied: open a vacuous level to keep the
                     # level ↔ assumption-index correspondence.
-                    self._trail_limits.append(len(self._trail))
+                    limits.append(len(trail))
                     continue
-                if value == _FALSE:
+                if assumption_value == -1:
                     self.last_conflict = self._analyze_final(assumption)
                     self._backjump(0)
                     return False, None
                 decision = assumption
                 break
-            if decision is None:
-                decision = self._decide()
-                if decision is None:
-                    values = list(self._values)
+            if decision < 0:
+                # The heap top is the unassigned variable of highest
+                # activity; entries of assigned variables are dropped on the
+                # way (an assigned variable gets a fresh entry when it is
+                # unassigned).
+                while heap:
+                    priority, variable = pop(heap)
+                    if value[2 * variable] == 0:
+                        in_heap[variable] = 1
+                        decision = 2 * variable | polarity[variable]
+                        break
+                    if priority == -activity[variable]:
+                        in_heap[variable] = 1
+                else:
+                    values = value[0::2]
                     self._backjump(0)
                     return True, values
-            self.stats.decisions += 1
-            self._trail_limits.append(len(self._trail))
-            self.stats.max_decision_level = max(
-                self.stats.max_decision_level, self._decision_level()
-            )
-            self._enqueue(decision, None)
+            stats.decisions += 1
+            limits.append(len(trail))
+            if len(limits) > stats.max_decision_level:
+                stats.max_decision_level = len(limits)
+            value[decision] = 1
+            value[decision ^ 1] = -1
+            variable = decision >> 1
+            level[variable] = len(limits)
+            reason[variable] = _NO_REASON
+            trail.append(decision)
 
 
 def cdcl_solve(

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from repro.smt.sat.brute import brute_force_solve, check_model
 from repro.smt.sat.cnf import Cnf, CnfBuilder
 from repro.smt.sat.dpll import dpll_solve
-from repro.smt.sat.solver import CdclSolver, cdcl_solve
+from repro.smt.sat.solver import (
+    _NO_REASON,
+    CdclSolver,
+    cdcl_solve,
+    code_literal,
+    literal_code,
+)
 
 
 def cnf_from_clauses(num_vars, clauses) -> Cnf:
@@ -396,7 +402,21 @@ class TestSolverInternals:
     def _decide_at_level(solver, literal):
         """Open a decision level and assign ``literal``, as the search does."""
         solver._trail_limits.append(len(solver._trail))
-        assert solver._enqueue(literal, None)
+        assert solver._enqueue(literal_code(literal), _NO_REASON)
+
+    @staticmethod
+    def _learn(solver, literals):
+        """Store ``literals`` as a learned clause; returns its arena id."""
+        return solver._add_learned([literal_code(literal) for literal in literals])
+
+    @staticmethod
+    def _stored(solver, index):
+        """The arena clause ``index`` as DIMACS literals, in stored order."""
+        return [code_literal(code) for code in solver._arena[index]]
+
+    @staticmethod
+    def _value(solver, literal):
+        return solver._value[literal_code(literal)]
 
     def test_learned_clause_watches_highest_level_falsified_literal(self):
         # Regression: _add_learned used to watch whatever literal happened to
@@ -407,8 +427,8 @@ class TestSolverInternals:
         self._decide_at_level(solver, 1)   # x1 true at level 1
         self._decide_at_level(solver, 2)   # x2 true at level 2
         self._decide_at_level(solver, 3)   # x3 true at level 3
-        index = solver._add_learned([4, -1, -3, -2])
-        stored = solver._arena[index]
+        index = self._learn(solver, [4, -1, -3, -2])
+        stored = self._stored(solver, index)
         assert stored[0] == 4
         assert stored[1] == -3  # level 3, the highest among the falsified
 
@@ -422,21 +442,21 @@ class TestSolverInternals:
         solver.ensure_num_vars(3)
         self._decide_at_level(solver, -2)  # x2 false at level 1
         self._decide_at_level(solver, -3)  # x3 false at level 2
-        index = solver._add_learned([1, 2, 3])
-        assert solver._arena[index][:2] == [1, 3]
+        index = self._learn(solver, [1, 2, 3])
+        assert self._stored(solver, index)[:2] == [1, 3]
         # The asserting enqueue, as the search loop would do it.
-        assert solver._enqueue(1, index)
+        assert solver._enqueue(literal_code(1), index)
         assert solver._propagate() is None
         # A deeper backjump retracts x3 (and with it x1), keeping only x2.
         solver._backjump(1)
-        assert solver._value(1) == 0 and solver._value(3) == 0
+        assert self._value(solver, 1) == 0 and self._value(solver, 3) == 0
         # Re-falsify x3 at a fresh level: the clause is unit on x1 again and
         # must enqueue exactly that one implication.
         self._decide_at_level(solver, -3)
         before = solver.stats.propagations
         assert solver._propagate() is None
         assert solver.stats.propagations == before + 1
-        assert solver._value(1) == 1
+        assert self._value(solver, 1) == 1
 
     def test_bump_rescale_rebuilds_stale_heap_priorities(self):
         # Regression: the 1e-100 activity rescale used to leave pre-rescale
@@ -448,25 +468,25 @@ class TestSolverInternals:
         solver._bump(1)  # heap entry (-1e100, 1)
         solver._bump(2)
         solver._bump(2)  # crosses 1e100 -> rescale + heap rebuild
-        assert all(priority > -1e50 for priority, _ in solver._order_heap)
-        for priority, variable in solver._order_heap:
+        assert all(priority > -1e50 for priority, _ in solver._heap)
+        for priority, variable in solver._heap:
             assert priority == -solver._activity[variable]
-        # x2 is now the most active variable and must be decided first; the
-        # stale entry would have handed the decision to x1.
-        assert abs(solver._decide()) == 2
+        # x2 is now the most active variable and must be decided first (the
+        # search pops the heap top); the stale entry would have handed the
+        # decision to x1.
+        assert solver._heap[0][1] == 2
 
     def test_rescale_rebuilds_restricted_heap_too(self):
         solver = CdclSolver()
         solver.ensure_num_vars(4)
-        solver._restricted = (set([1, 2]), [])
+        solver._rebuild_heap({1, 2})  # a restricted solve's decision heap
         solver._activity_increment = 1e100
         solver._bump(1)
         solver._bump(2)
         solver._bump(2)  # rescale while a restricted solve is in flight
-        decision_set, local_heap = solver._restricted
-        assert decision_set == {1, 2}
-        assert all(priority > -1e50 for priority, _ in local_heap)
-        assert {variable for _, variable in local_heap} == {1, 2}
+        assert solver._heap_scope == {1, 2}
+        assert all(priority > -1e50 for priority, _ in solver._heap)
+        assert {variable for _, variable in solver._heap} == {1, 2}
 
     def test_propagations_count_implications_enqueued(self):
         # x1 implies x2, x3, x4 through a mix of binary and ternary clauses:
