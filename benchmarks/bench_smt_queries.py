@@ -50,16 +50,16 @@ def test_query_time_distribution(benchmark, record_case):
     assert solver["max_time"] < 10.0
 
 
-def test_query_cache_speedup(benchmark, record_case):
-    """The fingerprint cache makes a repeated verification measurably faster.
+def test_query_cache_speedup(benchmark, record_case, tmp_path):
+    """The persistent fingerprint cache makes a repeated verification faster.
 
     The same speculative-loop equivalence is proved three times: once against
     a bare internal backend (the uncached baseline), once against a cold
-    caching backend (populating it), and once — the benchmarked run — against
-    the now-warm cache.  The warm run answers every fast-path query from the
-    memo, so it reaches the solver strictly less often than the baseline and
-    reports a positive hit rate; wall-clock times for both are recorded in
-    the metrics row.
+    caching backend (populating its sqlite store), and once — the benchmarked
+    run — against the now-warm store.  The warm run answers every fast-path
+    query from disk, so it reaches the solver strictly less often than the
+    baseline and reports a positive hit rate; wall-clock times for both are
+    recorded in the metrics row.
     """
     left, right = mpls.reference_parser(), mpls.vectorized_parser()
 
@@ -74,7 +74,7 @@ def test_query_cache_speedup(benchmark, record_case):
     uncached_seconds = time.perf_counter() - start
     assert uncached_result.proved
 
-    cached_backend = CachingBackend(InternalBackend())
+    cached_backend = CachingBackend(InternalBackend(), str(tmp_path / "cache"))
     assert check(cached_backend).proved  # cold run populates the cache
 
     result = benchmark.pedantic(lambda: check(cached_backend), iterations=1, rounds=1)

@@ -169,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--no-cache", action="store_true",
-        help="disable the solver-query cache entirely (overrides --cache-dir)",
+        help="disable the persistent solver-query cache (overrides --cache-dir)",
     )
     check.add_argument(
         "--cache-dir", help="persist the solver-query cache to this directory"

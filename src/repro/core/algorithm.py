@@ -58,11 +58,13 @@ class CheckerConfig:
     (``table``, the service ``case`` endpoint, the benchmark tables); with
     it off the reported peak is 0.
 
-    ``use_query_cache`` memoizes solver queries by structural fingerprint for
-    the duration of the run; ``cache_dir`` additionally persists the memo to a
-    sqlite store shared across runs and across engine workers.  Both only
-    apply when the checker builds its own backend (an explicitly supplied
-    backend is used as-is).
+    ``cache_dir`` persists solver answers, keyed by query fingerprint, to a
+    sqlite store shared across runs and across engine workers;
+    ``use_query_cache=False`` (``--no-cache``) turns that store off even when
+    a directory is given.  Both only apply when the checker builds its own
+    backend (an explicitly supplied backend is used as-is).  Within a run,
+    repeated entailments are answered by the entailment checker's own
+    outcome memo, which is always on.
 
     ``use_incremental`` routes entailment queries through one live
     assumption-based solver session per run (premises encoded once, learned
@@ -116,6 +118,8 @@ ENTAILMENT_KEYS = {
     "cegis_entailed": "entailment.cegis_entailed",
     "cegis_refuted": "entailment.cegis_refuted",
     "cegis_rounds": "entailment.cegis_rounds",
+    "memo_hits": "entailment.memo_hits",
+    "instances_reused": "entailment.instances_reused",
     "unknown": "entailment.unknown",
     "cache_hits": "cache.hits",
     "cache_misses": "cache.misses",
@@ -129,7 +133,6 @@ ENTAILMENT_KEYS = {
 CACHE_KEYS = {
     "hits": "cache.hits",
     "misses": "cache.misses",
-    "memory_hits": "cache.memory_hits",
     "disk_hits": "cache.disk_hits",
     "stores": "cache.stores",
 }

@@ -27,6 +27,22 @@ The checker runs the layers in that order (the certificate re-checker uses
 the same procedure): the fast path answers most queries with a single
 quantifier-free check, and CEGIS only runs when that check fails with
 universally quantified premises present.
+
+Two memories make each distinct entailment cost one answer:
+
+* **exact outcomes** — every definitive answer is memoized under the ordered
+  canonical premise fingerprints plus the canonical goal fingerprint, so a
+  repeated check makes no solver query at all.  ``unknown`` is never
+  memoized, and a refutation model is handed out as a fresh copy.  The memo
+  lives and dies with the checker: an independent re-checker builds its own.
+* **ground instances** (session path only) — the universal values each CEGIS
+  run instantiated a premise with are kept per canonical premise, pushed into
+  the session once behind an activation literal and assumed by every later
+  fast-path query over that premise.  An instance of a ∀-premise is implied
+  by the premise, so "unsat ⇒ entailed" stays sound, and CEGIS remains the
+  exact fallback; the instances only let the fast path prove what CEGIS
+  would otherwise re-derive (model-based quantifier instantiation in
+  miniature: Ge & de Moura, CAV 2009; Reynolds et al., CAV 2015).
 """
 
 from __future__ import annotations
@@ -50,7 +66,12 @@ from ..logic.simplify import simplify_formula
 from ..p4a.bitvec import Bits
 from ..smt.backend import InternalBackend, SolverBackend
 from ..smt.bvsolver import SatResult, SatStatus, complete_model
-from ..smt.cegis import solve_exists_forall
+from ..smt.cegis import solve_exists_forall, substitute
+
+#: Ground instances kept per canonical premise.  The paper-size rows never
+#: need more than two; the bound keeps one premise from flooding the session.
+MAX_INSTANCES_PER_PREMISE = 8
+
 
 @dataclass
 class EntailmentOutcome:
@@ -100,6 +121,12 @@ class EntailmentChecker:
         # key holds a strong reference to the premise, so a recycled id()
         # can never alias a dead object.
         self._canonical_memo: Dict[int, tuple] = {}
+        # Definitive outcomes by (premise fingerprints, goal fingerprint).
+        self._outcomes: Dict[Tuple[Tuple[str, ...], str], EntailmentOutcome] = {}
+        # Session path only: canonical premise fingerprint -> the premise's
+        # ground instances in discovery order, each keyed by its values and
+        # carrying (instance formula, activation literal).
+        self._instances: Dict[str, Dict[tuple, Tuple[folbv.BFormula, int]]] = {}
 
     # ------------------------------------------------------------------
 
@@ -130,10 +157,27 @@ class EntailmentChecker:
             counters.add("entailment.syntactic")
             return EntailmentOutcome(True, "syntactic")
 
-        # Fast path: shared-variable quantifier-free query.
+        keys = tuple(confrel_fingerprint(premise) for premise in canonical_premises)
+        memo_key = (keys, confrel_fingerprint(canonical_goal))
+        known = self._outcomes.get(memo_key)
+        if known is not None:
+            counters.add("entailment.memo_hits")
+            return _copy(known)
+        outcome = self._decide(canonical_premises, keys, canonical_goal)
+        if outcome.method != "unknown":
+            self._outcomes[memo_key] = _copy(outcome)
+        return outcome
+
+    def _decide(
+        self,
+        canonical_premises: Sequence[Formula],
+        keys: Sequence[str],
+        canonical_goal: Formula,
+    ) -> EntailmentOutcome:
+        """The fast path, then CEGIS when the fast path's answer may be spurious."""
         if self._session is not None:
             lowered_goal = lower_formula(canonical_goal)
-            result = self._check_sat_incremental(canonical_premises, lowered_goal)
+            result = self._check_sat_incremental(canonical_premises, keys, lowered_goal)
         else:
             query = compile_entailment(canonical_premises, canonical_goal)
             lowered_goal = query.goal
@@ -145,12 +189,12 @@ class EntailmentChecker:
         if result.status is SatStatus.UNKNOWN:
             counters.add("entailment.unknown")
             return EntailmentOutcome(False, "unknown")
-        if not premises:
+        if not canonical_premises:
             # With no premises the fast path is already exact.
             counters.add("entailment.smt_refuted")
             self._validate_refutation_model(result)
             return EntailmentOutcome(False, "smt", result.model)
-        return self._check_exact(canonical_premises, lowered_goal, result.model)
+        return self._check_exact(canonical_premises, keys, lowered_goal, result.model)
 
     def _validate_refutation_model(self, result: SatResult) -> None:
         """Concretely re-evaluate a refutation model against the query.
@@ -175,8 +219,8 @@ class EntailmentChecker:
 
     # ------------------------------------------------------------------
 
-    def _lower_premise(self, premise: Formula) -> folbv.BFormula:
-        """Lower a canonical premise, memoized by its structural fingerprint.
+    def _lower_premise(self, premise: Formula, key: str) -> folbv.BFormula:
+        """Lower a canonical premise, memoized by its fingerprint ``key``.
 
         Algorithm 1 re-checks against the same (growing) premise list on every
         iteration; re-lowering each premise from scratch would make the
@@ -185,7 +229,6 @@ class EntailmentChecker:
         fingerprint walk hit its identity memo, so a previously pushed premise
         costs O(1) per later query.
         """
-        key = confrel_fingerprint(premise)
         lowered = self._lowered_premises.get(key)
         if lowered is None:
             lowered = lower_formula(premise)
@@ -193,25 +236,41 @@ class EntailmentChecker:
         return lowered
 
     def _check_sat_incremental(
-        self, premises: Sequence[Formula], lowered_goal: folbv.BFormula
+        self,
+        premises: Sequence[Formula],
+        keys: Sequence[str],
+        lowered_goal: folbv.BFormula,
     ) -> SatResult:
         """The fast-path query via the incremental session.
 
         The premise conjunction is pushed into the session CNF once (activation
-        literals are idempotent per formula), the negated goal rides along as a
-        per-query assumption, and the query cache — when the backend stacks one
-        — is consulted before and fed after, under the same combined-formula
-        fingerprint the one-shot path uses, so both paths share cache entries.
+        literals are idempotent per formula), each premise's kept ground
+        instances are assumed alongside it, the negated goal rides along as a
+        per-query assumption, and the persistent query cache — when the
+        backend stacks one — is consulted before and fed after, keyed by the
+        combined formula.
         """
-        lowered_premises = tuple(self._lower_premise(p) for p in premises)
+        lowered_premises = [
+            self._lower_premise(premise, key) for premise, key in zip(premises, keys)
+        ]
+        instances = [
+            entry
+            for key in dict.fromkeys(keys)
+            for entry in self._instances.get(key, {}).values()
+        ]
         negated_goal = folbv.b_not(lowered_goal)
-        combined = folbv.b_and(list(lowered_premises) + [negated_goal])
+        combined = folbv.b_and(
+            lowered_premises + [instance for instance, _ in instances] + [negated_goal]
+        )
         self._last_query = combined
         if self.backend.capabilities.caching:
             cached = self.backend.lookup(combined)
             if cached is not None:
                 return cached
         assumptions = [self._session.activation(p) for p in lowered_premises]
+        if instances:
+            counters.add("entailment.instances_reused", len(instances))
+            assumptions.extend(literal for _, literal in instances)
         # variables are left to the session to derive (lazily, from the
         # validation formula) so unsat answers skip the free-variable walk.
         result = self._session.check(
@@ -225,17 +284,16 @@ class EntailmentChecker:
     # ------------------------------------------------------------------
 
     def _lower_premise_apart(
-        self, premise: Formula, index: int
+        self, premise: Formula, key: str, index: int
     ) -> Tuple[folbv.BFormula, Dict[str, int]]:
         """Premise ``index`` renamed apart (``u{index}_…``) and lowered, memoized.
 
         Returns the lowered formula and its universal variables (FOL(BV) name →
-        width).  Like :meth:`_lower_premise` the memo is keyed structurally, so
-        the one-shot path (which rebuilds canonical premises every check)
-        hits it too.
+        width).  Like :meth:`_lower_premise` the memo is keyed by the premise
+        fingerprint ``key``, so the one-shot path (which rebuilds canonical
+        premises every check) hits it too.
         """
-        key = (confrel_fingerprint(premise), index)
-        entry = self._lowered_apart.get(key)
+        entry = self._lowered_apart.get((key, index))
         if entry is None:
             variables = formula_variables(premise)
             mapping = {name: f"u{index}_{name}" for name in variables}
@@ -243,12 +301,13 @@ class EntailmentChecker:
                 variable_name(mapping[name]): width for name, width in variables.items()
             }
             entry = (lower_formula(rename_variables(premise, mapping)), universal)
-            self._lowered_apart[key] = entry
+            self._lowered_apart[(key, index)] = entry
         return entry
 
     def _check_exact(
         self,
         premises: Sequence[Formula],
+        keys: Sequence[str],
         lowered_goal: folbv.BFormula,
         guess: Optional[Dict[str, Bits]],
     ) -> EntailmentOutcome:
@@ -260,8 +319,8 @@ class EntailmentChecker:
         """
         universal_vars: Dict[str, int] = {}
         lowered_premises: List[folbv.BFormula] = []
-        for index, premise in enumerate(premises):
-            lowered, universal = self._lower_premise_apart(premise, index)
+        for index, (premise, key) in enumerate(zip(premises, keys)):
+            lowered, universal = self._lower_premise_apart(premise, key, index)
             lowered_premises.append(lowered)
             universal_vars.update(universal)
         matrix = folbv.b_and(lowered_premises + [folbv.b_not(lowered_goal)])
@@ -278,6 +337,8 @@ class EntailmentChecker:
             guess=guess,
         )
         counters.add("entailment.cegis_rounds", outcome.rounds)
+        if self._session is not None and outcome.refutations:
+            self._keep_instances(premises, keys, outcome.refutations)
         if outcome.holds is True:
             counters.add("entailment.cegis_refuted")
             return EntailmentOutcome(False, "cegis", outcome.witness)
@@ -286,3 +347,45 @@ class EntailmentChecker:
             return EntailmentOutcome(True, "cegis")
         counters.add("entailment.unknown")
         return EntailmentOutcome(False, "unknown")
+
+    def _keep_instances(
+        self,
+        premises: Sequence[Formula],
+        keys: Sequence[str],
+        refutations: Sequence[Dict[str, Bits]],
+    ) -> None:
+        """Keep each premise's ground instances from a CEGIS run's refutations.
+
+        Premise ``index``'s universal variables ``var_u{index}_<name>`` map
+        back to the fast path's ``var_<name>``; the instance is the premise's
+        fast-path lowering with those values substituted, pushed into the
+        session once.  At most :data:`MAX_INSTANCES_PER_PREMISE` distinct
+        instances are kept per premise, the earliest found.
+        """
+        for index, (premise, key) in enumerate(zip(premises, keys)):
+            _, universal = self._lower_premise_apart(premise, key, index)
+            if not universal:
+                continue
+            prefix = len(variable_name(f"u{index}_"))
+            kept = self._instances.setdefault(key, {})
+            for refutation in refutations:
+                if len(kept) >= MAX_INSTANCES_PER_PREMISE:
+                    break
+                values = {
+                    variable_name(name[prefix:]): refutation[name]
+                    for name in sorted(universal)
+                    if name in refutation
+                }
+                identity = tuple(
+                    (name, bits.to_bitstring()) for name, bits in values.items()
+                )
+                if identity in kept:
+                    continue
+                instance = substitute(self._lower_premise(premise, key), values)
+                kept[identity] = (instance, self._session.activation(instance))
+
+
+def _copy(outcome: EntailmentOutcome) -> EntailmentOutcome:
+    """``outcome`` with a model of its own, so no caller can alter the memo."""
+    model = dict(outcome.model) if outcome.model is not None else None
+    return EntailmentOutcome(outcome.entailed, outcome.method, model)

@@ -29,7 +29,7 @@ class EnvConfigError(ValueError):
 JOBS_VAR = "LEAPFROG_JOBS"
 #: Default shard count for ``repro campaign run`` (≥ 1; default 1).
 SHARDS_VAR = "LEAPFROG_SHARDS"
-#: Directory for the persistent solver-query cache (unset = in-memory only).
+#: Directory for the persistent solver-query cache (unset = no query cache).
 CACHE_DIR_VAR = "LEAPFROG_CACHE_DIR"
 #: Ablation toggle for the incremental solver session (unset = per-config default).
 INCREMENTAL_VAR = "LEAPFROG_INCREMENTAL"

@@ -101,6 +101,8 @@ RUN_COLUMNS: Dict[str, Union[str, Callable[[CheckerStatistics], object]]] = {
     ),
     "cache_hits": _cache("hits"),
     "cache_misses": _cache("misses"),
+    "memo_hits": "entailment.memo_hits",
+    "instances_reused": "entailment.instances_reused",
     "aig_nodes": "aig.nodes",
     "aig_saved": "aig.clauses_saved",
     "aig_shortcuts": "aig.shortcuts",

@@ -22,11 +22,11 @@ HTTP, or the in-process client) and implements the request lifecycle::
   would exceed the bound is rejected immediately with an ``overloaded``
   error carrying a ``retry_after`` hint (429 over HTTP), instead of letting
   latency grow without bound.
-* **Warm workers** — each worker thread owns a persistent
-  :class:`~repro.smt.cache.CachingBackend` (in-memory query cache, plus the
-  shared persistent sqlite cache when ``cache_dir`` is set) that lives
-  across requests, so premise lowering and solver queries stay warm.  The
-  in-memory layer is trimmed when it grows past ``memory_cache_cap``.
+* **Warm workers** — each worker thread owns one solver backend that lives
+  across requests: the internal solver, stacked under the shared persistent
+  :class:`~repro.smt.cache.CachingBackend` when ``cache_dir`` is set.  Each
+  check builds its own entailment checker, so nothing a check memoizes
+  outlives it.
 * **Store** — definitive verdicts land in the content-addressed
   :class:`~repro.service.store.VerdictStore`; a later identical request is
   served by replaying the stored certificate
@@ -104,7 +104,6 @@ class ServiceConfig:
     max_store_entries: Optional[int] = None
     cache_dir: Optional[str] = None
     max_pending: int = DEFAULT_MAX_PENDING
-    memory_cache_cap: int = 50_000
     mini_bits_threshold: int = MINI_BITS_THRESHOLD
 
     def __post_init__(self) -> None:
@@ -156,29 +155,19 @@ class _Task:
 
 
 class _WorkerState:
-    """Per-worker warm state: a persistent caching backend plus counters."""
+    """Per-worker warm state: a long-lived solver backend plus counters."""
 
-    def __init__(self, worker_id: int, cache_dir: Optional[str],
-                 memory_cache_cap: int) -> None:
+    def __init__(self, worker_id: int, cache_dir: Optional[str]) -> None:
         self.worker_id = worker_id
         self.backend = make_backend(use_cache=True, cache_dir=cache_dir)
-        self.memory_cache_cap = memory_cache_cap
         self.solves = 0
         self.replays = 0
-        self.memory_cache_trims = 0
-
-    def trim(self) -> None:
-        dropped = self.backend.trim_memory(self.memory_cache_cap)
-        if dropped:
-            self.memory_cache_trims += 1
 
     def snapshot(self) -> Dict[str, object]:
         return {
             "id": self.worker_id,
             "solves": self.solves,
             "replays": self.replays,
-            "memory_cache_entries": self.backend.memory_entries,
-            "memory_cache_trims": self.memory_cache_trims,
         }
 
 
@@ -220,8 +209,7 @@ class ServiceCore:
     def start(self) -> None:
         """Spawn the worker pool (no-op when ``workers == 0``)."""
         for worker_id in range(self.config.workers):
-            state = _WorkerState(worker_id, self.config.cache_dir,
-                                 self.config.memory_cache_cap)
+            state = _WorkerState(worker_id, self.config.cache_dir)
             thread = threading.Thread(
                 target=self._worker_loop, args=(state,),
                 name=f"leapfrog-worker-{worker_id}", daemon=True,
@@ -447,7 +435,6 @@ class ServiceCore:
         state.solves += 1
         with self._lock:
             self.solves += 1
-        state.trim()
         if (
             self.store is not None and not request.no_store
             and result.verdict is not None
@@ -650,9 +637,7 @@ class ServiceCore:
 
     def _inline_worker(self) -> _WorkerState:
         if self._inline_state is None:
-            self._inline_state = _WorkerState(
-                -1, self.config.cache_dir, self.config.memory_cache_cap
-            )
+            self._inline_state = _WorkerState(-1, self.config.cache_dir)
         return self._inline_state
 
     def _run_pending_inline(self) -> None:

@@ -102,15 +102,6 @@ class SolverBackend:
     def close(self) -> None:
         """Release external resources (default: nothing to release)."""
 
-    def trim_memory(self, max_entries: int) -> int:
-        """Drop in-memory cache entries beyond ``max_entries`` (default: none)."""
-        return 0
-
-    @property
-    def memory_entries(self) -> int:
-        """In-memory cache size (default: no cache, zero entries)."""
-        return 0
-
 
 class BackendMiddleware(SolverBackend):
     """A composable layer that wraps another backend.
@@ -146,13 +137,6 @@ class BackendMiddleware(SolverBackend):
 
     def close(self) -> None:
         self.inner.close()
-
-    def trim_memory(self, max_entries: int) -> int:
-        return self.inner.trim_memory(max_entries)
-
-    @property
-    def memory_entries(self) -> int:
-        return self.inner.memory_entries
 
 
 class InternalBackend(SolverBackend):

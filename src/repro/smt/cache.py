@@ -1,13 +1,12 @@
-"""Fingerprint-keyed caching of satisfiability queries.
+"""Fingerprint-keyed persistent caching of satisfiability queries.
 
 :class:`CachingBackend` wraps any :class:`~repro.smt.backend.SolverBackend`
 and memoizes ``check_sat`` answers by the structural fingerprint of the query
-(:mod:`repro.logic.fingerprint`).  Two layers are consulted in order:
-
-1. an **in-memory** dictionary, free to populate and always enabled;
-2. an optional **persistent** sqlite store shared across processes and runs,
-   enabled by passing a cache directory.  The engine uses it to share solver
-   work between parallel workers, and repeated benchmark runs start warm.
+(:mod:`repro.logic.fingerprint`) in a persistent sqlite store shared across
+processes and runs.  The engine uses it to share solver work between parallel
+workers, and repeated benchmark runs start warm.  Within one check, repeats
+are answered a layer up: :class:`~repro.core.entailment.EntailmentChecker`
+memoizes its exact outcomes, so this module keeps no in-memory tier.
 
 Only definitive answers (``sat``/``unsat``) are cached; ``unknown`` results
 (e.g. a conflict-limited CDCL call) are always re-queried.  Models are stored
@@ -152,22 +151,18 @@ class PersistentQueryCache:
 
 
 class CachingBackend(BackendMiddleware):
-    """Middleware that memoizes ``check_sat`` by query fingerprint.
+    """Middleware that memoizes ``check_sat`` by query fingerprint on disk.
 
     The canonical :class:`~repro.smt.backend.BackendMiddleware`: every other
     protocol operation is delegated to the wrapped backend unchanged, and the
     declared capabilities are the inner backend's plus ``caching``.
+    ``cache_dir`` holds the sqlite store (:class:`PersistentQueryCache`).
     """
 
-    def __init__(
-        self,
-        inner: Optional[SolverBackend] = None,
-        cache_dir: Optional[str] = None,
-    ) -> None:
+    def __init__(self, inner: Optional[SolverBackend], cache_dir: str) -> None:
         super().__init__(inner if inner is not None else InternalBackend())
         self.name = f"cached+{self.inner.name}"
-        self._memory: Dict[str, SatResult] = {}
-        self._disk = PersistentQueryCache(cache_dir) if cache_dir else None
+        self._disk = PersistentQueryCache(cache_dir)
 
     # ------------------------------------------------------------------
 
@@ -183,7 +178,7 @@ class CachingBackend(BackendMiddleware):
     def lookup(
         self, formula: BFormula, fingerprint: Optional[str] = None
     ) -> Optional[SatResult]:
-        """Consult both cache layers without ever reaching the solver.
+        """Consult the persistent store without ever reaching the solver.
 
         Used directly by the incremental entailment path (cache first, live
         session only on a miss) and by :meth:`check_sat`.  Either way the
@@ -197,57 +192,28 @@ class CachingBackend(BackendMiddleware):
         # fingerprint module's identity memo.)
         if fingerprint is None:
             fingerprint = folbv_fingerprint(formula)
-        cached = self._memory.get(fingerprint)
+        cached = self._disk.get(fingerprint)
         if cached is not None:
             counters.add("cache.hits")
-            counters.add("cache.memory_hits")
+            counters.add("cache.disk_hits")
             return self._replay(cached, start)
-        if self._disk is not None:
-            cached = self._disk.get(fingerprint)
-            if cached is not None:
-                self._memory[fingerprint] = cached
-                counters.add("cache.hits")
-                counters.add("cache.disk_hits")
-                return self._replay(cached, start)
         counters.add("cache.misses")
         return None
 
     def store(
         self, formula: BFormula, result: SatResult, fingerprint: Optional[str] = None
     ) -> None:
-        """Record a definitive answer in both cache layers."""
+        """Record a definitive answer in the persistent store."""
         if result.status is SatStatus.UNKNOWN:
             return
         if fingerprint is None:
             fingerprint = folbv_fingerprint(formula)
-        self._memory[fingerprint] = result
-        if self._disk is not None:
-            self._disk.put(fingerprint, result)
+        self._disk.put(fingerprint, result)
         counters.add("cache.stores")
 
     @property
     def capabilities(self) -> SolverCapabilities:
         return replace(self.inner.capabilities, caching=True)
-
-    @property
-    def memory_entries(self) -> int:
-        """Entries currently held by the in-memory layer."""
-        return len(self._memory)
-
-    def trim_memory(self, max_entries: int) -> int:
-        """Drop the in-memory layer once it grows past ``max_entries``.
-
-        Long-lived holders (the service daemon's warm workers) call this
-        between requests so a backend that lives for days cannot grow its
-        memo without bound; the persistent layer, when configured, still
-        holds everything that was dropped.  Returns the number of entries
-        dropped (0 when under the limit).
-        """
-        if len(self._memory) <= max_entries:
-            return 0
-        dropped = len(self._memory)
-        self._memory.clear()
-        return dropped
 
     @staticmethod
     def _replay(cached: SatResult, start: float) -> SatResult:
@@ -262,12 +228,11 @@ class CachingBackend(BackendMiddleware):
         return self.inner.internal_solver
 
     @property
-    def persistent_path(self) -> Optional[str]:
-        return self._disk.path if self._disk is not None else None
+    def persistent_path(self) -> str:
+        return self._disk.path
 
     def close(self) -> None:
-        if self._disk is not None:
-            self._disk.close()
+        self._disk.close()
         self.inner.close()
 
 
@@ -282,8 +247,8 @@ def make_backend(
 
     * the base backend comes from ``solver`` (a validated
       ``--solver``/``LEAPFROG_SOLVER`` choice; default the internal solver);
-    * ``use_cache`` wraps it in :class:`CachingBackend`.
-      ``use_cache=False`` wins: it disables both cache layers even when a
+    * a ``cache_dir`` wraps it in :class:`CachingBackend`, the persistent
+      query cache.  ``use_cache=False`` wins: no cache is stacked even when a
       ``cache_dir`` is supplied, so an explicit opt-out is never overridden.
 
     ``use_aig`` selects AIG simplification in the internal solver's lowering
@@ -294,6 +259,6 @@ def make_backend(
         backend = inner
     else:
         backend = backend_for_solver(solver, use_aig=use_aig)
-    if use_cache:
-        return CachingBackend(backend, cache_dir=cache_dir)
+    if use_cache and cache_dir:
+        return CachingBackend(backend, cache_dir)
     return backend

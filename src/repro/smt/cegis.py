@@ -26,7 +26,7 @@ variable domains are finite, though a round limit is enforced in practice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 from ..logic import folbv
@@ -91,11 +91,14 @@ class ExistsForallResult:
     ``holds`` is True when a witness for the existential block exists such that
     the matrix holds for every assignment of the universal block; ``witness``
     then carries the existential values.  ``rounds`` counts CEGIS iterations.
+    ``refutations`` lists the universal assignments the loop instantiated the
+    matrix with, in order; each one is a ground instance the caller may reuse.
     """
 
     holds: Optional[bool]
     witness: Optional[Dict[str, Bits]]
     rounds: int
+    refutations: List[Dict[str, Bits]] = field(default_factory=list)
 
 
 def solve_exists_forall(
@@ -142,6 +145,7 @@ def solve_exists_forall(
         return ExistsForallResult(result.is_sat, result.model, 1)
 
     instances: List[BFormula] = []  # substituted matrices
+    refutations: List[Dict[str, Bits]] = []  # the universal values behind them
     activations: List[int] = []  # their activation literals, session mode only
     candidate_model: Mapping[str, Bits] = guess or {}
     for round_index in range(1, max_rounds + 1):
@@ -158,9 +162,9 @@ def solve_exists_forall(
             else:
                 candidate = solver.check_sat(folbv.b_and(instances))
             if candidate.status is SatStatus.UNKNOWN:
-                return ExistsForallResult(None, None, round_index)
+                return ExistsForallResult(None, None, round_index, refutations)
             if candidate.is_unsat:
-                return ExistsForallResult(False, None, round_index)
+                return ExistsForallResult(False, None, round_index, refutations)
             candidate_model = candidate.model or {}
         witness = {name: candidate_model.get(name, Bits.zeros(width))
                    for name, width in existential.items()}
@@ -174,14 +178,15 @@ def solve_exists_forall(
         else:
             check = solver.check_sat(negated_instance)
         if check.status is SatStatus.UNKNOWN:
-            return ExistsForallResult(None, None, round_index)
+            return ExistsForallResult(None, None, round_index, refutations)
         if check.is_unsat:
-            return ExistsForallResult(True, witness, round_index)
+            return ExistsForallResult(True, witness, round_index, refutations)
         refutation = {
             name: check.model.get(name, Bits.zeros(width)) for name, width in universal.items()
         }
+        refutations.append(refutation)
         instance = substitute(matrix, refutation)
         instances.append(instance)
         if session is not None:
             activations.append(session.activation(instance))
-    return ExistsForallResult(None, None, max_rounds)
+    return ExistsForallResult(None, None, max_rounds, refutations)

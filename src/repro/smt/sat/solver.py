@@ -613,13 +613,16 @@ class CdclSolver:
 
         ``decision_vars`` restricts free decisions to the given variables.
         This is only sound when every clause involving an excluded variable is
-        *definitional* (Tseitin gates, guard clauses): then a propagation
-        fixpoint with every decision variable assigned always extends to a
-        total model — gate outputs are functions of their inputs and unused
-        guards are satisfiable by deactivation — so "sat" answers remain
-        genuine while the search never wanders into foreign subformulas.  The
-        incremental session is exactly that shape; general callers must leave
-        it ``None``.
+        *definitional* (Tseitin gates, guard clauses) and the decision set is
+        closed under gate inputs (a decided gate output has every input
+        decided too): then a propagation fixpoint with every decision
+        variable assigned always extends to a total model — gate outputs are
+        functions of their inputs and unused guards are satisfiable by
+        deactivation — so "sat" answers remain genuine while the search never
+        wanders into foreign subformulas.  A gate output decided without its
+        inputs may take a value no input assignment produces.  The
+        incremental session is exactly that shape (its decision sets are
+        unions of cones); general callers must leave it ``None``.
         """
         self.last_conflict = []
         self.stats.solve_calls += 1

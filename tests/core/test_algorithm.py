@@ -64,6 +64,8 @@ class TestEntailmentChecker:
     def test_ledger_sums_cegis_rounds(self, use_incremental):
         # ∀x. x = h entails h = 01, but the fast path's shared x cannot see
         # it: CEGIS refutes the fast path's guess, then finds no candidate.
+        # A repeat on the same checker is a memo hit that adds no rounds; a
+        # second checker has a memo of its own and adds its two rounds.
         checker = EntailmentChecker(use_incremental=use_incremental)
         premise = mk_eq(CVar("x", 2), CHdr(LEFT, "h", 2))
         goal = mk_eq(CHdr(LEFT, "h", 2), CLit(Bits("01")))
@@ -71,8 +73,15 @@ class TestEntailmentChecker:
             outcome = checker.check([premise], goal)
             assert outcome.entailed and outcome.method == "cegis"
             assert ledger["entailment.cegis_rounds"] == 2
-            checker.check([premise], goal)
+            repeat = checker.check([premise], goal)
+            assert repeat.entailed and repeat.method == "cegis"
+            assert ledger["entailment.cegis_rounds"] == 2
+            assert ledger["entailment.memo_hits"] == 1
+            fresh = EntailmentChecker(use_incremental=use_incremental)
+            assert fresh.check([premise], goal).method == "cegis"
         assert ledger["entailment.cegis_rounds"] == 4
+        assert ledger["entailment.memo_hits"] == 1
+        assert ledger["entailment.checks"] == 3
 
     def test_statistics(self):
         checker = EntailmentChecker()

@@ -40,3 +40,15 @@ def test_statistics_sections_read_recorded_names():
     referenced = set(ENTAILMENT_KEYS.values()) | set(CACHE_KEYS.values())
     recorded = _recorded_names()
     assert referenced <= recorded, sorted(referenced - recorded)
+
+
+def test_entailment_memo_counters_reach_every_report():
+    names = {"entailment.memo_hits", "entailment.instances_reused"}
+    assert names <= set(ENTAILMENT_KEYS.values())
+    assert names <= {column for column in RUN_COLUMNS.values() if isinstance(column, str)}
+    # The in-memory query-cache tier is gone, and so is its counter.
+    assert "cache.memory_hits" not in set(ENTAILMENT_KEYS.values()) | set(CACHE_KEYS.values())
+    assert "cache.memory_hits" not in _recorded_names()
+    result = check_language_equivalence(*get("mini_edge").automata())
+    row = result.statistics.entailment
+    assert row["memo_hits"] > 0 and row["instances_reused"] > 0

@@ -26,47 +26,47 @@ from repro.scenarios import get, mini_names
 #: under the default CheckerConfig.
 PINNED = {
     "mini_edge":
-        "2aaefabc4e929e484a628b1894cbb56f7b4d8b6237169432c2fd79ff07b13125",
+        "4bd81edbf1f67546e99b904198a33a1df8dc3368161c0f24d2d37d8a876f4dd8",
     "mini_service_provider":
-        "03909aea5cfd1742d8cbe960ad0778ed7b26f10122e345fff713bba49afc6f91",
+        "02051d138c74dbaaa092712285031e93cd7db4889c02a1eaec65d56494a25d5e",
     "mini_datacenter":
-        "2a41c9da3a9529234b6dfc3be729ccfe72b2a80722ca90c3f24730c20fa4e8cc",
+        "abe27dcaee726f5fb1239329d46ecce2b5e961a01b21451636737c012285de5f",
     "mini_enterprise":
-        "6d58f6ff3d135c5de8155cf75910fe51ff02619577996b02a8fbc82594fce165",
+        "65748a168336c5bb330298a053276766405aa17438707f6a15f88fc437f53ddc",
     "mini_vxlan_gre":
-        "e3adddcdd920b5eca5cb4019020bd7230965d580f9d3970123db3ebac8c9eed2",
+        "926c52e0026c80f2749566f3bf938b2394b060872f4e66811d3089995a962f39",
     "mini_vxlan_gre_broken":
-        "87f4f2b81fdf6420b0eddeb5bc4dd59b68d4a36c6626fea17a4826c64a6e59f4",
+        "63f46742c3d6853b359aa4f4e4b0d4eb0f23e5db3b3860a1e32c0e1a74274142",
     "mini_ipv6_ext":
-        "1a311861593194ed527e8262a5a2543366dfd2cae3fe528994a89be778cb948d",
+        "cbf2d003d610377a38d8c01d34d3b6601d175662bad21073b6d202a2d8c97b9e",
     "mini_ipv6_ext_broken":
-        "be5f077abe9a739ce6c5949ce4b5323ec940bde4019806b41284dc3ebfb2d90b",
+        "6edd9b16bcebfa27510e12f497f62f75da9cfd3217055cb42ea3d2e1c71e14ab",
     "mini_qinq":
-        "f59365feb9be6a5d4b375bde20b89c3a9b87da716eb34283f9e1dbb2d721f6d2",
+        "d1db8c96409ed92bb833057371ade4bfcf970ac311c7873639d10c12529aaac0",
     "mini_qinq_broken":
-        "6f2d0a981c9aa8674df7dea071fb939977405af841d94f36e5c63d936521c0b7",
+        "fee3c8c148efea8a94fe719a512f11ed3345fe4cfed4f509b72b5df56059e185",
     "mini_srv6":
-        "fcedcc16e7ea9c9a5d44176617dd03d35ffec4503e20758057ea0a413d4a49e1",
+        "cb3385e0e345e731778b3ef9bcce11bb62e4d3adc0dc7f9673d810e2ec25c1c1",
     "mini_srv6_broken":
-        "6ea7e8d6e82e960764fd7256069b76b300d9d7af079eae1f908030a95d9659a8",
+        "72904b26e167b3f0641749d417aa67c7ac8eb77fd2158400b95c70535ac498ec",
     "mini_geneve":
-        "2af615fb836a99abc1f3beca0b2a0f90d27fcaa4af294de58864c0b9a3d340f2",
+        "5c8ca62599f20614787284ed944422e3f0dd74a0aca31c4ae36e616a49bd5aef",
     "mini_geneve_broken":
-        "ae30f2277eb0929e6c440d9232a3fcaa4e9064d169ff450054527279f7e5382a",
+        "e1f7984fda7ff3b8f4e6ec0d38943209aadc6ddefee993b8303e3a2584a2ec68",
     "mini_arp_icmp":
-        "fdfe8c1ddd7ad6d55f3b9e40e72481eb277772b3c1ff752687e5bbaba9421a90",
+        "9c9dd3c474a1f2759a3bcc479e7cbd8580efbcf588bfd88999ff54e2b18a0b9d",
     "mini_arp_icmp_broken":
-        "d8fbcec64e351960bc3aeee336e7c9663a6c64b7bda4f2f3386ed5ba77214a3d",
+        "7cff960033231cbaf1dd49bab6d98ecff29c3837bd9e010e9b5daf14734fdd13",
     "mini_synthetic":
-        "acfc156756e352e84c2547f5ec7f563f1a4f0bde9cd4d0589f0a722b3d897432",
+        "ea847f15cf5172467dc71e4e2471fc9c852015199e0b059883c33d8526fbcb2b",
     "mini_synthetic_broken":
-        "ba913572b9d4463a3c55e656aabe5ff8f53734e882e49e584f46d4676eb752b6",
+        "36d3fed669ab046e15c0a84ae6422440c3712bdc1155c7231f6c08d07ae89666",
     "distilled_mini_20220618_internal":
-        "d60c1432b08c0c7d08c6bc3bebd324e84b0b49da956419eb00ba59a700b77922",
+        "2e842cb5388f5bd7405c1a55ba337b83cfc4ea4f4077c152f6668855c2556696",
 }
 
 #: sha256 of the scaled Table 2 text, Runtime and Memory masked.
-PINNED_TABLE = "1964d003c83ddfbb10c639ea8337cf3435a1534803c28281c9bc51dd51912120"
+PINNED_TABLE = "3641b143404363e7716b1aef57cc374010a1d4b2b913f5f4354ee8a781eab480"
 
 #: Keys that measure time or memory, not counts.
 _TIMINGS = ("total_time", "max_time", "p99_time")

@@ -31,8 +31,9 @@ class TestProtocol:
         assert backend.incremental_session() is None
         assert backend.lookup(SAT_FORMULA) is None
         assert backend.internal_solver is None
-        assert backend.memory_entries == 0
-        assert backend.trim_memory(0) == 0
+        # The protocol holds no in-memory cache tier to size or trim.
+        assert not hasattr(backend, "memory_entries")
+        assert not hasattr(backend, "trim_memory")
         backend.store(SAT_FORMULA, SatResult(SatStatus.UNKNOWN))
         backend.close()  # all default methods are safe no-ops
 
@@ -54,15 +55,16 @@ class TestProtocol:
             assert stacked.check_sat(SAT_FORMULA).is_sat
         assert ledger["solver.queries"] == 1
 
-    def test_caching_backend_adds_caching_capability(self):
-        backend = CachingBackend(InternalBackend())
+    def test_caching_backend_adds_caching_capability(self, tmp_path):
+        backend = CachingBackend(InternalBackend(), str(tmp_path))
         caps = backend.capabilities
         assert caps.caching and caps.incremental and caps.internal_solver
         with counters.scope() as ledger:
             backend.check_sat(SAT_FORMULA)
             backend.check_sat(SAT_FORMULA)
-        assert ledger["cache.hits"] == 1
+        assert ledger["cache.hits"] == ledger["cache.disk_hits"] == 1
         assert ledger["solver.queries"] == 1
+        backend.close()
 
 
 class TestMakeBackend:
@@ -71,22 +73,31 @@ class TestMakeBackend:
         backend = make_backend(solver=solver, use_aig=False, use_cache=False)
         assert backend.internal_solver.use_aig is False
 
-    def test_cache_wraps_the_internal_backend(self):
-        backend = make_backend()
+    def test_cache_wraps_the_internal_backend(self, tmp_path):
+        bare = make_backend()
+        assert isinstance(bare, InternalBackend)
+        assert not bare.capabilities.caching
+        backend = make_backend(cache_dir=str(tmp_path))
         assert isinstance(backend, CachingBackend)
         assert isinstance(backend.inner, InternalBackend)
         assert backend.capabilities.caching
+        assert backend.persistent_path.startswith(str(tmp_path))
+        backend.close()
 
     def test_use_cache_false_wins_over_cache_dir(self, tmp_path):
         backend = make_backend(use_cache=False, cache_dir=str(tmp_path))
         assert isinstance(backend, InternalBackend)
         assert not backend.capabilities.caching
 
-    def test_explicit_inner_ignores_the_solver_choice(self):
+    def test_explicit_inner_ignores_the_solver_choice(self, tmp_path):
         inner = InternalBackend(engine="dpll")
-        backend = make_backend(inner=inner, solver="cdcl", use_aig=False)
+        assert make_backend(inner=inner, solver="cdcl", use_aig=False) is inner
+        backend = make_backend(
+            inner=inner, cache_dir=str(tmp_path), solver="cdcl", use_aig=False
+        )
         assert backend.inner is inner
         assert backend.internal_solver.use_aig is True
+        backend.close()
 
     def test_missing_external_solver_is_an_error(self, monkeypatch):
         import shutil

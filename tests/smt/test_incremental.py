@@ -102,8 +102,8 @@ class TestIncrementalSession:
         assert InternalBVSolver(engine="dpll").incremental_session() is None
         assert InternalBackend(engine="dpll").incremental_session() is None
 
-    def test_caching_backend_delegates_session(self):
-        assert CachingBackend(InternalBackend()).incremental_session() is not None
+    def test_caching_backend_delegates_session(self, tmp_path):
+        assert CachingBackend(InternalBackend(), str(tmp_path)).incremental_session() is not None
 
 
 class TestIncrementalEntailment:
@@ -140,19 +140,28 @@ class TestIncrementalEntailment:
         # encodings: shared premise structure is bit-blasted exactly once.
         assert inc_checker._session.num_clauses < base_ledger["solver.clauses"]
 
-    def test_session_results_feed_the_query_cache(self):
-        backend = CachingBackend(InternalBackend())
+    def test_session_results_feed_the_query_cache(self, tmp_path):
+        backend = CachingBackend(InternalBackend(), str(tmp_path))
         checker = EntailmentChecker(backend, use_incremental=True)
         premise = mk_eq(CHdr(LEFT, "udp", 8), CHdr(RIGHT, "udp", 8))
         goal = mk_eq(CHdr(RIGHT, "udp", 8), CHdr(LEFT, "udp", 8))
         with counters.scope() as first:
             assert checker.check([premise], goal).entailed
         assert first["cache.stores"] > 0
-        # A repeat of the same check is answered from the cache.
+        # A repeat on the same checker is answered by its outcome memo,
+        # without a solver query or a cache lookup.
         with counters.scope() as repeat:
             assert checker.check([premise], goal).entailed
         assert repeat["solver.queries"] == 0
-        assert repeat["cache.hits"] > 0
+        assert repeat["entailment.memo_hits"] == 1
+        assert repeat["cache.hits"] == repeat["cache.misses"] == 0
+        # A fresh checker over the same store is answered by the cache.
+        fresh = EntailmentChecker(backend, use_incremental=True)
+        with counters.scope() as warm:
+            assert fresh.check([premise], goal).entailed
+        assert warm["solver.queries"] == 0
+        assert warm["cache.hits"] > 0
+        backend.close()
 
     def test_exact_mode_with_universal_premises_still_agrees(self):
         from repro.logic.confrel import CVar

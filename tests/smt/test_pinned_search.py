@@ -27,10 +27,10 @@ _FIELDS = (
 
 #: Summed search counts over all mini scenarios, under the default
 #: CheckerConfig, in ``_FIELDS`` order.
-PINNED_MINI = (3988, 22180, 8, 8, 0, 1137)
+PINNED_MINI = (2817, 18098, 8, 8, 0, 802)
 
 #: Summed search counts over the scaled Table 2 (``run_cases(full=False)``).
-PINNED_TABLE = (5358, 12038, 6, 6, 0, 745)
+PINNED_TABLE = (4032, 7662, 4, 4, 0, 418)
 
 
 @pytest.fixture

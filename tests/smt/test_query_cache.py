@@ -56,8 +56,8 @@ class TestFingerprints:
 
 
 class TestCachingBackend:
-    def test_hit_miss_accounting(self):
-        backend = CachingBackend(InternalBackend())
+    def test_hit_miss_accounting(self, tmp_path):
+        backend = CachingBackend(InternalBackend(), str(tmp_path))
         formula = _sat_formula()
         with counters.scope() as ledger:
             first = backend.check_sat(formula)
@@ -67,28 +67,34 @@ class TestCachingBackend:
             second = backend.check_sat(formula)
         assert second.status is SatStatus.SAT
         assert ledger["cache.hits"] == 1
-        assert ledger["cache.memory_hits"] == 1
+        assert ledger["cache.disk_hits"] == 1
         assert ledger["cache.misses"] == 1
         # The real solver ran exactly once.
         assert ledger["solver.queries"] == 1
+        backend.close()
 
-    def test_cached_sat_model_still_satisfies(self):
-        backend = CachingBackend(InternalBackend())
+    def test_cached_sat_model_still_satisfies(self, tmp_path):
+        backend = CachingBackend(InternalBackend(), str(tmp_path))
         formula = _sat_formula()
-        backend.check_sat(formula)
+        first_model = backend.check_sat(formula).model
         cached = backend.check_sat(formula)
         model = dict(cached.model)
         model.setdefault("x", Bits.zeros(8))
         assert folbv.eval_formula(formula, model)
+        # Every replay hands out a model of its own.
+        cached.model["x"] = Bits.zeros(8)
+        assert backend.check_sat(formula).model == first_model
+        backend.close()
 
-    def test_unsat_results_are_cached(self):
-        backend = CachingBackend(InternalBackend())
+    def test_unsat_results_are_cached(self, tmp_path):
+        backend = CachingBackend(InternalBackend(), str(tmp_path))
         formula = _unsat_formula()
         with counters.scope() as ledger:
             assert backend.check_sat(formula).status is SatStatus.UNSAT
             assert backend.check_sat(formula).status is SatStatus.UNSAT
         assert ledger["cache.hits"] == 1
         assert ledger["solver.queries"] == 1
+        backend.close()
 
     def test_persistent_round_trip(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -134,11 +140,12 @@ class TestCachingBackend:
 
     def test_make_backend_stacking(self, tmp_path):
         assert isinstance(make_backend(use_cache=False), InternalBackend)
-        cached = make_backend(use_cache=True)
-        assert isinstance(cached, CachingBackend)
-        assert cached.persistent_path is None
+        # Without a directory there is no cache tier to stack.
+        assert isinstance(make_backend(use_cache=True), InternalBackend)
         persistent = make_backend(use_cache=True, cache_dir=str(tmp_path))
-        assert persistent.persistent_path is not None
+        assert isinstance(persistent, CachingBackend)
+        assert persistent.persistent_path.startswith(str(tmp_path))
+        persistent.close()
 
     def test_concurrent_writers_share_one_persistent_backend(self, tmp_path):
         # Regression test for the daemon's worker pool: several threads
@@ -168,8 +175,10 @@ class TestCachingBackend:
         for thread in threads:
             thread.join()
         assert errors == []
-        assert backend.memory_entries == 16
         backend.close()
+        store = PersistentQueryCache(cache_dir)
+        assert len(store) == 16
+        store.close()
 
         # Every concurrently written entry is readable from a fresh handle
         # without touching the solver.

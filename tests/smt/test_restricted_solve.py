@@ -5,13 +5,19 @@ every other clause it holds is a Tseitin gate definition.  These tests build
 instances of exactly that shape with :class:`CnfBuilder`'s gate emitters and
 check restricted answers against the DPLL reference, and they check that the
 decision heap stays bounded across many restricted solves while every free
-decision is still the unassigned variable of highest activity.
+decision is still the unassigned variable of highest activity.  A real check's
+session is audited too: every decision set it passes is closed under gate
+inputs, the precondition of ``solve_values``.
 """
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core.equivalence import check_language_equivalence
+from repro.scenarios import get
+from repro.smt.aig import TRUE_REF
+from repro.smt.incremental import IncrementalSession
 from repro.smt.sat.brute import check_model
 from repro.smt.sat.cnf import Cnf, CnfBuilder
 from repro.smt.sat.dpll import dpll_solve
@@ -85,7 +91,12 @@ def _signed(rng, variables, count):
 
 @st.composite
 def restricted_plan(draw):
-    """A gate instance plus queries: (assumptions, extra decision variables)."""
+    """A gate instance plus queries: (assumptions, extra decision variables).
+
+    The extra variables are closed under gate inputs, as every decision set
+    the incremental session passes is: ``solve_values`` requires it, since a
+    gate output decided without its inputs need not extend to a model.
+    """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     instance = random_instance(
         rng, draw(st.integers(2, 6)), draw(st.integers(1, 12))
@@ -94,13 +105,35 @@ def restricted_plan(draw):
     queries = []
     for _ in range(draw(st.integers(1, 4))):
         assumptions = _signed(rng, variables, draw(st.integers(1, 3)))
-        extra = set(rng.sample(variables, draw(st.integers(0, len(variables)))))
+        extra = instance.cone(
+            rng.sample(variables, draw(st.integers(0, len(variables))))
+        )
         queries.append((assumptions, extra))
     return instance, queries
 
 
+def _open_cone_plan():
+    """The shape that once broke this test: gate 13 decided, its inputs not.
+
+    Gate 13 is ``5 ↔ ¬2`` with ``5 = ¬2 ∧ ¬1``; with input 1 false it is
+    true whatever 2 is, so deciding 13 false without its cone (2 and 5)
+    leaves a remainder with no model.  Closed under cones, the query is
+    an ordinary restricted solve.
+    """
+    instance = GateInstance(3)
+    for kind, operands in (
+        ("iff", [1, 3]), ("and", [-2, -2, -1]), ("iff", [-4, 4]),
+        ("iff", [-2, -4]), ("iff", [-7, -7]), ("and", [-4, -7, 6]),
+        ("and", [-7, -1]), ("or", [4, 5]), ("iff", [-6, -6]),
+        ("iff", [5, -2]), ("or", [-12, 13, 2]),
+    ):
+        instance.add_gate(kind, operands)
+    return instance, [([12, -6], instance.cone([13]))]
+
+
 @settings(max_examples=150, deadline=None)
 @given(restricted_plan())
+@example(_open_cone_plan())
 def test_restricted_solves_agree_with_dpll(plan):
     instance, queries = plan
     solver = CdclSolver(instance.cnf())
@@ -198,3 +231,48 @@ def test_heap_stays_bounded_and_decides_by_activity():
     assert solver.solve(stop=oracle)[0] is True
     assert oracle.checked > 0
     assert len(solver._heap) <= 2 * solver.num_vars + 64
+
+
+# ---------------------------------------------------------------------------
+# The session's decision sets are closed under gate inputs.
+# ---------------------------------------------------------------------------
+
+
+def _gate_inputs(session):
+    """SAT variable → the SAT variables its emitted graph node is defined over."""
+    emitter, aig = session._emitter, session._aig
+    inputs = {}
+    for index, var in emitter._vars.items():
+        operands = set()
+        for operand in aig.operands(index):
+            inner = abs(operand)
+            operands.add(
+                abs(emitter.builder.constant(True)) if inner == TRUE_REF
+                else emitter.var_of(inner)
+            )
+        inputs[var] = operands
+    return inputs
+
+
+def test_session_decision_sets_are_cone_closed(monkeypatch):
+    sessions, solves = [], []
+    init, solve_values = IncrementalSession.__init__, CdclSolver.solve_values
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sessions.append(self)
+
+    def recording_solve(self, *args, **kwargs):
+        if kwargs.get("decision_vars") is not None:
+            solves.append((self, frozenset(kwargs["decision_vars"])))
+        return solve_values(self, *args, **kwargs)
+
+    monkeypatch.setattr(IncrementalSession, "__init__", recording_init)
+    monkeypatch.setattr(CdclSolver, "solve_values", recording_solve)
+    assert check_language_equivalence(*get("mini_edge").automata()).verdict
+    assert sessions and solves
+    gate_inputs = {id(session._solver): _gate_inputs(session) for session in sessions}
+    for solver, decision_vars in solves:
+        inputs = gate_inputs[id(solver)]
+        for var in decision_vars:
+            assert inputs.get(var, set()) <= decision_vars, var
