@@ -36,7 +36,7 @@ from .entailment import EntailmentChecker
 from .init_rels import initial_relation
 from .reachability import ReachabilityAnalysis
 from .templates import GuardedFormula, Template, TemplatePair
-from .wp import wp_formula
+from .wp import LeapTable, wp_formula
 
 
 class CheckerError(Exception):
@@ -262,9 +262,17 @@ class PreBisimulationChecker:
         self.entailment = EntailmentChecker(
             self.backend, use_incremental=self.config.use_incremental
         )
-        self.initial_pure = initial_pure
-        self.store_relation = store_relation
-        self.extra_initial = list(extra_initial) if extra_initial is not None else None
+        # Formulas from outside Algorithm 1 are normalized once, here; every
+        # formula the loop builds is in normal form by construction.
+        self.initial_pure = simplify_formula(initial_pure)
+        self.store_relation = (
+            simplify_formula(store_relation) if store_relation is not None else None
+        )
+        self.extra_initial = (
+            [GuardedFormula(entry.pair, simplify_formula(entry.pure)) for entry in extra_initial]
+            if extra_initial is not None
+            else None
+        )
         self.require_equal_acceptance = require_equal_acceptance
         self.start_pair = TemplatePair(Template(left_start, 0), Template(right_start, 0))
 
@@ -315,6 +323,8 @@ class PreBisimulationChecker:
 
     def _run_loop(self, statistics: CheckerStatistics) -> PreBisimResult:
         reach = self._build_reachability()
+        # Freed with the run: a process-wide table would keep every run's leaps.
+        leaps = LeapTable(self.left_aut, self.right_aut)
         statistics.reachable_pairs = len(reach)
         frontier: Deque[GuardedFormula] = deque(
             initial_relation(
@@ -335,11 +345,9 @@ class PreBisimulationChecker:
                     "the pre-bisimulation did not converge"
                 )
             candidate = frontier.popleft()
-            pure = simplify_formula(candidate.pure)
-            if isinstance(pure, FTrue):
+            if isinstance(candidate.pure, FTrue):
                 statistics.skipped += 1
                 continue
-            candidate = GuardedFormula(candidate.pair, pure)
             premises = relation_by_pair.get(candidate.pair, [])
             outcome = self.entailment.check(premises, candidate.pure)
             if outcome.entailed:
@@ -357,8 +365,9 @@ class PreBisimulationChecker:
                     candidate,
                     source_pair,
                     use_leaps=self.config.use_leaps,
+                    leaps=leaps,
                 )
-                if isinstance(simplify_formula(precondition.pure), FTrue):
+                if isinstance(precondition.pure, FTrue):
                     continue
                 statistics.wp_formulas += 1
                 frontier.append(precondition)

@@ -90,6 +90,13 @@ class EntailmentChecker:
 
     Each check's outcome is counted in the check's ledger under
     ``entailment.*`` (:mod:`repro.counters`).
+
+    The session path takes formulas as built: Algorithm 1 builds every
+    formula through the smart constructors, so it is already in normal form.
+    The one-shot path also serves the certificate re-checker and other
+    callers outside Algorithm 1, so it normalizes goal and premises where
+    they enter.  Either way a formula out of normal form still gets the
+    right verdict; it may only miss the trivial and syntactic shortcuts.
     """
 
     def __init__(
@@ -117,9 +124,10 @@ class EntailmentChecker:
         self._last_query: Optional[folbv.BFormula] = None
         # Identity-keyed canonicalization memo (incremental path only): the
         # algorithm re-checks against the same premise *objects* every
-        # iteration, so simplify + canonicalize each one exactly once.  The
-        # key holds a strong reference to the premise, so a recycled id()
-        # can never alias a dead object.
+        # iteration, so canonicalize each one exactly once (they are in
+        # normal form as built, so there is nothing to simplify).  The key
+        # holds a strong reference to the premise, so a recycled id() can
+        # never alias a dead object.
         self._canonical_memo: Dict[int, tuple] = {}
         # Definitive outcomes by (premise fingerprints, goal fingerprint).
         self._outcomes: Dict[Tuple[Tuple[str, ...], str], EntailmentOutcome] = {}
@@ -134,18 +142,19 @@ class EntailmentChecker:
         entry = self._canonical_memo.get(id(formula))
         if entry is not None and entry[0] is formula:
             return entry[1]
-        canonical = canonicalize_variables(simplify_formula(formula), prefix="x")
+        canonical = canonicalize_variables(formula, prefix="x")
         self._canonical_memo[id(formula)] = (formula, canonical)
         return canonical
 
     def check(self, premises: Sequence[Formula], goal: Formula) -> EntailmentOutcome:
         counters.add("entailment.checks")
-        goal_simplified = simplify_formula(goal)
-        if isinstance(goal_simplified, FTrue):
+        if self._session is None:
+            goal = simplify_formula(goal)
+        if isinstance(goal, FTrue):
             counters.add("entailment.trivial")
             return EntailmentOutcome(True, "trivial")
 
-        canonical_goal = canonicalize_variables(goal_simplified, prefix="x")
+        canonical_goal = canonicalize_variables(goal, prefix="x")
         if self._session is not None:
             canonical_premises = [self._canonicalize(premise) for premise in premises]
         else:
@@ -176,10 +185,10 @@ class EntailmentChecker:
     ) -> EntailmentOutcome:
         """The fast path, then CEGIS when the fast path's answer may be spurious."""
         if self._session is not None:
-            lowered_goal = lower_formula(canonical_goal)
+            lowered_goal = lower_formula(canonical_goal, simplify=False)
             result = self._check_sat_incremental(canonical_premises, keys, lowered_goal)
         else:
-            query = compile_entailment(canonical_premises, canonical_goal)
+            query = compile_entailment(canonical_premises, canonical_goal, simplify=False)
             lowered_goal = query.goal
             self._last_query = query.formula
             result = self.backend.check_sat(query.formula)
@@ -231,7 +240,7 @@ class EntailmentChecker:
         """
         lowered = self._lowered_premises.get(key)
         if lowered is None:
-            lowered = lower_formula(premise)
+            lowered = lower_formula(premise, simplify=False)
             self._lowered_premises[key] = lowered
         return lowered
 
@@ -300,7 +309,7 @@ class EntailmentChecker:
             universal = {
                 variable_name(mapping[name]): width for name, width in variables.items()
             }
-            entry = (lower_formula(rename_variables(premise, mapping)), universal)
+            entry = (lower_formula(rename_variables(premise, mapping), simplify=False), universal)
             self._lowered_apart[(key, index)] = entry
         return entry
 

@@ -6,7 +6,10 @@ computes a formula that holds at a source configuration pair exactly when all
 configurations reached after consuming the next ``k`` packet bits (``k`` = 1 in
 bit-by-bit mode, ``k`` = the leap size otherwise) that land in (t1, t2) satisfy
 ψ.  The next packet bits are represented by a fresh symbolic variable shared
-between both sides — both automata read the same wire.
+between both sides — both automata read the same wire.  It is named
+``leap_k`` for the smallest ``k`` not free in ψ, so the same step always gets
+the same name (the entailment checker canonicalizes names, so verdicts never
+depend on them).
 
 The computation has two parts:
 
@@ -18,13 +21,22 @@ The computation has two parts:
 * :func:`wp_formula` combines the two sides: for each pair of outcomes landing
   in the target templates it substitutes the post-state expressions into ψ and
   guards the result with both path conditions.
+
+A :class:`LeapTable` keeps each side's leaps for the length of one checker run:
+Algorithm 1 takes WPs from the same few hundred source templates thousands of
+times, and a leap depends only on (side, source template, leap size, leap
+variable).
+
+Every formula here is built through the smart constructors of
+:mod:`repro.logic.simplify`, so it is in normal form when built and no caller
+re-simplifies it; substitution alone re-normalizes, because replacing a
+header by its post-state value can expose new rewrites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..logic.confrel import (
     LEFT,
@@ -38,6 +50,7 @@ from ..logic.confrel import (
     CVar,
     Formula,
     FTrue,
+    formula_variables,
     map_formula_exprs,
 )
 from ..logic.simplify import (
@@ -71,14 +84,6 @@ from .templates import GuardedFormula, Template, TemplatePair, leap_size
 
 class WpError(Exception):
     """Raised on internal errors during weakest-precondition computation."""
-
-
-_fresh_counter = count()
-
-
-def fresh_variable_name(prefix: str = "leap") -> str:
-    """A globally fresh symbolic variable name."""
-    return f"{prefix}_{next(_fresh_counter)}"
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +246,31 @@ def symbolic_leap(
     return outcomes
 
 
+class LeapTable:
+    """The symbolic leaps of one checker run, each computed once.
+
+    Keyed by (side, source template, leap size, leap variable name).  A table
+    belongs to one pair of automata and lives as long as the run that owns
+    it, so what it holds is freed with the run.  Every caller gets the same
+    outcome objects, so callers only read them.
+    """
+
+    def __init__(self, left_aut: P4Automaton, right_aut: P4Automaton) -> None:
+        self._automata = {LEFT: left_aut, RIGHT: right_aut}
+        self._outcomes: Dict[Tuple[str, Template, int, str], List[LeapOutcome]] = {}
+
+    def outcomes(
+        self, side: str, source: Template, leap: int, leap_var: CVar
+    ) -> List[LeapOutcome]:
+        """:func:`symbolic_leap` of ``side``'s automaton, computed on first use."""
+        key = (side, source, leap, leap_var.name)
+        outcomes = self._outcomes.get(key)
+        if outcomes is None:
+            outcomes = symbolic_leap(self._automata[side], side, source, leap, leap_var)
+            self._outcomes[key] = outcomes
+        return outcomes
+
+
 # ---------------------------------------------------------------------------
 # Substitution of post-state expressions into the target formula
 # ---------------------------------------------------------------------------
@@ -286,13 +316,22 @@ def substitute_configuration(
 # ---------------------------------------------------------------------------
 
 
+def leap_variable_name(formula: Formula) -> str:
+    """``leap_k`` for the smallest ``k`` whose name is not free in ``formula``."""
+    taken = formula_variables(formula)
+    k = 0
+    while f"leap_{k}" in taken:
+        k += 1
+    return f"leap_{k}"
+
+
 def wp_formula(
     left_aut: P4Automaton,
     right_aut: P4Automaton,
     target: GuardedFormula,
     source_pair: TemplatePair,
     use_leaps: bool = True,
-    leap_var_name: Optional[str] = None,
+    leaps: Optional[LeapTable] = None,
 ) -> GuardedFormula:
     """The weakest precondition of ``target`` along a step from ``source_pair``.
 
@@ -300,13 +339,15 @@ def wp_formula(
     ``source_pair`` exactly when every continuation by the leap's packet bits
     that lands in ``target``'s template pair satisfies ``target``'s pure part
     (Lemma 4.9 / Theorem 5.7).  If no continuation can land in the target
-    templates, the result is trivially true.
+    templates, the result is trivially true.  ``leaps``, the run's table for
+    the same two automata, saves re-executing leaps it has seen.
     """
     leap = leap_size(left_aut, right_aut, source_pair) if use_leaps else 1
-    name = leap_var_name or fresh_variable_name()
-    leap_var = CVar(name, leap)
-    left_outcomes = symbolic_leap(left_aut, LEFT, source_pair.left, leap, leap_var)
-    right_outcomes = symbolic_leap(right_aut, RIGHT, source_pair.right, leap, leap_var)
+    leap_var = CVar(leap_variable_name(target.pure), leap)
+    if leaps is None:
+        leaps = LeapTable(left_aut, right_aut)
+    left_outcomes = leaps.outcomes(LEFT, source_pair.left, leap, leap_var)
+    right_outcomes = leaps.outcomes(RIGHT, source_pair.right, leap, leap_var)
     conjuncts: List[Formula] = []
     for left_outcome in left_outcomes:
         if left_outcome.target != target.left:
@@ -317,7 +358,7 @@ def wp_formula(
             substituted = substitute_configuration(target.pure, left_outcome, right_outcome)
             condition = mk_and([left_outcome.condition, right_outcome.condition])
             conjuncts.append(mk_impl(condition, substituted))
-    return GuardedFormula(source_pair, simplify_formula(mk_and(conjuncts)))
+    return GuardedFormula(source_pair, mk_and(conjuncts))
 
 
 def wp_set(
@@ -328,9 +369,12 @@ def wp_set(
     use_leaps: bool = True,
 ) -> List[GuardedFormula]:
     """WP(φ): one guarded formula per source pair, dropping trivially true ones."""
+    leaps = LeapTable(left_aut, right_aut)
     results = []
     for source_pair in source_pairs:
-        formula = wp_formula(left_aut, right_aut, target, source_pair, use_leaps=use_leaps)
+        formula = wp_formula(
+            left_aut, right_aut, target, source_pair, use_leaps=use_leaps, leaps=leaps
+        )
         if not isinstance(formula.pure, FTrue):
             results.append(formula)
     return results

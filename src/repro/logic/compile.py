@@ -3,7 +3,8 @@
 This module mirrors the lowering pipeline of Figure 6:
 
 1. **Algebraic simplification** — re-running the ConfRel smart constructors
-   (:mod:`repro.logic.simplify`).
+   (:mod:`repro.logic.simplify`); skipped with ``simplify=False`` for
+   formulas that are in normal form as built.
 2. **Template filtering** — performed by the caller (the algorithm keeps its
    relation indexed by template guard, so only same-guard premises are handed
    to :func:`compile_entailment`).
@@ -104,7 +105,11 @@ def formula_to_folconf(formula: Formula) -> folbv.BFormula:
 
 
 def lower_formula(formula: Formula, simplify: bool = True) -> folbv.BFormula:
-    """ConfRel → FOL(BV): simplify, compile to FOL(Conf), eliminate stores."""
+    """ConfRel → FOL(BV): simplify, compile to FOL(Conf), eliminate stores.
+
+    Callers whose formulas are already in normal form (everything Algorithm 1
+    builds) pass ``simplify=False``; simplifying them again changes nothing.
+    """
     if simplify:
         formula = simplify_formula(formula)
     folconf_formula = formula_to_folconf(formula)

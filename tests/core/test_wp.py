@@ -12,10 +12,11 @@ import pytest
 
 from repro.core.templates import GuardedFormula, Template, TemplatePair, leap_size
 from repro.core.wp import (
+    LeapTable,
     WpError,
     exec_ops_symbolic,
-    fresh_variable_name,
     initial_symbolic_store,
+    leap_variable_name,
     symbolic_leap,
     transition_conditions,
     translate_expr,
@@ -31,6 +32,7 @@ from repro.logic.confrel import (
     FFalse,
     FTrue,
     eval_expr,
+    formula_variables,
     holds_for_all_valuations,
 )
 from repro.logic.simplify import mk_eq, simplify_formula
@@ -99,8 +101,48 @@ class TestSymbolicExecution:
         conditions = transition_conditions(LEFT_AUT, "q2", env)
         assert conditions == {ACCEPT: FTrue()}
 
-    def test_fresh_names_are_unique(self):
-        assert fresh_variable_name() != fresh_variable_name()
+    def test_leap_variable_is_the_smallest_free_leap_name(self):
+        assert leap_variable_name(FTrue()) == "leap_0"
+        taken = mk_eq(CVar("leap_0", 2), CVar("leap_2", 2))
+        assert leap_variable_name(taken) == "leap_1"
+
+
+class TestLeapTable:
+    def test_repeated_leap_is_computed_once(self):
+        table = LeapTable(LEFT_AUT, RIGHT_AUT)
+        var = CVar("leap_0", 2)
+        first = table.outcomes(LEFT, Template("q1", 0), 2, var)
+        assert table.outcomes(LEFT, Template("q1", 0), 2, var) is first
+        assert first == symbolic_leap(LEFT_AUT, LEFT, Template("q1", 0), 2, var)
+
+    def test_sides_and_variables_are_separate_entries(self):
+        table = LeapTable(LEFT_AUT, RIGHT_AUT)
+        left = table.outcomes(LEFT, Template("q1", 0), 2, CVar("leap_0", 2))
+        other_var = table.outcomes(LEFT, Template("q1", 0), 2, CVar("leap_1", 2))
+        right = table.outcomes(RIGHT, Template("q3", 0), 2, CVar("leap_0", 2))
+        assert left != other_var
+        assert right == symbolic_leap(RIGHT_AUT, RIGHT, Template("q3", 0), 2, CVar("leap_0", 2))
+
+    def test_wp_with_a_table_equals_wp_without(self):
+        table = LeapTable(LEFT_AUT, RIGHT_AUT)
+        target = GuardedFormula(
+            TemplatePair(Template("q2", 0), Template("q5", 0)),
+            mk_eq(CHdr(LEFT, "mpls", 2), CHdr(RIGHT, "old", 2)),
+        )
+        source = TemplatePair(Template("q1", 0), Template("q3", 2))
+        for _ in range(2):
+            assert wp_formula(LEFT_AUT, RIGHT_AUT, target, source, leaps=table) == wp_formula(
+                LEFT_AUT, RIGHT_AUT, target, source
+            )
+
+    def test_wp_names_its_leap_apart_from_the_target(self):
+        target = GuardedFormula(
+            TemplatePair(Template("q1", 1), Template("q3", 1)),
+            mk_eq(CBuf(LEFT, 1), CVar("leap_0", 1)),
+        )
+        source = TemplatePair(Template("q1", 0), Template("q3", 0))
+        precondition = wp_formula(LEFT_AUT, RIGHT_AUT, target, source, use_leaps=False)
+        assert set(formula_variables(precondition.pure)) == {"leap_0", "leap_1"}
 
 
 class TestSymbolicLeap:
@@ -214,6 +256,4 @@ class TestWpSemantics:
         )
         source = TemplatePair(Template("q1", 0), Template("q3", 0))
         precondition = wp_formula(LEFT_AUT, RIGHT_AUT, target, source, use_leaps=False)
-        from repro.logic.confrel import formula_variables
-
         assert set(formula_variables(precondition.pure).values()) <= {1}
