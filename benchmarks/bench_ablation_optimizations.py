@@ -30,38 +30,28 @@ def _parsers():
     )
 
 
-# The query cache is pinned off so the ablation measures only the two paper
-# optimizations: with the memo on, repeated queries would be absorbed and the
-# growth in solver queries across variants — the point of this benchmark —
-# would be distorted.  Each variant lists the fields it pins; the rest come
-# from the session's resolved checker config.
+# The persistent query cache is pinned off (no cache directory) so the
+# ablation measures only the two paper optimizations: a warm cache would
+# absorb repeated queries and distort the growth in solver queries across
+# variants — the point of this benchmark.  Each variant lists the fields it
+# pins; the rest come from the session's resolved checker config.
 _CONFIGS = {
     "leaps+reach (paper default)": dict(
-        use_leaps=True, use_reachability=True, use_query_cache=False
+        use_leaps=True, use_reachability=True, cache_dir=None
     ),
-    "no leaps": dict(use_leaps=False, use_reachability=True, use_query_cache=False),
-    "no reachability": dict(
-        use_leaps=True, use_reachability=False, use_query_cache=False
-    ),
+    "no leaps": dict(use_leaps=False, use_reachability=True, cache_dir=None),
+    "no reachability": dict(use_leaps=True, use_reachability=False, cache_dir=None),
     "no leaps, no reachability": dict(
-        use_leaps=False, use_reachability=False, use_query_cache=False
+        use_leaps=False, use_reachability=False, cache_dir=None
     ),
-}
-
-# The incremental-session ablation: the same instance with the session on and
-# off must agree on everything the algorithm observes — verdict and relation
-# size — while the solving strategy underneath changes completely.
-_INCREMENTAL_CONFIGS = {
-    "incremental session": dict(use_query_cache=False, use_incremental=True),
-    "one-shot solving": dict(use_query_cache=False, use_incremental=False),
 }
 
 # The AIG-pipeline ablation: simplifying AIG lowering (with the graph-level
 # UNSAT short-circuit) versus the interning-only pipeline.  The lowering layer
 # must be invisible to the algorithm above it.
 _AIG_CONFIGS = {
-    "aig pipeline": dict(use_query_cache=False, use_aig=True),
-    "no aig": dict(use_query_cache=False, use_aig=False),
+    "aig pipeline": dict(cache_dir=None, use_aig=True),
+    "no aig": dict(cache_dir=None, use_aig=False),
 }
 
 
@@ -94,26 +84,6 @@ def test_optimization_ablation(benchmark, record_case, engine, checker_config, v
     metrics = structural_metrics(f"Speculative loop [{variant}]", left, right)
     attach_run_statistics(metrics, result.statistics, result.verdict)
     record_case(metrics)
-
-
-def test_incremental_ablation_verdict_parity(benchmark, record_case, engine, checker_config):
-    """Incremental on/off: identical verdicts and relation sizes, both recorded."""
-    left, _, right, _ = _parsers()
-    jobs = _variant_jobs(checker_config, _INCREMENTAL_CONFIGS)
-
-    incremental, one_shot = benchmark.pedantic(
-        _run_all, args=(engine, jobs), iterations=1, rounds=1
-    )
-    assert incremental.verdict is True and one_shot.verdict is True
-    assert incremental.verdict == one_shot.verdict
-    assert (incremental.statistics.relation_size
-            == one_shot.statistics.relation_size)
-    assert (incremental.statistics.reachable_pairs
-            == one_shot.statistics.reachable_pairs)
-    for variant, result in zip(_INCREMENTAL_CONFIGS, (incremental, one_shot)):
-        metrics = structural_metrics(f"Speculative loop [{variant}]", left, right)
-        attach_run_statistics(metrics, result.statistics, result.verdict)
-        record_case(metrics)
 
 
 def test_aig_ablation_verdict_parity(benchmark, record_case, engine, checker_config):

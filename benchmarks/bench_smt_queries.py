@@ -9,8 +9,7 @@ micro-benchmark of a single representative entailment query is also included.
 
 import time
 
-from repro import counters, envconfig
-from repro.core.algorithm import CheckerConfig
+from repro import counters
 from repro.core.entailment import EntailmentChecker
 from repro.core.equivalence import check_language_equivalence
 from repro.logic.confrel import LEFT, RIGHT, CHdr, CSlice
@@ -20,12 +19,6 @@ from repro.reporting import attach_run_statistics, structural_metrics
 from repro.smt.backend import InternalBackend
 from repro.smt.cache import CachingBackend
 
-# LEAPFROG_INCREMENTAL=0/1 pins the incremental solver session for the
-# distribution and micro benchmarks.  The explicit on-vs-off comparisons
-# below always measure both sides regardless of the environment.
-_RESOLVED = envconfig.resolve_checker_config()
-_CONFIG = CheckerConfig(use_incremental=_RESOLVED.use_incremental, use_query_cache=False)
-
 
 def test_query_time_distribution(benchmark, record_case):
     left, right = mpls.reference_parser(), mpls.vectorized_parser()
@@ -34,7 +27,7 @@ def test_query_time_distribution(benchmark, record_case):
     def run():
         return check_language_equivalence(
             left, mpls.REFERENCE_START, right, mpls.VECTORIZED_START,
-            backend=backend, config=_CONFIG, find_counterexamples=False,
+            backend=backend, find_counterexamples=False,
         )
 
     result = benchmark.pedantic(run, iterations=1, rounds=1)
@@ -102,7 +95,7 @@ def test_query_cache_speedup(benchmark, record_case, tmp_path):
 
 def test_single_entailment_query(benchmark):
     """Micro-benchmark: one 64-bit store-equality entailment check."""
-    checker = EntailmentChecker(use_incremental=_RESOLVED.use_incremental)
+    checker = EntailmentChecker()
     premise = mk_eq(CHdr(LEFT, "udp", 64), CHdr(RIGHT, "udp", 64))
     goal = mk_eq(CHdr(RIGHT, "udp", 64), CHdr(LEFT, "udp", 64))
 
@@ -202,18 +195,18 @@ def _entailed_sweep_workload(use_aig, sweeps=4):
     Most solver queries in a successful verification are *entailed* ones —
     the skip checks that prune already-covered template pairs and the final
     done-step sweep.  This workload pushes all slice-equality premises over a
-    pair of 128-bit headers, then repeatedly re-proves every prefix goal
-    against the full relation (goals swap the LEFT/RIGHT operand order so the
-    checker's syntactic premise==goal test never fires).  With the AIG
+    pair of 128-bit headers, then sweeps goal slices against the full
+    relation (goals swap the LEFT/RIGHT operand order so the checker's
+    syntactic premise==goal test never fires).  Sweep ``s`` starts its goal
+    slices at bit ``s``, so no query repeats one the checker's outcome memo
+    has answered and every query reaches the one live session.  With the AIG
     pipeline on, each such query collapses to FALSE on the graph — constant
     propagation and complement folding answer it with zero CDCL work; with it
     off, every query is a fresh assumption-based CDCL solve.  Returns the
     elapsed time, the verdicts and the run's counter ledger.
     """
     with counters.scope() as ledger:
-        checker = EntailmentChecker(
-            InternalBackend(use_aig=use_aig), use_incremental=True
-        )
+        checker = EntailmentChecker(InternalBackend(use_aig=use_aig))
         verdicts = []
         premises = []
         start = time.perf_counter()
@@ -224,11 +217,11 @@ def _entailed_sweep_workload(use_aig, sweeps=4):
             goal = mk_eq(CSlice(CHdr(RIGHT, "h", _WIDTH), 0, hi),
                          CSlice(CHdr(LEFT, "h", _WIDTH), 0, hi))
             verdicts.append(bool(checker.check(premises, goal)))
-        for _ in range(sweeps):
+        for sweep in range(1, sweeps + 1):
             for i in range(_WIDTH // _SLICE):
                 hi = (i + 1) * _SLICE - 1
-                goal = mk_eq(CSlice(CHdr(RIGHT, "h", _WIDTH), 0, hi),
-                             CSlice(CHdr(LEFT, "h", _WIDTH), 0, hi))
+                goal = mk_eq(CSlice(CHdr(RIGHT, "h", _WIDTH), sweep, hi),
+                             CSlice(CHdr(LEFT, "h", _WIDTH), sweep, hi))
                 verdicts.append(bool(checker.check(premises, goal)))
     return time.perf_counter() - start, verdicts, ledger
 
@@ -241,7 +234,8 @@ def test_aig_speedup(benchmark, record_case):
     AIG construction with the graph-level UNSAT short-circuit versus the
     interning-only pipeline that hands every query to CDCL.  The verdict
     sequences must agree exactly, and every query in the workload must be
-    answered on the graph (the shortcut counter covers the whole run).
+    answered on the graph: no query is absorbed by the outcome memo, and
+    every session query is a graph short-circuit.
     """
     # Warm-up outside the timed region (imports, first-touch allocations).
     _entailed_sweep_workload(True)
@@ -260,7 +254,9 @@ def test_aig_speedup(benchmark, record_case):
 
     assert aig_verdicts == baseline_verdicts
     assert all(aig_verdicts), "every sweep query should be entailed"
-    assert ledger["aig.shortcuts"] == len(aig_verdicts), (
+    assert ledger["entailment.memo_hits"] == 0
+    assert ledger["solver.queries"] == len(aig_verdicts)
+    assert ledger["aig.shortcuts"] == ledger["solver.queries"], (
         "every entailed query should be answered by the graph short-circuit"
     )
     assert ledger["aig.clauses_saved"] > 0

@@ -30,13 +30,11 @@ def checker_config() -> CheckerConfig:
 
     Resolved once from the environment by
     :func:`repro.envconfig.resolve_checker_config`: ``LEAPFROG_CACHE_DIR``
-    enables the persistent solver-query cache, ``LEAPFROG_INCREMENTAL=0/1``
-    and ``LEAPFROG_AIG=0/1`` pin the incremental solver session and the
-    simplifying AIG lowering pipeline, and ``LEAPFROG_ORACLE``/
-    ``LEAPFROG_SEED`` cross-check every verdict against that many seeded
-    concrete packets (the solver variables apply too), so the same benchmark
-    files measure cold, warm, ablation and oracle configurations without
-    edits.  Memory is tracked because the end-of-session table shows it.  A
+    enables the persistent solver-query cache, ``LEAPFROG_SOLVER`` picks the
+    solver backend, and ``LEAPFROG_ORACLE``/``LEAPFROG_SEED`` cross-check
+    every verdict against that many seeded concrete packets, so the same
+    benchmark files measure cold, warm, per-solver and oracle configurations
+    without edits.  Memory is tracked because the end-of-session table shows it.  A
     malformed value fails the session with a clear message instead of a
     bare ``ValueError``.
     """

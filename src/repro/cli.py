@@ -121,9 +121,6 @@ def _checker_config(args: argparse.Namespace, base: Optional[CheckerConfig] = No
     flags = {
         "use_leaps": off("no_leaps"),
         "use_reachability": off("no_reachability"),
-        "use_query_cache": off("no_cache"),
-        "use_incremental": off("no_incremental"),
-        "use_aig": off("no_aig"),
         "minimize_counterexamples": off("no_minimize"),
         "cache_dir": given.get("cache_dir"),
         "oracle_packets": given.get("oracle_packets"),
@@ -131,7 +128,11 @@ def _checker_config(args: argparse.Namespace, base: Optional[CheckerConfig] = No
         "solver": given.get("solver"),
         **fields,
     }
-    return envconfig.resolve_checker_config(flags, base=base)
+    config = envconfig.resolve_checker_config(flags, base=base)
+    if given.get("no_cache"):
+        # ``check --no-cache`` beats ``--cache-dir`` and LEAPFROG_CACHE_DIR.
+        config.cache_dir = None
+    return config
 
 
 def _add_oracle_arguments(parser: argparse.ArgumentParser) -> None:
@@ -169,18 +170,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--no-cache", action="store_true",
-        help="disable the persistent solver-query cache (overrides --cache-dir)",
+        help="disable the persistent solver-query cache (overrides --cache-dir "
+             "and LEAPFROG_CACHE_DIR)",
     )
     check.add_argument(
         "--cache-dir", help="persist the solver-query cache to this directory"
-    )
-    check.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the incremental solver session (one-shot query per check)",
-    )
-    check.add_argument(
-        "--no-aig", action="store_true",
-        help="disable AIG simplification in the solver's lowering pipeline",
     )
     check.add_argument(
         "--no-minimize", action="store_true",
@@ -208,14 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-case wall-clock limit (preemptive when --jobs > 1, "
              "after-the-fact when sequential)",
-    )
-    table.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the incremental solver session in every case's checker",
-    )
-    table.add_argument(
-        "--no-aig", action="store_true",
-        help="disable AIG simplification in every case's solver pipeline",
     )
     _add_solver_argument(table)
     _add_oracle_arguments(table)

@@ -59,23 +59,21 @@ class CheckerConfig:
     it off the reported peak is 0.
 
     ``cache_dir`` persists solver answers, keyed by query fingerprint, to a
-    sqlite store shared across runs and across engine workers;
-    ``use_query_cache=False`` (``--no-cache``) turns that store off even when
-    a directory is given.  Both only apply when the checker builds its own
-    backend (an explicitly supplied backend is used as-is).  Within a run,
-    repeated entailments are answered by the entailment checker's own
-    outcome memo, which is always on.
-
-    ``use_incremental`` routes entailment queries through one live
-    assumption-based solver session per run (premises encoded once, learned
-    clauses retained) instead of a fresh bit-blast + SAT run per query; it is
-    on by default and exists as a switch for the ablation benchmarks.
+    sqlite store shared across runs and across engine workers; it only
+    applies when the checker builds its own backend (an explicitly supplied
+    backend is used as-is).  Within a run, repeated entailments are answered
+    by the entailment checker's own outcome memo, which is always on.
+    Entailment queries go through one live assumption-based solver session
+    per run whenever the backend offers one (the internal CDCL solver does;
+    the DPLL engine and external solvers answer each query one-shot).
 
     ``use_aig`` enables simplification (constant propagation, structural
     rewriting, subsumption and graph-level query collapse) in the shared AIG
     lowering pipeline of the internal solver; off, the same pipeline runs in
-    pure interning mode, matching the legacy encoder clause for clause.  Like
-    ``use_incremental`` it exists for the ablation benchmarks.
+    pure interning mode, matching the legacy encoder clause for clause.  It
+    is no command-line flag or ``LEAPFROG_*`` variable: only the
+    differential campaign's ``aig-off`` backend stack
+    (:data:`repro.campaign.runner.BACKEND_STACKS`) turns it off.
 
     ``oracle_packets`` enables the differential concrete oracle: after a
     language-equivalence verdict, that many seeded random packets are run
@@ -97,9 +95,7 @@ class CheckerConfig:
     use_reachability: bool = True
     max_iterations: int = 200_000
     track_memory: bool = False
-    use_query_cache: bool = True
     cache_dir: Optional[str] = None
-    use_incremental: bool = True
     use_aig: bool = True
     oracle_packets: int = 0
     oracle_seed: Optional[int] = None
@@ -254,14 +250,11 @@ class PreBisimulationChecker:
         self.config = config or CheckerConfig()
         self._owns_backend = backend is None
         self.backend = backend if backend is not None else make_backend(
-            use_cache=self.config.use_query_cache,
             cache_dir=self.config.cache_dir,
             use_aig=self.config.use_aig,
             solver=self.config.solver,
         )
-        self.entailment = EntailmentChecker(
-            self.backend, use_incremental=self.config.use_incremental
-        )
+        self.entailment = EntailmentChecker(self.backend)
         # Formulas from outside Algorithm 1 are normalized once, here; every
         # formula the loop builds is in normal form by construction.
         self.initial_pure = simplify_formula(initial_pure)

@@ -290,11 +290,11 @@ class _PathSolver:
     tightened search hit the encoding memo and the retained learned clauses.
     """
 
-    def __init__(self, backend: SolverBackend, use_incremental: bool = True) -> None:
+    def __init__(self, backend: SolverBackend) -> None:
         self.backend = backend
-        # None when the backend cannot run an assumption-based session
-        # (capabilities lack ``incremental``): every solve is one-shot then.
-        self._session = backend.incremental_session() if use_incremental else None
+        # None when the backend has no assumption-based session (the DPLL
+        # engine, external solvers): every solve is one-shot then.
+        self._session = backend.incremental_session()
 
     @property
     def incremental(self) -> bool:
@@ -343,7 +343,6 @@ class CounterexampleSearch:
         right_aut: P4Automaton,
         right_start: str,
         backend: Optional[SolverBackend] = None,
-        use_incremental: bool = True,
         statistics: Optional[CounterexampleStatistics] = None,
     ) -> None:
         self.left_aut = left_aut
@@ -351,7 +350,7 @@ class CounterexampleSearch:
         self.right_aut = right_aut
         self.right_start = right_start
         self.backend = backend or InternalBackend()
-        self.solver = _PathSolver(self.backend, use_incremental=use_incremental)
+        self.solver = _PathSolver(self.backend)
         self.statistics = statistics if statistics is not None else CounterexampleStatistics()
 
     # ------------------------------------------------------------------
@@ -525,7 +524,6 @@ def find_counterexample(
     max_packet_bits: int = 4096,
     initial_condition: Formula = TRUE,
     dedup: bool = True,
-    use_incremental: bool = True,
     statistics: Optional[CounterexampleStatistics] = None,
 ) -> Optional[Counterexample]:
     """Search for a distinguishing packet, breadth first over leaps.
@@ -537,7 +535,7 @@ def find_counterexample(
     """
     search = CounterexampleSearch(
         left_aut, left_start, right_aut, right_start,
-        backend=backend, use_incremental=use_incremental, statistics=statistics,
+        backend=backend, statistics=statistics,
     )
     return search.search(
         max_leaps=max_leaps,

@@ -97,6 +97,11 @@ class EntailmentChecker:
     callers outside Algorithm 1, so it normalizes goal and premises where
     they enter.  Either way a formula out of normal form still gets the
     right verdict; it may only miss the trivial and syntactic shortcuts.
+
+    Queries go through the backend's incremental session when it has one.
+    ``use_incremental=False`` takes the one-shot path even then; the
+    certificate re-checker does so on purpose, to share no session with
+    the search it re-checks.
     """
 
     def __init__(
@@ -107,10 +112,8 @@ class EntailmentChecker:
     ) -> None:
         self.backend = backend or InternalBackend()
         self.cegis_rounds = cegis_rounds
-        self.use_incremental = use_incremental
-        # May be None (DPLL engine, external solvers — anything whose
-        # capabilities lack ``incremental``): then every query falls
-        # back to the one-shot path.
+        # May be None (DPLL engine, external solvers — any backend without
+        # a session): then every query falls back to the one-shot path.
         self._session = self.backend.incremental_session() if use_incremental else None
         self._lowered_premises: Dict[str, folbv.BFormula] = {}
         # Exact-fallback lowering of premise ``index`` renamed apart, with its
@@ -272,10 +275,9 @@ class EntailmentChecker:
             lowered_premises + [instance for instance, _ in instances] + [negated_goal]
         )
         self._last_query = combined
-        if self.backend.capabilities.caching:
-            cached = self.backend.lookup(combined)
-            if cached is not None:
-                return cached
+        cached = self.backend.lookup(combined)
+        if cached is not None:
+            return cached
         assumptions = [self._session.activation(p) for p in lowered_premises]
         if instances:
             counters.add("entailment.instances_reused", len(instances))

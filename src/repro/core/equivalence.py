@@ -128,7 +128,6 @@ def _run(
         search = CounterexampleSearch(
             left_aut, left_start, right_aut, right_start,
             backend=InternalBackend(use_aig=effective.use_aig),
-            use_incremental=effective.use_incremental,
             statistics=search_stats,
         )
         counterexample = search.search(max_leaps=counterexample_max_leaps)

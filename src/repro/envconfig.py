@@ -31,11 +31,6 @@ JOBS_VAR = "LEAPFROG_JOBS"
 SHARDS_VAR = "LEAPFROG_SHARDS"
 #: Directory for the persistent solver-query cache (unset = no query cache).
 CACHE_DIR_VAR = "LEAPFROG_CACHE_DIR"
-#: Ablation toggle for the incremental solver session (unset = per-config default).
-INCREMENTAL_VAR = "LEAPFROG_INCREMENTAL"
-#: Ablation toggle for AIG simplification in the lowering pipeline
-#: (unset = per-config default, which is on).
-AIG_VAR = "LEAPFROG_AIG"
 #: Differential-oracle packet count per verdict; also accepts on/off
 #: (on = the default packet budget).  Unset/0/off disables the oracle.
 ORACLE_VAR = "LEAPFROG_ORACLE"
@@ -103,25 +98,11 @@ def shards_from_env(environ: Optional[Mapping[str, str]] = None) -> int:
     return parse_jobs(environ.get(SHARDS_VAR), source=SHARDS_VAR)
 
 
-def parse_flag(raw: Optional[str], source: str) -> Optional[bool]:
-    """Parse a boolean toggle; ``None``/empty means "not set"."""
-    if raw is None or raw.strip() == "":
-        return None
-    value = raw.strip().lower()
-    if value in _TRUE_VALUES:
-        return True
-    if value in _FALSE_VALUES:
-        return False
-    raise EnvConfigError(
-        f"{source} must be one of {_TRUE_VALUES + _FALSE_VALUES}, got {raw!r}"
-    )
-
-
 def parse_oracle_packets(raw: Optional[str], source: str = ORACLE_VAR) -> Optional[int]:
     """Parse an oracle packet budget; ``None``/empty means "not set".
 
-    Accepts a non-negative integer (0 = oracle off) or the boolean words
-    accepted by :func:`parse_flag` (``on`` = the default budget of
+    Accepts a non-negative integer (0 = oracle off) or a boolean word
+    (``on``/``off``, ``1``/``0``, ...; ``on`` = the default budget of
     ``DEFAULT_ORACLE_PACKETS`` packets).
     """
     if raw is None or raw.strip() == "":
@@ -205,8 +186,6 @@ def _parse_path(raw: Optional[str], source: str) -> Optional[str]:
 #: variable can set: field name -> (variable, parser).
 CHECKER_VARIABLES = {
     "cache_dir": (CACHE_DIR_VAR, _parse_path),
-    "use_incremental": (INCREMENTAL_VAR, parse_flag),
-    "use_aig": (AIG_VAR, parse_flag),
     "oracle_packets": (ORACLE_VAR, parse_oracle_packets),
     "oracle_seed": (SEED_VAR, parse_seed),
     "solver": (SOLVER_VAR, parse_solver),

@@ -255,11 +255,3 @@ def simplify_expr(expr: BVExpr) -> BVExpr:
     if isinstance(expr, CConcat):
         return mk_concat(simplify_expr(expr.left), simplify_expr(expr.right))
     return expr
-
-
-def is_trivially_true(formula: Formula) -> bool:
-    return isinstance(simplify_formula(formula), FTrue)
-
-
-def is_trivially_false(formula: Formula) -> bool:
-    return isinstance(simplify_formula(formula), FFalse)

@@ -159,7 +159,7 @@ class _WorkerState:
 
     def __init__(self, worker_id: int, cache_dir: Optional[str]) -> None:
         self.worker_id = worker_id
-        self.backend = make_backend(use_cache=True, cache_dir=cache_dir)
+        self.backend = make_backend(cache_dir=cache_dir)
         self.solves = 0
         self.replays = 0
 

@@ -14,9 +14,9 @@ certificate summaries, and byte-identical output on a store hit requires
 the stored certificate to carry the same names as a fresh solve would.
 
 Checker options that only change *how fast* an answer is found (query
-cache, incremental session, worker count) are deliberately excluded from
-the config digest — the ablation benchmarks assert verdict parity across
-them — while options that change *what* is reported (leaps, reachability,
+cache, AIG simplification, worker count) are deliberately excluded from
+the config digest — the parity tests assert equal verdicts across them —
+while options that change *what* is reported (leaps, reachability,
 counterexample search and minimization, oracle budget and seed) are
 included.
 """

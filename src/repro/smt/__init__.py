@@ -3,11 +3,9 @@
 from .aig import Aig, AigError, AigToCnf, FolbvToAig, aig_to_cnf
 from .backend import (
     BackendError,
-    BackendMiddleware,
     ExternalBackend,
     InternalBackend,
     SolverBackend,
-    SolverCapabilities,
     available_external_solvers,
     backend_for_solver,
 )
@@ -23,7 +21,6 @@ __all__ = [
     "FolbvToAig",
     "aig_to_cnf",
     "BackendError",
-    "BackendMiddleware",
     "Bitblaster",
     "BitblastResult",
     "CachingBackend",
@@ -35,7 +32,6 @@ __all__ = [
     "SatResult",
     "SatStatus",
     "SolverBackend",
-    "SolverCapabilities",
     "available_external_solvers",
     "backend_for_solver",
     "bitblast",

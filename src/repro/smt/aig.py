@@ -26,7 +26,8 @@ propagation, idempotence/absorption, complement detection, bounded
 flattening and operand subsumption, which lets entire queries collapse to
 a constant before any CNF exists.  With ``simplify`` off the same code
 path performs only the interning the legacy encoders already did, which
-is what makes the ``use_aig`` ablation an honest baseline.
+is what makes ``use_aig=False`` (the differential campaign's ``aig-off``
+stack) an honest baseline.
 """
 
 from __future__ import annotations

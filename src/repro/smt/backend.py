@@ -4,22 +4,21 @@ The paper's tool targets several off-the-shelf SMT solvers behind a single
 interface (Z3, CVC4, Boolector), selected by a vernacular command.  This
 module provides the analogous abstraction as an explicitly layered stack:
 
-* :class:`SolverBackend` — the protocol.  Every backend *declares* what it
-  supports through :class:`SolverCapabilities` and inherits safe defaults
-  for every optional operation (no incremental session, no cache, no
-  internal solver handle), so callers dispatch on declared capabilities
-  instead of ``getattr``-probing.
-* :class:`BackendMiddleware` — the delegating base for composable layers;
-  :class:`repro.smt.cache.CachingBackend` is the canonical middleware.
+* :class:`SolverBackend` — the protocol.  Optional operations have safe
+  defaults (no incremental session, no cache, no internal solver handle);
+  callers branch on what they return (``incremental_session() is None``,
+  ``internal_solver is None``) rather than probing attributes.
 * :class:`InternalBackend` — the built-in bit-blasting QF_BV procedure,
   always available and used by default.
 * :class:`ExternalBackend` — shells out to any SMT-LIB 2 compliant solver
   found on ``PATH`` via the pretty-printer in :mod:`repro.logic.smtlib`,
   distinguishing timeouts, cancellations and unparseable output.
 
-:func:`backend_for_solver` maps a validated ``--solver``/``LEAPFROG_SOLVER``
-choice (see :func:`repro.envconfig.resolve_checker_config`) to its backend;
-an unknown or missing solver is an error, never a silent fallback.
+:class:`repro.smt.cache.CachingBackend` stacks a persistent query cache on
+top of any of them.  :func:`backend_for_solver` maps a validated
+``--solver``/``LEAPFROG_SOLVER`` choice (see
+:func:`repro.envconfig.resolve_checker_config`) to its backend; an unknown
+or missing solver is an error, never a silent fallback.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import subprocess
 import threading
 import time
 import warnings
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .. import counters
@@ -45,32 +43,11 @@ class BackendError(Exception):
     """Raised when a backend cannot answer a query."""
 
 
-@dataclass(frozen=True)
-class SolverCapabilities:
-    """What a backend declares it can do.
-
-    Callers branch on these flags instead of probing for attributes:
-    ``incremental`` means :meth:`SolverBackend.incremental_session` returns a
-    live session, ``models`` that SAT answers carry assignments,
-    ``cancellation`` that ``check_sat(stop=...)`` aborts promptly,
-    ``caching`` that ``lookup``/``store`` are backed by a real cache, and
-    ``internal_solver`` that :attr:`SolverBackend.internal_solver` exposes
-    the in-process :class:`InternalBVSolver` (needed by the CEGIS loop).
-    """
-
-    incremental: bool = False
-    models: bool = False
-    cancellation: bool = False
-    caching: bool = False
-    internal_solver: bool = False
-
-
 class SolverBackend:
     """Interface implemented by every solver backend.
 
     Optional operations have conservative default implementations, so a
-    caller holding any ``SolverBackend`` may invoke the full protocol; the
-    :attr:`capabilities` flags say which calls do real work.
+    caller holding any ``SolverBackend`` may invoke the full protocol.
     """
 
     name = "abstract"
@@ -78,10 +55,6 @@ class SolverBackend:
     def check_sat(self, formula: BFormula, stop: Optional[threading.Event] = None) -> SatResult:
         """Decide satisfiability; ``stop`` (when supported) aborts early."""
         raise NotImplementedError
-
-    @property
-    def capabilities(self) -> SolverCapabilities:
-        return SolverCapabilities()
 
     def incremental_session(self):
         """A live incremental session, or ``None`` when unsupported."""
@@ -103,42 +76,6 @@ class SolverBackend:
         """Release external resources (default: nothing to release)."""
 
 
-class BackendMiddleware(SolverBackend):
-    """A composable layer that wraps another backend.
-
-    Forwards the entire protocol to ``inner``; subclasses override exactly
-    the operations they add behaviour to and extend
-    :attr:`capabilities` with the flags they introduce.
-    """
-
-    def __init__(self, inner: SolverBackend) -> None:
-        self.inner = inner
-        self.name = inner.name
-
-    def check_sat(self, formula: BFormula, stop: Optional[threading.Event] = None) -> SatResult:
-        return self.inner.check_sat(formula, stop=stop)
-
-    @property
-    def capabilities(self) -> SolverCapabilities:
-        return self.inner.capabilities
-
-    def incremental_session(self):
-        return self.inner.incremental_session()
-
-    def lookup(self, formula: BFormula, fingerprint: Optional[str] = None) -> Optional[SatResult]:
-        return self.inner.lookup(formula, fingerprint=fingerprint)
-
-    def store(self, formula: BFormula, result: SatResult, fingerprint: Optional[str] = None) -> None:
-        self.inner.store(formula, result, fingerprint=fingerprint)
-
-    @property
-    def internal_solver(self) -> Optional[InternalBVSolver]:
-        return self.inner.internal_solver
-
-    def close(self) -> None:
-        self.inner.close()
-
-
 class InternalBackend(SolverBackend):
     """The built-in bit-blasting decision procedure."""
 
@@ -150,7 +87,6 @@ class InternalBackend(SolverBackend):
         validate_models: bool = True,
         use_aig: bool = True,
     ) -> None:
-        self._engine = engine
         self._solver = InternalBVSolver(
             engine=engine, validate_models=validate_models, use_aig=use_aig
         )
@@ -163,20 +99,7 @@ class InternalBackend(SolverBackend):
         return self._solver.incremental_session()
 
     @property
-    def capabilities(self) -> SolverCapabilities:
-        return SolverCapabilities(
-            incremental=self._engine == "cdcl",
-            models=True,
-            cancellation=self._engine == "cdcl",
-            internal_solver=True,
-        )
-
-    @property
     def internal_solver(self) -> InternalBVSolver:
-        return self._solver
-
-    @property
-    def solver(self) -> InternalBVSolver:
         return self._solver
 
 
@@ -314,10 +237,6 @@ class ExternalBackend(SolverBackend):
                 model.setdefault(name, Bits.zeros(width))
             return SatResult(SatStatus.SAT, model, elapsed)
         return SatResult(SatStatus.UNSAT, None, elapsed)
-
-    @property
-    def capabilities(self) -> SolverCapabilities:
-        return SolverCapabilities(models=True, cancellation=True)
 
 
 def _kill_process_tree(process: subprocess.Popen) -> None:

@@ -25,20 +25,13 @@ import os
 import sqlite3
 import threading
 import time
-from dataclasses import replace
 from typing import Dict, Optional
 
 from .. import counters
 from ..logic.fingerprint import FINGERPRINT_VERSION, folbv_fingerprint
 from ..logic.folbv import BFormula
 from ..p4a.bitvec import Bits
-from .backend import (
-    BackendMiddleware,
-    InternalBackend,
-    SolverBackend,
-    SolverCapabilities,
-    backend_for_solver,
-)
+from .backend import InternalBackend, SolverBackend, backend_for_solver
 from .bvsolver import InternalBVSolver, SatResult, SatStatus
 
 
@@ -150,17 +143,16 @@ class PersistentQueryCache:
                 self._conn = None
 
 
-class CachingBackend(BackendMiddleware):
-    """Middleware that memoizes ``check_sat`` by query fingerprint on disk.
+class CachingBackend(SolverBackend):
+    """A backend layer that memoizes ``check_sat`` by query fingerprint on disk.
 
-    The canonical :class:`~repro.smt.backend.BackendMiddleware`: every other
-    protocol operation is delegated to the wrapped backend unchanged, and the
-    declared capabilities are the inner backend's plus ``caching``.
-    ``cache_dir`` holds the sqlite store (:class:`PersistentQueryCache`).
+    Wraps ``inner`` (default: the internal solver): ``lookup``/``store`` are
+    backed by the sqlite store in ``cache_dir`` (:class:`PersistentQueryCache`),
+    and the session and solver handle are the wrapped backend's.
     """
 
     def __init__(self, inner: Optional[SolverBackend], cache_dir: str) -> None:
-        super().__init__(inner if inner is not None else InternalBackend())
+        self.inner = inner if inner is not None else InternalBackend()
         self.name = f"cached+{self.inner.name}"
         self._disk = PersistentQueryCache(cache_dir)
 
@@ -211,10 +203,6 @@ class CachingBackend(BackendMiddleware):
         self._disk.put(fingerprint, result)
         counters.add("cache.stores")
 
-    @property
-    def capabilities(self) -> SolverCapabilities:
-        return replace(self.inner.capabilities, caching=True)
-
     @staticmethod
     def _replay(cached: SatResult, start: float) -> SatResult:
         model = dict(cached.model) if cached.model is not None else None
@@ -222,9 +210,11 @@ class CachingBackend(BackendMiddleware):
 
     # ------------------------------------------------------------------
 
+    def incremental_session(self):
+        return self.inner.incremental_session()
+
     @property
-    def solver(self) -> Optional[InternalBVSolver]:
-        """The underlying internal solver, when the wrapped backend has one."""
+    def internal_solver(self) -> Optional[InternalBVSolver]:
         return self.inner.internal_solver
 
     @property
@@ -237,28 +227,19 @@ class CachingBackend(BackendMiddleware):
 
 
 def make_backend(
-    use_cache: bool = True,
     cache_dir: Optional[str] = None,
-    inner: Optional[SolverBackend] = None,
     use_aig: bool = True,
     solver: Optional[str] = None,
 ) -> SolverBackend:
     """Build the standard backend stack, innermost layer first.
 
     * the base backend comes from ``solver`` (a validated
-      ``--solver``/``LEAPFROG_SOLVER`` choice; default the internal solver);
+      ``--solver``/``LEAPFROG_SOLVER`` choice; default the internal solver),
+      with AIG simplification in its lowering pipeline when ``use_aig``;
     * a ``cache_dir`` wraps it in :class:`CachingBackend`, the persistent
-      query cache.  ``use_cache=False`` wins: no cache is stacked even when a
-      ``cache_dir`` is supplied, so an explicit opt-out is never overridden.
-
-    ``use_aig`` selects AIG simplification in the internal solver's lowering
-    pipeline.  Both base options are ignored when an explicit ``inner``
-    backend is supplied.
+      query cache.
     """
-    if inner is not None:
-        backend = inner
-    else:
-        backend = backend_for_solver(solver, use_aig=use_aig)
-    if use_cache and cache_dir:
+    backend = backend_for_solver(solver, use_aig=use_aig)
+    if cache_dir:
         return CachingBackend(backend, cache_dir)
     return backend

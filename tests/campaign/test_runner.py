@@ -80,6 +80,17 @@ class TestSharding:
         differential = available_stacks(True)
         assert differential[:2] == ("internal", "aig-off")
 
+    def test_aig_off_stack_builds_a_solver_without_aig(self):
+        from repro.core.algorithm import PreBisimulationChecker
+        from repro.protocols import tiny
+
+        config = _stack_config("aig-off", CampaignConfig(pairs=1, differential=True))
+        assert config.use_aig is False and config.solver is None
+        aut = tiny.incremental_bits_checked()
+        checker = PreBisimulationChecker(aut, aut, "Start", "Start", config=config)
+        assert checker.backend.internal_solver.use_aig is False
+        assert checker.backend.incremental_session() is not None
+
     def test_differential_adds_the_first_installed_external_solver(self, monkeypatch):
         import repro.smt.backend as backend
 

@@ -12,6 +12,8 @@ from repro.protocols import mpls, tiny
 from repro.smt.backend import InternalBackend, SolverBackend
 from repro.smt.bvsolver import SatResult, SatStatus
 
+from ..helpers import OneShotBackend
+
 
 class TestVisitedSetDedup:
     def test_loopy_self_comparison_expansion_drop(self):
@@ -120,7 +122,7 @@ class TestReplayDivergences:
         with pytest.warns(RuntimeWarning, match="diverged from concrete replay"):
             cex = find_counterexample(
                 tiny.store_dependent(), "Start", tiny.store_dependent(), "Start",
-                backend=_ZeroModelBackend(), use_incremental=False,
+                backend=_ZeroModelBackend(),
                 statistics=stats,
             )
         assert cex is None
@@ -146,10 +148,11 @@ class TestIncrementalSearchParity:
         ]
         for left, left_start, right, right_start in pairs:
             with_session = find_counterexample(
-                left, left_start, right, right_start, max_leaps=6, use_incremental=True
+                left, left_start, right, right_start, max_leaps=6
             )
             one_shot = find_counterexample(
-                left, left_start, right, right_start, max_leaps=6, use_incremental=False
+                left, left_start, right, right_start, max_leaps=6,
+                backend=OneShotBackend(),
             )
             assert (with_session is None) == (one_shot is None)
             if with_session is not None:

@@ -47,42 +47,6 @@ class TestCacheDir:
         assert resolve_checker_config({}, environ).cache_dir == "/tmp/cache"
 
 
-class TestIncrementalFlag:
-    def test_unset_is_none(self):
-        assert envconfig.parse_flag(None, "LEAPFROG_INCREMENTAL") is None
-        assert envconfig.parse_flag(" ", "LEAPFROG_INCREMENTAL") is None
-
-    @pytest.mark.parametrize("value", ["1", "true", "YES", "on"])
-    def test_truthy(self, value):
-        assert envconfig.parse_flag(value, "LEAPFROG_INCREMENTAL") is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "No", "OFF"])
-    def test_falsy(self, value):
-        assert envconfig.parse_flag(value, "LEAPFROG_INCREMENTAL") is False
-
-    def test_garbage_rejected(self):
-        with pytest.raises(EnvConfigError, match="LEAPFROG_INCREMENTAL"):
-            resolve_checker_config({}, {"LEAPFROG_INCREMENTAL": "maybe"})
-
-
-class TestAigFlag:
-    def test_unset_is_none(self):
-        assert envconfig.parse_flag(None, "LEAPFROG_AIG") is None
-        assert resolve_checker_config({}, {"LEAPFROG_AIG": ""}).use_aig is True
-
-    @pytest.mark.parametrize("value", ["1", "true", "YES", "on"])
-    def test_truthy(self, value):
-        assert resolve_checker_config({}, {"LEAPFROG_AIG": value}).use_aig is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "No", "OFF"])
-    def test_falsy(self, value):
-        assert resolve_checker_config({}, {"LEAPFROG_AIG": value}).use_aig is False
-
-    def test_garbage_rejected(self):
-        with pytest.raises(EnvConfigError, match="LEAPFROG_AIG"):
-            resolve_checker_config({}, {"LEAPFROG_AIG": "maybe"})
-
-
 class TestOraclePackets:
     def test_unset_is_none(self):
         assert envconfig.parse_oracle_packets(None) is None
@@ -109,6 +73,15 @@ class TestOraclePackets:
     def test_source_names_the_flag(self):
         with pytest.raises(EnvConfigError, match="--oracle-packets"):
             envconfig.parse_oracle_packets("x", source="--oracle-packets")
+
+    @pytest.mark.parametrize("value", ["1", "true", "YES", "on"])
+    def test_truthy_word_is_the_default_budget(self, value):
+        config = resolve_checker_config({}, {"LEAPFROG_ORACLE": value})
+        assert config.oracle_packets == envconfig.DEFAULT_ORACLE_PACKETS
+
+    @pytest.mark.parametrize("value", ["0", "false", "No", "OFF"])
+    def test_falsy_word_turns_the_oracle_off(self, value):
+        assert resolve_checker_config({}, {"LEAPFROG_ORACLE": value}).oracle_packets == 0
 
 
 class TestSeed:
@@ -202,13 +175,40 @@ class TestCliIntegration:
         assert "not on PATH" in captured.err
 
 
+class TestRetiredSwitches:
+    """The solving-strategy switches are gone from every surface: a stale
+    variable changes nothing, and a stale flag is a usage error."""
+
+    @pytest.mark.parametrize("variable", ["LEAPFROG_AIG", "LEAPFROG_INCREMENTAL"])
+    def test_variable_is_not_read(self, variable):
+        assert resolve_checker_config({}, {variable: "0"}) == resolve_checker_config({}, {})
+
+    @pytest.mark.parametrize("flag", ["--no-aig", "--no-incremental"])
+    @pytest.mark.parametrize("command", [
+        ["check", "x", "y", "--left-start", "a", "--right-start", "b"],
+        ["table", "--case", "Header initialization"],
+    ], ids=["check", "table"])
+    def test_flag_is_a_usage_error(self, command, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, flag])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["use_incremental", "use_query_cache"])
+    def test_config_field_is_gone(self, field):
+        from repro.core.algorithm import CheckerConfig
+
+        with pytest.raises(TypeError, match=field):
+            CheckerConfig(**{field: False})
+
+
 # Per field of CHECKER_VARIABLES: (raw variable value, its parsed value, a
 # flag value).  The variable differs from the CheckerConfig default and the
 # flag from the variable, so each precedence level is visible.
 _PRECEDENCE = {
     "cache_dir": ("/tmp/env-cache", "/tmp/env-cache", "/tmp/flag-cache"),
-    "use_incremental": ("0", False, True),
-    "use_aig": ("off", False, True),
     "oracle_packets": ("32", 32, 8),
     "oracle_seed": ("7", 7, 9),
     "solver": ("dpll", "dpll", "internal"),
@@ -259,9 +259,11 @@ class TestCommandsResolveOnce:
     ``LEAPFROG_*`` variable reaches the checker whatever the command."""
 
     @pytest.fixture(autouse=True)
-    def _aig_off(self, monkeypatch):
-        monkeypatch.setenv("LEAPFROG_AIG", "0")
+    def cache_dir(self, monkeypatch, tmp_path):
+        cache_dir = str(tmp_path / "env-cache")
+        monkeypatch.setenv("LEAPFROG_CACHE_DIR", cache_dir)
         monkeypatch.delenv("LEAPFROG_SERVER", raising=False)
+        return cache_dir
 
     @staticmethod
     def _spy_checks(monkeypatch):
@@ -277,20 +279,43 @@ class TestCommandsResolveOnce:
         monkeypatch.setattr(cli, "check_language_equivalence", spy)
         return configs
 
-    def test_check(self, monkeypatch, tmp_path):
+    @staticmethod
+    def _check(tmp_path, *extra):
         from repro.cli import main
         from repro.p4a.pretty import pretty
         from repro.protocols import tiny
 
-        configs = self._spy_checks(monkeypatch)
         left, right = tmp_path / "left.p4a", tmp_path / "right.p4a"
         left.write_text(pretty(tiny.incremental_bits_checked()))
         right.write_text(pretty(tiny.big_bits_checked()))
-        assert main(["check", str(left), str(right),
-                     "--left-start", "Start", "--right-start", "Parse"]) == 0
-        assert [config.use_aig for config in configs] == [False]
+        return main(["check", str(left), str(right),
+                     "--left-start", "Start", "--right-start", "Parse", *extra])
 
-    def test_table(self, monkeypatch, capsys):
+    def test_check(self, monkeypatch, tmp_path, cache_dir):
+        configs = self._spy_checks(monkeypatch)
+        assert self._check(tmp_path) == 0
+        assert [config.cache_dir for config in configs] == [cache_dir]
+
+    def test_check_no_cache_beats_the_variable(self, monkeypatch, tmp_path, capsys):
+        from repro.smt.cache import CachingBackend
+
+        built = []
+        real_init = CachingBackend.__init__
+
+        def spy_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CachingBackend, "__init__", spy_init)
+        configs = self._spy_checks(monkeypatch)
+        assert self._check(tmp_path, "--no-cache") == 0
+        assert [config.cache_dir for config in configs] == [None]
+        assert built == []
+        # The same command without --no-cache does stack the cache.
+        assert self._check(tmp_path) == 0
+        assert len(built) == 1
+
+    def test_table(self, monkeypatch, capsys, cache_dir):
         import repro.cli as cli
 
         configs = []
@@ -303,16 +328,16 @@ class TestCommandsResolveOnce:
         monkeypatch.setattr(cli, "run_cases", spy)
         assert cli.main(["table", "--case", "Header initialization"]) == 0
         [config] = configs
-        assert config.use_aig is False and config.track_memory is True
+        assert config.cache_dir == cache_dir and config.track_memory is True
 
-    def test_scenarios_run(self, monkeypatch, capsys):
+    def test_scenarios_run(self, monkeypatch, capsys, cache_dir):
         from repro.cli import main
 
         configs = self._spy_checks(monkeypatch)
         assert main(["scenarios", "run", "mini_qinq"]) == 0
-        assert [config.use_aig for config in configs] == [False]
+        assert [config.cache_dir for config in configs] == [cache_dir]
 
-    def test_synth_run(self, monkeypatch, capsys):
+    def test_synth_run(self, monkeypatch, capsys, cache_dir):
         from repro.cli import main
         from repro.core.engine import EquivalenceEngine
 
@@ -326,6 +351,6 @@ class TestCommandsResolveOnce:
         monkeypatch.setattr(EquivalenceEngine, "run", spy)
         assert main(["synth", "run", "--count", "2", "--seed", "5"]) == 0
         assert len(configs) == 2
-        assert all(config.use_aig is False for config in configs)
+        assert all(config.cache_dir == cache_dir for config in configs)
         assert all(config.oracle_packets == envconfig.DEFAULT_ORACLE_PACKETS
                    and config.oracle_seed == 5 for config in configs)

@@ -7,6 +7,19 @@ from typing import Tuple
 
 from repro.p4a import AutomatonBuilder, Bits, P4Automaton
 from repro.p4a.semantics import accepts
+from repro.smt.backend import InternalBackend
+
+
+class OneShotBackend(InternalBackend):
+    """The internal CDCL solver without its incremental session.
+
+    Callers fall back to one fresh lowering + bit-blast + SAT run per query
+    when a backend offers no session (as the DPLL engine and external
+    solvers do); this backend drives that path on the default solver.
+    """
+
+    def incremental_session(self):
+        return None
 
 
 def one_bit_automaton(accept_on: str = "1") -> P4Automaton:

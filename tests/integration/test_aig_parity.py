@@ -25,7 +25,7 @@ def _both_modes(left, left_start, right, right_start):
         # False verdict (and so the CEGIS search runs under both modes too).
         results[use_aig] = check_language_equivalence(
             left, left_start, right, right_start,
-            config=CheckerConfig(use_query_cache=False, use_aig=use_aig),
+            config=CheckerConfig(use_aig=use_aig),
         )
     return results[True], results[False]
 

@@ -1,11 +1,11 @@
 """Differential parity: every backend must agree with the internal solver.
 
 Each registry mini scenario runs through the internal CDCL backend with its
-incremental session, and again through the internal DPLL engine, through
-monolithic (one fresh query per entailment) solving, and (when one is on
-PATH) an external SMT solver; the verdicts must agree, and every extracted
-counterexample must replay concretely — ``accepts`` really diverging on the
-witness packet — whatever backend found it.
+incremental session, and again through the internal DPLL engine, through the
+CDCL backend with its session withheld (one fresh query per entailment), and
+(when one is on PATH) an external SMT solver; the verdicts must agree, and
+every extracted counterexample must replay concretely — ``accepts`` really
+diverging on the witness packet — whatever backend found it.
 """
 
 import pytest
@@ -14,7 +14,9 @@ from repro.core.algorithm import CheckerConfig
 from repro.core.equivalence import check_language_equivalence
 from repro.p4a.semantics import accepts
 from repro.scenarios import get, mini_names
-from repro.smt.backend import available_external_solvers
+from repro.smt.backend import InternalBackend, available_external_solvers
+
+from ..helpers import OneShotBackend
 
 #: Quick configs: structural work dominates these scenarios, so memory
 #: tracking is noise and the oracle is unnecessary (replay is asserted here).
@@ -22,11 +24,11 @@ def _config(**overrides):
     return CheckerConfig(track_memory=False, **overrides)
 
 
-def _run(name, config):
+def _run(name, config, backend=None):
     left, left_start, right, right_start = get(name).automata()
     return check_language_equivalence(
         left, left_start, right, right_start,
-        config=config, find_counterexamples=True,
+        config=config, backend=backend, find_counterexamples=True,
     )
 
 
@@ -63,10 +65,41 @@ def test_dpll_matches_internal(name):
 @pytest.mark.parametrize("name", mini_names())
 def test_monolithic_matches_incremental(name):
     baseline = _run(name, _config())
-    monolithic = _run(name, _config(use_incremental=False))
+    monolithic = _run(name, _config(), backend=OneShotBackend())
     _assert_agreement(name, baseline, monolithic, "monolithic")
+    assert monolithic.verdict is get(name).expected_equivalent
     assert (monolithic.statistics.relation_size
             == baseline.statistics.relation_size)
+
+
+class _CountingBackend:
+    """Count the ``check_sat`` calls a check makes on its backend."""
+
+    calls = 0
+
+    def check_sat(self, formula, stop=None):
+        self.calls += 1
+        return super().check_sat(formula, stop=stop)
+
+
+class _CountingInternal(_CountingBackend, InternalBackend):
+    pass
+
+
+class _CountingOneShot(_CountingBackend, OneShotBackend):
+    pass
+
+
+@pytest.mark.parametrize("name", ["mini_qinq", "mini_qinq_broken"])
+def test_session_is_used_exactly_when_the_backend_offers_one(name):
+    # With a session every entailment query runs inside it; without one,
+    # each goes to the backend as its own check_sat call.
+    with_session, one_shot = _CountingInternal(), _CountingOneShot()
+    baseline = _run(name, _config(), backend=with_session)
+    fallback = _run(name, _config(), backend=one_shot)
+    _assert_agreement(name, baseline, fallback, "one-shot")
+    assert with_session.calls == 0
+    assert one_shot.calls > 0
 
 
 @pytest.mark.parametrize("name", mini_names())
@@ -75,5 +108,5 @@ def test_external_solver_matches_internal(name):
     if not external:
         pytest.skip("no external SMT solver on PATH")
     baseline = _run(name, _config())
-    shelled = _run(name, _config(solver=external[0], use_incremental=False))
+    shelled = _run(name, _config(solver=external[0]))
     _assert_agreement(name, baseline, shelled, external[0])

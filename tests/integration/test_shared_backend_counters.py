@@ -29,7 +29,7 @@ def _counts(statistics: dict) -> dict:
 
 
 def _shared_backend_runs(count: int = 3):
-    backend = make_backend(use_cache=True)
+    backend = make_backend()
     automata = get("mini_edge").automata()
     return [
         _counts(check_language_equivalence(*automata, backend=backend).statistics.as_dict())
@@ -78,7 +78,7 @@ def test_service_worker_reports_per_check_counters():
 
 
 def test_warm_persistent_cache_answers_every_fast_path_query(tmp_path):
-    backend = make_backend(use_cache=True, cache_dir=str(tmp_path))
+    backend = make_backend(cache_dir=str(tmp_path))
     automata = get("mini_edge").automata()
     cold, warm = (
         _counts(check_language_equivalence(*automata, backend=backend)

@@ -23,9 +23,11 @@ from repro.logic.confrel import (
     ConfRelError,
     FAnd,
     FEq,
+    FFalse,
     FImpl,
     FNot,
     FOr,
+    FTrue,
     canonicalize_variables,
     eval_expr,
     eval_formula,
@@ -35,8 +37,6 @@ from repro.logic.confrel import (
 )
 from repro.logic.simplify import (
     concat_parts,
-    is_trivially_false,
-    is_trivially_true,
     mk_and,
     mk_concat,
     mk_concat_all,
@@ -207,8 +207,10 @@ class TestSmartConstructors:
         assert result == inner
 
     def test_trivial_predicates(self):
-        assert is_trivially_true(FImpl(FEq(H_LEFT, G_RIGHT), TRUE))
-        assert is_trivially_false(FAnd((FALSE, FEq(H_LEFT, G_RIGHT))))
+        assert isinstance(simplify_formula(FImpl(FEq(H_LEFT, G_RIGHT), TRUE)), FTrue)
+        assert isinstance(
+            simplify_formula(FAnd((FALSE, FEq(H_LEFT, G_RIGHT)))), FFalse
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,11 @@ class TestConfigFingerprint:
         assert config_fingerprint(None) == config_fingerprint(CheckerConfig())
 
     def test_perf_only_options_are_excluded(self):
-        # Cache and incremental-session settings change how fast an answer
-        # is found, never what it is; they must not fragment the store.
+        # Cache and AIG settings change how fast an answer is found, never
+        # what it is; they must not fragment the store.
         base = config_fingerprint(CheckerConfig())
         assert base == config_fingerprint(CheckerConfig(cache_dir="/tmp/x"))
-        assert base == config_fingerprint(CheckerConfig(use_query_cache=False))
-        assert base == config_fingerprint(CheckerConfig(use_incremental=False))
+        assert base == config_fingerprint(CheckerConfig(use_aig=False))
 
     def test_semantics_relevant_options_are_included(self):
         base = config_fingerprint(CheckerConfig())

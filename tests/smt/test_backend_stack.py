@@ -10,12 +10,10 @@ from repro.logic.folbv import BEq, BVConst, BVVar
 from repro.p4a.bitvec import Bits
 from repro.smt.backend import (
     BackendError,
-    BackendMiddleware,
     EXTERNAL_SOLVER_COMMANDS,
     ExternalBackend,
     InternalBackend,
     SolverBackend,
-    SolverCapabilities,
 )
 from repro.smt.bvsolver import SatResult, SatStatus
 from repro.smt.cache import CachingBackend, make_backend
@@ -27,7 +25,6 @@ SAT_FORMULA = BEq(A, BVConst(Bits("1010")))
 class TestProtocol:
     def test_base_defaults(self):
         backend = SolverBackend()
-        assert backend.capabilities == SolverCapabilities()
         assert backend.incremental_session() is None
         assert backend.lookup(SAT_FORMULA) is None
         assert backend.internal_solver is None
@@ -37,28 +34,28 @@ class TestProtocol:
         backend.store(SAT_FORMULA, SatResult(SatStatus.UNKNOWN))
         backend.close()  # all default methods are safe no-ops
 
-    def test_internal_capabilities(self):
-        caps = InternalBackend().capabilities
-        assert caps.incremental and caps.models and caps.cancellation
-        assert caps.internal_solver and not caps.caching
+    def test_internal_backend_has_a_session_and_a_solver(self):
+        backend = InternalBackend()
+        assert backend.incremental_session() is not None
+        assert backend.internal_solver is not None
+        assert backend.lookup(SAT_FORMULA) is None
 
-    def test_dpll_engine_is_not_incremental(self):
-        caps = InternalBackend(engine="dpll").capabilities
-        assert not caps.incremental and not caps.cancellation
+    def test_dpll_engine_has_no_session(self):
+        backend = InternalBackend(engine="dpll")
+        assert backend.incremental_session() is None
+        assert backend.internal_solver is not None
 
-    def test_middleware_delegates_everything(self):
-        inner = InternalBackend()
-        stacked = BackendMiddleware(inner)
-        assert stacked.capabilities == inner.capabilities
-        assert stacked.internal_solver is inner.internal_solver
-        with counters.scope() as ledger:
-            assert stacked.check_sat(SAT_FORMULA).is_sat
-        assert ledger["solver.queries"] == 1
+    @pytest.mark.parametrize("engine", ["cdcl", "dpll"])
+    def test_caching_backend_delegates_session_and_solver(self, engine, tmp_path):
+        inner = InternalBackend(engine=engine)
+        backend = CachingBackend(inner, str(tmp_path))
+        assert backend.internal_solver is inner.internal_solver
+        assert (backend.incremental_session() is None) == (engine == "dpll")
+        assert backend.name == "cached+internal"
+        backend.close()
 
-    def test_caching_backend_adds_caching_capability(self, tmp_path):
+    def test_caching_backend_answers_repeats_from_disk(self, tmp_path):
         backend = CachingBackend(InternalBackend(), str(tmp_path))
-        caps = backend.capabilities
-        assert caps.caching and caps.incremental and caps.internal_solver
         with counters.scope() as ledger:
             backend.check_sat(SAT_FORMULA)
             backend.check_sat(SAT_FORMULA)
@@ -67,36 +64,52 @@ class TestProtocol:
         backend.close()
 
 
+    def test_caching_backend_hands_a_miss_to_the_inner_backend(self, tmp_path):
+        backend = CachingBackend(InternalBackend(), str(tmp_path))
+        with counters.scope() as ledger:
+            result = backend.check_sat(SAT_FORMULA)
+        assert result.is_sat
+        assert result.model[A.name] == Bits("1010")
+        assert ledger["cache.misses"] == ledger["cache.stores"] == 1
+        assert ledger["solver.queries"] == 1
+        backend.close()
+
+    def test_caching_backend_close_closes_the_inner_backend(self, tmp_path):
+        closed = []
+
+        class Inner(InternalBackend):
+            def close(self):
+                closed.append(self)
+
+        inner = Inner()
+        CachingBackend(inner, str(tmp_path)).close()
+        assert closed == [inner]
+
+
 class TestMakeBackend:
     @pytest.mark.parametrize("solver", [None, "internal", "cdcl", "dpll", "internal-dpll"])
     def test_internal_engines_honour_use_aig(self, solver):
-        backend = make_backend(solver=solver, use_aig=False, use_cache=False)
+        backend = make_backend(solver=solver, use_aig=False)
         assert backend.internal_solver.use_aig is False
 
     def test_cache_wraps_the_internal_backend(self, tmp_path):
-        bare = make_backend()
-        assert isinstance(bare, InternalBackend)
-        assert not bare.capabilities.caching
-        backend = make_backend(cache_dir=str(tmp_path))
+        assert isinstance(make_backend(), InternalBackend)
+        backend = make_backend(cache_dir=str(tmp_path), solver="dpll", use_aig=False)
         assert isinstance(backend, CachingBackend)
         assert isinstance(backend.inner, InternalBackend)
-        assert backend.capabilities.caching
+        assert backend.internal_solver.use_aig is False
+        assert backend.incremental_session() is None
         assert backend.persistent_path.startswith(str(tmp_path))
         backend.close()
 
-    def test_use_cache_false_wins_over_cache_dir(self, tmp_path):
-        backend = make_backend(use_cache=False, cache_dir=str(tmp_path))
-        assert isinstance(backend, InternalBackend)
-        assert not backend.capabilities.caching
-
-    def test_explicit_inner_ignores_the_solver_choice(self, tmp_path):
-        inner = InternalBackend(engine="dpll")
-        assert make_backend(inner=inner, solver="cdcl", use_aig=False) is inner
-        backend = make_backend(
-            inner=inner, cache_dir=str(tmp_path), solver="cdcl", use_aig=False
-        )
-        assert backend.inner is inner
-        assert backend.internal_solver.use_aig is True
+    @pytest.mark.parametrize("solver", [None, "internal", "cdcl", "dpll", "internal-dpll"])
+    def test_cache_stacks_over_every_internal_engine(self, solver, tmp_path):
+        backend = make_backend(cache_dir=str(tmp_path), solver=solver)
+        assert isinstance(backend, CachingBackend)
+        assert isinstance(backend.inner, InternalBackend)
+        assert backend.internal_solver is backend.inner.internal_solver
+        has_session = backend.incremental_session() is not None
+        assert has_session == (solver not in ("dpll", "internal-dpll"))
         backend.close()
 
     def test_missing_external_solver_is_an_error(self, monkeypatch):

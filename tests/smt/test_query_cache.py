@@ -139,10 +139,9 @@ class TestCachingBackend:
         reopened.close()
 
     def test_make_backend_stacking(self, tmp_path):
-        assert isinstance(make_backend(use_cache=False), InternalBackend)
         # Without a directory there is no cache tier to stack.
-        assert isinstance(make_backend(use_cache=True), InternalBackend)
-        persistent = make_backend(use_cache=True, cache_dir=str(tmp_path))
+        assert isinstance(make_backend(), InternalBackend)
+        persistent = make_backend(cache_dir=str(tmp_path))
         assert isinstance(persistent, CachingBackend)
         assert persistent.persistent_path.startswith(str(tmp_path))
         persistent.close()
@@ -222,11 +221,3 @@ class TestCachingBackend:
         assert handles[1].get("fp-0-0") is not None
         for handle in handles:
             handle.close()
-
-    def test_make_backend_opt_out_beats_cache_dir(self, tmp_path):
-        # An explicit use_cache=False wins even when a directory is supplied.
-        backend = make_backend(use_cache=False, cache_dir=str(tmp_path / "c"))
-        assert isinstance(backend, InternalBackend)
-        import os
-
-        assert not os.path.exists(str(tmp_path / "c"))
