@@ -16,7 +16,7 @@ from repro.logic.confrel import LEFT, RIGHT, CHdr, CSlice
 from repro.logic.simplify import mk_eq
 from repro.protocols import mpls
 from repro.reporting import attach_run_statistics, structural_metrics
-from repro.smt.backend import InternalBackend
+from repro.smt.backend import InternalBackend, OneShotSession
 from repro.smt.cache import CachingBackend
 
 
@@ -94,13 +94,23 @@ def test_query_cache_speedup(benchmark, record_case, tmp_path):
 
 
 def test_single_entailment_query(benchmark):
-    """Micro-benchmark: one 64-bit store-equality entailment check."""
-    checker = EntailmentChecker()
+    """Micro-benchmark: one 64-bit store-equality entailment check.
+
+    Every round checks on a fresh :class:`EntailmentChecker`, so the outcome
+    memo never answers and each round times one real solver query.
+    """
     premise = mk_eq(CHdr(LEFT, "udp", 64), CHdr(RIGHT, "udp", 64))
     goal = mk_eq(CHdr(RIGHT, "udp", 64), CHdr(LEFT, "udp", 64))
 
-    outcome = benchmark(lambda: checker.check([premise], goal))
-    assert outcome.entailed
+    with counters.scope() as ledger:
+        outcome = benchmark.pedantic(
+            lambda checker: checker.check([premise], goal),
+            setup=lambda: ((EntailmentChecker(),), {}),
+            rounds=100,
+        )
+    assert outcome.entailed and outcome.method == "smt"
+    assert ledger["entailment.memo_hits"] == 0
+    assert ledger["solver.queries"] == ledger["entailment.checks"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +121,7 @@ _WIDTH = 128
 _SLICE = 8
 
 
-def _repeated_premise_workload(use_incremental):
+def _repeated_premise_workload(incremental):
     """The inner-loop query pattern of Algorithm 1, distilled.
 
     A relation of slice equalities over a pair of 128-bit headers grows one
@@ -119,10 +129,12 @@ def _repeated_premise_workload(use_incremental):
     extension (the skip/extend pattern), and a final sweep re-proves every
     prefix against the full relation (the done step).  Premises only ever
     accumulate, which is exactly the monotone shape the incremental session
-    exploits: with the session off, every query re-lowers and re-bit-blasts
+    exploits: on a one-shot session, every query re-lowers and re-bit-blasts
     the whole conjunction from scratch.
     """
-    checker = EntailmentChecker(InternalBackend(), use_incremental=use_incremental)
+    backend = InternalBackend()
+    session = None if incremental else OneShotSession(backend)
+    checker = EntailmentChecker(backend, session=session)
     verdicts = []
     premises = []
     start = time.perf_counter()

@@ -63,9 +63,10 @@ class CheckerConfig:
     applies when the checker builds its own backend (an explicitly supplied
     backend is used as-is).  Within a run, repeated entailments are answered
     by the entailment checker's own outcome memo, which is always on.
-    Entailment queries go through one live assumption-based solver session
-    per run whenever the backend offers one (the internal CDCL solver does;
-    the DPLL engine and external solvers answer each query one-shot).
+    Every solver query of a run, CEGIS rounds included, goes through one
+    session of the chosen backend: the internal CDCL solver keeps one live
+    assumption-based CNF, while the DPLL engine and external solvers answer
+    each query one-shot.
 
     ``use_aig`` enables simplification (constant propagation, structural
     rewriting, subsumption and graph-level query collapse) in the shared AIG

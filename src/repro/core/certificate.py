@@ -31,7 +31,7 @@ from ..logic.confrel import FALSE, FTrue, Formula
 # tracer hooks this module attribute, so the name stays importable.
 from ..logic.simplify import simplify_formula  # noqa: F401
 from ..p4a.syntax import P4Automaton
-from ..smt.backend import SolverBackend
+from ..smt.backend import InternalBackend, OneShotSession
 from .templates import GuardedFormula, Template, TemplatePair
 
 
@@ -82,10 +82,14 @@ def verify_certificate(
     certificate: Certificate,
     left_aut: P4Automaton,
     right_aut: P4Automaton,
-    backend: Optional[SolverBackend] = None,
     max_obligations: Optional[int] = None,
 ) -> CertificateCheckResult:
     """Re-validate ``certificate`` against the two automata.
+
+    The re-checker is a deliberately independent backstop: it solves one-shot
+    on a fresh internal backend, so it shares no query cache and no solver
+    session with the search that found the certificate, and a defect in the
+    incremental session cannot corrupt both the proof and its re-validation.
 
     ``max_obligations`` optionally bounds the number of entailment obligations
     checked (useful in tests on large certificates); when it is hit the result
@@ -96,10 +100,8 @@ def verify_certificate(
     from .reachability import ReachabilityAnalysis
     from .wp import LeapTable, wp_formula
 
-    # The re-checker is a deliberately independent backstop: it stays on the
-    # one-shot solving path so a defect in the incremental session machinery
-    # cannot corrupt both the proof search and its re-validation.
-    checker = EntailmentChecker(backend, use_incremental=False)
+    backend = InternalBackend()
+    checker = EntailmentChecker(backend, session=OneShotSession(backend))
     leaps = LeapTable(left_aut, right_aut)
     result = CertificateCheckResult(ok=True)
     recorded = set(certificate.reachable_pairs)

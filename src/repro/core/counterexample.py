@@ -17,12 +17,12 @@ Three properties make the search production-grade rather than best-effort:
   and fingerprinted) matches an already-visited node is pruned: any mismatch
   reachable from it is reachable from the retained twin, so loops no longer
   re-expand identical nodes until ``max_leaps``;
-* **incremental satisfiability** — when the backend offers an
-  :class:`~repro.smt.incremental.IncrementalSession`, each path conjunct is
-  pushed once behind an activation literal and every per-leap satisfiability
-  check (and every minimization re-solve) merely assumes the literals along
-  its path, sharing Tseitin encodings and learned clauses across the whole
-  search;
+* **incremental satisfiability** — each path conjunct is pushed once into
+  the backend's solving session behind an activation literal, and every
+  per-leap satisfiability check (and every minimization re-solve) merely
+  assumes the literals along its path; with the internal CDCL engine's
+  :class:`~repro.smt.incremental.IncrementalSession` that shares Tseitin
+  encodings and learned clauses across the whole search;
 * **divergence accounting** — a SAT model whose concrete replay does *not*
   reproduce the predicted acceptance mismatch is a soundness red flag for the
   symbolic pipeline; it is counted in :class:`CounterexampleStatistics` and
@@ -276,54 +276,6 @@ def _node_fingerprint(node: _SearchNode) -> Tuple[TemplatePair, str]:
 
 
 # ---------------------------------------------------------------------------
-# Path satisfiability (one-shot or incremental)
-# ---------------------------------------------------------------------------
-
-
-class _PathSolver:
-    """Satisfiability of BFS path conditions, shared across a whole search.
-
-    With an incremental session each simplified edge conjunct is lowered and
-    Tseitin-encoded exactly once (keyed by structural fingerprint) behind an
-    activation literal; checking a node assumes the literals along its path.
-    Minimization re-solves reuse the same session — identical prefixes of a
-    tightened search hit the encoding memo and the retained learned clauses.
-    """
-
-    def __init__(self, backend: SolverBackend) -> None:
-        self.backend = backend
-        # None when the backend has no assumption-based session (the DPLL
-        # engine, external solvers): every solve is one-shot then.
-        self._session = backend.incremental_session()
-
-    @property
-    def incremental(self) -> bool:
-        return self._session is not None
-
-    def push(self, conjunct: Formula) -> Optional[int]:
-        """Activation literal for ``conjunct`` (``None`` in one-shot mode)."""
-        if self._session is None:
-            return None
-        return self._session.activation(lower_formula(conjunct))
-
-    def satisfiable(self, node: _SearchNode) -> bool:
-        if self._session is not None:
-            result = self._session.check(node.activations)
-        else:
-            result = self.backend.check_sat(lower_formula(node.condition))
-        return result.status is not SatStatus.UNSAT
-
-    def model(self, node: _SearchNode, variables: Dict[str, int]) -> Optional[Dict[str, Bits]]:
-        if self._session is not None:
-            result = self._session.check(node.activations, variables=variables)
-        else:
-            result = self.backend.check_sat(lower_formula(node.condition))
-        if result.status is not SatStatus.SAT:
-            return None
-        return result.model or {}
-
-
-# ---------------------------------------------------------------------------
 # The search
 # ---------------------------------------------------------------------------
 
@@ -331,9 +283,12 @@ class _PathSolver:
 class CounterexampleSearch:
     """A reusable bounded search for distinguishing packets.
 
-    One instance owns a solver backend (and, when available, one incremental
-    session) shared by every :meth:`search` call, so the oracle's minimizer
-    can re-solve with tightened bounds without re-encoding the search space.
+    One instance owns a solver backend and one session of it, shared by
+    every :meth:`search` call: each simplified edge conjunct is pushed into
+    the session once (keyed by structural fingerprint) behind an activation
+    literal, and checking a node assumes the literals along its path.  So
+    the oracle's minimizer can re-solve with tightened bounds without
+    re-encoding the search space.
     """
 
     def __init__(
@@ -350,7 +305,7 @@ class CounterexampleSearch:
         self.right_aut = right_aut
         self.right_start = right_start
         self.backend = backend or InternalBackend()
-        self.solver = _PathSolver(self.backend)
+        self._session = self.backend.incremental_session()
         self.statistics = statistics if statistics is not None else CounterexampleStatistics()
 
     # ------------------------------------------------------------------
@@ -382,8 +337,8 @@ class CounterexampleSearch:
         stats = self.statistics
         condition = simplify_formula(initial_condition)
         activations: Tuple[int, ...] = ()
-        if self.solver.incremental and not isinstance(condition, FTrue):
-            activations = (self.solver.push(condition),)
+        if not isinstance(condition, FTrue):
+            activations = (self._session.activation(lower_formula(condition)),)
         start = _SearchNode(
             pair=TemplatePair(Template(self.left_start, 0), Template(self.right_start, 0)),
             condition=condition,
@@ -445,10 +400,12 @@ class CounterexampleSearch:
                         stats.deduped += 1
                         continue
                     stats.successors += 1
-                    if self.solver.incremental and not isinstance(edge, FTrue):
-                        successor.activations = node.activations + (self.solver.push(edge),)
+                    if not isinstance(edge, FTrue):
+                        literal = self._session.activation(lower_formula(edge))
+                        successor.activations = node.activations + (literal,)
                     stats.sat_checks += 1
-                    if self.solver.satisfiable(successor):
+                    result = self._session.check(successor.activations)
+                    if result.status is not SatStatus.UNSAT:
                         stats.enqueued += 1
                         queue.append(successor)
                     else:
@@ -466,9 +423,10 @@ class CounterexampleSearch:
             variables[store_variable_name(RIGHT, name)] = width
         for leap_var in node.leap_vars:
             variables[variable_name(leap_var.name)] = leap_var.var_width
-        model = self.solver.model(node, variables)
-        if model is None:
+        result = self._session.check(node.activations, variables=variables)
+        if result.status is not SatStatus.SAT:
             return None
+        model = result.model or {}
         self.statistics.extractions += 1
 
         def header_value(side: str, aut: P4Automaton, name: str) -> Bits:

@@ -13,9 +13,10 @@ Three strategies are layered, mirroring the engineering in Section 6:
    to a premise;
 2. **fast path** — variables are canonically renamed (aligning the premises'
    future-bits variables with the goal's) and a single quantifier-free
-   unsatisfiability query is issued.  Instantiating a universally quantified
-   premise is sound, so "unsat ⇒ entailed" always holds; a "sat" answer may be
-   spurious, which at worst adds redundant conjuncts to the relation.
+   unsatisfiability query is issued to the solving session.  Instantiating a
+   universally quantified premise is sound, so "unsat ⇒ entailed" always
+   holds; a "sat" answer may be spurious, which at worst adds redundant
+   conjuncts to the relation.
 3. **exact** — a CEGIS exists-forall check with the premises' variables
    properly renamed apart and treated as universal, restoring completeness.
    The loop starts from the fast path's counter-model.  That model often is
@@ -35,14 +36,14 @@ Two memories make each distinct entailment cost one answer:
   repeated check makes no solver query at all.  ``unknown`` is never
   memoized, and a refutation model is handed out as a fresh copy.  The memo
   lives and dies with the checker: an independent re-checker builds its own.
-* **ground instances** (session path only) — the universal values each CEGIS
-  run instantiated a premise with are kept per canonical premise, pushed into
-  the session once behind an activation literal and assumed by every later
-  fast-path query over that premise.  An instance of a ∀-premise is implied
-  by the premise, so "unsat ⇒ entailed" stays sound, and CEGIS remains the
-  exact fallback; the instances only let the fast path prove what CEGIS
-  would otherwise re-derive (model-based quantifier instantiation in
-  miniature: Ge & de Moura, CAV 2009; Reynolds et al., CAV 2015).
+* **ground instances** — the universal values each CEGIS run instantiated a
+  premise with are kept per canonical premise, pushed into the session once
+  behind an activation literal and assumed by every later fast-path query
+  over that premise.  An instance of a ∀-premise is implied by the premise,
+  so "unsat ⇒ entailed" stays sound, and CEGIS remains the exact fallback;
+  the instances only let the fast path prove what CEGIS would otherwise
+  re-derive (model-based quantifier instantiation in miniature: Ge & de
+  Moura, CAV 2009; Reynolds et al., CAV 2015).
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import counters
 from ..logic import folbv
-from ..logic.compile import compile_entailment, lower_formula, variable_name
+from ..logic.compile import compile_entailment  # noqa: F401 # perfbench hook "compile"
+from ..logic.compile import lower_formula, variable_name
 from ..logic.confrel import (
     FTrue,
     Formula,
@@ -62,7 +64,7 @@ from ..logic.confrel import (
     rename_variables,
 )
 from ..logic.fingerprint import confrel_fingerprint
-from ..logic.simplify import simplify_formula
+from ..logic.simplify import simplify_formula  # noqa: F401 # perfbench hook "simplify"
 from ..p4a.bitvec import Bits
 from ..smt.backend import InternalBackend, SolverBackend
 from ..smt.bvsolver import SatResult, SatStatus, complete_model
@@ -91,30 +93,27 @@ class EntailmentChecker:
     Each check's outcome is counted in the check's ledger under
     ``entailment.*`` (:mod:`repro.counters`).
 
-    The session path takes formulas as built: Algorithm 1 builds every
-    formula through the smart constructors, so it is already in normal form.
-    The one-shot path also serves the certificate re-checker and other
-    callers outside Algorithm 1, so it normalizes goal and premises where
-    they enter.  Either way a formula out of normal form still gets the
-    right verdict; it may only miss the trivial and syntactic shortcuts.
+    Formulas are taken as built: Algorithm 1 builds every formula through
+    the smart constructors, so it is already in normal form.  A formula out
+    of normal form still gets the right verdict; it may only miss the
+    trivial and syntactic shortcuts.
 
-    Queries go through the backend's incremental session when it has one.
-    ``use_incremental=False`` takes the one-shot path even then; the
-    certificate re-checker does so on purpose, to share no session with
-    the search it re-checks.
+    Every query goes through one solving session, by default the backend's
+    (:meth:`~repro.smt.backend.SolverBackend.incremental_session`).  The
+    certificate re-checker passes a
+    :class:`~repro.smt.backend.OneShotSession` of its own, to share no
+    session with the search it re-checks.
     """
 
     def __init__(
         self,
         backend: Optional[SolverBackend] = None,
         cegis_rounds: int = 64,
-        use_incremental: bool = True,
+        session=None,
     ) -> None:
         self.backend = backend or InternalBackend()
         self.cegis_rounds = cegis_rounds
-        # May be None (DPLL engine, external solvers — any backend without
-        # a session): then every query falls back to the one-shot path.
-        self._session = self.backend.incremental_session() if use_incremental else None
+        self._session = session or self.backend.incremental_session()
         self._lowered_premises: Dict[str, folbv.BFormula] = {}
         # Exact-fallback lowering of premise ``index`` renamed apart, with its
         # universal variables, keyed by (fingerprint, index).
@@ -125,18 +124,18 @@ class EntailmentChecker:
         # to re-validate refutation models by concrete evaluation (cached
         # models in particular are never validated by the solver itself).
         self._last_query: Optional[folbv.BFormula] = None
-        # Identity-keyed canonicalization memo (incremental path only): the
-        # algorithm re-checks against the same premise *objects* every
-        # iteration, so canonicalize each one exactly once (they are in
+        # Identity-keyed canonicalization memo: the algorithm re-checks
+        # against the same premise *objects* every iteration, so
+        # canonicalize each one exactly once (they are in
         # normal form as built, so there is nothing to simplify).  The key
         # holds a strong reference to the premise, so a recycled id() can
         # never alias a dead object.
         self._canonical_memo: Dict[int, tuple] = {}
         # Definitive outcomes by (premise fingerprints, goal fingerprint).
         self._outcomes: Dict[Tuple[Tuple[str, ...], str], EntailmentOutcome] = {}
-        # Session path only: canonical premise fingerprint -> the premise's
-        # ground instances in discovery order, each keyed by its values and
-        # carrying (instance formula, activation literal).
+        # Canonical premise fingerprint -> the premise's ground instances in
+        # discovery order, each keyed by its values and carrying (instance
+        # formula, activation literal).
         self._instances: Dict[str, Dict[tuple, Tuple[folbv.BFormula, int]]] = {}
 
     # ------------------------------------------------------------------
@@ -151,20 +150,12 @@ class EntailmentChecker:
 
     def check(self, premises: Sequence[Formula], goal: Formula) -> EntailmentOutcome:
         counters.add("entailment.checks")
-        if self._session is None:
-            goal = simplify_formula(goal)
         if isinstance(goal, FTrue):
             counters.add("entailment.trivial")
             return EntailmentOutcome(True, "trivial")
 
         canonical_goal = canonicalize_variables(goal, prefix="x")
-        if self._session is not None:
-            canonical_premises = [self._canonicalize(premise) for premise in premises]
-        else:
-            canonical_premises = [
-                canonicalize_variables(simplify_formula(premise), prefix="x")
-                for premise in premises
-            ]
+        canonical_premises = [self._canonicalize(premise) for premise in premises]
         if any(premise == canonical_goal for premise in canonical_premises):
             counters.add("entailment.syntactic")
             return EntailmentOutcome(True, "syntactic")
@@ -187,14 +178,8 @@ class EntailmentChecker:
         canonical_goal: Formula,
     ) -> EntailmentOutcome:
         """The fast path, then CEGIS when the fast path's answer may be spurious."""
-        if self._session is not None:
-            lowered_goal = lower_formula(canonical_goal, simplify=False)
-            result = self._check_sat_incremental(canonical_premises, keys, lowered_goal)
-        else:
-            query = compile_entailment(canonical_premises, canonical_goal, simplify=False)
-            lowered_goal = query.goal
-            self._last_query = query.formula
-            result = self.backend.check_sat(query.formula)
+        lowered_goal = lower_formula(canonical_goal, simplify=False)
+        result = self._fast_path_query(canonical_premises, keys, lowered_goal)
         if result.status is SatStatus.UNSAT:
             counters.add("entailment.smt_entailed")
             return EntailmentOutcome(True, "smt")
@@ -247,13 +232,13 @@ class EntailmentChecker:
             self._lowered_premises[key] = lowered
         return lowered
 
-    def _check_sat_incremental(
+    def _fast_path_query(
         self,
         premises: Sequence[Formula],
         keys: Sequence[str],
         lowered_goal: folbv.BFormula,
     ) -> SatResult:
-        """The fast-path query via the incremental session.
+        """The fast-path query via the session.
 
         The premise conjunction is pushed into the session CNF once (activation
         literals are idempotent per formula), each premise's kept ground
@@ -301,8 +286,7 @@ class EntailmentChecker:
 
         Returns the lowered formula and its universal variables (FOL(BV) name →
         width).  Like :meth:`_lower_premise` the memo is keyed by the premise
-        fingerprint ``key``, so the one-shot path (which rebuilds canonical
-        premises every check) hits it too.
+        fingerprint ``key``.
         """
         entry = self._lowered_apart.get((key, index))
         if entry is None:
@@ -335,20 +319,15 @@ class EntailmentChecker:
             lowered_premises.append(lowered)
             universal_vars.update(universal)
         matrix = folbv.b_and(lowered_premises + [folbv.b_not(lowered_goal)])
-        # Backends whose stack bottoms out in the internal CDCL solver expose
-        # it via the protocol; external backends yield None and CEGIS builds
-        # a fresh one.
-        internal_solver = self.backend.internal_solver
         outcome = solve_exists_forall(
             matrix,
             universal_vars,
-            solver=internal_solver,
+            self._session,
             max_rounds=self.cegis_rounds,
-            session=self._session,
             guess=guess,
         )
         counters.add("entailment.cegis_rounds", outcome.rounds)
-        if self._session is not None and outcome.refutations:
+        if outcome.refutations:
             self._keep_instances(premises, keys, outcome.refutations)
         if outcome.holds is True:
             counters.add("entailment.cegis_refuted")

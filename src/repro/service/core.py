@@ -30,7 +30,8 @@ HTTP, or the in-process client) and implements the request lifecycle::
 * **Store** — definitive verdicts land in the content-addressed
   :class:`~repro.service.store.VerdictStore`; a later identical request is
   served by replaying the stored certificate
-  (:func:`repro.core.certificate.verify_certificate`) or witness
+  (:func:`repro.core.certificate.verify_certificate`, on a fresh backend
+  that shares nothing with the worker's) or witness
   (:func:`repro.oracle.minimize.confirm_counterexample`) — never by a
   fresh proof search.  A replay that fails (it never should) evicts the
   entry and falls back to a solve.
@@ -50,7 +51,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.algorithm import CheckerConfig, CheckerStatistics
 from ..core.certificate import verify_certificate
-from ..core.counterexample import Counterexample
 from ..core.equivalence import EquivalenceResult, check_language_equivalence
 from ..p4a.surface import parse_automaton
 from ..p4a.syntax import P4Automaton
@@ -420,7 +420,7 @@ class ServiceCore:
                        state: _WorkerState) -> Dict[str, object]:
         started = time.perf_counter()
         if self.store is not None and not request.no_store:
-            replayed = self._replay_from_store(request, state)
+            replayed = self._replay_from_store(request)
             if replayed is not None:
                 state.replays += 1
                 return self._check_result(
@@ -449,9 +449,12 @@ class ServiceCore:
             )
         return self._check_result(result, request, "solve", elapsed)
 
-    def _replay_from_store(self, request: _CheckRequest,
-                           state: _WorkerState) -> Optional[EquivalenceResult]:
-        """A stored verdict revalidated by replay, or ``None`` to solve."""
+    def _replay_from_store(self, request: _CheckRequest) -> Optional[EquivalenceResult]:
+        """A stored verdict revalidated by replay, or ``None`` to solve.
+
+        A proof is re-checked on a fresh backend, never on the worker's: the
+        worker's query cache may have produced the verdict it would vouch for.
+        """
         entry = self.store.get(request.key)
         if entry is None:
             return None
@@ -459,8 +462,7 @@ class ServiceCore:
             ok = (
                 entry.certificate is not None
                 and verify_certificate(
-                    entry.certificate, request.left, request.right,
-                    backend=state.backend,
+                    entry.certificate, request.left, request.right
                 ).ok
             )
         else:

@@ -5,6 +5,7 @@ from .backend import (
     BackendError,
     ExternalBackend,
     InternalBackend,
+    OneShotSession,
     SolverBackend,
     available_external_solvers,
     backend_for_solver,
@@ -28,6 +29,7 @@ __all__ = [
     "ExternalBackend",
     "InternalBackend",
     "InternalBVSolver",
+    "OneShotSession",
     "PersistentQueryCache",
     "SatResult",
     "SatStatus",

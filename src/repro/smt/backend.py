@@ -4,10 +4,11 @@ The paper's tool targets several off-the-shelf SMT solvers behind a single
 interface (Z3, CVC4, Boolector), selected by a vernacular command.  This
 module provides the analogous abstraction as an explicitly layered stack:
 
-* :class:`SolverBackend` — the protocol.  Optional operations have safe
-  defaults (no incremental session, no cache, no internal solver handle);
-  callers branch on what they return (``incremental_session() is None``,
-  ``internal_solver is None``) rather than probing attributes.
+* :class:`SolverBackend` — the protocol.  Every backend hands out a
+  solving session (``incremental_session()``): the internal CDCL engine an
+  assumption-based :class:`~repro.smt.incremental.IncrementalSession`, every
+  other backend a :class:`OneShotSession` that answers each check with one
+  ``check_sat`` call.  The cache operations default to no cache.
 * :class:`InternalBackend` — the built-in bit-blasting QF_BV procedure,
   always available and used by default.
 * :class:`ExternalBackend` — shells out to any SMT-LIB 2 compliant solver
@@ -30,13 +31,64 @@ import subprocess
 import threading
 import time
 import warnings
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from .. import counters
 from ..logic import folbv, smtlib
+from ..logic.fingerprint import folbv_fingerprint
 from ..logic.folbv import BFormula
 from ..p4a.bitvec import Bits
 from .bvsolver import InternalBVSolver, SatResult, SatStatus
+
+
+class OneShotSession:
+    """The session protocol answered by one ``check_sat`` call per check.
+
+    The degenerate case of assumption-based incremental solving (Eén &
+    Sörensson, 2003): :meth:`activation` records a formula once, keyed by
+    fingerprint, and hands out its literal; :meth:`check` conjoins the
+    assumed formulas and the goal and asks ``backend`` (anything with a
+    ``check_sat``) once.  No solver state is shared between checks, so it
+    suits any solver and is the certificate re-checker's independent path.
+    """
+
+    def __init__(self, backend) -> None:
+        self._backend = backend
+        self._formulas: List[BFormula] = []  # literal - 1 -> formula
+        self._literals: Dict[str, int] = {}  # fingerprint -> literal
+
+    def activation(self, formula: BFormula) -> int:
+        fingerprint = folbv_fingerprint(formula)
+        literal = self._literals.get(fingerprint)
+        if literal is None:
+            self._formulas.append(formula)
+            literal = self._literals[fingerprint] = len(self._formulas)
+        return literal
+
+    def check(
+        self,
+        assumptions: Sequence[int] = (),
+        goal: Optional[BFormula] = None,
+        variables: Optional[Dict[str, int]] = None,
+        validate_formula: Optional[BFormula] = None,
+    ) -> SatResult:
+        """Satisfiability of the assumed formulas and ``goal``, in one query.
+
+        A sat model covers ``variables`` too, zero-filled where the solver
+        left one out.  ``validate_formula`` is accepted for protocol
+        compatibility; the backend validates its own models.
+        """
+        parts = [self._formulas[literal - 1] for literal in assumptions]
+        if goal is not None:
+            parts.append(goal)
+        result = self._backend.check_sat(folbv.b_and(parts))
+        if result.is_sat and variables:
+            model = dict(result.model or {})
+            for name, width in variables.items():
+                model.setdefault(name, Bits.zeros(width))
+            result = replace(result, model=model)
+        return result
 
 
 class BackendError(Exception):
@@ -57,8 +109,8 @@ class SolverBackend:
         raise NotImplementedError
 
     def incremental_session(self):
-        """A live incremental session, or ``None`` when unsupported."""
-        return None
+        """A solving session (default: one ``check_sat`` call per check)."""
+        return OneShotSession(self)
 
     def lookup(self, formula: BFormula, fingerprint: Optional[str] = None) -> Optional[SatResult]:
         """A cached result for ``formula``, or ``None`` (default: no cache)."""
@@ -66,11 +118,6 @@ class SolverBackend:
 
     def store(self, formula: BFormula, result: SatResult, fingerprint: Optional[str] = None) -> None:
         """Record ``result`` for ``formula`` (default: dropped)."""
-
-    @property
-    def internal_solver(self) -> Optional[InternalBVSolver]:
-        """The in-process solver when one exists (CEGIS needs it)."""
-        return None
 
     def close(self) -> None:
         """Release external resources (default: nothing to release)."""
@@ -97,10 +144,6 @@ class InternalBackend(SolverBackend):
     def incremental_session(self):
         """Delegate to :meth:`InternalBVSolver.incremental_session`."""
         return self._solver.incremental_session()
-
-    @property
-    def internal_solver(self) -> InternalBVSolver:
-        return self._solver
 
 
 #: Known external solvers and the command lines that make them read SMT-LIB

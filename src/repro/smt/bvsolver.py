@@ -114,13 +114,17 @@ class InternalBVSolver:
         return self.check_sat(folbv.b_not(formula))
 
     def incremental_session(self):
-        """A fresh incremental assumption-based session over this solver.
+        """A fresh solving session over this solver.
 
-        Only the CDCL engine supports incremental solving; the DPLL engine
-        returns ``None`` and callers fall back to one-shot queries.
+        The CDCL engine keeps one live CNF across checks
+        (:class:`~repro.smt.incremental.IncrementalSession`); the DPLL engine
+        answers each check with one :meth:`check_sat` call
+        (:class:`~repro.smt.backend.OneShotSession`).
         """
         if self._engine != "cdcl":
-            return None
+            from .backend import OneShotSession
+
+            return OneShotSession(self)
         from .incremental import IncrementalSession
 
         return IncrementalSession(

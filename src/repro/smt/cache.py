@@ -32,7 +32,7 @@ from ..logic.fingerprint import FINGERPRINT_VERSION, folbv_fingerprint
 from ..logic.folbv import BFormula
 from ..p4a.bitvec import Bits
 from .backend import InternalBackend, SolverBackend, backend_for_solver
-from .bvsolver import InternalBVSolver, SatResult, SatStatus
+from .bvsolver import SatResult, SatStatus
 
 
 def _encode_model(model: Optional[Dict[str, Bits]]) -> Optional[str]:
@@ -148,7 +148,7 @@ class CachingBackend(SolverBackend):
 
     Wraps ``inner`` (default: the internal solver): ``lookup``/``store`` are
     backed by the sqlite store in ``cache_dir`` (:class:`PersistentQueryCache`),
-    and the session and solver handle are the wrapped backend's.
+    and the session is the wrapped backend's.
     """
 
     def __init__(self, inner: Optional[SolverBackend], cache_dir: str) -> None:
@@ -212,10 +212,6 @@ class CachingBackend(SolverBackend):
 
     def incremental_session(self):
         return self.inner.incremental_session()
-
-    @property
-    def internal_solver(self) -> Optional[InternalBVSolver]:
-        return self.inner.internal_solver
 
     @property
     def persistent_path(self) -> str:

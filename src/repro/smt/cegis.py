@@ -8,7 +8,7 @@ because the symbolic variables inside stored relation conjuncts are implicitly
 universally quantified (Definition 4.3 quantifies ⟦φ⟧L over all valuations).
 The paper discharges such queries with an SMT solver's quantifier support;
 here they are solved with the classic counterexample-guided instantiation
-loop over the internal QF_BV procedure:
+loop over the chosen backend's solving session:
 
 1. check whether the universal block holds for the caller's guess of the
    existential block (zero-filled where the guess is silent; all zeros
@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Optional
 from ..logic import folbv
 from ..logic.folbv import BFormula, BVConst, BVVar, Term
 from ..p4a.bitvec import Bits
-from .bvsolver import InternalBVSolver, SatStatus
+from .bvsolver import SatStatus
 
 
 class CegisError(Exception):
@@ -104,9 +104,8 @@ class ExistsForallResult:
 def solve_exists_forall(
     matrix: BFormula,
     universal_vars: Mapping[str, int],
-    solver: Optional[InternalBVSolver] = None,
+    session,
     max_rounds: int = 64,
-    session=None,
     guess: Optional[Mapping[str, Bits]] = None,
 ) -> ExistsForallResult:
     """Decide ``∃ E ∀ U . matrix`` where ``U`` is ``universal_vars``.
@@ -118,49 +117,38 @@ def solve_exists_forall(
     (zeros for any it lacks) are verified before any candidate query runs.
     A guess that is already a witness settles the query with one solver call.
 
-    With a ``session`` (an :class:`~repro.smt.incremental.IncrementalSession`)
-    the loop solves incrementally: every collected instantiation is pushed
-    into the shared CNF once, behind an activation literal, and each candidate
-    query merely assumes the activation literals gathered so far — the
-    instantiation set only ever grows, exactly the monotone shape the session
-    is built for.  The per-round verification query rides along as a one-off
-    goal assumption.  Without a session each sub-query is a fresh one-shot
-    ``check_sat``.
+    Every sub-query goes to ``session``, a backend's solving session
+    (:meth:`~repro.smt.backend.SolverBackend.incremental_session`).  Each
+    collected instantiation is pushed into it once, behind an activation
+    literal, and each candidate query assumes the literals gathered so far —
+    the instantiation set only ever grows, exactly the monotone shape an
+    incremental session is built for.  The per-round verification query
+    rides along as a one-off goal.
     """
-    if session is None:
-        solver = solver or InternalBVSolver()
     all_vars = folbv.free_variables(matrix)
     universal = {name: width for name, width in universal_vars.items() if name in all_vars}
     existential = {name: width for name, width in all_vars.items() if name not in universal}
 
     if not universal:
-        if session is not None:
-            result = session.check(
-                goal=matrix, variables=existential, validate_formula=matrix
-            )
-        else:
-            result = solver.check_sat(matrix)
+        result = session.check(goal=matrix, variables=existential, validate_formula=matrix)
         if result.status is SatStatus.UNKNOWN:
             return ExistsForallResult(None, None, 1)
         return ExistsForallResult(result.is_sat, result.model, 1)
 
     instances: List[BFormula] = []  # substituted matrices
     refutations: List[Dict[str, Bits]] = []  # the universal values behind them
-    activations: List[int] = []  # their activation literals, session mode only
+    activations: List[int] = []  # their activation literals
     candidate_model: Mapping[str, Bits] = guess or {}
     for round_index in range(1, max_rounds + 1):
         if round_index > 1:
-            if session is not None:
-                # Free variables of every instance lie in the existential
-                # block (the universal ones were substituted away), so the
-                # decoded model covers the validation formula.
-                candidate = session.check(
-                    activations,
-                    variables=existential,
-                    validate_formula=folbv.b_and(instances),
-                )
-            else:
-                candidate = solver.check_sat(folbv.b_and(instances))
+            # Free variables of every instance lie in the existential block
+            # (the universal ones were substituted away), so the decoded
+            # model covers the validation formula.
+            candidate = session.check(
+                activations,
+                variables=existential,
+                validate_formula=folbv.b_and(instances),
+            )
             if candidate.status is SatStatus.UNKNOWN:
                 return ExistsForallResult(None, None, round_index, refutations)
             if candidate.is_unsat:
@@ -170,13 +158,10 @@ def solve_exists_forall(
                    for name, width in existential.items()}
         # Verify the universal block for this witness.
         negated_instance = folbv.b_not(substitute(matrix, witness))
-        if session is not None:
-            check = session.check(
-                goal=negated_instance, variables=universal,
-                validate_formula=negated_instance,
-            )
-        else:
-            check = solver.check_sat(negated_instance)
+        check = session.check(
+            goal=negated_instance, variables=universal,
+            validate_formula=negated_instance,
+        )
         if check.status is SatStatus.UNKNOWN:
             return ExistsForallResult(None, None, round_index, refutations)
         if check.is_unsat:
@@ -187,6 +172,5 @@ def solve_exists_forall(
         refutations.append(refutation)
         instance = substitute(matrix, refutation)
         instances.append(instance)
-        if session is not None:
-            activations.append(session.activation(instance))
+        activations.append(session.activation(instance))
     return ExistsForallResult(None, None, max_rounds, refutations)

@@ -88,8 +88,8 @@ class TestSharding:
         assert config.use_aig is False and config.solver is None
         aut = tiny.incremental_bits_checked()
         checker = PreBisimulationChecker(aut, aut, "Start", "Start", config=config)
-        assert checker.backend.internal_solver.use_aig is False
-        assert checker.backend.incremental_session() is not None
+        assert checker.backend._solver.use_aig is False
+        assert checker.entailment._session._use_aig is False
 
     def test_differential_adds_the_first_installed_external_solver(self, monkeypatch):
         import repro.smt.backend as backend

@@ -22,8 +22,9 @@ from repro.logic.simplify import mk_eq
 from repro.p4a.bitvec import Bits
 from repro.p4a.semantics import accepts
 from repro.protocols import mpls, tiny
+from repro.smt.backend import InternalBackend
 
-from ..helpers import fixed_length_automaton
+from ..helpers import OneShotBackend, fixed_length_automaton
 
 
 class TestEntailmentChecker:
@@ -60,13 +61,15 @@ class TestEntailmentChecker:
         assert outcome.entailed
         assert outcome.method == "cegis"
 
-    @pytest.mark.parametrize("use_incremental", [True, False])
-    def test_ledger_sums_cegis_rounds(self, use_incremental):
+    @pytest.mark.parametrize(
+        "backend_type", [InternalBackend, OneShotBackend], ids=["incremental", "one-shot"]
+    )
+    def test_ledger_sums_cegis_rounds(self, backend_type):
         # ∀x. x = h entails h = 01, but the fast path's shared x cannot see
         # it: CEGIS refutes the fast path's guess, then finds no candidate.
         # A repeat on the same checker is a memo hit that adds no rounds; a
         # second checker has a memo of its own and adds its two rounds.
-        checker = EntailmentChecker(use_incremental=use_incremental)
+        checker = EntailmentChecker(backend_type())
         premise = mk_eq(CVar("x", 2), CHdr(LEFT, "h", 2))
         goal = mk_eq(CHdr(LEFT, "h", 2), CLit(Bits("01")))
         with counters.scope() as ledger:
@@ -77,7 +80,7 @@ class TestEntailmentChecker:
             assert repeat.entailed and repeat.method == "cegis"
             assert ledger["entailment.cegis_rounds"] == 2
             assert ledger["entailment.memo_hits"] == 1
-            fresh = EntailmentChecker(use_incremental=use_incremental)
+            fresh = EntailmentChecker(backend_type())
             assert fresh.check([premise], goal).method == "cegis"
         assert ledger["entailment.cegis_rounds"] == 4
         assert ledger["entailment.memo_hits"] == 1

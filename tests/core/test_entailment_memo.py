@@ -1,10 +1,10 @@
 """The entailment checker answers each distinct entailment once.
 
 Definitive outcomes are memoized per checker under the canonical premise and
-goal fingerprints; the session path also keeps the ground instances CEGIS
-found for each premise and assumes them in later fast-path queries.  Neither
-may change an answer: the differential at the end compares a session checker
-that accumulates instances against a fresh one-shot checker on every check.
+goal fingerprints; the checker also keeps the ground instances CEGIS found for
+each premise and assumes them in later fast-path queries.  Neither may change
+an answer: the differential at the end compares a checker that accumulates
+instances against a fresh one-shot checker on every check.
 """
 
 import pytest
@@ -16,6 +16,9 @@ from repro.core.entailment import EntailmentChecker
 from repro.logic.confrel import LEFT, RIGHT, CHdr, CLit, CVar
 from repro.logic.simplify import mk_and, mk_eq, mk_not, mk_or
 from repro.p4a.bitvec import Bits
+from repro.smt.backend import InternalBackend
+
+from ..helpers import OneShotBackend
 
 H = CHdr(LEFT, "h", 2)
 G = CHdr(RIGHT, "g", 2)
@@ -31,12 +34,15 @@ GOAL_01 = mk_eq(H, CLit(Bits("01")))
 FORALL_OR_11 = mk_or([mk_eq(X, H), mk_eq(H, CLit(Bits("11")))])
 GOAL_00 = mk_eq(H, CLit(Bits("00")))
 
-MODES = pytest.mark.parametrize("use_incremental", [True, False])
+#: Both session kinds: the CDCL engine's incremental one and a one-shot one.
+MODES = pytest.mark.parametrize(
+    "backend_type", [InternalBackend, OneShotBackend], ids=["incremental", "one-shot"]
+)
 
 
 @MODES
-def test_a_repeated_check_makes_no_solver_query(use_incremental):
-    checker = EntailmentChecker(use_incremental=use_incremental)
+def test_a_repeated_check_makes_no_solver_query(backend_type):
+    checker = EntailmentChecker(backend_type())
     first = checker.check([FORALL_EQ], GOAL_01)
     assert first.entailed and first.method == "cegis"
     with counters.scope() as ledger:
@@ -49,8 +55,8 @@ def test_a_repeated_check_makes_no_solver_query(use_incremental):
 
 
 @MODES
-def test_the_memo_key_is_the_canonical_premise_list_and_goal(use_incremental):
-    checker = EntailmentChecker(use_incremental=use_incremental)
+def test_the_memo_key_is_the_canonical_premise_list_and_goal(backend_type):
+    checker = EntailmentChecker(backend_type())
     checker.check([FORALL_EQ], GOAL_01)
     with counters.scope() as ledger:
         # Renaming the symbolic variable leaves the canonical query unchanged.
@@ -69,9 +75,9 @@ def test_the_memo_key_is_the_canonical_premise_list_and_goal(use_incremental):
     ([FORALL_OR_11], GOAL_00, "cegis"),
 ])
 def test_mutating_a_returned_model_does_not_change_the_next_answer(
-    use_incremental, premises, goal, method
+    backend_type, premises, goal, method
 ):
-    checker = EntailmentChecker(use_incremental=use_incremental)
+    checker = EntailmentChecker(backend_type())
     first = checker.check(premises, goal)
     assert not first.entailed and first.method == method
     expected = dict(first.model)
@@ -89,22 +95,17 @@ def test_mutating_a_returned_model_does_not_change_the_next_answer(
 
 
 @MODES
-def test_unknown_is_never_memoized(use_incremental):
-    checker = EntailmentChecker(cegis_rounds=1, use_incremental=use_incremental)
+def test_unknown_is_never_memoized(backend_type):
+    checker = EntailmentChecker(backend_type(), cegis_rounds=1)
     with counters.scope() as ledger:
         assert checker.check([FORALL_EQ], GOAL_01).method == "unknown"
         second = checker.check([FORALL_EQ], GOAL_01)
     assert ledger["entailment.memo_hits"] == 0
-    if use_incremental:
-        # The first run's refutation is kept as a ground instance, so the
-        # re-solve may already settle in the fast path; it must not be a
-        # memo hit, and whatever it answers is exact.
-        assert second.method in ("unknown", "smt")
-        assert second.method == "smt" or ledger["entailment.cegis_rounds"] == 2
-    else:
-        assert second.method == "unknown"
-        assert ledger["entailment.cegis_rounds"] == 2
-        assert ledger["entailment.unknown"] == 2
+    # The first run's refutation is kept as a ground instance, so the
+    # re-solve may already settle in the fast path; it must not be a memo
+    # hit, and whatever it answers is exact.
+    assert second.method in ("unknown", "smt")
+    assert second.method == "smt" or ledger["entailment.cegis_rounds"] == 2
 
 
 def _kept(checker):
@@ -115,8 +116,9 @@ def _goal(value):
     return mk_eq(H, CLit(Bits(value)))
 
 
-def test_cegis_refutations_become_fast_path_instances():
-    checker = EntailmentChecker(use_incremental=True)
+@MODES
+def test_cegis_refutations_become_fast_path_instances(backend_type):
+    checker = EntailmentChecker(backend_type())
     # Each CEGIS proof refutes one value of x, kept as an instance c = h.
     assert checker.check([FORALL_EQ], _goal("01")).method == "cegis"
     assert list(_kept(checker).values()) == [1]
@@ -133,14 +135,15 @@ def test_cegis_refutations_become_fast_path_instances():
     assert ledger["entailment.cegis_rounds"] == 0
 
 
-def test_the_one_shot_path_keeps_no_instances():
-    checker = EntailmentChecker(use_incremental=False)
+def test_one_shot_sessions_keep_instances_too():
+    checker = EntailmentChecker(OneShotBackend())
     with counters.scope() as ledger:
-        for value in ("01", "10", "11"):
-            assert checker.check([FORALL_EQ], _goal(value)).method == "cegis"
-    assert _kept(checker) == {}
-    assert ledger["entailment.instances_reused"] == 0
-    assert ledger["entailment.cegis_entailed"] == 3
+        methods = [checker.check([FORALL_EQ], _goal(value)).method
+                   for value in ("01", "10", "11")]
+    assert methods == ["cegis", "cegis", "smt"]
+    assert list(_kept(checker).values()) == [2]
+    assert ledger["entailment.instances_reused"] == 3
+    assert ledger["entailment.cegis_entailed"] == 2
 
 
 def _fill_instances(checker):
@@ -159,7 +162,7 @@ def _fill_instances(checker):
 @pytest.mark.parametrize("bound", [1, 3, entailment.MAX_INSTANCES_PER_PREMISE])
 def test_the_per_premise_instance_bound_holds(monkeypatch, bound):
     monkeypatch.setattr(entailment, "MAX_INSTANCES_PER_PREMISE", bound)
-    checker = EntailmentChecker(use_incremental=True)
+    checker = EntailmentChecker()
     premise = _fill_instances(checker)
     kept = min(bound, 4)
     assert list(_kept(checker).values()) == [kept]
@@ -195,10 +198,10 @@ def formulas(draw, depth=2):
     st.lists(st.tuples(st.integers(0, 3), formulas()), min_size=1, max_size=6),
 )
 def test_instances_agree_with_a_fresh_one_shot_checker(premises, steps):
-    session = EntailmentChecker(use_incremental=True)
+    session = EntailmentChecker()
     for count, goal in steps:
         prefix = premises[:count]
-        reference = EntailmentChecker(use_incremental=False).check(prefix, goal)
+        reference = EntailmentChecker(OneShotBackend()).check(prefix, goal)
         outcome = session.check(prefix, goal)
         assert reference.method != "unknown"
         assert outcome.entailed == reference.entailed, (prefix, goal)

@@ -7,19 +7,19 @@ from typing import Tuple
 
 from repro.p4a import AutomatonBuilder, Bits, P4Automaton
 from repro.p4a.semantics import accepts
-from repro.smt.backend import InternalBackend
+from repro.smt.backend import InternalBackend, OneShotSession
 
 
 class OneShotBackend(InternalBackend):
-    """The internal CDCL solver without its incremental session.
+    """The internal CDCL solver behind a one-shot session.
 
-    Callers fall back to one fresh lowering + bit-blast + SAT run per query
-    when a backend offers no session (as the DPLL engine and external
-    solvers do); this backend drives that path on the default solver.
+    The DPLL engine and external solvers answer every session check with
+    one fresh lowering + bit-blast + solver run; this backend drives that
+    path on the default solver.
     """
 
     def incremental_session(self):
-        return None
+        return OneShotSession(self)
 
 
 def one_bit_automaton(accept_on: str = "1") -> P4Automaton:

@@ -2,7 +2,7 @@
 
 Each registry mini scenario runs through the internal CDCL backend with its
 incremental session, and again through the internal DPLL engine, through the
-CDCL backend with its session withheld (one fresh query per entailment), and
+CDCL backend behind a one-shot session (one fresh query per check), and
 (when one is on PATH) an external SMT solver; the verdicts must agree, and
 every extracted counterexample must replay concretely — ``accepts`` really
 diverging on the witness packet — whatever backend found it.
@@ -14,7 +14,8 @@ from repro.core.algorithm import CheckerConfig
 from repro.core.equivalence import check_language_equivalence
 from repro.p4a.semantics import accepts
 from repro.scenarios import get, mini_names
-from repro.smt.backend import InternalBackend, available_external_solvers
+from repro.smt.backend import InternalBackend, SolverBackend, available_external_solvers
+from repro.smt.bvsolver import InternalBVSolver
 
 from ..helpers import OneShotBackend
 
@@ -100,6 +101,30 @@ def test_session_is_used_exactly_when_the_backend_offers_one(name):
     _assert_agreement(name, baseline, fallback, "one-shot")
     assert with_session.calls == 0
     assert one_shot.calls > 0
+
+
+class _CountingSolver(SolverBackend):
+    """A solver with only ``check_sat``: it takes the protocol's one-shot session."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.calls = 0
+        self._solver = InternalBVSolver()
+
+    def check_sat(self, formula, stop=None):
+        self.calls += 1
+        return self._solver.check_sat(formula, stop=stop)
+
+
+@pytest.mark.parametrize("name", ["mini_edge", "mini_ipv6_ext_broken"])
+def test_every_query_reaches_the_chosen_solver(name):
+    # CEGIS rounds included: none may be solved on a private solver.
+    backend = _CountingSolver()
+    result = _run(name, _config(), backend=backend)
+    assert result.verdict is get(name).expected_equivalent
+    assert result.statistics.entailment["cegis_rounds"] > 0
+    assert backend.calls == result.statistics.solver["queries"] > 0
 
 
 @pytest.mark.parametrize("name", mini_names())

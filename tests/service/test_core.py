@@ -7,6 +7,7 @@ end to end through :class:`InProcessClient`, which runs the identical
 dispatch path the daemon uses.
 """
 
+import dataclasses
 import threading
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from repro.core.algorithm import CheckerConfig
 from repro.core.equivalence import check_language_equivalence
 from repro.p4a.semantics import accepts
-from repro.protocols import tiny
+from repro.protocols import mpls, tiny
 from repro.service.client import (
     InProcessClient,
     ServiceError,
@@ -27,6 +28,8 @@ from repro.service.core import (
     ServiceCore,
     ServiceRequestError,
 )
+from repro.smt.backend import SolverBackend
+from repro.smt.bvsolver import SatResult, SatStatus
 
 
 def _check_params(left=None, right=None, options=None):
@@ -238,6 +241,35 @@ class TestInProcessClient:
             stats = client.stats()["store"]
             assert stats["stores"] == 1 and stats["replays"] == 1
             assert stats["replay_failures"] == 0
+
+    def test_replay_never_borrows_the_worker_backend(self, tmp_path):
+        # A stored proof whose certificate does not hold must fail replay
+        # even when the worker's backend (query cache included) would claim
+        # every obligation: the re-checker solves on a fresh backend.
+        class ClaimsUnsat(SolverBackend):
+            def check_sat(self, formula, stop=None):
+                return SatResult(SatStatus.UNSAT)
+
+            def lookup(self, formula, fingerprint=None):
+                return SatResult(SatStatus.UNSAT)
+
+        config = ServiceConfig(workers=0, store_dir=str(tmp_path / "store"))
+        left, right = mpls.scaled_reference(2), mpls.scaled_vectorized(2)
+        with InProcessClient(config) as client:
+            assert client.check(left, "q1", right, "q3").source == "solve"
+            store = client.core.store
+            (key,) = store.keys()
+            entry = store.get(key)
+            store.put(
+                key, entry.pair_fingerprint, entry.config_fingerprint, verdict=True,
+                certificate=dataclasses.replace(entry.certificate, relation=()),
+            )
+            client.core._inline_worker().backend = ClaimsUnsat()
+            again = client.check(left, "q1", right, "q3")
+            stats = client.stats()["store"]
+        assert again.source == "solve"
+        assert stats["replays"] == 0
+        assert stats["replay_failures"] == 1
 
     def test_refutation_witness_replays_concretely(self, tmp_path):
         config = ServiceConfig(workers=0, store_dir=str(tmp_path / "store"))

@@ -13,10 +13,12 @@ from repro.smt.backend import (
     EXTERNAL_SOLVER_COMMANDS,
     ExternalBackend,
     InternalBackend,
+    OneShotSession,
     SolverBackend,
 )
 from repro.smt.bvsolver import SatResult, SatStatus
 from repro.smt.cache import CachingBackend, make_backend
+from repro.smt.incremental import IncrementalSession
 
 A = BVVar("a", 4)
 SAT_FORMULA = BEq(A, BVConst(Bits("1010")))
@@ -25,32 +27,31 @@ SAT_FORMULA = BEq(A, BVConst(Bits("1010")))
 class TestProtocol:
     def test_base_defaults(self):
         backend = SolverBackend()
-        assert backend.incremental_session() is None
+        assert isinstance(backend.incremental_session(), OneShotSession)
         assert backend.lookup(SAT_FORMULA) is None
-        assert backend.internal_solver is None
+        assert not hasattr(backend, "internal_solver")
         # The protocol holds no in-memory cache tier to size or trim.
         assert not hasattr(backend, "memory_entries")
         assert not hasattr(backend, "trim_memory")
         backend.store(SAT_FORMULA, SatResult(SatStatus.UNKNOWN))
         backend.close()  # all default methods are safe no-ops
 
-    def test_internal_backend_has_a_session_and_a_solver(self):
+    def test_internal_backend_has_an_incremental_session(self):
         backend = InternalBackend()
-        assert backend.incremental_session() is not None
-        assert backend.internal_solver is not None
+        assert isinstance(backend.incremental_session(), IncrementalSession)
         assert backend.lookup(SAT_FORMULA) is None
 
-    def test_dpll_engine_has_no_session(self):
+    def test_dpll_engine_has_a_one_shot_session(self):
         backend = InternalBackend(engine="dpll")
-        assert backend.incremental_session() is None
-        assert backend.internal_solver is not None
+        assert isinstance(backend.incremental_session(), OneShotSession)
 
-    @pytest.mark.parametrize("engine", ["cdcl", "dpll"])
-    def test_caching_backend_delegates_session_and_solver(self, engine, tmp_path):
+    @pytest.mark.parametrize("engine, session_type", [
+        ("cdcl", IncrementalSession), ("dpll", OneShotSession),
+    ])
+    def test_caching_backend_delegates_the_session(self, engine, session_type, tmp_path):
         inner = InternalBackend(engine=engine)
         backend = CachingBackend(inner, str(tmp_path))
-        assert backend.internal_solver is inner.internal_solver
-        assert (backend.incremental_session() is None) == (engine == "dpll")
+        assert isinstance(backend.incremental_session(), session_type)
         assert backend.name == "cached+internal"
         backend.close()
 
@@ -90,15 +91,15 @@ class TestMakeBackend:
     @pytest.mark.parametrize("solver", [None, "internal", "cdcl", "dpll", "internal-dpll"])
     def test_internal_engines_honour_use_aig(self, solver):
         backend = make_backend(solver=solver, use_aig=False)
-        assert backend.internal_solver.use_aig is False
+        assert backend._solver.use_aig is False
 
     def test_cache_wraps_the_internal_backend(self, tmp_path):
         assert isinstance(make_backend(), InternalBackend)
         backend = make_backend(cache_dir=str(tmp_path), solver="dpll", use_aig=False)
         assert isinstance(backend, CachingBackend)
         assert isinstance(backend.inner, InternalBackend)
-        assert backend.internal_solver.use_aig is False
-        assert backend.incremental_session() is None
+        assert backend.inner._solver.use_aig is False
+        assert isinstance(backend.incremental_session(), OneShotSession)
         assert backend.persistent_path.startswith(str(tmp_path))
         backend.close()
 
@@ -107,9 +108,8 @@ class TestMakeBackend:
         backend = make_backend(cache_dir=str(tmp_path), solver=solver)
         assert isinstance(backend, CachingBackend)
         assert isinstance(backend.inner, InternalBackend)
-        assert backend.internal_solver is backend.inner.internal_solver
-        has_session = backend.incremental_session() is not None
-        assert has_session == (solver not in ("dpll", "internal-dpll"))
+        incremental = isinstance(backend.incremental_session(), IncrementalSession)
+        assert incremental == (solver not in ("dpll", "internal-dpll"))
         backend.close()
 
     def test_missing_external_solver_is_an_error(self, monkeypatch):

@@ -12,6 +12,7 @@ from repro.p4a.bitvec import Bits
 from repro.smt.backend import (
     ExternalBackend,
     InternalBackend,
+    OneShotSession,
     available_external_solvers,
     BackendError,
 )
@@ -168,9 +169,13 @@ def _brute_force_witnesses(matrix):
     ]
 
 
-def _session_and_solver(use_session):
+def _session(kind):
+    """A fresh session of either kind over the internal CDCL solver."""
     solver = InternalBVSolver()
-    return (solver.incremental_session() if use_session else None), solver
+    return solver.incremental_session() if kind == "incremental" else OneShotSession(solver)
+
+
+SESSION_KINDS = pytest.mark.parametrize("kind", ["one-shot", "incremental"])
 
 
 class TestCegis:
@@ -179,42 +184,44 @@ class TestCegis:
         grounded = substitute(formula, {"a": Bits("1010")})
         assert folbv.free_variables(grounded) == {"b": 4}
 
-    def test_no_universals_reduces_to_sat(self):
-        result = solve_exists_forall(BEq(A, BVConst(Bits("1010"))), {})
+    @SESSION_KINDS
+    def test_no_universals_reduces_to_sat(self, kind):
+        result = solve_exists_forall(BEq(A, BVConst(Bits("1010"))), {}, _session(kind))
         assert result.holds is True
+        assert result.witness == {"a": Bits("1010")}
 
-    def test_exists_forall_true(self):
+    @SESSION_KINDS
+    def test_exists_forall_true(self, kind):
         # ∃a ∀c. (a[0:1] = a[2:3]) — c unused, a = 0000 works.
         matrix = BEq(BVExtract(A, 0, 1), BVExtract(A, 2, 3))
-        result = solve_exists_forall(matrix, {"c": 2})
+        result = solve_exists_forall(matrix, {"c": 2}, _session(kind))
         assert result.holds is True
 
-    def test_exists_forall_false(self):
+    @SESSION_KINDS
+    def test_exists_forall_false(self, kind):
         # ∃a ∀b. a = b is false for 4-bit vectors.
-        result = solve_exists_forall(BEq(A, B), {"b": 4})
+        result = solve_exists_forall(BEq(A, B), {"b": 4}, _session(kind))
         assert result.holds is False
 
-    def test_exists_forall_with_structure(self):
+    @SESSION_KINDS
+    def test_exists_forall_with_structure(self, kind):
         # ∃a ∀c. (c = 11 ⇒ a[0:1] = 11): pick a starting with 11.
         matrix = folbv.b_implies(
             BEq(C2, BVConst(Bits("11"))), BEq(BVExtract(A, 0, 1), BVConst(Bits("11")))
         )
-        result = solve_exists_forall(matrix, {"c": 2})
+        result = solve_exists_forall(matrix, {"c": 2}, _session(kind))
         assert result.holds is True
         assert result.witness["a"].slice(0, 1) == Bits("11")
 
-    @pytest.mark.parametrize("use_session", [False, True], ids=["one-shot", "session"])
+    @SESSION_KINDS
     @settings(max_examples=100, deadline=None)
     @given(matrix=_matrices, guess=_guesses, seed_with_witness=st.booleans())
-    def test_guessed_loop_matches_brute_force(self, use_session, matrix, guess,
+    def test_guessed_loop_matches_brute_force(self, kind, matrix, guess,
                                               seed_with_witness):
         witnesses = _brute_force_witnesses(matrix)
         if seed_with_witness and witnesses:
             guess = witnesses[-1]
-        session, solver = _session_and_solver(use_session)
-        result = solve_exists_forall(
-            matrix, _UNIVERSAL, solver=solver, session=session, guess=guess
-        )
+        result = solve_exists_forall(matrix, _UNIVERSAL, _session(kind), guess=guess)
         assert result.holds is bool(witnesses)
         if result.holds:
             completed = {name: result.witness.get(name, Bits.zeros(width))
@@ -223,18 +230,16 @@ class TestCegis:
         else:
             assert result.witness is None
 
-    @pytest.mark.parametrize("use_session", [False, True], ids=["one-shot", "session"])
-    def test_witness_guess_settles_in_one_query(self, use_session):
+    @SESSION_KINDS
+    def test_witness_guess_settles_in_one_query(self, kind):
         # ∃a ∀c. (c = 11 ⇒ a[0:1] = 11): a = 1100 is already a witness.
         matrix = folbv.b_implies(
             BEq(C2, BVConst(Bits("11"))), BEq(BVExtract(A, 0, 1), BVConst(Bits("11")))
         )
         guess = {"a": Bits("1100")}
-        session, solver = _session_and_solver(use_session)
+        session = _session(kind)
         with counters.scope() as ledger:
-            result = solve_exists_forall(
-                matrix, {"c": 2}, solver=solver, session=session, guess=guess
-            )
+            result = solve_exists_forall(matrix, {"c": 2}, session, guess=guess)
         assert result.holds is True
         assert result.rounds == 1
         assert result.witness == guess

@@ -7,7 +7,7 @@ from repro.logic.confrel import LEFT, RIGHT, CHdr, CSlice
 from repro.logic.folbv import BEq, BVConst, BVVar
 from repro.logic.simplify import mk_eq
 from repro.p4a.bitvec import Bits
-from repro.smt.backend import InternalBackend
+from repro.smt.backend import InternalBackend, OneShotSession
 from repro.smt.bvsolver import InternalBVSolver, SatStatus
 from repro.smt.cache import CachingBackend
 from repro.smt.incremental import IncrementalSession
@@ -98,19 +98,45 @@ class TestIncrementalSession:
             session.check(goal=BEq(var("x"), const("1100")))
         assert ledger["solver.queries"] == 1
 
-    def test_dpll_engine_has_no_session(self):
-        assert InternalBVSolver(engine="dpll").incremental_session() is None
-        assert InternalBackend(engine="dpll").incremental_session() is None
+    def test_dpll_engine_has_a_one_shot_session(self):
+        assert isinstance(InternalBVSolver(engine="dpll").incremental_session(), OneShotSession)
+        assert isinstance(InternalBackend(engine="dpll").incremental_session(), OneShotSession)
 
     def test_caching_backend_delegates_session(self, tmp_path):
-        assert CachingBackend(InternalBackend(), str(tmp_path)).incremental_session() is not None
+        session = CachingBackend(InternalBackend(), str(tmp_path)).incremental_session()
+        assert isinstance(session, IncrementalSession)
+
+
+class TestOneShotSession:
+    """The one-shot session answers the session protocol with check_sat calls."""
+
+    def test_each_check_is_one_query_on_the_conjunction(self):
+        session = OneShotSession(InternalBackend())
+        equal = session.activation(BEq(var("a"), var("b")))
+        assert session.activation(BEq(var("a"), var("b"))) == equal
+        with counters.scope() as ledger:
+            unsat = session.check([equal], goal=folbv.b_not(BEq(var("b"), var("a"))))
+            sat = session.check([equal], goal=BEq(var("a"), const("0110")))
+        assert unsat.status is SatStatus.UNSAT
+        assert sat.status is SatStatus.SAT
+        assert sat.model["b"] == Bits("0110")
+        assert ledger["solver.queries"] == 2
+
+    def test_requested_variables_are_zero_filled(self):
+        session = OneShotSession(InternalBackend())
+        result = session.check(
+            goal=BEq(var("x", 2), const("10")), variables={"x": 2, "unused": 3}
+        )
+        assert result.model == {"x": Bits("10"), "unused": Bits("000")}
 
 
 class TestIncrementalEntailment:
-    """The entailment checker gives identical verdicts with the session on/off."""
+    """The entailment checker gives identical verdicts on both session kinds."""
 
-    def _workload(self, use_incremental):
-        checker = EntailmentChecker(InternalBackend(), use_incremental=use_incremental)
+    def _workload(self, incremental):
+        backend = InternalBackend()
+        session = None if incremental else OneShotSession(backend)
+        checker = EntailmentChecker(backend, session=session)
         verdicts = []
         premises = []
         width, step = 16, 4
@@ -125,13 +151,13 @@ class TestIncrementalEntailment:
                 verdicts.append(bool(checker.check(premises, goal)))
         return verdicts, checker, ledger
 
-    def test_verdicts_identical_with_and_without_session(self):
+    def test_verdicts_identical_on_both_session_kinds(self):
         incremental, inc_checker, inc_ledger = self._workload(True)
         baseline, base_checker, base_ledger = self._workload(False)
         assert incremental == baseline
         assert inc_ledger["entailment.checks"] == base_ledger["entailment.checks"]
-        assert inc_checker._session is not None
-        assert base_checker._session is None
+        assert isinstance(inc_checker._session, IncrementalSession)
+        assert isinstance(base_checker._session, OneShotSession)
 
     def test_incremental_entailment_encodes_less(self):
         _, inc_checker, _ = self._workload(True)
@@ -142,7 +168,7 @@ class TestIncrementalEntailment:
 
     def test_session_results_feed_the_query_cache(self, tmp_path):
         backend = CachingBackend(InternalBackend(), str(tmp_path))
-        checker = EntailmentChecker(backend, use_incremental=True)
+        checker = EntailmentChecker(backend)
         premise = mk_eq(CHdr(LEFT, "udp", 8), CHdr(RIGHT, "udp", 8))
         goal = mk_eq(CHdr(RIGHT, "udp", 8), CHdr(LEFT, "udp", 8))
         with counters.scope() as first:
@@ -156,7 +182,7 @@ class TestIncrementalEntailment:
         assert repeat["entailment.memo_hits"] == 1
         assert repeat["cache.hits"] == repeat["cache.misses"] == 0
         # A fresh checker over the same store is answered by the cache.
-        fresh = EntailmentChecker(backend, use_incremental=True)
+        fresh = EntailmentChecker(backend)
         with counters.scope() as warm:
             assert fresh.check([premise], goal).entailed
         assert warm["solver.queries"] == 0
@@ -171,10 +197,11 @@ class TestIncrementalEntailment:
         # through the CEGIS loop and checks they agree.
         premise = mk_eq(CHdr(LEFT, "h", 4), CVar("v", 4))
         goal = mk_eq(CHdr(LEFT, "h", 4), CHdr(RIGHT, "h", 4))
-        with_session = EntailmentChecker(InternalBackend(), use_incremental=True)
-        without_session = EntailmentChecker(InternalBackend(), use_incremental=False)
-        assert (with_session.check([premise], goal).entailed
-                == without_session.check([premise], goal).entailed)
+        backend = InternalBackend()
+        incremental = EntailmentChecker(backend)
+        one_shot = EntailmentChecker(backend, session=OneShotSession(backend))
+        assert (incremental.check([premise], goal).entailed
+                == one_shot.check([premise], goal).entailed)
 
 
 class TestRestrictedDecisionSoundness:
