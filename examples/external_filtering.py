@@ -22,8 +22,7 @@ def main() -> None:
     strict = ethernet_ip.strict_parser()
 
     # 1. Plain equivalence fails, with a concrete witness.
-    plain = check_language_equivalence(sloppy, ethernet_ip.START, strict, ethernet_ip.START,
-                                       counterexample_max_leaps=6)
+    plain = check_language_equivalence(sloppy, ethernet_ip.START, strict, ethernet_ip.START)
     print(f"plain equivalence:      {plain}")
     assert plain.refuted
     ether = plain.counterexample.packet.slice(96, 111)

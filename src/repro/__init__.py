@@ -9,7 +9,7 @@ The package is organised as follows:
 * :mod:`repro.smt` — the solver substrate: bit-blasting, CDCL SAT, CEGIS, and
   pluggable internal/external backends.
 * :mod:`repro.core` — the symbolic pre-bisimulation algorithm with leaps and
-  reachability pruning, certificates, counterexample search and the
+  reachability pruning, certificates, counterexamples and the
   explicit-state baseline.
 * :mod:`repro.protocols` — the case-study parsers (MPLS, IP/TCP/UDP, VLAN,
   IP options, Ethernet/IP, and small examples).
@@ -37,7 +37,6 @@ from .core import (
     check_initial_store_independence,
     check_language_equivalence,
     check_store_relation,
-    find_counterexample,
     verify_certificate,
 )
 from .p4a import AutomatonBuilder, Bits, P4Automaton, parse_automaton
@@ -53,7 +52,6 @@ __all__ = [
     "check_initial_store_independence",
     "check_language_equivalence",
     "check_store_relation",
-    "find_counterexample",
     "parse_automaton",
     "verify_certificate",
     "__version__",

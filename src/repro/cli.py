@@ -166,7 +166,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-reachability", action="store_true", help="disable reachable-pair pruning"
     )
     check.add_argument(
-        "--no-counterexample", action="store_true", help="skip the counterexample search"
+        "--no-counterexample", action="store_true",
+        help="report no witness for a refutation; the verdict is then unknown "
+             "unless the concrete oracle (--oracle-packets) finds one",
     )
     check.add_argument(
         "--no-cache", action="store_true",
@@ -250,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenarios_run.add_argument("name", help="scenario name (see `scenarios list`)")
     scenarios_run.add_argument(
         "--no-counterexample", action="store_true",
-        help="skip the counterexample search; an expected-inequivalent "
+        help="report no witness for a refutation; an expected-inequivalent "
              "scenario can then only be confirmed by the concrete oracle "
              "(--oracle-packets), and exits 2 otherwise",
     )
@@ -694,7 +696,7 @@ def _command_scenarios_run(args: argparse.Namespace, registry) -> int:
     print(result)
     if result.verdict is None:
         hint = (
-            " (counterexample search disabled; re-run without "
+            " (witnesses disabled; re-run without "
             "--no-counterexample or add --oracle-packets)"
             if args.no_counterexample else ""
         )

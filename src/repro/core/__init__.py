@@ -8,12 +8,7 @@ from .algorithm import (
     PreBisimulationChecker,
 )
 from .certificate import Certificate, CertificateCheckResult, verify_certificate
-from .counterexample import (
-    Counterexample,
-    CounterexampleSearch,
-    CounterexampleStatistics,
-    find_counterexample,
-)
+from .counterexample import Counterexample
 from .engine import (
     CaseJob,
     EngineError,
@@ -49,8 +44,6 @@ __all__ = [
     "CheckerError",
     "CheckerStatistics",
     "Counterexample",
-    "CounterexampleSearch",
-    "CounterexampleStatistics",
     "DifferentialMismatch",
     "EngineError",
     "EngineStatistics",
@@ -72,7 +65,6 @@ __all__ = [
     "check_store_relation",
     "exhaustive_store_equivalence",
     "explicit_bisimulation_check",
-    "find_counterexample",
     "guard",
     "initial_relation",
     "leap_size",

@@ -5,13 +5,16 @@ symbolic bisimulation — with leaps when enabled — restricted to template pai
 reachable from the start pair.  The worklist maintains a frontier ``T`` of
 candidate conjuncts; each iteration either *skips* a conjunct already entailed
 by the relation ``R`` built so far, or *extends* ``R`` with it and schedules
-its weakest preconditions.  When the frontier empties, the *done* step checks
-that the initial formula entails every conjunct at the start templates.
+its weakest preconditions.  The *done* step (the initial formula entails
+every conjunct at the start templates) checks each start-pair conjunct as it
+joins ``R``; ``R`` only grows, so the first failure refutes with the verdict
+the full fixpoint would give.
 
 On success the result carries a :class:`~repro.core.certificate.Certificate`
-that an independent checker can re-validate; on failure it records which
-conjunct could not be established, which the counterexample search uses as a
-hint.
+that an independent checker can re-validate; on failure, the failed
+conjunct, its counter-model and the leap variables of the WP chain that
+produced it, from which :func:`repro.core.counterexample.chain_counterexample`
+builds the witness.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import time
 import tracemalloc
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from .. import counters
 from ..counters import Counters
@@ -36,7 +39,7 @@ from .entailment import EntailmentChecker
 from .init_rels import initial_relation
 from .reachability import ReachabilityAnalysis
 from .templates import GuardedFormula, Template, TemplatePair
-from .wp import LeapTable, wp_formula
+from .wp import LeapTable, leap_variable, wp_formula
 
 
 class CheckerError(Exception):
@@ -83,8 +86,8 @@ class CheckerConfig:
     verdict contradicted by a packet is promoted to a refutation with a
     concrete witness.  ``oracle_seed`` makes the sample reproducible
     (``LEAPFROG_SEED``); ``minimize_counterexamples`` shrinks every extracted
-    witness by greedy leap/bit drops plus bounded symbolic re-solves before
-    it is reported.
+    witness by greedy leap and bit drops, each confirmed by concrete replay,
+    before it is reported.
 
     ``solver`` selects which solver backend answers entailment queries (one
     of :data:`repro.envconfig.SOLVER_CHOICES`; ``None`` means the internal
@@ -155,9 +158,7 @@ class CheckerStatistics:
     ledger: Optional[Counters] = None
     #: Differential-oracle telemetry (packets, divergences, minimization).
     oracle: Dict[str, object] = field(default_factory=dict)
-    #: Node/solver accounting of the counterexample search, when one ran.
-    counterexample_search: Dict[str, int] = field(default_factory=dict)
-    #: SAT models whose concrete replay contradicted the symbolic prediction.
+    #: Witnesses whose concrete replay contradicted the symbolic prediction.
     replay_divergences: int = 0
 
     @property
@@ -205,7 +206,8 @@ class CheckerStatistics:
             "solver": self.solver,
             "cache": self.cache,
             "oracle": dict(self.oracle),
-            "counterexample_search": dict(self.counterexample_search),
+            # Retired section, kept empty so every payload keeps its shape.
+            "counterexample_search": {},
             "replay_divergences": self.replay_divergences,
         }
 
@@ -220,6 +222,9 @@ class PreBisimResult:
     statistics: CheckerStatistics
     failed_conjunct: Optional[GuardedFormula] = None
     failure_model: Optional[Dict[str, Bits]] = None
+    #: The WP chain of ``failed_conjunct``: one (leap variable name, width)
+    #: per step, from the start pair to the initial-relation conjunct.
+    failure_path: Optional[Tuple[Tuple[str, int], ...]] = None
 
 
 class PreBisimulationChecker:
@@ -320,8 +325,9 @@ class PreBisimulationChecker:
         # Freed with the run: a process-wide table would keep every run's leaps.
         leaps = LeapTable(self.left_aut, self.right_aut)
         statistics.reachable_pairs = len(reach)
-        frontier: Deque[GuardedFormula] = deque(
-            initial_relation(
+        frontier: Deque[Tuple[GuardedFormula, int]] = deque(
+            (conjunct, -1)
+            for conjunct in initial_relation(
                 reach,
                 store_relation=self.store_relation,
                 extra=self.extra_initial,
@@ -329,6 +335,10 @@ class PreBisimulationChecker:
             )
         )
         relation: List[GuardedFormula] = []
+        # origins[i]: the index in ``relation`` of the conjunct whose WP
+        # produced relation[i], or -1 for an initial conjunct.  Frontier
+        # entries carry theirs, so a skipped candidate leaves nothing behind.
+        origins: List[int] = []
         relation_by_pair: Dict[TemplatePair, List[Formula]] = {}
 
         while frontier:
@@ -338,7 +348,7 @@ class PreBisimulationChecker:
                     f"exceeded {self.config.max_iterations} iterations; "
                     "the pre-bisimulation did not converge"
                 )
-            candidate = frontier.popleft()
+            candidate, origin = frontier.popleft()
             if isinstance(candidate.pure, FTrue):
                 statistics.skipped += 1
                 continue
@@ -350,8 +360,24 @@ class PreBisimulationChecker:
                 continue
             # Extend step: add the candidate and schedule its preconditions.
             statistics.extended += 1
+            index = len(relation)
             relation.append(candidate)
+            origins.append(origin)
             relation_by_pair.setdefault(candidate.pair, []).append(candidate.pure)
+            if candidate.pair == self.start_pair:
+                # Done step for this conjunct: the initial formula must entail it.
+                outcome = self.entailment.check([self.initial_pure], candidate.pure)
+                if not outcome.entailed:
+                    statistics.relation_size = len(relation)
+                    return PreBisimResult(
+                        proved=False,
+                        relation=relation,
+                        certificate=None,
+                        statistics=statistics,
+                        failed_conjunct=candidate,
+                        failure_model=outcome.model,
+                        failure_path=self._failure_path(relation, origins),
+                    )
             for source_pair in reach.predecessors(candidate.pair):
                 precondition = wp_formula(
                     self.left_aut,
@@ -364,23 +390,9 @@ class PreBisimulationChecker:
                 if isinstance(precondition.pure, FTrue):
                     continue
                 statistics.wp_formulas += 1
-                frontier.append(precondition)
+                frontier.append((precondition, index))
 
         statistics.relation_size = len(relation)
-        # Done step: the initial formula must entail the relation at the start pair.
-        for conjunct in relation:
-            if conjunct.pair != self.start_pair:
-                continue
-            outcome = self.entailment.check([self.initial_pure], conjunct.pure)
-            if not outcome.entailed:
-                return PreBisimResult(
-                    proved=False,
-                    relation=relation,
-                    certificate=None,
-                    statistics=statistics,
-                    failed_conjunct=conjunct,
-                    failure_model=outcome.model,
-                )
         certificate = Certificate(
             left_name=self.left_aut.name,
             right_name=self.right_aut.name,
@@ -399,3 +411,22 @@ class PreBisimulationChecker:
             certificate=certificate,
             statistics=statistics,
         )
+
+    def _failure_path(
+        self, relation: List[GuardedFormula], origins: List[int]
+    ) -> Tuple[Tuple[str, int], ...]:
+        """The leap variables of the WP chain that produced ``relation[-1]``."""
+        steps = []
+        index = len(relation) - 1
+        while origins[index] >= 0:
+            parent = origins[index]
+            variable = leap_variable(
+                self.left_aut,
+                self.right_aut,
+                relation[parent],
+                relation[index].pair,
+                use_leaps=self.config.use_leaps,
+            )
+            steps.append((variable.name, variable.var_width))
+            index = parent
+        return tuple(steps)

@@ -1,35 +1,21 @@
-"""Bounded symbolic search for distinguishing packets.
+"""Concrete counterexamples: a packet, plus initial stores, the parsers disagree on.
 
-When the pre-bisimulation fails (or as an independent sanity check), this
-module searches for a concrete *counterexample*: a packet — together with
-initial stores, since acceptance may depend on never-extracted headers — that
-one parser accepts and the other rejects.  The search explores the joint
-template graph forwards, keeping a symbolic path condition over the initial
-header values and the packet bits consumed so far; acceptance-mismatch pairs
-whose path condition is satisfiable yield candidate packets, which are then
-confirmed by running both parsers concretely.
+:func:`chain_counterexample` reads the witness off a failed proof.
+Algorithm 1 refutes at the first start-pair conjunct the initial formula does
+not entail (:mod:`repro.core.algorithm`); that conjunct is the weakest
+precondition of an accept-mismatch conjunct along a chain of leaps, and the
+entailment checker's counter-model for it assigns the leap variables and the
+initial headers.
 
-Three properties make the search production-grade rather than best-effort:
+:class:`CounterexampleSearch`, a bounded forward BFS over the joint template
+graph with fingerprint-keyed dominance pruning, is no check's path any more;
+it stays as the tests' independent reference.
 
-* **fingerprint-keyed deduplication** — a successor whose template pair and
-  *live* path state (condition conjuncts still connected to the symbolic
-  environment, plus the environment and buffers themselves, canonicalized
-  and fingerprinted) matches an already-visited node is pruned: any mismatch
-  reachable from it is reachable from the retained twin, so loops no longer
-  re-expand identical nodes until ``max_leaps``;
-* **incremental satisfiability** — each path conjunct is pushed once into
-  the backend's solving session behind an activation literal, and every
-  per-leap satisfiability check (and every minimization re-solve) merely
-  assumes the literals along its path; with the internal CDCL engine's
-  :class:`~repro.smt.incremental.IncrementalSession` that shares Tseitin
-  encodings and learned clauses across the whole search;
-* **divergence accounting** — a SAT model whose concrete replay does *not*
-  reproduce the predicted acceptance mismatch is a soundness red flag for the
-  symbolic pipeline; it is counted in :class:`CounterexampleStatistics` and
-  reported with a :class:`RuntimeWarning` instead of being silently dropped.
-
-The paper's tool does not produce counterexamples (a failed proof search is
-simply "stuck"); this is an extension that makes negative results trustworthy.
+Either way the packet is replayed through both parsers before it is
+returned.  A model whose replay does *not* reproduce the mismatch is a
+soundness red flag for the symbolic pipeline: it is reported with a
+:class:`RuntimeWarning` instead of becoming a refutation.  (The paper's tool
+reports no counterexamples; a failed proof search is simply "stuck".)
 """
 
 from __future__ import annotations
@@ -37,7 +23,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import counters
 from ..logic.compile import lower_formula, variable_name
@@ -55,6 +41,7 @@ from ..logic.confrel import (
     FTrue,
     Formula,
     TRUE,
+    canonical_names,
     canonicalize_variables,
 )
 from ..logic.fingerprint import confrel_fingerprint
@@ -97,7 +84,7 @@ class Counterexample:
 
 @dataclass
 class CounterexampleStatistics:
-    """Counters describing one (or several re-solved) counterexample searches."""
+    """Counters describing one or more searches of one :class:`CounterexampleSearch`."""
 
     expanded: int = 0       # nodes popped and forwarded by one leap
     successors: int = 0     # successor nodes constructed (post-dedup)
@@ -107,20 +94,6 @@ class CounterexampleStatistics:
     enqueued: int = 0
     extractions: int = 0    # SAT mismatch nodes whose model was replayed
     replay_divergences: int = 0  # models whose concrete replay disagreed
-    resolves: int = 0       # additional bounded searches issued by minimization
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "expanded": self.expanded,
-            "successors": self.successors,
-            "deduped": self.deduped,
-            "sat_checks": self.sat_checks,
-            "pruned_unsat": self.pruned_unsat,
-            "enqueued": self.enqueued,
-            "extractions": self.extractions,
-            "replay_divergences": self.replay_divergences,
-            "resolves": self.resolves,
-        }
 
 
 @dataclass
@@ -155,6 +128,86 @@ def _forward_leap(
     for target, condition in transition_conditions(aut, template.state, post_env).items():
         outcomes.append((Template(target, 0), condition, post_env, CLit(Bits(""))))
     return outcomes
+
+
+def chain_counterexample(
+    left_aut: P4Automaton,
+    left_start: str,
+    right_aut: P4Automaton,
+    right_start: str,
+    conjunct: Formula,
+    model: Dict[str, Bits],
+    path: Sequence[Tuple[str, int]],
+) -> Optional[Counterexample]:
+    """The packet a failed start-pair conjunct encodes, confirmed by replay.
+
+    ``model`` is the entailment checker's counter-model for ``conjunct``
+    (over the names ``canonicalize_variables(conjunct, prefix="x")`` gave
+    it) and ``path`` the conjunct's WP chain, one (leap variable name,
+    width) per step from the start pair.  A name is read at the outermost
+    step that uses it: a deeper step reuses a name only once its own
+    variable has been simplified away, so its bits are free and zero-filled.
+    """
+    canonical = canonical_names(conjunct, prefix="x")
+    chunks: List[Bits] = []
+    read: Set[str] = set()
+    for name, width in path:
+        value = None
+        if name not in read and name in canonical:
+            value = model.get(variable_name(canonical[name]))
+        read.add(name)
+        chunks.append(value if value is not None else Bits.zeros(width))
+    return _replayed_witness(
+        left_aut, left_start, right_aut, right_start, model, chunks, "the WP chain"
+    )
+
+
+def _replayed_witness(
+    left_aut: P4Automaton,
+    left_start: str,
+    right_aut: P4Automaton,
+    right_start: str,
+    model: Dict[str, Bits],
+    chunks: Sequence[Bits],
+    source: str,
+) -> Optional[Counterexample]:
+    """The packet ``chunks`` (one per leap) under ``model``'s initial headers.
+
+    Headers the model leaves out are zero.  Returns ``None``, with a
+    :class:`RuntimeWarning` naming ``source``, when the concrete replay
+    does not reproduce a mismatch.
+    """
+
+    def store(side: str, aut: P4Automaton) -> Store:
+        return {
+            name: model.get(store_variable_name(side, name), Bits.zeros(width))
+            for name, width in aut.headers.items()
+        }
+
+    packet = Bits("")
+    for chunk in chunks:
+        packet = packet.concat(chunk)
+    left_store, right_store = store(LEFT, left_aut), store(RIGHT, right_aut)
+    left_accepts = accepts(left_aut, left_start, packet, left_store)
+    right_accepts = accepts(right_aut, right_start, packet, right_store)
+    if left_accepts == right_accepts:
+        warnings.warn(
+            f"counterexample model diverged from concrete replay: packet {packet} "
+            f"is {'accepted' if left_accepts else 'rejected'} by both parsers "
+            f"although {source} predicted a mismatch; the symbolic pipeline and "
+            "the interpreter disagree",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return None
+    return Counterexample(
+        packet,
+        left_store,
+        right_store,
+        left_accepts,
+        right_accepts,
+        leap_widths=tuple(chunk.width for chunk in chunks),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +334,13 @@ def _node_fingerprint(node: _SearchNode) -> Tuple[TemplatePair, str]:
 
 
 class CounterexampleSearch:
-    """A reusable bounded search for distinguishing packets.
+    """A reusable bounded search for distinguishing packets (test-only reference).
 
     One instance owns a solver backend and one session of it, shared by
     every :meth:`search` call: each simplified edge conjunct is pushed into
     the session once (keyed by structural fingerprint) behind an activation
-    literal, and checking a node assumes the literals along its path.  So
-    the oracle's minimizer can re-solve with tightened bounds without
-    re-encoding the search space.
+    literal, and checking a node assumes the literals along its path.  So a
+    repeated search, with the same or tighter bounds, re-encodes nothing.
     """
 
     def __init__(
@@ -353,8 +405,8 @@ class CounterexampleSearch:
         visited = _VisitedSet()
         if dedup:
             visited.dominated(start)  # seed the frontier with the root
-        # Deterministic per-call leap-variable naming: a re-solve with the
-        # same bounds rebuilds structurally identical conditions, so the
+        # Deterministic per-call leap-variable naming: a repeated search
+        # rebuilds structurally identical conditions, so the
         # incremental session's fingerprint memo reuses their encodings.
         var_counter = 0
         while queue:
@@ -428,76 +480,15 @@ class CounterexampleSearch:
             return None
         model = result.model or {}
         self.statistics.extractions += 1
-
-        def header_value(side: str, aut: P4Automaton, name: str) -> Bits:
-            value = model.get(store_variable_name(side, name))
-            if value is None:
-                return Bits.zeros(aut.header_size(name))
-            return value
-
-        left_store = {
-            name: header_value(LEFT, self.left_aut, name) for name in self.left_aut.headers
-        }
-        right_store = {
-            name: header_value(RIGHT, self.right_aut, name) for name in self.right_aut.headers
-        }
-        packet = Bits("")
-        for leap_var in node.leap_vars:
-            value = model.get(variable_name(leap_var.name), Bits.zeros(leap_var.var_width))
-            packet = packet.concat(value)
-        left_accepts = accepts(self.left_aut, self.left_start, packet, left_store)
-        right_accepts = accepts(self.right_aut, self.right_start, packet, right_store)
-        if left_accepts == right_accepts:
-            # The model predicts an acceptance mismatch the concrete semantics
-            # does not reproduce: a soundness red flag somewhere between the
-            # WP encoding and the SAT solver.  Count it and keep searching.
-            self.statistics.replay_divergences += 1
-            warnings.warn(
-                "counterexample model diverged from concrete replay at "
-                f"{node.pair}: packet {packet} is "
-                f"{'accepted' if left_accepts else 'rejected'} by both parsers "
-                "although the path condition predicted a mismatch; the "
-                "symbolic pipeline and the interpreter disagree",
-                RuntimeWarning,
-                stacklevel=5,
-            )
-            return None
-        return Counterexample(
-            packet,
-            left_store,
-            right_store,
-            left_accepts,
-            right_accepts,
-            leap_widths=tuple(var.var_width for var in node.leap_vars),
+        chunks = [
+            model.get(variable_name(var.name), Bits.zeros(var.var_width))
+            for var in node.leap_vars
+        ]
+        witness = _replayed_witness(
+            self.left_aut, self.left_start, self.right_aut, self.right_start,
+            model, chunks, f"the path condition at {node.pair}",
         )
-
-
-def find_counterexample(
-    left_aut: P4Automaton,
-    left_start: str,
-    right_aut: P4Automaton,
-    right_start: str,
-    backend: Optional[SolverBackend] = None,
-    max_leaps: int = 32,
-    max_packet_bits: int = 4096,
-    initial_condition: Formula = TRUE,
-    dedup: bool = True,
-    statistics: Optional[CounterexampleStatistics] = None,
-) -> Optional[Counterexample]:
-    """Search for a distinguishing packet, breadth first over leaps.
-
-    Returns ``None`` when no counterexample is found within the bounds; this is
-    *not* a proof of equivalence.  ``statistics`` (when given) receives the
-    node and solver accounting of the search, including the count of SAT
-    models whose concrete replay failed to reproduce the predicted mismatch.
-    """
-    search = CounterexampleSearch(
-        left_aut, left_start, right_aut, right_start,
-        backend=backend, statistics=statistics,
-    )
-    return search.search(
-        max_leaps=max_leaps,
-        max_packet_bits=max_packet_bits,
-        initial_condition=initial_condition,
-        dedup=dedup,
-    )
+        if witness is None:
+            # Count it and keep searching.
+            self.statistics.replay_divergences += 1
+        return witness

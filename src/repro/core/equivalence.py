@@ -25,15 +25,10 @@ from typing import Iterable, Optional
 from .. import counters
 from ..logic.confrel import Formula, TRUE
 from ..p4a.syntax import P4Automaton
-from ..smt.backend import InternalBackend, SolverBackend
+from ..smt.backend import SolverBackend
 from .algorithm import CheckerConfig, CheckerStatistics, PreBisimResult, PreBisimulationChecker
 from .certificate import Certificate
-from .counterexample import (
-    Counterexample,
-    CounterexampleSearch,
-    CounterexampleStatistics,
-    find_counterexample,  # noqa: F401 - re-exported for API compatibility
-)
+from .counterexample import Counterexample, chain_counterexample
 from .templates import GuardedFormula
 
 
@@ -42,10 +37,10 @@ class EquivalenceResult:
     """Verdict of a verification run.
 
     ``verdict`` is ``True`` (property proven, ``certificate`` available),
-    ``False`` (refuted, ``counterexample`` available when one could be
-    extracted) or ``None`` (the proof search got stuck and no counterexample
-    was found within bounds — the same "no certificate" outcome the paper's
-    semi-decision procedure can produce).
+    ``False`` (refuted, with a replay-confirmed ``counterexample``) or
+    ``None`` (the proof search failed and no confirmed witness came out of it
+    — the same "no certificate" outcome the paper's semi-decision procedure
+    can produce).
     """
 
     verdict: Optional[bool]
@@ -82,7 +77,6 @@ def _run(
     extra_initial: Optional[Iterable[GuardedFormula]],
     require_equal_acceptance: bool,
     find_counterexamples: bool,
-    counterexample_max_leaps: int,
 ) -> EquivalenceResult:
     # With no explicit backend, the checker builds its own stack from the
     # config (internal solver, optionally wrapped in the query cache).
@@ -121,34 +115,30 @@ def _run(
             )
         return EquivalenceResult(True, result.certificate, None, statistics, result)
 
+    # One refutation path: the witness the failed conjunct's WP chain
+    # encodes, else (say the entailment check gave up without a model) a
+    # fuzzed one, then confirmation and minimization.
     counterexample = None
-    search = None
-    search_stats = CounterexampleStatistics()
-    if find_counterexamples and require_equal_acceptance:
-        search = CounterexampleSearch(
+    if (
+        find_counterexamples
+        and require_equal_acceptance
+        and result.failure_model is not None
+    ):
+        counterexample = chain_counterexample(
             left_aut, left_start, right_aut, right_start,
-            backend=InternalBackend(use_aig=effective.use_aig),
-            statistics=search_stats,
+            result.failed_conjunct.pure, result.failure_model, result.failure_path,
         )
-        counterexample = search.search(max_leaps=counterexample_max_leaps)
+        if counterexample is None:
+            statistics.replay_divergences += 1
     if counterexample is None and oracle_applies:
-        # The proof search got stuck and the symbolic counterexample search
-        # (if any) came up empty: fuzz for a concrete witness.  The search is
-        # known empty-handed at this point, so the minimizer must not be
-        # offered it for re-solving — its tightened bounds are a subset of a
-        # space that already contains no witness.
-        search = None
         counterexample = _fuzz_for_witness(
             left_aut, left_start, right_aut, right_start,
             effective.oracle_packets, oracle_seed, statistics,
         )
     if counterexample is not None and effective.minimize_counterexamples:
         counterexample = _confirm_and_minimize(
-            left_aut, left_start, right_aut, right_start,
-            counterexample, search, counterexample_max_leaps, statistics,
+            left_aut, left_start, right_aut, right_start, counterexample, statistics,
         )
-    statistics.counterexample_search = search_stats.as_dict()
-    statistics.replay_divergences += search_stats.replay_divergences
     verdict: Optional[bool] = False if counterexample is not None else None
     return EquivalenceResult(verdict, None, counterexample, statistics, result)
 
@@ -185,7 +175,7 @@ def _fuzz_for_witness(
     seed: int,
     statistics: CheckerStatistics,
 ) -> Optional[Counterexample]:
-    """Fuzz an unknown verdict for a concrete witness the search missed."""
+    """Fuzz a failed proof for a concrete witness its WP chain did not give."""
     from ..oracle.differential import cross_check
 
     report = cross_check(
@@ -210,8 +200,6 @@ def _confirm_and_minimize(
     right_aut: P4Automaton,
     right_start: str,
     counterexample: Counterexample,
-    search: Optional[CounterexampleSearch],
-    max_leaps: int,
     statistics: CheckerStatistics,
 ) -> Optional[Counterexample]:
     """Replay-confirm a witness, then shrink it before it is reported."""
@@ -226,8 +214,7 @@ def _confirm_and_minimize(
         statistics.replay_divergences += 1
         return None
     minimization = minimize_counterexample(
-        left_aut, left_start, right_aut, right_start,
-        counterexample, search=search, max_leaps=max_leaps,
+        left_aut, left_start, right_aut, right_start, counterexample
     )
     statistics.oracle.setdefault("packets", 0)
     statistics.oracle["confirmed"] = 1
@@ -244,7 +231,6 @@ def check_language_equivalence(
     config: Optional[CheckerConfig] = None,
     backend: Optional[SolverBackend] = None,
     find_counterexamples: bool = True,
-    counterexample_max_leaps: int = 24,
 ) -> EquivalenceResult:
     """Do the two parsers accept exactly the same packets?
 
@@ -266,7 +252,6 @@ def check_language_equivalence(
             None,
             True,
             find_counterexamples,
-            counterexample_max_leaps,
         )
 
 
@@ -305,7 +290,7 @@ def check_store_relation(
     is required to hold whenever both parsers accept (the External Filtering
     and Relational Verification case studies).  ``initial_relation`` constrains
     the initial stores (``TRUE`` quantifies over all of them).  No
-    counterexample search is attempted for relational properties.
+    counterexample is extracted for relational properties.
     """
     with counters.scope():
         return _run(
@@ -320,5 +305,4 @@ def check_store_relation(
             None,
             require_equal_acceptance,
             False,
-            0,
         )

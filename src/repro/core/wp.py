@@ -325,6 +325,18 @@ def leap_variable_name(formula: Formula) -> str:
     return f"leap_{k}"
 
 
+def leap_variable(
+    left_aut: P4Automaton,
+    right_aut: P4Automaton,
+    target: GuardedFormula,
+    source_pair: TemplatePair,
+    use_leaps: bool = True,
+) -> CVar:
+    """The packet-bits variable :func:`wp_formula` reads on this step."""
+    leap = leap_size(left_aut, right_aut, source_pair) if use_leaps else 1
+    return CVar(leap_variable_name(target.pure), leap)
+
+
 def wp_formula(
     left_aut: P4Automaton,
     right_aut: P4Automaton,
@@ -342,8 +354,8 @@ def wp_formula(
     templates, the result is trivially true.  ``leaps``, the run's table for
     the same two automata, saves re-executing leaps it has seen.
     """
-    leap = leap_size(left_aut, right_aut, source_pair) if use_leaps else 1
-    leap_var = CVar(leap_variable_name(target.pure), leap)
+    leap_var = leap_variable(left_aut, right_aut, target, source_pair, use_leaps)
+    leap = leap_var.var_width
     if leaps is None:
         leaps = LeapTable(left_aut, right_aut)
     left_outcomes = leaps.outcomes(LEFT, source_pair.left, leap, leap_var)

@@ -324,6 +324,11 @@ def canonicalize_variables(formula: Formula, prefix: str = "v") -> Formula:
     different formulas that talk about the same future packet bits (variables
     of different widths are never conflated, so the renaming stays well-typed).
     """
+    return rename_variables(formula, canonical_names(formula, prefix))
+
+
+def canonical_names(formula: Formula, prefix: str = "v") -> Dict[str, str]:
+    """The renaming :func:`canonicalize_variables` applies: name → canonical name."""
     order: Dict[str, str] = {}
     per_width: Dict[int, int] = {}
     for atom in iter_atoms(formula):
@@ -331,7 +336,7 @@ def canonicalize_variables(formula: Formula, prefix: str = "v") -> Formula:
             index = per_width.get(atom.var_width, 0)
             per_width[atom.var_width] = index + 1
             order[atom.name] = f"{prefix}{atom.var_width}_{index}"
-    return rename_variables(formula, order)
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ by inspection — the concrete interpreter of :mod:`repro.p4a.semantics`:
 * :mod:`repro.oracle.differential` — cross-checks a pair of parsers
   concretely on sampled packets and reports every disagreement;
 * :mod:`repro.oracle.minimize` — confirms an extracted counterexample by
-  concrete replay and greedily minimizes it (leap drops, bit drops, and
-  symbolic re-solves under tightened bounds);
+  concrete replay and greedily minimizes it (leap drops, then bit drops);
 * :mod:`repro.oracle.suite` — the differential fuzz suite over all parser-gen
   scenarios, with divergence telemetry and reproducible JSON reports.
 """

@@ -6,7 +6,7 @@ proved ``equivalent`` a single divergence is a soundness bug somewhere in the
 symbolic pipeline — the caller is expected to fail loudly
 (:class:`OracleDivergenceError` carries a full reproduction: seed, packet and
 both initial stores).  On an ``unknown`` verdict a divergence is a concrete
-counterexample the symbolic search missed and can be promoted to a refutation.
+counterexample the failed proof did not yield and can be promoted to a refutation.
 
 Packets are drawn alternately from the structure of each side (plus uniform
 noise), so a branch present in only one parser still gets sampled; the two

@@ -7,23 +7,17 @@ provides both:
 
 * :func:`confirm_counterexample` replays the packet through the concrete
   interpreter and checks the recorded verdicts;
-* :func:`minimize_counterexample` shrinks a confirmed witness with three
-  passes, cheapest first —
+* :func:`minimize_counterexample` shrinks a confirmed witness with two
+  greedy passes —
 
-  1. **symbolic re-solve**: re-run the bounded search with
-     ``max_packet_bits`` tightened below the current witness, reusing the
-     search's incremental solver session (identical path prefixes hit the
-     Tseitin memo and learned clauses), until no shorter witness exists
-     within bounds.  This escapes leap-granularity local minima: a
-     two-big-leap witness can be replaced by a three-small-leap one;
-  2. **greedy leap-drop**: remove one whole leap's bits at a time and keep
-     every drop the concrete replay still confirms (loops shrink this way —
-     a distinguishing MPLS stack rarely needs all its labels);
-  3. **greedy bit-drop**: the same at single-bit granularity, capped by
-     width so minimization stays linear-ish on big packets.
+  1. **leap-drop**: remove one whole leap's bits at a time and keep every
+     drop the concrete replay still confirms (loops shrink this way — a
+     distinguishing MPLS stack rarely needs all its labels);
+  2. **bit-drop**: the same at single-bit granularity, capped by width so
+     minimization stays linear-ish on big packets.
 
-Every candidate is validated by concrete replay only — the minimizer can
-never produce an unconfirmed witness.
+No solver is involved: every candidate is validated by concrete replay
+only, so the minimizer can never produce an unconfirmed witness.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..core.counterexample import Counterexample, CounterexampleSearch
+from ..core.counterexample import Counterexample
 from ..p4a.bitvec import Bits
 from ..p4a.semantics import BlockRunner, Store, accepts
 from ..p4a.syntax import P4Automaton
@@ -43,7 +37,6 @@ class MinimizationResult:
 
     counterexample: Counterexample
     original_width: int
-    resolves: int = 0
     leap_drops: int = 0
     bit_drops: int = 0
 
@@ -92,41 +85,20 @@ def minimize_counterexample(
     right_aut: P4Automaton,
     right_start: str,
     cex: Counterexample,
-    search: Optional[CounterexampleSearch] = None,
-    max_leaps: int = 32,
-    max_resolves: int = 4,
     bit_drop_limit: int = 192,
 ) -> MinimizationResult:
     """Greedily shrink ``cex``; every intermediate witness is replay-confirmed.
 
-    ``search`` (when given) must be the :class:`CounterexampleSearch` that
-    produced the witness — its solver session is reused for the tightened
-    re-solves.  ``bit_drop_limit`` bounds the width at which the quadratic
-    single-bit pass still runs.
+    ``bit_drop_limit`` bounds the width at which the quadratic single-bit
+    pass still runs.
     """
     result = MinimizationResult(cex, cex.packet.width)
-    best = cex
-
-    # Pass 1: tighten the symbolic bound until no shorter witness exists.
-    if search is not None:
-        for _ in range(max_resolves):
-            if best.packet.width == 0:
-                break
-            search.statistics.resolves += 1
-            result.resolves += 1
-            shorter = search.search(
-                max_leaps=max_leaps, max_packet_bits=best.packet.width - 1
-            )
-            if shorter is None or shorter.packet.width >= best.packet.width:
-                break
-            best = shorter
-
     left, right = BlockRunner(left_aut), BlockRunner(right_aut)
 
-    # Pass 2: drop whole leaps while the concrete disagreement survives.
-    widths: List[int] = list(best.leap_widths)
-    packet = best.packet
-    left_store, right_store = best.left_store, best.right_store
+    # Pass 1: drop whole leaps while the concrete disagreement survives.
+    widths: List[int] = list(cex.leap_widths)
+    packet = cex.packet
+    left_store, right_store = cex.left_store, cex.right_store
     if sum(widths) == packet.width and widths:
         changed = True
         while changed:
@@ -144,7 +116,7 @@ def minimize_counterexample(
                     result.leap_drops += 1
                     changed = True
 
-    # Pass 3: drop single bits (bounded, so huge packets stay cheap).
+    # Pass 2: drop single bits (bounded, so huge packets stay cheap).
     if packet.width <= bit_drop_limit:
         changed = True
         while changed:

@@ -13,7 +13,7 @@ cross-checks two independently produced parsers with the concrete oracle:
   sides against each other.  A pair tagged ``equivalent`` must produce zero
   divergences; a pair tagged ``not_equivalent`` must produce at least one.
   When the fuzz budget misses a deliberately planted bug, the suite falls
-  back to the bounded symbolic counterexample search and replays its witness
+  back to the symbolic checker's refutation and replays its witness
   concretely, so an expected-inequivalent row never depends on sampler luck.
 
 A row is **ok** when the observed divergences match the scenario's expected
@@ -119,29 +119,20 @@ def _pair_row(info: Scenario, packets: int, seed: int):
 
 
 def _symbolic_witness(left, left_start, right, right_start) -> Optional[Divergence]:
-    """A replay-confirmed divergence from the bounded counterexample search."""
-    from ..core.counterexample import CounterexampleSearch
-    from ..p4a.semantics import accepts
-    from ..smt.backend import InternalBackend
+    """The symbolic checker's refutation witness (replay-confirmed by the checker)."""
+    from ..core.equivalence import check_language_equivalence
 
-    search = CounterexampleSearch(
-        left, left_start, right, right_start, backend=InternalBackend()
-    )
-    counterexample = search.search(max_leaps=16)
+    counterexample = check_language_equivalence(
+        left, left_start, right, right_start
+    ).counterexample
     if counterexample is None:
         return None
-    left_accepts = accepts(left, left_start, counterexample.packet, counterexample.left_store)
-    right_accepts = accepts(
-        right, right_start, counterexample.packet, counterexample.right_store
-    )
-    if left_accepts == right_accepts:
-        return None  # replay disagrees with the search; refuse the witness
     return Divergence(
         packet=counterexample.packet,
         left_store=counterexample.left_store,
         right_store=counterexample.right_store,
-        left_accepts=left_accepts,
-        right_accepts=right_accepts,
+        left_accepts=counterexample.left_accepts,
+        right_accepts=counterexample.right_accepts,
         origin="symbolic-search",
     )
 

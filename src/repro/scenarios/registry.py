@@ -4,7 +4,7 @@ A *scenario* is a named, tagged workload for the equivalence pipeline: either
 a parser-gen **graph** (checked as a self-comparison and against its compiled
 hardware translation) or an explicit **pair** of automata with an expected
 verdict (equivalent protocol refactorings, or deliberately inequivalent
-variants used to exercise refutation, the counterexample search and the
+variants used to exercise refutation, witness extraction and the
 differential oracle).
 
 Scenarios are registered with :func:`register` — normally applied by

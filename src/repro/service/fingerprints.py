@@ -17,7 +17,7 @@ Checker options that only change *how fast* an answer is found (query
 cache, AIG simplification, worker count) are deliberately excluded from
 the config digest — the parity tests assert equal verdicts across them —
 while options that change *what* is reported (leaps, reachability,
-counterexample search and minimization, oracle budget and seed) are
+counterexamples and their minimization, oracle budget and seed) are
 included.
 """
 
@@ -59,7 +59,6 @@ def pair_fingerprint(
 def config_fingerprint(
     config: Optional[CheckerConfig] = None,
     find_counterexamples: bool = True,
-    counterexample_max_leaps: int = 24,
 ) -> str:
     """A digest of the checker options that can change the reported result."""
     effective = config if config is not None else CheckerConfig()
@@ -74,7 +73,7 @@ def config_fingerprint(
         ("oracle_seed", effective.oracle_seed),
         ("minimize_counterexamples", effective.minimize_counterexamples),
         ("find_counterexamples", find_counterexamples),
-        ("counterexample_max_leaps", counterexample_max_leaps),
+        ("counterexample_max_leaps", 24),
     )
     payload = ";".join(f"{name}={value!r}" for name, value in fields)
     return _digest("config", payload)

@@ -5,7 +5,7 @@ import pytest
 from repro import counters
 from repro.core.algorithm import CheckerConfig, CheckerError, PreBisimulationChecker
 from repro.core.certificate import Certificate, verify_certificate
-from repro.core.counterexample import find_counterexample
+from repro.core.counterexample import CounterexampleSearch
 from repro.core.entailment import EntailmentChecker
 from repro.core.equivalence import (
     check_initial_store_independence,
@@ -267,20 +267,22 @@ class TestCertificates:
 
 class TestCounterexampleSearch:
     def test_finds_short_distinguishing_packet(self):
-        cex = find_counterexample(
+        cex = CounterexampleSearch(
             tiny.incremental_bits(), "Start", tiny.big_bits_wrong_length(), "Parse"
-        )
+        ).search()
         assert cex is not None
         assert cex.packet.width in (2, 3)
 
     def test_no_counterexample_for_equivalent_parsers(self):
-        cex = find_counterexample(
-            tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse", max_leaps=6
-        )
+        cex = CounterexampleSearch(
+            tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse"
+        ).search(max_leaps=6)
         assert cex is None
 
     def test_counterexample_includes_stores(self):
-        cex = find_counterexample(tiny.store_dependent(), "Start", tiny.store_dependent(), "Start")
+        cex = CounterexampleSearch(
+            tiny.store_dependent(), "Start", tiny.store_dependent(), "Start"
+        ).search()
         assert cex is not None
         assert cex.left_store["ghost"] != cex.right_store["ghost"]
 

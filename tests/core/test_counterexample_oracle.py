@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.counterexample import (
-    CounterexampleSearch,
-    CounterexampleStatistics,
-    find_counterexample,
-)
+from repro.core.counterexample import CounterexampleSearch, CounterexampleStatistics
 from repro.p4a.bitvec import Bits
 from repro.protocols import mpls, tiny
 from repro.smt.backend import InternalBackend, SolverBackend
@@ -21,11 +17,13 @@ class TestVisitedSetDedup:
         nodes until max_leaps; with it the loop is collapsed after one lap."""
         left = mpls.scaled_reference(2)
         without = CounterexampleStatistics()
-        find_counterexample(left, "q1", left, "q1", max_leaps=8,
-                            dedup=False, statistics=without)
+        CounterexampleSearch(left, "q1", left, "q1", statistics=without).search(
+            max_leaps=8, dedup=False
+        )
         with_dedup = CounterexampleStatistics()
-        find_counterexample(left, "q1", left, "q1", max_leaps=8,
-                            dedup=True, statistics=with_dedup)
+        CounterexampleSearch(left, "q1", left, "q1", statistics=with_dedup).search(
+            max_leaps=8, dedup=True
+        )
         assert with_dedup.deduped > 0
         assert with_dedup.expanded < without.expanded
         assert with_dedup.successors < without.successors
@@ -34,19 +32,18 @@ class TestVisitedSetDedup:
 
     def test_dedup_does_not_lose_counterexamples(self):
         for dedup in (False, True):
-            cex = find_counterexample(
+            cex = CounterexampleSearch(
                 tiny.incremental_bits_checked(), "Start",
-                tiny.big_bits_wrong_check(), "Parse", dedup=dedup,
-            )
+                tiny.big_bits_wrong_check(), "Parse",
+            ).search(dedup=dedup)
             assert cex is not None
             assert cex.left_accepts != cex.right_accepts
 
     def test_dedup_preserves_equivalence_answer(self):
         for dedup in (False, True):
-            assert find_counterexample(
+            assert CounterexampleSearch(
                 tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse",
-                max_leaps=6, dedup=dedup,
-            ) is None
+            ).search(max_leaps=6, dedup=dedup) is None
 
 
 class TestDominancePruning:
@@ -120,21 +117,21 @@ class TestReplayDivergences:
         rejected rather than silently discarded."""
         stats = CounterexampleStatistics()
         with pytest.warns(RuntimeWarning, match="diverged from concrete replay"):
-            cex = find_counterexample(
+            cex = CounterexampleSearch(
                 tiny.store_dependent(), "Start", tiny.store_dependent(), "Start",
                 backend=_ZeroModelBackend(),
                 statistics=stats,
-            )
+            ).search()
         assert cex is None
         assert stats.replay_divergences >= 1
         assert stats.extractions >= stats.replay_divergences
 
     def test_healthy_search_has_zero_divergences(self):
         stats = CounterexampleStatistics()
-        cex = find_counterexample(
+        cex = CounterexampleSearch(
             tiny.store_dependent(), "Start", tiny.store_dependent(), "Start",
             statistics=stats,
-        )
+        ).search()
         assert cex is not None
         assert stats.replay_divergences == 0
 
@@ -147,13 +144,12 @@ class TestIncrementalSearchParity:
             (tiny.incremental_bits_checked(), "Start", tiny.big_bits_wrong_check(), "Parse"),
         ]
         for left, left_start, right, right_start in pairs:
-            with_session = find_counterexample(
-                left, left_start, right, right_start, max_leaps=6
-            )
-            one_shot = find_counterexample(
-                left, left_start, right, right_start, max_leaps=6,
-                backend=OneShotBackend(),
-            )
+            with_session = CounterexampleSearch(
+                left, left_start, right, right_start
+            ).search(max_leaps=6)
+            one_shot = CounterexampleSearch(
+                left, left_start, right, right_start, backend=OneShotBackend(),
+            ).search(max_leaps=6)
             assert (with_session is None) == (one_shot is None)
             if with_session is not None:
                 assert with_session.packet.width == one_shot.packet.width
@@ -169,7 +165,7 @@ class TestIncrementalSearchParity:
         assert again is not None and again.packet.width == first.packet.width
 
     def test_leap_widths_recorded(self):
-        cex = find_counterexample(
+        cex = CounterexampleSearch(
             tiny.incremental_bits(), "Start", tiny.big_bits_wrong_length(), "Parse"
-        )
+        ).search()
         assert sum(cex.leap_widths) == cex.packet.width

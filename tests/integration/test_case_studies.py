@@ -120,7 +120,7 @@ class TestTranslationValidationNegative:
         translated, translated_start = hardware_to_p4a(hardware)
         result = check_language_equivalence(
             original, start, translated, translated_start,
-            config=QUICK_CONFIG, counterexample_max_leaps=8,
+            config=QUICK_CONFIG,
         )
         assert result.verdict is not True
 
@@ -130,7 +130,6 @@ class TestExternalFilteringIntegration:
         sloppy, strict = ethernet_ip.scaled_sloppy(), ethernet_ip.scaled_strict()
         plain = check_language_equivalence(
             sloppy, ethernet_ip.START, strict, ethernet_ip.START, config=QUICK_CONFIG,
-            counterexample_max_leaps=6,
         )
         assert plain.refuted
 

@@ -36,33 +36,33 @@ PINNED = {
     "mini_vxlan_gre":
         "926c52e0026c80f2749566f3bf938b2394b060872f4e66811d3089995a962f39",
     "mini_vxlan_gre_broken":
-        "63f46742c3d6853b359aa4f4e4b0d4eb0f23e5db3b3860a1e32c0e1a74274142",
+        "3893e41e943a286e936b6f6340cbad74f1d95e4152e6f5cd04271374f0af5d83",
     "mini_ipv6_ext":
         "cbf2d003d610377a38d8c01d34d3b6601d175662bad21073b6d202a2d8c97b9e",
     "mini_ipv6_ext_broken":
-        "6edd9b16bcebfa27510e12f497f62f75da9cfd3217055cb42ea3d2e1c71e14ab",
+        "7bdb97cbd9c7b5076f913b14215d81453efc2a2c60ea15545c63bdb78fc7e4b7",
     "mini_qinq":
         "d1db8c96409ed92bb833057371ade4bfcf970ac311c7873639d10c12529aaac0",
     "mini_qinq_broken":
-        "fee3c8c148efea8a94fe719a512f11ed3345fe4cfed4f509b72b5df56059e185",
+        "7edeeaf4e434f8e4af33df726e635cbd5c5b9e732d970af4bd31c027bd506ca5",
     "mini_srv6":
         "cb3385e0e345e731778b3ef9bcce11bb62e4d3adc0dc7f9673d810e2ec25c1c1",
     "mini_srv6_broken":
-        "72904b26e167b3f0641749d417aa67c7ac8eb77fd2158400b95c70535ac498ec",
+        "4f360b2464f9ce47468f2b703757cdae53b580a1fccde59f670aca208675dd0d",
     "mini_geneve":
         "5c8ca62599f20614787284ed944422e3f0dd74a0aca31c4ae36e616a49bd5aef",
     "mini_geneve_broken":
-        "e1f7984fda7ff3b8f4e6ec0d38943209aadc6ddefee993b8303e3a2584a2ec68",
+        "6ef7c768f69c9c1df620aaa0728d5da9d18e3528f6ef4ce6836f0bb5a5825658",
     "mini_arp_icmp":
         "9c9dd3c474a1f2759a3bcc479e7cbd8580efbcf588bfd88999ff54e2b18a0b9d",
     "mini_arp_icmp_broken":
-        "7cff960033231cbaf1dd49bab6d98ecff29c3837bd9e010e9b5daf14734fdd13",
+        "c26fe545c5899755caf59632250dea88617e7b589a1cf4d0a7ccbb2e175adeb2",
     "mini_synthetic":
         "ea847f15cf5172467dc71e4e2471fc9c852015199e0b059883c33d8526fbcb2b",
     "mini_synthetic_broken":
-        "36d3fed669ab046e15c0a84ae6422440c3712bdc1155c7231f6c08d07ae89666",
+        "0836832f613ca5d569aec9747a4ae4fb03419b8d8ccd75dda6ed84764e3d36c0",
     "distilled_mini_20220618_internal":
-        "2e842cb5388f5bd7405c1a55ba337b83cfc4ea4f4077c152f6668855c2556696",
+        "2ae21afccf28d0007fb1273af651fe504102b29fc8a41b4acf41a3edd94de8e1",
 }
 
 #: sha256 of the scaled Table 2 text, Runtime and Memory masked.

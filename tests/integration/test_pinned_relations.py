@@ -19,17 +19,17 @@ PINNED = {
     "mini_datacenter": (True, 32, 43),
     "mini_enterprise": (True, 50, 60),
     "mini_vxlan_gre": (True, 33, 40),
-    "mini_vxlan_gre_broken": (False, 36, 39),
+    "mini_vxlan_gre_broken": (False, 35, 39),
     "mini_ipv6_ext": (True, 42, 53),
-    "mini_ipv6_ext_broken": (False, 48, 54),
+    "mini_ipv6_ext_broken": (False, 46, 54),
     "mini_qinq": (True, 22, 28),
-    "mini_qinq_broken": (False, 20, 24),
+    "mini_qinq_broken": (False, 19, 24),
     "mini_srv6": (True, 22, 31),
     "mini_srv6_broken": (False, 25, 30),
     "mini_geneve": (True, 25, 33),
     "mini_geneve_broken": (False, 24, 28),
     "mini_arp_icmp": (True, 31, 34),
-    "mini_arp_icmp_broken": (False, 24, 25),
+    "mini_arp_icmp_broken": (False, 21, 25),
     "mini_synthetic": (True, 4, 8),
     "mini_synthetic_broken": (False, 10, 10),
     "distilled_mini_20220618_internal": (False, 5, 8),

@@ -88,7 +88,6 @@ class TestVerdictIntegration:
             tiny.incremental_bits(), "Start", tiny.big_bits_wrong_length(), "Parse", cex
         )
         assert result.statistics.oracle["minimized_to"] <= result.statistics.oracle["minimized_from"]
-        assert result.statistics.counterexample_search["extractions"] >= 1
 
     def test_stuck_verdict_promoted_by_fuzzing(self):
         result = check_initial_store_independence(

@@ -1,6 +1,7 @@
 """Tests for counterexample confirmation and greedy minimization."""
 
 from repro.core.counterexample import Counterexample, CounterexampleSearch
+from repro.core.equivalence import check_language_equivalence
 from repro.oracle.minimize import confirm_counterexample, minimize_counterexample
 from repro.p4a import Bits
 from repro.p4a.builder import AutomatonBuilder
@@ -40,29 +41,17 @@ class TestConfirm:
         assert not confirm_counterexample(left, "Start", right, "Parse", cex)
 
 
-class TestResolveMinimization:
-    def test_seeded_case_shrinks_strictly(self):
-        """The BFS finds a 32-bit witness first; re-solving under the shared
-        incremental session with tightened bounds finds the 6-bit one."""
+class TestChainWitness:
+    def test_checker_ships_the_narrow_witness_directly(self):
+        """The failed conjunct's WP chain runs through the 4+2 bit branch, so
+        the check reports the 6-bit witness with no symbolic re-solve."""
         left, right = wide_then_narrow(), wide_only_rejecting()
-        search = CounterexampleSearch(left, "A", right, "A")
-        cex = search.search(max_leaps=8)
-        assert cex is not None and cex.packet.width == 32
-        result = minimize_counterexample(
-            left, "A", right, "A", cex, search=search, max_leaps=8
-        )
-        assert result.resolves >= 1
-        assert result.minimized
-        assert result.counterexample.packet.width == 6
-        assert result.counterexample.minimized_from == 32
-        assert confirm_counterexample(left, "A", right, "A", result.counterexample)
-
-    def test_search_statistics_account_resolves(self):
-        left, right = wide_then_narrow(), wide_only_rejecting()
-        search = CounterexampleSearch(left, "A", right, "A")
-        cex = search.search(max_leaps=8)
-        minimize_counterexample(left, "A", right, "A", cex, search=search, max_leaps=8)
-        assert search.statistics.resolves >= 1
+        result = check_language_equivalence(left, "A", right, "A")
+        assert result.refuted
+        cex = result.counterexample
+        assert cex.packet.width == 6
+        assert cex.minimized_from is None
+        assert confirm_counterexample(left, "A", right, "A", cex)
 
 
 class TestGreedyDrops:
@@ -99,10 +88,7 @@ class TestGreedyDrops:
 
     def test_minimization_is_idempotent(self):
         left, right = tiny.incremental_bits(), tiny.big_bits_wrong_length()
-        search = CounterexampleSearch(left, "Start", right, "Parse")
-        cex = search.search(max_leaps=8)
-        once = minimize_counterexample(left, "Start", right, "Parse", cex, search=search)
-        twice = minimize_counterexample(
-            left, "Start", right, "Parse", once.counterexample, search=search
-        )
+        cex = CounterexampleSearch(left, "Start", right, "Parse").search(max_leaps=8)
+        once = minimize_counterexample(left, "Start", right, "Parse", cex)
+        twice = minimize_counterexample(left, "Start", right, "Parse", once.counterexample)
         assert twice.counterexample.packet.width == once.counterexample.packet.width
