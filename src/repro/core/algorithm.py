@@ -27,6 +27,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from .. import counters
 from ..counters import Counters
+from ..logic import hashcons
 from ..logic.confrel import FTrue, Formula, TRUE
 from ..logic.simplify import simplify_formula
 from ..p4a.bitvec import Bits
@@ -300,7 +301,7 @@ class PreBisimulationChecker:
         if self.config.track_memory and not tracemalloc.is_tracing():
             tracemalloc.start()
             tracking_memory = True
-        with counters.scope() as ledger:
+        with counters.scope() as ledger, hashcons.scope():
             statistics = CheckerStatistics(ledger=ledger)
             try:
                 return self._run_loop(statistics)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..logic import hashcons
 from ..logic.confrel import FALSE, FTrue, Formula
 # Unused here since WPs are built in normal form, but perfbench's layer
 # tracer hooks this module attribute, so the name stays importable.
@@ -78,6 +79,7 @@ class CertificateCheckResult:
         return self.ok
 
 
+@hashcons.scope()
 def verify_certificate(
     certificate: Certificate,
     left_aut: P4Automaton,
@@ -94,7 +96,7 @@ def verify_certificate(
     ``max_obligations`` optionally bounds the number of entailment obligations
     checked (useful in tests on large certificates); when it is hit the result
     is marked as failed with an explanatory message rather than silently
-    passing.
+    passing.  Its formulas are hash-consed in a node table of its own.
     """
     from .entailment import EntailmentChecker
     from .reachability import ReachabilityAnalysis

@@ -338,7 +338,7 @@ class CounterexampleSearch:
 
     One instance owns a solver backend and one session of it, shared by
     every :meth:`search` call: each simplified edge conjunct is pushed into
-    the session once (keyed by structural fingerprint) behind an activation
+    the session once (keyed by the formula) behind an activation
     literal, and checking a node assumes the literals along its path.  So a
     repeated search, with the same or tighter bounds, re-encodes nothing.
     """
@@ -407,7 +407,7 @@ class CounterexampleSearch:
             visited.dominated(start)  # seed the frontier with the root
         # Deterministic per-call leap-variable naming: a repeated search
         # rebuilds structurally identical conditions, so the
-        # incremental session's fingerprint memo reuses their encodings.
+        # incremental session's memo reuses their encodings.
         var_counter = 0
         while queue:
             node = queue.popleft()

@@ -32,8 +32,10 @@ universally quantified premises present.
 Two memories make each distinct entailment cost one answer:
 
 * **exact outcomes** — every definitive answer is memoized under the ordered
-  canonical premise fingerprints plus the canonical goal fingerprint, so a
-  repeated check makes no solver query at all.  ``unknown`` is never
+  canonical premises plus the canonical goal, so a repeated check makes no
+  solver query at all.  Formulas are hash-consed within a check
+  (:mod:`repro.logic.hashcons`), so a repeated key holds the very objects of
+  the first and the lookup compares them by identity.  ``unknown`` is never
   memoized, and a refutation model is handed out as a fresh copy.  The memo
   lives and dies with the checker: an independent re-checker builds its own.
 * **ground instances** — the universal values each CEGIS run instantiated a
@@ -63,7 +65,7 @@ from ..logic.confrel import (
     formula_variables,
     rename_variables,
 )
-from ..logic.fingerprint import confrel_fingerprint
+from ..logic.fingerprint import confrel_fingerprint  # noqa: F401 # perfbench hook "fingerprint"
 from ..logic.simplify import simplify_formula  # noqa: F401 # perfbench hook "simplify"
 from ..p4a.bitvec import Bits
 from ..smt.backend import InternalBackend, SolverBackend
@@ -114,39 +116,23 @@ class EntailmentChecker:
         self.backend = backend or InternalBackend()
         self.cegis_rounds = cegis_rounds
         self._session = session or self.backend.incremental_session()
-        self._lowered_premises: Dict[str, folbv.BFormula] = {}
         # Exact-fallback lowering of premise ``index`` renamed apart, with its
-        # universal variables, keyed by (fingerprint, index).
+        # universal variables, keyed by (canonical premise, index).
         self._lowered_apart: Dict[
-            Tuple[str, int], Tuple[folbv.BFormula, Dict[str, int]]
+            Tuple[Formula, int], Tuple[folbv.BFormula, Dict[str, int]]
         ] = {}
         # The compiled FOL(BV) query of the most recent fast-path check; used
         # to re-validate refutation models by concrete evaluation (cached
         # models in particular are never validated by the solver itself).
         self._last_query: Optional[folbv.BFormula] = None
-        # Identity-keyed canonicalization memo: the algorithm re-checks
-        # against the same premise *objects* every iteration, so
-        # canonicalize each one exactly once (they are in
-        # normal form as built, so there is nothing to simplify).  The key
-        # holds a strong reference to the premise, so a recycled id() can
-        # never alias a dead object.
-        self._canonical_memo: Dict[int, tuple] = {}
-        # Definitive outcomes by (premise fingerprints, goal fingerprint).
-        self._outcomes: Dict[Tuple[Tuple[str, ...], str], EntailmentOutcome] = {}
-        # Canonical premise fingerprint -> the premise's ground instances in
-        # discovery order, each keyed by its values and carrying (instance
-        # formula, activation literal).
-        self._instances: Dict[str, Dict[tuple, Tuple[folbv.BFormula, int]]] = {}
+        # Definitive outcomes by (canonical premises, canonical goal).
+        self._outcomes: Dict[Tuple[Tuple[Formula, ...], Formula], EntailmentOutcome] = {}
+        # Canonical premise -> its ground instances in discovery order, each
+        # keyed by its values and carrying (instance formula, activation
+        # literal).
+        self._instances: Dict[Formula, Dict[tuple, Tuple[folbv.BFormula, int]]] = {}
 
     # ------------------------------------------------------------------
-
-    def _canonicalize(self, formula: Formula) -> Formula:
-        entry = self._canonical_memo.get(id(formula))
-        if entry is not None and entry[0] is formula:
-            return entry[1]
-        canonical = canonicalize_variables(formula, prefix="x")
-        self._canonical_memo[id(formula)] = (formula, canonical)
-        return canonical
 
     def check(self, premises: Sequence[Formula], goal: Formula) -> EntailmentOutcome:
         counters.add("entailment.checks")
@@ -154,32 +140,31 @@ class EntailmentChecker:
             counters.add("entailment.trivial")
             return EntailmentOutcome(True, "trivial")
 
+        # Renamed once per formula per check (canonicalize_variables' memo).
         canonical_goal = canonicalize_variables(goal, prefix="x")
-        canonical_premises = [self._canonicalize(premise) for premise in premises]
-        if any(premise == canonical_goal for premise in canonical_premises):
+        canonical_premises = tuple(
+            canonicalize_variables(premise, prefix="x") for premise in premises
+        )
+        if canonical_goal in canonical_premises:
             counters.add("entailment.syntactic")
             return EntailmentOutcome(True, "syntactic")
 
-        keys = tuple(confrel_fingerprint(premise) for premise in canonical_premises)
-        memo_key = (keys, confrel_fingerprint(canonical_goal))
+        memo_key = (canonical_premises, canonical_goal)
         known = self._outcomes.get(memo_key)
         if known is not None:
             counters.add("entailment.memo_hits")
             return _copy(known)
-        outcome = self._decide(canonical_premises, keys, canonical_goal)
+        outcome = self._decide(canonical_premises, canonical_goal)
         if outcome.method != "unknown":
             self._outcomes[memo_key] = _copy(outcome)
         return outcome
 
     def _decide(
-        self,
-        canonical_premises: Sequence[Formula],
-        keys: Sequence[str],
-        canonical_goal: Formula,
+        self, canonical_premises: Sequence[Formula], canonical_goal: Formula
     ) -> EntailmentOutcome:
         """The fast path, then CEGIS when the fast path's answer may be spurious."""
         lowered_goal = lower_formula(canonical_goal, simplify=False)
-        result = self._fast_path_query(canonical_premises, keys, lowered_goal)
+        result = self._fast_path_query(canonical_premises, lowered_goal)
         if result.status is SatStatus.UNSAT:
             counters.add("entailment.smt_entailed")
             return EntailmentOutcome(True, "smt")
@@ -191,7 +176,7 @@ class EntailmentChecker:
             counters.add("entailment.smt_refuted")
             self._validate_refutation_model(result)
             return EntailmentOutcome(False, "smt", result.model)
-        return self._check_exact(canonical_premises, keys, lowered_goal, result.model)
+        return self._check_exact(canonical_premises, lowered_goal, result.model)
 
     def _validate_refutation_model(self, result: SatResult) -> None:
         """Concretely re-evaluate a refutation model against the query.
@@ -216,27 +201,8 @@ class EntailmentChecker:
 
     # ------------------------------------------------------------------
 
-    def _lower_premise(self, premise: Formula, key: str) -> folbv.BFormula:
-        """Lower a canonical premise, memoized by its fingerprint ``key``.
-
-        Algorithm 1 re-checks against the same (growing) premise list on every
-        iteration; re-lowering each premise from scratch would make the
-        per-query cost linear in the whole relation even when the solver work
-        is shared.  Returning the *same object* also lets the session's
-        fingerprint walk hit its identity memo, so a previously pushed premise
-        costs O(1) per later query.
-        """
-        lowered = self._lowered_premises.get(key)
-        if lowered is None:
-            lowered = lower_formula(premise, simplify=False)
-            self._lowered_premises[key] = lowered
-        return lowered
-
     def _fast_path_query(
-        self,
-        premises: Sequence[Formula],
-        keys: Sequence[str],
-        lowered_goal: folbv.BFormula,
+        self, premises: Sequence[Formula], lowered_goal: folbv.BFormula
     ) -> SatResult:
         """The fast-path query via the session.
 
@@ -245,15 +211,16 @@ class EntailmentChecker:
         instances are assumed alongside it, the negated goal rides along as a
         per-query assumption, and the persistent query cache — when the
         backend stacks one — is consulted before and fed after, keyed by the
-        combined formula.
+        combined formula.  Algorithm 1 re-checks against the same growing
+        premise list on every iteration; ``lower_formula`` lowers each premise
+        once per check and hands back the same node, so a premise already
+        pushed costs one identity hit per later query.
         """
-        lowered_premises = [
-            self._lower_premise(premise, key) for premise, key in zip(premises, keys)
-        ]
+        lowered_premises = [lower_formula(premise, simplify=False) for premise in premises]
         instances = [
             entry
-            for key in dict.fromkeys(keys)
-            for entry in self._instances.get(key, {}).values()
+            for premise in dict.fromkeys(premises)
+            for entry in self._instances.get(premise, {}).values()
         ]
         negated_goal = folbv.b_not(lowered_goal)
         combined = folbv.b_and(
@@ -280,15 +247,14 @@ class EntailmentChecker:
     # ------------------------------------------------------------------
 
     def _lower_premise_apart(
-        self, premise: Formula, key: str, index: int
+        self, premise: Formula, index: int
     ) -> Tuple[folbv.BFormula, Dict[str, int]]:
         """Premise ``index`` renamed apart (``u{index}_…``) and lowered, memoized.
 
         Returns the lowered formula and its universal variables (FOL(BV) name →
-        width).  Like :meth:`_lower_premise` the memo is keyed by the premise
-        fingerprint ``key``.
+        width).
         """
-        entry = self._lowered_apart.get((key, index))
+        entry = self._lowered_apart.get((premise, index))
         if entry is None:
             variables = formula_variables(premise)
             mapping = {name: f"u{index}_{name}" for name in variables}
@@ -296,13 +262,12 @@ class EntailmentChecker:
                 variable_name(mapping[name]): width for name, width in variables.items()
             }
             entry = (lower_formula(rename_variables(premise, mapping), simplify=False), universal)
-            self._lowered_apart[(key, index)] = entry
+            self._lowered_apart[(premise, index)] = entry
         return entry
 
     def _check_exact(
         self,
         premises: Sequence[Formula],
-        keys: Sequence[str],
         lowered_goal: folbv.BFormula,
         guess: Optional[Dict[str, Bits]],
     ) -> EntailmentOutcome:
@@ -314,8 +279,8 @@ class EntailmentChecker:
         """
         universal_vars: Dict[str, int] = {}
         lowered_premises: List[folbv.BFormula] = []
-        for index, (premise, key) in enumerate(zip(premises, keys)):
-            lowered, universal = self._lower_premise_apart(premise, key, index)
+        for index, premise in enumerate(premises):
+            lowered, universal = self._lower_premise_apart(premise, index)
             lowered_premises.append(lowered)
             universal_vars.update(universal)
         matrix = folbv.b_and(lowered_premises + [folbv.b_not(lowered_goal)])
@@ -328,7 +293,7 @@ class EntailmentChecker:
         )
         counters.add("entailment.cegis_rounds", outcome.rounds)
         if outcome.refutations:
-            self._keep_instances(premises, keys, outcome.refutations)
+            self._keep_instances(premises, outcome.refutations)
         if outcome.holds is True:
             counters.add("entailment.cegis_refuted")
             return EntailmentOutcome(False, "cegis", outcome.witness)
@@ -339,10 +304,7 @@ class EntailmentChecker:
         return EntailmentOutcome(False, "unknown")
 
     def _keep_instances(
-        self,
-        premises: Sequence[Formula],
-        keys: Sequence[str],
-        refutations: Sequence[Dict[str, Bits]],
+        self, premises: Sequence[Formula], refutations: Sequence[Dict[str, Bits]]
     ) -> None:
         """Keep each premise's ground instances from a CEGIS run's refutations.
 
@@ -352,12 +314,12 @@ class EntailmentChecker:
         session once.  At most :data:`MAX_INSTANCES_PER_PREMISE` distinct
         instances are kept per premise, the earliest found.
         """
-        for index, (premise, key) in enumerate(zip(premises, keys)):
-            _, universal = self._lower_premise_apart(premise, key, index)
+        for index, premise in enumerate(premises):
+            _, universal = self._lower_premise_apart(premise, index)
             if not universal:
                 continue
             prefix = len(variable_name(f"u{index}_"))
-            kept = self._instances.setdefault(key, {})
+            kept = self._instances.setdefault(premise, {})
             for refutation in refutations:
                 if len(kept) >= MAX_INSTANCES_PER_PREMISE:
                     break
@@ -371,7 +333,7 @@ class EntailmentChecker:
                 )
                 if identity in kept:
                     continue
-                instance = substitute(self._lower_premise(premise, key), values)
+                instance = substitute(lower_formula(premise, simplify=False), values)
                 kept[identity] = (instance, self._session.activation(instance))
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .. import counters
+from ..logic import hashcons
 from ..logic.confrel import Formula, TRUE
 from ..p4a.syntax import P4Automaton
 from ..smt.backend import SolverBackend
@@ -237,9 +238,10 @@ def check_language_equivalence(
     Acceptance is compared for *all* initial stores of both sides, matching
     ⟦aut⟧A of Definition 3.6: a proof means no choice of uninitialised header
     values and no packet can make the parsers disagree.  The check's counts
-    are recorded in one ledger (:mod:`repro.counters`).
+    are recorded in one ledger (:mod:`repro.counters`), and its formulas are
+    hash-consed in one node table (:mod:`repro.logic.hashcons`).
     """
-    with counters.scope():
+    with counters.scope(), hashcons.scope():
         return _run(
             left_aut,
             left_start,
@@ -292,7 +294,7 @@ def check_store_relation(
     the initial stores (``TRUE`` quantifies over all of them).  No
     counterexample is extracted for relational properties.
     """
-    with counters.scope():
+    with counters.scope(), hashcons.scope():
         return _run(
             left_aut,
             left_start,

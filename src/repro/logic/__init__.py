@@ -1,6 +1,6 @@
 """Configuration-relation logic and the lowering chain to FOL(BV)."""
 
-from . import confrel, fingerprint, folbv, folconf, simplify, smtlib
+from . import confrel, fingerprint, folbv, folconf, hashcons, simplify, smtlib
 from .compile import EntailmentQuery, compile_entailment, compile_validity, lower_formula
 from .fingerprint import confrel_fingerprint, folbv_fingerprint
 
@@ -14,6 +14,7 @@ __all__ = [
     "folbv",
     "folbv_fingerprint",
     "folconf",
+    "hashcons",
     "lower_formula",
     "simplify",
     "smtlib",

@@ -40,6 +40,7 @@ from .confrel import (
     FTrue,
     Formula,
 )
+from .hashcons import memo
 from .simplify import simplify_formula
 
 
@@ -109,13 +110,18 @@ def lower_formula(formula: Formula, simplify: bool = True) -> folbv.BFormula:
 
     Callers whose formulas are already in normal form (everything Algorithm 1
     builds) pass ``simplify=False``; simplifying them again changes nothing.
+    Within a check each formula is lowered once (:func:`~repro.logic.hashcons.memo`),
+    so a premise re-checked on every iteration costs one lookup.
     """
     if simplify:
         formula = simplify_formula(formula)
-    folconf_formula = formula_to_folconf(formula)
-    lowered = folconf.eliminate_stores(folconf_formula)
-    if folconf.contains_store_terms(lowered):
-        raise CompileError("store elimination left finite-map terms behind")
+    lowered_by_formula = memo("lower_formula")
+    lowered = lowered_by_formula.get(formula)
+    if lowered is None:
+        lowered = folconf.eliminate_stores(formula_to_folconf(formula))
+        if folconf.contains_store_terms(lowered):
+            raise CompileError("store elimination left finite-map terms behind")
+        lowered_by_formula[formula] = lowered
     return lowered
 
 

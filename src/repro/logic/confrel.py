@@ -8,7 +8,8 @@ operator to stand for packet bits that have not been read yet).
 
 Every expression carries a static width, which is possible because the
 algorithm only ever builds formulas under a *template guard* that fixes the
-buffer length of each side (Definition 4.7).
+buffer length of each side (Definition 4.7).  Nodes are hash-consed within a
+check (:mod:`repro.logic.hashcons`).
 
 The module also provides the denotational semantics ``eval_formula`` of
 Definition 4.3, used by tests and by the certificate re-checker to validate
@@ -17,11 +18,11 @@ formulas against concrete configuration pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional
 
 from ..p4a.bitvec import Bits
 from ..p4a.semantics import Configuration
+from .hashcons import Node, constant, memo
 
 # Side tags.
 LEFT = "<"
@@ -38,111 +39,87 @@ class ConfRelError(Exception):
 # ---------------------------------------------------------------------------
 
 
-class BVExpr:
-    """Base class of symbolic bitvector expressions (``be`` in Figure 3)."""
+class BVExpr(Node):
+    """Base class of symbolic bitvector expressions (``be`` in Figure 3);
+    ``width`` is set when an expression is built."""
 
-    __slots__ = ()
-
-    @property
-    def width(self) -> int:
-        raise NotImplementedError
+    __slots__ = ("width",)
 
 
-@dataclass(frozen=True)
 class CLit(BVExpr):
     """A bitvector literal."""
 
-    value: Bits
+    __slots__ = ("value",)
 
-    @property
-    def width(self) -> int:
-        return self.value.width
+    def _init(self) -> None:
+        self._derive("width", self.value.width)
 
     def __str__(self) -> str:
         return f"0b{self.value.to_bitstring()}" if self.value.width else "ε"
 
 
-@dataclass(frozen=True)
 class CBuf(BVExpr):
     """The buffer of one side (``buf<`` / ``buf>``).
 
     The width is the buffer length fixed by the enclosing template guard.
     """
 
-    side: str
-    buf_width: int
+    __slots__ = ("side", "buf_width")
 
-    @property
-    def width(self) -> int:
-        return self.buf_width
+    def _init(self) -> None:
+        self._derive("width", self.buf_width)
 
     def __str__(self) -> str:
         return f"buf{self.side}"
 
 
-@dataclass(frozen=True)
 class CHdr(BVExpr):
     """A header of one side (``h<`` / ``h>``)."""
 
-    side: str
-    name: str
-    hdr_width: int
+    __slots__ = ("side", "name", "hdr_width")
 
-    @property
-    def width(self) -> int:
-        return self.hdr_width
+    def _init(self) -> None:
+        self._derive("width", self.hdr_width)
 
     def __str__(self) -> str:
         return f"{self.name}{self.side}"
 
 
-@dataclass(frozen=True)
 class CVar(BVExpr):
     """A symbolic variable (``x`` in Figure 3), e.g. bits still to be read."""
 
-    name: str
-    var_width: int
+    __slots__ = ("name", "var_width")
 
-    @property
-    def width(self) -> int:
-        return self.var_width
+    def _init(self) -> None:
+        self._derive("width", self.var_width)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class CSlice(BVExpr):
     """The inclusive slice ``be[lo:hi]``; bounds must be in range."""
 
-    expr: BVExpr
-    lo: int
-    hi: int
+    __slots__ = ("expr", "lo", "hi")
 
-    def __post_init__(self) -> None:
+    def _init(self) -> None:
         if not (0 <= self.lo <= self.hi < self.expr.width):
             raise ConfRelError(
                 f"slice [{self.lo}:{self.hi}] out of range for width {self.expr.width}"
             )
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
+        self._derive("width", self.hi - self.lo + 1)
 
     def __str__(self) -> str:
         return f"{self.expr}[{self.lo}:{self.hi}]"
 
 
-@dataclass(frozen=True)
 class CConcat(BVExpr):
     """Concatenation ``be1 ++ be2``."""
 
-    left: BVExpr
-    right: BVExpr
+    __slots__ = ("left", "right")
 
-    @property
-    def width(self) -> int:
-        return self.left.width + self.right.width
+    def _init(self) -> None:
+        self._derive("width", self.left.width + self.right.width)
 
     def __str__(self) -> str:
         return f"({self.left} ++ {self.right})"
@@ -153,33 +130,39 @@ class CConcat(BVExpr):
 # ---------------------------------------------------------------------------
 
 
-class Formula:
+class Formula(Node):
     """Base class of pure ConfRel formulas (no state or buffer-length atoms;
     those are carried by the enclosing template guard)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FTrue(Formula):
+    __slots__ = ()
+
+    def __new__(cls):
+        return TRUE
+
     def __str__(self) -> str:
         return "⊤"
 
 
-@dataclass(frozen=True)
 class FFalse(Formula):
+    __slots__ = ()
+
+    def __new__(cls):
+        return FALSE
+
     def __str__(self) -> str:
         return "⊥"
 
 
-@dataclass(frozen=True)
 class FEq(Formula):
     """Bitvector equality ``be1 = be2``."""
 
-    left: BVExpr
-    right: BVExpr
+    __slots__ = ("left", "right")
 
-    def __post_init__(self) -> None:
+    def _init(self) -> None:
         if self.left.width != self.right.width:
             raise ConfRelError(
                 f"equality between widths {self.left.width} and {self.right.width}: "
@@ -190,41 +173,36 @@ class FEq(Formula):
         return f"{self.left} = {self.right}"
 
 
-@dataclass(frozen=True)
 class FNot(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
 
     def __str__(self) -> str:
         return f"¬({self.operand})"
 
 
-@dataclass(frozen=True)
 class FAnd(Formula):
-    operands: Tuple[Formula, ...]
+    __slots__ = ("operands",)
 
     def __str__(self) -> str:
         return "(" + " ∧ ".join(str(op) for op in self.operands) + ")"
 
 
-@dataclass(frozen=True)
 class FOr(Formula):
-    operands: Tuple[Formula, ...]
+    __slots__ = ("operands",)
 
     def __str__(self) -> str:
         return "(" + " ∨ ".join(str(op) for op in self.operands) + ")"
 
 
-@dataclass(frozen=True)
 class FImpl(Formula):
-    premise: Formula
-    conclusion: Formula
+    __slots__ = ("premise", "conclusion")
 
     def __str__(self) -> str:
         return f"({self.premise} ⟹ {self.conclusion})"
 
 
-TRUE = FTrue()
-FALSE = FFalse()
+TRUE = constant(FTrue)
+FALSE = constant(FFalse)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +301,14 @@ def canonicalize_variables(formula: Formula, prefix: str = "v") -> Formula:
     alpha-equivalent formulas structurally equal and align the variables of
     different formulas that talk about the same future packet bits (variables
     of different widths are never conflated, so the renaming stays well-typed).
+    Within a check each formula is renamed once (:func:`~repro.logic.hashcons.memo`).
     """
-    return rename_variables(formula, canonical_names(formula, prefix))
+    renamed = memo("canonicalize_variables")
+    key = (formula, prefix)
+    canonical = renamed.get(key)
+    if canonical is None:
+        canonical = renamed[key] = rename_variables(formula, canonical_names(formula, prefix))
+    return canonical
 
 
 def canonical_names(formula: Formula, prefix: str = "v") -> Dict[str, str]:

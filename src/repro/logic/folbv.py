@@ -8,14 +8,17 @@ solver or pretty-printed to SMT-LIB for an external solver.
 Bit index 0 is the first (most significant) bit, consistent with the rest of
 the code base; the SMT-LIB printer performs the index flip required by the
 SMT-LIB convention (bit 0 = least significant).
+
+Nodes are hash-consed within a check (:mod:`repro.logic.hashcons`): a term
+or formula built twice is one object, and every term knows its ``width``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, Mapping
 
 from ..p4a.bitvec import Bits
+from .hashcons import Node, constant, memo
 
 
 class FolBVError(Exception):
@@ -27,69 +30,53 @@ class FolBVError(Exception):
 # ---------------------------------------------------------------------------
 
 
-class Term:
-    __slots__ = ()
+class Term(Node):
+    """Base class of FOL(BV) terms; ``width`` is set when a term is built."""
 
-    @property
-    def width(self) -> int:
-        raise NotImplementedError
+    __slots__ = ("width",)
 
 
-@dataclass(frozen=True)
 class BVVar(Term):
-    name: str
-    var_width: int
+    __slots__ = ("name", "var_width")
 
-    @property
-    def width(self) -> int:
-        return self.var_width
+    def _init(self) -> None:
+        self._derive("width", self.var_width)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class BVConst(Term):
-    value: Bits
+    __slots__ = ("value",)
 
-    @property
-    def width(self) -> int:
-        return self.value.width
+    def _init(self) -> None:
+        self._derive("width", self.value.width)
 
     def __str__(self) -> str:
         return f"#b{self.value.to_bitstring()}"
 
 
-@dataclass(frozen=True)
 class BVExtract(Term):
     """The inclusive slice ``term[lo:hi]`` (paper indexing, bit 0 first)."""
 
-    term: Term
-    lo: int
-    hi: int
+    __slots__ = ("term", "lo", "hi")
 
-    def __post_init__(self) -> None:
+    def _init(self) -> None:
         if not (0 <= self.lo <= self.hi < self.term.width):
             raise FolBVError(
                 f"extract [{self.lo}:{self.hi}] out of range for width {self.term.width}"
             )
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
+        self._derive("width", self.hi - self.lo + 1)
 
     def __str__(self) -> str:
         return f"{self.term}[{self.lo}:{self.hi}]"
 
 
-@dataclass(frozen=True)
 class BVConcatT(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
-    @property
-    def width(self) -> int:
-        return self.left.width + self.right.width
+    def _init(self) -> None:
+        self._derive("width", self.left.width + self.right.width)
 
     def __str__(self) -> str:
         return f"({self.left} ++ {self.right})"
@@ -100,28 +87,34 @@ class BVConcatT(Term):
 # ---------------------------------------------------------------------------
 
 
-class BFormula:
+class BFormula(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BTrue(BFormula):
+    __slots__ = ()
+
+    def __new__(cls):
+        return B_TRUE
+
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
 class BFalse(BFormula):
+    __slots__ = ()
+
+    def __new__(cls):
+        return B_FALSE
+
     def __str__(self) -> str:
         return "false"
 
 
-@dataclass(frozen=True)
 class BEq(BFormula):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
-    def __post_init__(self) -> None:
+    def _init(self) -> None:
         if self.left.width != self.right.width:
             raise FolBVError(
                 f"equality between widths {self.left.width} and {self.right.width}"
@@ -131,41 +124,36 @@ class BEq(BFormula):
         return f"({self.left} = {self.right})"
 
 
-@dataclass(frozen=True)
 class BNot(BFormula):
-    operand: BFormula
+    __slots__ = ("operand",)
 
     def __str__(self) -> str:
         return f"(not {self.operand})"
 
 
-@dataclass(frozen=True)
 class BAnd(BFormula):
-    operands: Tuple[BFormula, ...]
+    __slots__ = ("operands",)
 
     def __str__(self) -> str:
         return "(and " + " ".join(str(op) for op in self.operands) + ")"
 
 
-@dataclass(frozen=True)
 class BOr(BFormula):
-    operands: Tuple[BFormula, ...]
+    __slots__ = ("operands",)
 
     def __str__(self) -> str:
         return "(or " + " ".join(str(op) for op in self.operands) + ")"
 
 
-@dataclass(frozen=True)
 class BImplies(BFormula):
-    premise: BFormula
-    conclusion: BFormula
+    __slots__ = ("premise", "conclusion")
 
     def __str__(self) -> str:
         return f"(=> {self.premise} {self.conclusion})"
 
 
-B_TRUE = BTrue()
-B_FALSE = BFalse()
+B_TRUE = constant(BTrue)
+B_FALSE = constant(BFalse)
 
 
 def b_and(operands) -> BFormula:
@@ -251,10 +239,24 @@ def term_variables(term: Term, out: Dict[str, int]) -> None:
 
 
 def free_variables(formula: BFormula) -> Dict[str, int]:
-    """Free variables of ``formula`` and their widths."""
+    """Free variables of ``formula`` and their widths, in order of occurrence.
+
+    A query conjoins the same premises again and again, so within a check
+    each conjunct's variables are collected once (:func:`~repro.logic.hashcons.memo`).
+    """
+    collected = memo("free_variables")
     out: Dict[str, int] = {}
-    for term in iter_terms(formula):
-        term_variables(term, out)
+    for conjunct in formula.operands if isinstance(formula, BAnd) else (formula,):
+        variables = collected.get(conjunct)
+        if variables is None:
+            variables = {}
+            for term in iter_terms(conjunct):
+                term_variables(term, variables)
+            collected[conjunct] = variables
+        for name, width in variables.items():
+            existing = out.setdefault(name, width)
+            if existing != width:
+                raise FolBVError(f"variable {name!r} used at widths {existing} and {width}")
     return out
 
 

@@ -9,8 +9,6 @@ bitvector variables, producing FOL(BV).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import folbv
 from .folbv import BFormula, Term
 
@@ -24,32 +22,25 @@ class FolConfError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class StoreSelect(Term):
     """``store(side)[header]``: a finite-map lookup into one side's store."""
 
-    side: str
-    header: str
-    hdr_width: int
+    __slots__ = ("side", "header", "hdr_width")
 
-    @property
-    def width(self) -> int:
-        return self.hdr_width
+    def _init(self) -> None:
+        self._derive("width", self.hdr_width)
 
     def __str__(self) -> str:
         return f"store{self.side}[{self.header}]"
 
 
-@dataclass(frozen=True)
 class BufferSel(Term):
     """The unread buffer of one side."""
 
-    side: str
-    buf_width: int
+    __slots__ = ("side", "buf_width")
 
-    @property
-    def width(self) -> int:
-        return self.buf_width
+    def _init(self) -> None:
+        self._derive("width", self.buf_width)
 
     def __str__(self) -> str:
         return f"buffer{self.side}"

@@ -9,7 +9,7 @@ this module is about the state graph only.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from .syntax import FINAL_STATES, P4Automaton, REJECT
 
@@ -64,28 +64,6 @@ def has_cycle(aut: P4Automaton) -> bool:
         return False
 
     return any(colour[state] == 0 and visit(state) for state in aut.states)
-
-
-def longest_acyclic_packet_bits(aut: P4Automaton, start: str) -> int:
-    """An upper bound on packet length along acyclic paths from ``start``.
-
-    Used by the bounded counterexample search to pick a sensible depth.  For
-    cyclic automata this returns the longest simple path, which is a heuristic
-    rather than a bound.
-    """
-    best = 0
-    stack: List[Tuple[str, int, frozenset]] = [(start, 0, frozenset({start}))]
-    while stack:
-        state, bits, seen = stack.pop()
-        best = max(best, bits)
-        if state in FINAL_STATES:
-            continue
-        consumed = aut.op_size(state)
-        for nxt in successors(aut, state):
-            if nxt in seen and nxt not in FINAL_STATES:
-                continue
-            stack.append((nxt, bits + consumed, seen | {nxt}))
-    return best
 
 
 def to_dot(aut: P4Automaton, start: str = None) -> str:

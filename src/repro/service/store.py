@@ -204,6 +204,17 @@ class VerdictStore:
         except OSError:
             return None
 
+    def _load_certificate(self, digest: str) -> Optional[Certificate]:
+        """The certificate in blob ``digest``, or ``None`` if it cannot be read."""
+        payload = self._read_blob(digest)
+        if payload is None:
+            return None
+        try:
+            return pickle.loads(payload)
+        except (pickle.UnpicklingError, EOFError, AttributeError, TypeError):
+            # Corrupt bytes, or nodes pickled in a layout the code no longer has.
+            return None
+
     # ------------------------------------------------------------------
     # Lookup / insert
 
@@ -227,15 +238,15 @@ class VerdictStore:
         pair_fp, config_fp, verdict, blob_digest, witness, oracle, seconds, uses = row
         certificate = None
         if blob_digest is not None:
-            payload = self._read_blob(blob_digest)
-            if payload is None:
+            certificate = self._load_certificate(blob_digest)
+            if certificate is None:
                 # The index outlived its blob (e.g. a crash between blob GC
-                # and index delete); treat as a miss and drop the orphan row.
+                # and index delete), or the blob predates the current logic
+                # node layout; treat as a miss and drop the row.
                 self.discard(key)
                 with self._lock:
                     self.statistics.misses += 1
                 return None
-            certificate = pickle.loads(payload)
         with self._lock:
             self.statistics.hits += 1
         return StoredVerdict(

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import counters
 from ..logic import folbv
-from ..logic.fingerprint import folbv_fingerprint
+from ..logic.fingerprint import folbv_fingerprint  # noqa: F401 # perfbench hook "fingerprint"
 from ..logic.folbv import BFormula, Term
 from .sat.cnf import CnfBuilder
 
@@ -268,18 +268,18 @@ class FolbvToAig:
 
     Terms lower to tuples of bit references (index 0 = first bit, matching
     :class:`~repro.p4a.bitvec.Bits`), formulas to a single reference.  Both
-    are memoized by structural fingerprint (:mod:`repro.logic.fingerprint`),
-    so formulas rebuilt by later queries — equal in structure but not
-    identity — share their whole lowered cone.  Variables key on
-    ``(name, width)``: distinct queries may reuse a canonical name at
-    different widths and must never alias.
+    are memoized by node: nodes are hash-consed within a check
+    (:mod:`repro.logic.hashcons`), so a formula rebuilt by a later query is
+    the same object and shares its whole lowered cone at the cost of one
+    identity hit.  Variables key on ``(name, width)``: distinct queries may
+    reuse a canonical name at different widths and must never alias.
     """
 
     def __init__(self, aig: Aig) -> None:
         self.aig = aig
         self._variable_bits: Dict[Tuple[str, int], Tuple[int, ...]] = {}
-        self._term_cache: Dict[str, Tuple[int, ...]] = {}
-        self._formula_cache: Dict[str, int] = {}
+        self._term_cache: Dict[Term, Tuple[int, ...]] = {}
+        self._formula_cache: Dict[BFormula, int] = {}
 
     def variable_bits(self, name: str, width: int) -> Tuple[int, ...]:
         key = (name, width)
@@ -290,8 +290,7 @@ class FolbvToAig:
         return bits
 
     def lower_term(self, term: Term) -> Tuple[int, ...]:
-        fingerprint = folbv_fingerprint(term)
-        cached = self._term_cache.get(fingerprint)
+        cached = self._term_cache.get(term)
         if cached is not None:
             return cached
         if isinstance(term, folbv.BVVar):
@@ -308,12 +307,11 @@ class FolbvToAig:
             raise AigError(
                 f"term {term} lowered to {len(refs)} bits, expected {term.width}"
             )
-        self._term_cache[fingerprint] = refs
+        self._term_cache[term] = refs
         return refs
 
     def lower_formula(self, formula: BFormula) -> int:
-        fingerprint = folbv_fingerprint(formula)
-        cached = self._formula_cache.get(fingerprint)
+        cached = self._formula_cache.get(formula)
         if cached is not None:
             return cached
         aig = self.aig
@@ -338,7 +336,7 @@ class FolbvToAig:
             )
         else:
             raise AigError(f"cannot lower formula {formula!r}")
-        self._formula_cache[fingerprint] = ref
+        self._formula_cache[formula] = ref
         return ref
 
 

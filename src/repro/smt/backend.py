@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import counters
 from ..logic import folbv, smtlib
-from ..logic.fingerprint import folbv_fingerprint
 from ..logic.folbv import BFormula
 from ..p4a.bitvec import Bits
 from .bvsolver import InternalBVSolver, SatResult, SatStatus
@@ -46,24 +45,22 @@ class OneShotSession:
     """The session protocol answered by one ``check_sat`` call per check.
 
     The degenerate case of assumption-based incremental solving (Eén &
-    Sörensson, 2003): :meth:`activation` records a formula once, keyed by
-    fingerprint, and hands out its literal; :meth:`check` conjoins the
-    assumed formulas and the goal and asks ``backend`` (anything with a
-    ``check_sat``) once.  No solver state is shared between checks, so it
+    Sörensson, 2003): :meth:`activation` records a formula once and hands
+    out its literal; :meth:`check` conjoins the assumed formulas and the
+    goal and asks ``backend`` (anything with a ``check_sat``) once.  No solver state is shared between checks, so it
     suits any solver and is the certificate re-checker's independent path.
     """
 
     def __init__(self, backend) -> None:
         self._backend = backend
         self._formulas: List[BFormula] = []  # literal - 1 -> formula
-        self._literals: Dict[str, int] = {}  # fingerprint -> literal
+        self._literals: Dict[BFormula, int] = {}  # formula -> literal
 
     def activation(self, formula: BFormula) -> int:
-        fingerprint = folbv_fingerprint(formula)
-        literal = self._literals.get(fingerprint)
+        literal = self._literals.get(formula)
         if literal is None:
             self._formulas.append(formula)
-            literal = self._literals[fingerprint] = len(self._formulas)
+            literal = self._literals[formula] = len(self._formulas)
         return literal
 
     def check(

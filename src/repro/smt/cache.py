@@ -15,7 +15,9 @@ with the answer so a cached ``sat`` still carries its witness.
 Caching is sound because the lowering chain is deterministic and fingerprints
 are structural: a formula with the same fingerprint is the same formula, so
 the solver would return the same status (and, with the deterministic internal
-solver, the same model).
+solver, the same model).  The store's file name carries
+``FINGERPRINT_VERSION``, so rows keyed in an older digest format are never
+read.
 """
 
 from __future__ import annotations
@@ -84,27 +86,45 @@ class PersistentQueryCache:
         # for a later run while still releasing its file handle in between.
         # Callers must hold self._lock.
         if self._conn is None:
-            self._conn = sqlite3.connect(
+            conn = sqlite3.connect(
                 self.path, timeout=BUSY_TIMEOUT_MS / 1000.0, check_same_thread=False
             )
-            # WAL + NORMAL avoids a journal fsync per stored query, which on
-            # fsync-bound filesystems would rival the solver time for the
-            # small fast queries the cache exists to absorb.
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            # The connect() timeout covers the same ground, but the PRAGMA is
-            # explicit, inspectable (PRAGMA busy_timeout) and immune to the
-            # float-seconds/milliseconds confusion that silently produced a
-            # zero timeout on some sqlite builds.
-            self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
-            with self._conn:
-                self._conn.execute(
-                    "CREATE TABLE IF NOT EXISTS results ("
-                    " fingerprint TEXT PRIMARY KEY,"
-                    " status TEXT NOT NULL,"
-                    " model TEXT)"
-                )
+            # Processes setting up a fresh file at once can deadlock on the
+            # lock upgrade that the WAL switch or the table creation needs;
+            # sqlite then fails one of them at once ("database is locked")
+            # instead of waiting in the busy handler, so retry the setup.
+            deadline = time.monotonic() + BUSY_TIMEOUT_MS / 1000.0
+            while True:
+                try:
+                    self._set_up(conn)
+                    break
+                except sqlite3.OperationalError as exc:
+                    if "locked" not in str(exc) or time.monotonic() >= deadline:
+                        conn.close()
+                        raise
+                    time.sleep(0.01)
+            self._conn = conn
         return self._conn
+
+    @staticmethod
+    def _set_up(conn: sqlite3.Connection) -> None:
+        # WAL + NORMAL avoids a journal fsync per stored query, which on
+        # fsync-bound filesystems would rival the solver time for the
+        # small fast queries the cache exists to absorb.
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        # The connect() timeout covers the same ground, but the PRAGMA is
+        # explicit, inspectable (PRAGMA busy_timeout) and immune to the
+        # float-seconds/milliseconds confusion that silently produced a
+        # zero timeout on some sqlite builds.
+        conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+        with conn:
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS results ("
+                " fingerprint TEXT PRIMARY KEY,"
+                " status TEXT NOT NULL,"
+                " model TEXT)"
+            )
 
     def get(self, fingerprint: str) -> Optional[SatResult]:
         with self._lock:
@@ -177,11 +197,8 @@ class CachingBackend(SolverBackend):
         hit or miss is counted in the check's ledger (``cache.*``).
         """
         start = time.perf_counter()
-        # One linear serialization walk per query; interning here would cost
-        # more than the lookup it guards (per-node canonicalization is
-        # quadratic in formula depth).  (A repeated walk on the same object —
-        # e.g. lookup then store around a miss — is absorbed by the
-        # fingerprint module's identity memo.)
+        # Within a check each node is hashed once, so a query that shares
+        # premises with earlier ones hashes only its new nodes.
         if fingerprint is None:
             fingerprint = folbv_fingerprint(formula)
         cached = self._disk.get(fingerprint)

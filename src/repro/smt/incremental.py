@@ -7,10 +7,10 @@ the whole premise conjunction every time; this module keeps **one** live CNF
 and **one** CDCL solver per checker run instead, lowered through the shared
 AIG pipeline (:mod:`repro.smt.aig`):
 
-* every lowered subterm and subformula is memoized by its structural
-  fingerprint (:mod:`repro.logic.fingerprint`), so structure shared between
-  ``ψ`` and the growing ``⋀R`` — or between successive queries — becomes one
-  graph node and is Tseitin encoded at most once;
+* every lowered subterm and subformula is memoized by node (nodes are
+  hash-consed within a check, :mod:`repro.logic.hashcons`), so structure
+  shared between ``ψ`` and the growing ``⋀R`` — or between successive
+  queries — becomes one graph node and is Tseitin encoded at most once;
 * each premise is guarded behind an **activation literal** ``a`` with the
   clause ``¬a ∨ root(premise)``; the monotone relation is pushed into the CNF
   once and every later query merely assumes the activation literals of the
@@ -48,7 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import counters
 from ..logic import folbv
-from ..logic.fingerprint import folbv_fingerprint
+from ..logic.fingerprint import folbv_fingerprint  # noqa: F401 # perfbench hook "fingerprint"
 from ..logic.folbv import BFormula
 from ..p4a.bitvec import Bits
 from .aig import FALSE_REF, Aig, AigToCnf, FolbvToAig
@@ -61,7 +61,7 @@ class IncrementalSession:
     """One live CNF + CDCL solver shared by a whole stream of related queries.
 
     ``activation(formula)`` pushes a formula once (idempotently, keyed by
-    fingerprint) and returns the activation literal that turns it on;
+    the formula) and returns the activation literal that turns it on;
     ``check(assumptions, goal=...)`` decides satisfiability of the activated
     conjunction plus an optional per-query goal formula.
     """
@@ -73,12 +73,12 @@ class IncrementalSession:
         self._emitter = AigToCnf(self._aig, self._builder)
         self._solver = CdclSolver()
         self._use_aig = use_aig
-        # fingerprint -> (activation literal, graph ref, encoding cone)
-        self._activations: Dict[str, Tuple[int, int, frozenset]] = {}
+        # formula -> (activation literal, graph ref, encoding cone)
+        self._activations: Dict[BFormula, Tuple[int, int, frozenset]] = {}
         # activation literal -> (graph ref, cone), for check() assumption lists
         self._activation_info: Dict[int, Tuple[int, frozenset]] = {}
-        # fingerprint -> (graph ref, root literal, cone) for per-query goals
-        self._goal_cache: Dict[str, Tuple[int, int, frozenset]] = {}
+        # formula -> (graph ref, root literal, cone) for per-query goals
+        self._goal_cache: Dict[BFormula, Tuple[int, int, frozenset]] = {}
         # (name, width) -> SAT variable per bit, once every bit is emitted
         self._bit_vars: Dict[Tuple[str, int], Tuple[int, ...]] = {}
         self._clauses_fed = 0
@@ -109,14 +109,13 @@ class IncrementalSession:
 
     def activation(self, formula: BFormula) -> int:
         """Encode ``formula`` (once) behind an activation literal and return it."""
-        fingerprint = folbv_fingerprint(formula)
-        entry = self._activations.get(fingerprint)
+        entry = self._activations.get(formula)
         if entry is None:
             ref, root, cone = self._lower(formula)
             literal = self._builder.new_var()
             self._builder.add_clause([-literal, root])
             entry = (literal, ref, cone)
-            self._activations[fingerprint] = entry
+            self._activations[formula] = entry
             self._activation_info[literal] = (ref, cone)
         return entry[0]
 
@@ -156,11 +155,9 @@ class IncrementalSession:
             decision_vars |= cone
             refs.append(ref)
         if goal is not None:
-            fingerprint = folbv_fingerprint(goal)
-            entry = self._goal_cache.get(fingerprint)
+            entry = self._goal_cache.get(goal)
             if entry is None:
-                entry = self._lower(goal)
-                self._goal_cache[fingerprint] = entry
+                entry = self._goal_cache[goal] = self._lower(goal)
             goal_ref, goal_literal, goal_cone = entry
             assumed.append(goal_literal)
             decision_vars |= goal_cone

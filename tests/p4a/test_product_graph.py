@@ -5,7 +5,6 @@ from repro.p4a import ACCEPT, REJECT, Bits, accepts, disjoint_sum, rename_automa
 from repro.p4a.graph import (
     adjacency,
     has_cycle,
-    longest_acyclic_packet_bits,
     reachable_states,
     to_dot,
     unreachable_states,
@@ -73,11 +72,6 @@ class TestGraph:
     def test_adjacency_covers_all_states(self):
         aut = mpls.vectorized_parser()
         assert set(adjacency(aut)) == set(aut.states)
-
-    def test_longest_acyclic_packet_bits(self):
-        aut = ip_tcp_udp.reference_parser()
-        # ip (64) followed by tcp (64) is the longest acyclic path.
-        assert longest_acyclic_packet_bits(aut, "parse_ip") == 128
 
     def test_dot_output_mentions_every_state(self):
         aut = mpls.reference_parser()

@@ -1,6 +1,7 @@
 """Tests for the content-addressed verdict store."""
 
 import os
+import pickle
 import threading
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.core.equivalence import check_language_equivalence
 from repro.p4a.bitvec import Bits
 from repro.core.counterexample import Counterexample
+from repro.logic.confrel import TRUE, FNot
 from repro.protocols import tiny
 from repro.service.store import (
     VerdictStore,
@@ -77,6 +79,25 @@ class TestPutGet:
         store = VerdictStore(str(tmp_path / "s"))
         assert store.get("absent") is None
         assert store.statistics.misses == 1
+        store.close()
+
+    def test_unloadable_blob_is_a_miss(self, tmp_path):
+        # A blob pickled with an older node layout (a frozen dataclass is
+        # rebuilt by __new__ without arguments, then its state) or a corrupt
+        # one: the entry is dropped and re-solved, never an error.
+        class _OldLayout:
+            def __reduce__(self):
+                return FNot.__new__, (FNot,), {"operand": TRUE}
+
+        store = VerdictStore(str(tmp_path / "s"))
+        for payload in (pickle.dumps(_OldLayout()), b"not a pickle"):
+            store.put("k1", "pair", "config", verdict=True, certificate=_certificate())
+            [blob] = os.listdir(store.blob_dir)
+            with open(os.path.join(store.blob_dir, blob), "wb") as handle:
+                handle.write(payload)
+            assert store.get("k1") is None
+            assert "k1" not in set(store.keys())
+        assert store.statistics.misses == 2
         store.close()
 
     def test_identical_certificates_share_one_blob(self, tmp_path):

@@ -1,9 +1,17 @@
 """Tests for structural fingerprints and the fingerprint-keyed query cache."""
 
+import hashlib
+import multiprocessing
+import sqlite3
+
 from repro import counters
 from repro.logic import folbv
 from repro.logic.confrel import LEFT, RIGHT, CHdr, CVar, FAnd, FEq
-from repro.logic.fingerprint import confrel_fingerprint, folbv_fingerprint
+from repro.logic.fingerprint import (
+    FINGERPRINT_VERSION,
+    confrel_fingerprint,
+    folbv_fingerprint,
+)
 from repro.logic.folbv import BEq, BVConst, BVExtract, BVVar, b_and, b_not
 from repro.p4a.bitvec import Bits
 from repro.smt.backend import InternalBackend
@@ -49,10 +57,65 @@ class TestFingerprints:
 
     def test_fingerprints_stable_across_processes(self):
         # A hardcoded digest guards against accidental format drift, which
-        # would silently invalidate every persistent cache.
+        # would silently invalidate (or, without a version bump, misread)
+        # every persistent cache.
         digest = folbv_fingerprint(BEq(BVVar("x", 2), BVConst(Bits("01"))))
         assert digest == folbv_fingerprint(BEq(BVVar("x", 2), BVConst(Bits("01"))))
-        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert digest == "ee939cd9debbc9acd50659ba84a03f1e94b7cd646d6d115d29dde29c1387a4a4"
+
+
+def _plant_row(path, key, status, model):
+    """Write one row the way any format version of the cache writes it."""
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS results ("
+            " fingerprint TEXT PRIMARY KEY, status TEXT NOT NULL, model TEXT)"
+        )
+        conn.execute("INSERT OR REPLACE INTO results VALUES (?, ?, ?)", (key, status, model))
+    conn.close()
+
+
+class TestPersistedKeys:
+    """A row keyed in an older format is a clean miss, never misread."""
+
+    # Version 1 keyed a query on the sha256 of one S-expression of the whole
+    # formula; this is _unsat_formula()'s key in that format.
+    VERSION_1_KEY = hashlib.sha256(
+        b"bv1:(& (= (v x 4) (c 0000)) (= (v x 4) (c 1111)))"
+    ).hexdigest()
+
+    def test_version_one_rows_are_a_clean_miss(self, tmp_path):
+        assert FINGERPRINT_VERSION != "1"
+        assert folbv_fingerprint(_unsat_formula()) != self.VERSION_1_KEY
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        # A wrong answer under the old key, in the old file and in the
+        # current one: reading either would turn an unsat query sat.
+        for name in ("query_cache_v1.sqlite", f"query_cache_v{FINGERPRINT_VERSION}.sqlite"):
+            _plant_row(str(cache_dir / name), self.VERSION_1_KEY, "sat", '{"x": "0000"}')
+        backend = CachingBackend(InternalBackend(), str(cache_dir))
+        with counters.scope() as ledger:
+            result = backend.check_sat(_unsat_formula())
+        assert result.status is SatStatus.UNSAT
+        assert (ledger["cache.misses"], ledger["cache.hits"], ledger["solver.queries"]) == (
+            1, 0, 1
+        )
+        backend.close()
+
+    def test_current_rows_are_hit_under_the_same_key(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        key = folbv_fingerprint(_unsat_formula())
+        _plant_row(
+            str(cache_dir / f"query_cache_v{FINGERPRINT_VERSION}.sqlite"), key, "unsat", None
+        )
+        backend = CachingBackend(InternalBackend(), str(cache_dir))
+        with counters.scope() as ledger:
+            result = backend.lookup(_unsat_formula())
+        assert result is not None and result.status is SatStatus.UNSAT
+        assert ledger["cache.disk_hits"] == 1
+        backend.close()
 
 
 class TestCachingBackend:
@@ -221,3 +284,32 @@ class TestCachingBackend:
         assert handles[1].get("fp-0-0") is not None
         for handle in handles:
             handle.close()
+
+
+def _open_fresh_cache(directory, barrier):
+    barrier.wait(timeout=60)
+    PersistentQueryCache(directory).close()  # a failure sets the exit code
+
+
+def test_processes_setting_up_one_fresh_cache_never_fail(tmp_path):
+    # Processes opening a fresh file at once race to switch it to WAL and
+    # create the table; sqlite fails the loser of a lock upgrade at once
+    # ("database is locked") rather than waiting, so the setup must retry.
+    # Fresh processes each round: their first connection is what races.
+    context = multiprocessing.get_context("spawn")
+    exitcodes = []
+    for round_index in range(8):
+        barrier = context.Barrier(4)
+        workers = [
+            context.Process(
+                target=_open_fresh_cache, args=(str(tmp_path / f"c{round_index}"), barrier)
+            )
+            for _ in range(4)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert not any(worker.is_alive() for worker in workers)
+        exitcodes.extend(worker.exitcode for worker in workers)
+    assert exitcodes == [0] * 32
