@@ -61,7 +61,7 @@ def _variant_jobs(base, variants):
         EquivalenceJob(
             left, left_start, right, right_start,
             config=dataclasses.replace(base, **pinned),
-            find_counterexamples=False, job_id=variant,
+            job_id=variant,
         )
         for variant, pinned in variants.items()
     ]

@@ -27,7 +27,7 @@ def test_query_time_distribution(benchmark, record_case):
     def run():
         return check_language_equivalence(
             left, mpls.REFERENCE_START, right, mpls.VECTORIZED_START,
-            backend=backend, find_counterexamples=False,
+            backend=backend,
         )
 
     result = benchmark.pedantic(run, iterations=1, rounds=1)
@@ -59,7 +59,7 @@ def test_query_cache_speedup(benchmark, record_case, tmp_path):
     def check(backend):
         return check_language_equivalence(
             left, mpls.REFERENCE_START, right, mpls.VECTORIZED_START,
-            backend=backend, find_counterexamples=False,
+            backend=backend,
         )
 
     start = time.perf_counter()

@@ -28,7 +28,7 @@ def _jobs(pairs, config):
     return [
         EquivalenceJob(
             pair.left, pair.left_start, pair.right, pair.right_start,
-            config=config, find_counterexamples=True, job_id=pair.name,
+            config=config, job_id=pair.name,
         )
         for pair in pairs
     ]

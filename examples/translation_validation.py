@@ -32,9 +32,7 @@ def main() -> None:
     translated, translated_start = hardware_to_p4a(hardware)
     print(f"\nBack-translated P4 automaton: {len(translated.states)} states")
 
-    result = check_language_equivalence(
-        original, start, translated, translated_start, find_counterexamples=False
-    )
+    result = check_language_equivalence(original, start, translated, translated_start)
     print(f"\nTranslation validation verdict: {result}")
     stats = result.statistics
     print(f"  ({stats.relation_size} conjuncts, {stats.solver['queries']} solver queries, "

@@ -384,7 +384,6 @@ def _check_chunk(
                 EquivalenceJob(
                     pair.left, pair.left_start, pair.right, pair.right_start,
                     config=_stack_config(stack, config),
-                    find_counterexamples=True,
                     job_id=job_id,
                 )
             )
@@ -490,7 +489,6 @@ def _distill(
                 candidate.left, candidate.left_start,
                 candidate.right, candidate.right_start,
                 config=checker_config,
-                find_counterexamples=True,
                 job_id=f"{candidate.name}:{stack}",
             )
             [result] = probe_engine.run([job])

@@ -166,11 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-reachability", action="store_true", help="disable reachable-pair pruning"
     )
     check.add_argument(
-        "--no-counterexample", action="store_true",
-        help="report no witness for a refutation; the verdict is then unknown "
-             "unless the concrete oracle (--oracle-packets) finds one",
-    )
-    check.add_argument(
         "--no-cache", action="store_true",
         help="disable the persistent solver-query cache (overrides --cache-dir "
              "and LEAPFROG_CACHE_DIR)",
@@ -250,12 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "expected verdict (exit 0 on a match)",
     )
     scenarios_run.add_argument("name", help="scenario name (see `scenarios list`)")
-    scenarios_run.add_argument(
-        "--no-counterexample", action="store_true",
-        help="report no witness for a refutation; an expected-inequivalent "
-             "scenario can then only be confirmed by the concrete oracle "
-             "(--oracle-packets), and exits 2 otherwise",
-    )
     _add_oracle_arguments(scenarios_run)
     _add_server_argument(scenarios_run)
 
@@ -509,34 +498,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_pair(args: argparse.Namespace, left, left_start: str, right, right_start: str,
+                config: CheckerConfig):
+    """Check one pair on the daemon that ``--server``/``LEAPFROG_SERVER``
+    names, else in process.  The daemon solves (or replays from its verdict
+    store) and renders the display line from the real result, so the output
+    is byte-identical either way.  A
+    :class:`~repro.service.client.ServiceError` propagates to ``main``."""
+    server = _server_setting(args)
+    if server is None:
+        return check_language_equivalence(left, left_start, right, right_start, config=config)
+    from .service.client import ServiceClient
+
+    return ServiceClient(server).check(
+        left, left_start, right, right_start, options=config.to_options()
+    )
+
+
 def _command_check(args: argparse.Namespace) -> int:
     with open(args.left) as handle:
         left = parse_automaton(handle.read(), name=args.left)
     with open(args.right) as handle:
         right = parse_automaton(handle.read(), name=args.right)
     config = _checker_config(args)
-    server = _server_setting(args)
-    if server is not None:
-        # Thin-client mode: the daemon solves (or replays from its verdict
-        # store); the display line below is rendered server-side from the
-        # real result, so the output is byte-identical to the local path.
-        from .service.client import ServiceClient, check_options_from_config
-
-        result = ServiceClient(server).check(
-            left, args.left_start, right, args.right_start,
-            options=check_options_from_config(
-                config, not args.no_counterexample
-            ),
-        )
-    else:
-        result = check_language_equivalence(
-            left,
-            args.left_start,
-            right,
-            args.right_start,
-            config=config,
-            find_counterexamples=not args.no_counterexample,
-        )
+    result = _check_pair(args, left, args.left_start, right, args.right_start, config)
     print(result)
     if result.statistics.oracle:
         oracle = result.statistics.oracle
@@ -676,31 +661,11 @@ def _command_scenarios(args: argparse.Namespace) -> int:
 def _command_scenarios_run(args: argparse.Namespace, registry) -> int:
     info = registry.get(args.name)
     left, left_start, right, right_start = info.automata()
-    config = _checker_config(args)
-    server = _server_setting(args)
-    if server is not None:
-        from .service.client import ServiceClient, check_options_from_config
-
-        result = ServiceClient(server).check(
-            left, left_start, right, right_start,
-            options=check_options_from_config(
-                config, not args.no_counterexample
-            ),
-        )
-    else:
-        result = check_language_equivalence(
-            left, left_start, right, right_start, config=config,
-            find_counterexamples=not args.no_counterexample,
-        )
+    result = _check_pair(args, left, left_start, right, right_start, _checker_config(args))
     print(f"{info.name} [{info.family}/{info.size}] expected {info.verdict}")
     print(result)
     if result.verdict is None:
-        hint = (
-            " (witnesses disabled; re-run without "
-            "--no-counterexample or add --oracle-packets)"
-            if args.no_counterexample else ""
-        )
-        print(f"MISMATCH: checker returned no verdict{hint}")
+        print("MISMATCH: checker returned no verdict")
         return 2
     observed = "equivalent" if result.proved else "not_equivalent"
     if observed == info.verdict:
@@ -796,7 +761,7 @@ def _synth_run(args: argparse.Namespace, generator, seed: int, json) -> int:
         results = engine.run([
             EquivalenceJob(
                 pair.left, pair.left_start, pair.right, pair.right_start,
-                config=config, find_counterexamples=True, job_id=pair.name,
+                config=config, job_id=pair.name,
             )
             for pair in pairs
         ])

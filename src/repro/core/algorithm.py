@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+import typing
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .. import counters
 from ..counters import Counters
@@ -45,6 +46,10 @@ from .wp import LeapTable, leap_variable, wp_formula
 
 class CheckerError(Exception):
     """Raised when the checker cannot run (bad configuration, ill-typed input)."""
+
+
+#: How :meth:`CheckerConfig.from_options` names an expected option type.
+_OPTION_KINDS = {bool: "a boolean", int: "an integer", type(None): "null"}
 
 
 @dataclass
@@ -94,7 +99,22 @@ class CheckerConfig:
     of :data:`repro.envconfig.SOLVER_CHOICES`; ``None`` means the internal
     CDCL solver, honouring ``LEAPFROG_SOLVER`` only through the CLI layer).
     It only applies when the checker builds its own backend.
+
+    :attr:`RESULT_FIELDS` names the fields that can change what a check
+    reports; the others only change how fast (or where) it is found.  Those
+    fields alone travel to the service (:meth:`to_options`,
+    :meth:`from_options`), key its verdict store
+    (:func:`repro.service.fingerprints.config_fingerprint`) and are listed
+    in its documentation.
     """
+
+    RESULT_FIELDS: ClassVar[Tuple[str, ...]] = (
+        "use_leaps",
+        "use_reachability",
+        "minimize_counterexamples",
+        "oracle_packets",
+        "oracle_seed",
+    )
 
     use_leaps: bool = True
     use_reachability: bool = True
@@ -102,10 +122,43 @@ class CheckerConfig:
     track_memory: bool = False
     cache_dir: Optional[str] = None
     use_aig: bool = True
-    oracle_packets: int = 0
+    oracle_packets: int = field(default=0, metadata={"minimum": 0})
     oracle_seed: Optional[int] = None
     minimize_counterexamples: bool = True
     solver: Optional[str] = None
+
+    def to_options(self) -> Dict[str, object]:
+        """The result fields that differ from their defaults, as wire options.
+
+        Leaving defaults out makes equal configurations serialize alike.
+        """
+        default = CheckerConfig()
+        return {
+            name: getattr(self, name)
+            for name in self.RESULT_FIELDS
+            if getattr(self, name) != getattr(default, name)
+        }
+
+    @classmethod
+    def from_options(cls, options: Mapping[str, object]) -> "CheckerConfig":
+        """The config that wire ``options`` describe; every other field keeps
+        its default.  Raises :class:`CheckerError` on an unknown key or on a
+        value of the wrong type or out of range."""
+        unknown = sorted(set(options) - set(cls.RESULT_FIELDS))
+        if unknown:
+            raise CheckerError(f"unknown checker options: {unknown}")
+        hints = typing.get_type_hints(cls)
+        minimums = {spec.name: spec.metadata.get("minimum") for spec in fields(cls)}
+        for name, value in options.items():
+            allowed = typing.get_args(hints[name]) or (hints[name],)
+            # Exact types: bool is an int subclass, but ``true`` is no count.
+            if type(value) not in allowed:
+                kinds = " or ".join(_OPTION_KINDS.get(kind, kind.__name__) for kind in allowed)
+                raise CheckerError(f"option {name!r} must be {kinds}, got {value!r}")
+            minimum = minimums[name]
+            if minimum is not None and value is not None and value < minimum:
+                raise CheckerError(f"option {name!r} must be >= {minimum}, got {value!r}")
+        return cls(**options)
 
 
 #: ``CheckerStatistics.as_dict()["entailment"]``: key → ledger name.  The

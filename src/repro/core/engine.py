@@ -105,7 +105,6 @@ class EquivalenceJob:
     right: P4Automaton
     right_start: str
     config: Optional[CheckerConfig] = None
-    find_counterexamples: bool = False
     job_id: Optional[str] = None
     timeout: Optional[float] = None
 
@@ -201,8 +200,7 @@ def _execute_job(job: Union[Job, _Call]) -> object:
         from .equivalence import check_language_equivalence
 
         return check_language_equivalence(
-            job.left, job.left_start, job.right, job.right_start,
-            config=job.config, find_counterexamples=job.find_counterexamples,
+            job.left, job.left_start, job.right, job.right_start, config=job.config
         )
     raise EngineError(f"unknown job type {type(job).__name__}")
 
@@ -518,24 +516,16 @@ class EquivalenceEngine:
 
     @staticmethod
     def _execute_remote(client, job: Job) -> object:
-        from ..service.client import check_options_from_config
-
-        config = job.config
+        options = job.config.to_options() if job.config is not None else {}
         if isinstance(job, CaseJob):
             from ..reporting.metrics import CaseMetrics
             from ..reporting.runner import CaseOutcome
 
-            options = {}
-            if config is not None and config.oracle_packets:
-                options["oracle_packets"] = config.oracle_packets
-            if config is not None and config.oracle_seed is not None:
-                options["oracle_seed"] = config.oracle_seed
             answer = client.case(job.case, full=job.full, options=options)
             return CaseOutcome(CaseMetrics.from_dict(answer.metrics), answer.verdict)
         if isinstance(job, EquivalenceJob):
             return client.check(
-                job.left, job.left_start, job.right, job.right_start,
-                options=check_options_from_config(config, job.find_counterexamples),
+                job.left, job.left_start, job.right, job.right_start, options=options
             )
         raise EngineError(f"unknown job type {type(job).__name__}")
 

@@ -77,7 +77,6 @@ def _run(
     store_relation: Optional[Formula],
     extra_initial: Optional[Iterable[GuardedFormula]],
     require_equal_acceptance: bool,
-    find_counterexamples: bool,
 ) -> EquivalenceResult:
     # With no explicit backend, the checker builds its own stack from the
     # config (internal solver, optionally wrapped in the query cache).
@@ -96,16 +95,17 @@ def _run(
     result = checker.run()
     statistics = result.statistics
     effective = checker.config
-    # The oracle only understands language equivalence (acceptance compared
-    # under unconstrained, independent stores); relational properties and
-    # constrained initial conditions are out of its scope.
-    oracle_applies = (
-        effective.oracle_packets > 0
-        and require_equal_acceptance
+    # Witnesses and the oracle only understand language equivalence
+    # (acceptance compared under unconstrained, independent stores);
+    # relational properties and constrained initial conditions are out of
+    # their scope.
+    language = (
+        require_equal_acceptance
         and store_relation is None
         and initial_pure is TRUE
         and extra_initial is None
     )
+    oracle_applies = language and effective.oracle_packets > 0
     oracle_seed = effective.oracle_seed if effective.oracle_seed is not None else 0
 
     if result.proved:
@@ -120,11 +120,7 @@ def _run(
     # encodes, else (say the entailment check gave up without a model) a
     # fuzzed one, then confirmation and minimization.
     counterexample = None
-    if (
-        find_counterexamples
-        and require_equal_acceptance
-        and result.failure_model is not None
-    ):
+    if language and result.failure_model is not None:
         counterexample = chain_counterexample(
             left_aut, left_start, right_aut, right_start,
             result.failed_conjunct.pure, result.failure_model, result.failure_path,
@@ -231,7 +227,6 @@ def check_language_equivalence(
     right_start: str,
     config: Optional[CheckerConfig] = None,
     backend: Optional[SolverBackend] = None,
-    find_counterexamples: bool = True,
 ) -> EquivalenceResult:
     """Do the two parsers accept exactly the same packets?
 
@@ -253,7 +248,6 @@ def check_language_equivalence(
             None,
             None,
             True,
-            find_counterexamples,
         )
 
 
@@ -262,17 +256,13 @@ def check_initial_store_independence(
     start: str,
     config: Optional[CheckerConfig] = None,
     backend: Optional[SolverBackend] = None,
-    find_counterexamples: bool = True,
 ) -> EquivalenceResult:
     """Is the set of accepted packets independent of the initial store?
 
     Implemented as a self-comparison with unconstrained (and independent)
     initial stores on the two sides — the Header Initialization case study.
     """
-    return check_language_equivalence(
-        aut, start, aut, start, config=config, backend=backend,
-        find_counterexamples=find_counterexamples,
-    )
+    return check_language_equivalence(aut, start, aut, start, config=config, backend=backend)
 
 
 def check_store_relation(
@@ -306,5 +296,4 @@ def check_store_relation(
             accept_relation,
             None,
             require_equal_acceptance,
-            False,
         )

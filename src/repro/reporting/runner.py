@@ -61,9 +61,7 @@ def _language_equivalence_case(
     def run(full: bool, config: Optional[CheckerConfig]) -> CaseOutcome:
         left, left_start, right, right_start = build(full)
         metrics = structural_metrics(name, left, right)
-        result = check_language_equivalence(
-            left, left_start, right, right_start, config=config, find_counterexamples=False
-        )
+        result = check_language_equivalence(left, left_start, right, right_start, config=config)
         attach_run_statistics(metrics, result.statistics, result.verdict)
         return CaseOutcome(metrics, result.verdict)
 
@@ -115,9 +113,7 @@ def _header_initialization_case() -> CaseStudy:
     def run(full: bool, config: Optional[CheckerConfig]) -> CaseOutcome:
         parser = ethernet_vlan.vlan_parser()  # cheap even at paper size
         metrics = structural_metrics("Header initialization", parser, parser)
-        result = check_initial_store_independence(
-            parser, ethernet_vlan.START, config=config, find_counterexamples=False
-        )
+        result = check_initial_store_independence(parser, ethernet_vlan.START, config=config)
         attach_run_statistics(metrics, result.statistics, result.verdict)
         return CaseOutcome(metrics, result.verdict)
 
@@ -200,8 +196,7 @@ def _translation_validation_case() -> CaseStudy:
         translated, translated_start = hardware_to_p4a(hardware)
         metrics = structural_metrics("Translation Validation", original, translated)
         result = check_language_equivalence(
-            original, start, translated, translated_start, config=config,
-            find_counterexamples=False,
+            original, start, translated, translated_start, config=config
         )
         attach_run_statistics(metrics, result.statistics, result.verdict)
         metrics.extra["hardware_entries"] = len(hardware.entries)

@@ -170,32 +170,6 @@ class CaseResult:
         )
 
 
-def check_options_from_config(config=None, find_counterexamples: bool = True
-                              ) -> Dict[str, object]:
-    """A :class:`CheckerConfig`'s semantics-relevant fields as wire options.
-
-    Defaults are omitted so equivalent configurations serialize identically
-    (and hit the same verdict-store entry).  Perf-only settings — query
-    cache, incremental sessions, jobs — deliberately do not travel: they are
-    the daemon's business and excluded from the config fingerprint.
-    """
-    options: Dict[str, object] = {}
-    if config is not None:
-        if not config.use_leaps:
-            options["use_leaps"] = False
-        if not config.use_reachability:
-            options["use_reachability"] = False
-        if not config.minimize_counterexamples:
-            options["minimize_counterexamples"] = False
-        if config.oracle_packets:
-            options["oracle_packets"] = config.oracle_packets
-        if config.oracle_seed is not None:
-            options["oracle_seed"] = config.oracle_seed
-    if not find_counterexamples:
-        options["find_counterexamples"] = False
-    return options
-
-
 def _automaton_payload(automaton: P4Automaton, start: str) -> Dict[str, str]:
     # Canonical surface rendering: differently formatted sources of the same
     # automaton hash to the same pair fingerprint server-side.

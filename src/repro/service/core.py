@@ -46,10 +46,10 @@ import itertools
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..core.algorithm import CheckerConfig, CheckerStatistics
+from ..core.algorithm import CheckerConfig, CheckerError, CheckerStatistics
 from ..core.certificate import verify_certificate
 from ..core.equivalence import EquivalenceResult, check_language_equivalence
 from ..p4a.surface import parse_automaton
@@ -122,7 +122,6 @@ class _CheckRequest:
     right: P4Automaton
     right_start: str
     config: CheckerConfig
-    find_counterexamples: bool
     no_store: bool
     priority: int
     pair_fp: str
@@ -292,37 +291,36 @@ class ServiceCore:
             )
         return automaton, start
 
-    def _parse_check(self, params: Dict[str, object]) -> _CheckRequest:
-        left, left_start = self._parse_side(params, "left")
-        right, right_start = self._parse_side(params, "right")
+    @staticmethod
+    def _parse_options(params: Dict[str, object], service_options: Dict[str, type]
+                       ) -> Tuple[CheckerConfig, Dict[str, object]]:
+        """A work request's checker config and its ``service_options``
+        (name -> type; absent ones are left out)."""
         options = params.get("options") or {}
         if not isinstance(options, dict):
             raise ServiceRequestError("bad_request", "options must be an object")
-        known = {
-            "use_leaps", "use_reachability", "find_counterexamples",
-            "minimize_counterexamples", "oracle_packets", "oracle_seed",
-            "priority", "no_store",
-        }
-        unknown = set(options) - known
-        if unknown:
-            raise ServiceRequestError(
-                "bad_request", f"unknown check options: {sorted(unknown)}"
+        service = {name: options[name] for name in service_options if name in options}
+        for name, value in service.items():
+            if type(value) is not service_options[name]:
+                raise ServiceRequestError(
+                    "bad_request",
+                    f"option {name!r} must be a {service_options[name].__name__}, got {value!r}",
+                )
+        try:
+            config = CheckerConfig.from_options(
+                {name: value for name, value in options.items() if name not in service}
             )
-        oracle_seed = options.get("oracle_seed")
-        config = CheckerConfig(
-            use_leaps=bool(options.get("use_leaps", True)),
-            use_reachability=bool(options.get("use_reachability", True)),
-            oracle_packets=int(options.get("oracle_packets") or 0),
-            oracle_seed=int(oracle_seed) if oracle_seed is not None else None,
-            minimize_counterexamples=bool(
-                options.get("minimize_counterexamples", True)
-            ),
-            cache_dir=None,
-        )
-        find_counterexamples = bool(options.get("find_counterexamples", True))
+        except CheckerError as exc:
+            raise ServiceRequestError("bad_request", str(exc)) from None
+        return config, service
+
+    def _parse_check(self, params: Dict[str, object]) -> _CheckRequest:
+        left, left_start = self._parse_side(params, "left")
+        right, right_start = self._parse_side(params, "right")
+        config, service = self._parse_options(params, {"priority": int, "no_store": bool})
         pair_fp = pair_fingerprint(left, left_start, right, right_start)
-        config_fp = config_fingerprint(config, find_counterexamples)
-        priority = options.get("priority")
+        config_fp = config_fingerprint(config)
+        priority = service.get("priority")
         if priority is None:
             total_bits = left.total_header_bits() + right.total_header_bits()
             priority = (
@@ -331,9 +329,7 @@ class ServiceCore:
             )
         return _CheckRequest(
             left=left, left_start=left_start, right=right, right_start=right_start,
-            config=config, find_counterexamples=find_counterexamples,
-            no_store=bool(options.get("no_store", False)),
-            priority=int(priority),
+            config=config, no_store=service.get("no_store", False), priority=priority,
             pair_fp=pair_fp, config_fp=config_fp,
             key=store_key(pair_fp, config_fp),
         )
@@ -429,7 +425,6 @@ class ServiceCore:
         result = check_language_equivalence(
             request.left, request.left_start, request.right, request.right_start,
             config=request.config, backend=state.backend,
-            find_counterexamples=request.find_counterexamples,
         )
         elapsed = time.perf_counter() - started
         state.solves += 1
@@ -531,25 +526,16 @@ class ServiceCore:
                 f"unknown case study {name!r}; known: "
                 f"{', '.join(sorted(case_studies()))}",
             )
-        full = bool(params.get("full", False))
-        options = params.get("options") or {}
-        if not isinstance(options, dict):
-            raise ServiceRequestError("bad_request", "options must be an object")
-        oracle_packets = int(options.get("oracle_packets") or 0)
-        oracle_seed = options.get("oracle_seed")
+        full = params.get("full", False)
+        if not isinstance(full, bool):
+            raise ServiceRequestError("bad_request", f"full must be a bool, got {full!r}")
+        config, service = self._parse_options(params, {"priority": int})
+        key = f"case/{name}/{'full' if full else 'mini'}/{config_fingerprint(config)}"
         # A case answers a Table 2 row, whose Memory column needs tracing.
-        config = CheckerConfig(
-            cache_dir=self.config.cache_dir,
-            oracle_packets=oracle_packets,
-            oracle_seed=oracle_seed,
-            track_memory=True,
-        )
-        priority = options.get("priority")
-        if priority is None:
-            priority = PRIORITY_FULL if full else PRIORITY_MINI
-        key = f"case/{name}/{'full' if full else 'mini'}/{oracle_packets}/{oracle_seed}"
+        config = replace(config, cache_dir=self.config.cache_dir, track_memory=True)
+        priority = service.get("priority", PRIORITY_FULL if full else PRIORITY_MINI)
         return _Task(
-            kind="case", key=key, priority=int(priority), seq=next(self._seq),
+            kind="case", key=key, priority=priority, seq=next(self._seq),
             case_name=name, case_full=full, case_config=config,
         )
 

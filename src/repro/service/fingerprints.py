@@ -13,12 +13,12 @@ a given automaton value.  Automaton *names* are included: they appear in
 certificate summaries, and byte-identical output on a store hit requires
 the stored certificate to carry the same names as a fresh solve would.
 
-Checker options that only change *how fast* an answer is found (query
-cache, AIG simplification, worker count) are deliberately excluded from
-the config digest — the parity tests assert equal verdicts across them —
-while options that change *what* is reported (leaps, reachability,
-counterexamples and their minimization, oracle budget and seed) are
-included.
+The config digest covers exactly the options that change *what* is
+reported, :attr:`CheckerConfig.RESULT_FIELDS
+<repro.core.algorithm.CheckerConfig.RESULT_FIELDS>`, by value with defaults
+included.  Options that only change *how fast* an answer is found (query
+cache, AIG simplification, worker count) are left out — the parity tests
+assert equal verdicts across them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from ..p4a.syntax import P4Automaton
 
 #: Bumped whenever the serialization of pairs or configs changes, so a
 #: persistent verdict store keyed by old digests is never misread.
-PAIR_FINGERPRINT_VERSION = "1"
+PAIR_FINGERPRINT_VERSION = "2"
 
 
 def _digest(kind: str, payload: str) -> str:
@@ -56,26 +56,12 @@ def pair_fingerprint(
     )
 
 
-def config_fingerprint(
-    config: Optional[CheckerConfig] = None,
-    find_counterexamples: bool = True,
-) -> str:
+def config_fingerprint(config: Optional[CheckerConfig] = None) -> str:
     """A digest of the checker options that can change the reported result."""
     effective = config if config is not None else CheckerConfig()
-    # Retired options stay as literals: persisted verdict stores are keyed by this digest.
-    fields = (
-        ("use_leaps", effective.use_leaps),
-        ("use_reachability", effective.use_reachability),
-        ("entailment_mode", "exact"),
-        ("max_iterations", effective.max_iterations),
-        ("frontier_order", "fifo"),
-        ("oracle_packets", effective.oracle_packets),
-        ("oracle_seed", effective.oracle_seed),
-        ("minimize_counterexamples", effective.minimize_counterexamples),
-        ("find_counterexamples", find_counterexamples),
-        ("counterexample_max_leaps", 24),
+    payload = ";".join(
+        f"{name}={getattr(effective, name)!r}" for name in CheckerConfig.RESULT_FIELDS
     )
-    payload = ";".join(f"{name}={value!r}" for name, value in fields)
     return _digest("config", payload)
 
 

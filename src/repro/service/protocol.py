@@ -30,8 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-#: Protocol version, echoed by ``ping`` and checked by the client.
-PROTOCOL_VERSION = "1"
+from ..core.algorithm import CheckerConfig
+
+#: Protocol version, echoed by ``ping``. Version 2: the checker options are
+#: ``CheckerConfig.RESULT_FIELDS`` on ``check`` and ``case`` alike, and their
+#: values are type- and range-checked instead of coerced.
+PROTOCOL_VERSION = "2"
 
 #: Error codes an endpoint may return, mapped to their HTTP-style status.
 ERROR_STATUS: Dict[str, int] = {
@@ -61,6 +65,11 @@ def _endpoint(endpoint: Endpoint) -> Endpoint:
     return endpoint
 
 
+#: The checker options both work endpoints accept: the result-relevant
+#: :class:`~repro.core.algorithm.CheckerConfig` fields.
+_CHECKER_OPTIONS = ", ".join(f"`{name}`" for name in CheckerConfig.RESULT_FIELDS)
+
+
 PING = _endpoint(Endpoint(
     name="ping",
     summary="Liveness and version probe; also used to detect stale sockets.",
@@ -80,11 +89,11 @@ CHECK = _endpoint(Endpoint(
         ("left", "`{name, source, start}` — left automaton in surface syntax"),
         ("right", "`{name, source, start}` — right automaton in surface syntax"),
         ("options",
-         "optional checker options: `use_leaps`, `use_reachability`, "
-         "`find_counterexamples`, `minimize_counterexamples`, "
-         "`oracle_packets`, `oracle_seed`, `priority` (lower runs first; "
-         "default derived from pair size, mini before full), `no_store` "
-         "(bypass the verdict store for this request)"),
+         f"optional object: checker options {_CHECKER_OPTIONS}; service "
+         "options `priority` (lower runs first; default derived from pair "
+         "size, mini before full) and `no_store` (bypass the verdict store "
+         "for this request).  An unknown key, or a value of the wrong type or "
+         "out of range, is a `bad_request`"),
     ),
     result=(
         "`{verdict, display, source, pair_fingerprint, store_key, "
@@ -103,7 +112,10 @@ CASE = _endpoint(Endpoint(
     params=(
         ("name", "registered case-study name (see `leapfrog-repro list`)"),
         ("full", "optional bool: paper-sized variant (default false)"),
-        ("options", "optional: `oracle_packets`, `oracle_seed`, `priority`"),
+        ("options",
+         f"optional object: checker options {_CHECKER_OPTIONS}; service "
+         "option `priority` (lower runs first; default: mini before full); "
+         "validated as for `check`"),
     ),
     result="`{metrics, verdict, source, elapsed_seconds}`",
 ))

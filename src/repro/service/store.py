@@ -49,12 +49,8 @@ from typing import Dict, List, Optional, Tuple
 from ..core.certificate import Certificate
 from ..core.counterexample import Counterexample
 from ..p4a.bitvec import Bits
+from ..smt.cache import open_database
 from .fingerprints import PAIR_FINGERPRINT_VERSION
-
-#: Busy timeout applied to every store connection, in milliseconds.  Keeps a
-#: writer under a concurrent worker pool waiting instead of failing with
-#: ``database is locked``.
-BUSY_TIMEOUT_MS = 30_000
 
 #: Documented meaning of every :class:`StoreStatistics` counter.  The docs
 #: generator renders this mapping into ``docs/service.md``; keep entries in
@@ -156,27 +152,21 @@ class VerdictStore:
 
     def _connection(self) -> sqlite3.Connection:
         if self._conn is None:
-            self._conn = sqlite3.connect(
-                self.path, timeout=BUSY_TIMEOUT_MS / 1000.0, check_same_thread=False
+            self._conn = open_database(
+                self.path,
+                "CREATE TABLE IF NOT EXISTS verdicts ("
+                " key TEXT PRIMARY KEY,"
+                " pair_fp TEXT NOT NULL,"
+                " config_fp TEXT NOT NULL,"
+                " verdict TEXT NOT NULL,"
+                " certificate_blob TEXT,"
+                " witness TEXT,"
+                " oracle TEXT,"
+                " solve_seconds REAL NOT NULL DEFAULT 0,"
+                " created REAL NOT NULL,"
+                " last_used REAL NOT NULL,"
+                " uses INTEGER NOT NULL DEFAULT 0)",
             )
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
-            with self._conn:
-                self._conn.execute(
-                    "CREATE TABLE IF NOT EXISTS verdicts ("
-                    " key TEXT PRIMARY KEY,"
-                    " pair_fp TEXT NOT NULL,"
-                    " config_fp TEXT NOT NULL,"
-                    " verdict TEXT NOT NULL,"
-                    " certificate_blob TEXT,"
-                    " witness TEXT,"
-                    " oracle TEXT,"
-                    " solve_seconds REAL NOT NULL DEFAULT 0,"
-                    " created REAL NOT NULL,"
-                    " last_used REAL NOT NULL,"
-                    " uses INTEGER NOT NULL DEFAULT 0)"
-                )
         return self._conn
 
     # ------------------------------------------------------------------

@@ -49,12 +49,44 @@ def _decode_model(payload: Optional[str]) -> Optional[Dict[str, Bits]]:
     return {name: Bits(bitstring) for name, bitstring in json.loads(payload).items()}
 
 
-#: Busy timeout applied to every cache connection, in milliseconds.  A
-#: writer that hits a locked database waits this long for the lock instead
-#: of failing with ``sqlite3.OperationalError: database is locked``, which
-#: matters under the service daemon's worker pool where several threads and
-#: processes share one cache directory.
+#: Busy timeout of every sqlite connection the query cache and the verdict
+#: store (:mod:`repro.service.store`) open, in milliseconds.  A writer that
+#: hits a locked database waits this long for the lock instead of failing
+#: with ``sqlite3.OperationalError: database is locked``, which matters under
+#: the service daemon's worker pool where several threads and processes
+#: share one directory.
 BUSY_TIMEOUT_MS = 30_000
+
+
+def open_database(path: str, schema: str) -> sqlite3.Connection:
+    """A connection to the sqlite file ``path`` in WAL mode, with the
+    ``schema`` statement (a ``CREATE TABLE IF NOT EXISTS``) applied."""
+    conn = sqlite3.connect(path, timeout=BUSY_TIMEOUT_MS / 1000.0, check_same_thread=False)
+    # Processes setting up a fresh file at once can deadlock on the lock
+    # upgrade that the WAL switch or the table creation needs; sqlite then
+    # fails one of them at once ("database is locked") instead of waiting
+    # in the busy handler, so retry the setup.
+    deadline = time.monotonic() + BUSY_TIMEOUT_MS / 1000.0
+    while True:
+        try:
+            # WAL + NORMAL avoids a journal fsync per write, which on
+            # fsync-bound filesystems would rival the solver time for the
+            # small fast queries the cache exists to absorb.
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            # The connect() timeout covers the same ground, but the PRAGMA
+            # is explicit, inspectable (PRAGMA busy_timeout) and immune to
+            # the float-seconds/milliseconds confusion that silently
+            # produced a zero timeout on some sqlite builds.
+            conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+            with conn:
+                conn.execute(schema)
+            return conn
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                conn.close()
+                raise
+            time.sleep(0.01)
 
 
 class PersistentQueryCache:
@@ -86,45 +118,14 @@ class PersistentQueryCache:
         # for a later run while still releasing its file handle in between.
         # Callers must hold self._lock.
         if self._conn is None:
-            conn = sqlite3.connect(
-                self.path, timeout=BUSY_TIMEOUT_MS / 1000.0, check_same_thread=False
-            )
-            # Processes setting up a fresh file at once can deadlock on the
-            # lock upgrade that the WAL switch or the table creation needs;
-            # sqlite then fails one of them at once ("database is locked")
-            # instead of waiting in the busy handler, so retry the setup.
-            deadline = time.monotonic() + BUSY_TIMEOUT_MS / 1000.0
-            while True:
-                try:
-                    self._set_up(conn)
-                    break
-                except sqlite3.OperationalError as exc:
-                    if "locked" not in str(exc) or time.monotonic() >= deadline:
-                        conn.close()
-                        raise
-                    time.sleep(0.01)
-            self._conn = conn
-        return self._conn
-
-    @staticmethod
-    def _set_up(conn: sqlite3.Connection) -> None:
-        # WAL + NORMAL avoids a journal fsync per stored query, which on
-        # fsync-bound filesystems would rival the solver time for the
-        # small fast queries the cache exists to absorb.
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        # The connect() timeout covers the same ground, but the PRAGMA is
-        # explicit, inspectable (PRAGMA busy_timeout) and immune to the
-        # float-seconds/milliseconds confusion that silently produced a
-        # zero timeout on some sqlite builds.
-        conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
-        with conn:
-            conn.execute(
+            self._conn = open_database(
+                self.path,
                 "CREATE TABLE IF NOT EXISTS results ("
                 " fingerprint TEXT PRIMARY KEY,"
                 " status TEXT NOT NULL,"
-                " model TEXT)"
+                " model TEXT)",
             )
+        return self._conn
 
     def get(self, fingerprint: str) -> Optional[SatResult]:
         with self._lock:

@@ -234,7 +234,6 @@ class TestPlantedLieEndToEnd:
         [lying] = LyingEngine(jobs=1).run([
             EquivalenceJob(
                 left, left_start, right, right_start,
-                find_counterexamples=True,
                 job_id=f"pair{PLANTED_SEED}:replay",
             )
         ])
@@ -242,9 +241,7 @@ class TestPlantedLieEndToEnd:
         assert module.EXPECTED == NOT_EQUIVALENT  # test would fail
 
         # After the fix (the honest engine): verdict matches EXPECTED.
-        honest = check_language_equivalence(
-            left, left_start, right, right_start, find_counterexamples=True
-        )
+        honest = check_language_equivalence(left, left_start, right, right_start)
         assert honest.verdict is False
 
 

@@ -187,7 +187,7 @@ class TestEquivalenceVerdicts:
         config = CheckerConfig(use_leaps=False, track_memory=False)
         result = check_language_equivalence(
             tiny.incremental_bits_checked(), "Start", tiny.big_bits_checked(), "Parse",
-            config=config, find_counterexamples=False,
+            config=config,
         )
         assert result.proved
 
@@ -195,19 +195,17 @@ class TestEquivalenceVerdicts:
         config = CheckerConfig(use_reachability=False, track_memory=False)
         result = check_language_equivalence(
             tiny.incremental_bits_checked(), "Start", tiny.big_bits_checked(), "Parse",
-            config=config, find_counterexamples=False,
+            config=config,
         )
         assert result.proved
 
     def test_ablation_costs_more(self):
         baseline = check_language_equivalence(
-            mpls.scaled_reference(2), "q1", mpls.scaled_vectorized(2), "q3",
-            find_counterexamples=False,
+            mpls.scaled_reference(2), "q1", mpls.scaled_vectorized(2), "q3"
         )
         unpruned = check_language_equivalence(
             mpls.scaled_reference(2), "q1", mpls.scaled_vectorized(2), "q3",
             config=CheckerConfig(use_reachability=False, track_memory=False),
-            find_counterexamples=False,
         )
         assert unpruned.proved and baseline.proved
         assert unpruned.statistics.reachable_pairs > baseline.statistics.reachable_pairs

@@ -31,7 +31,7 @@ def _tiny_jobs():
         ),
         EquivalenceJob(
             tiny.incremental_bits(), "Start", tiny.big_bits_wrong_length(), "Parse",
-            job_id="wrong", find_counterexamples=True,
+            job_id="wrong",
         ),
         EquivalenceJob(
             fixed_length_automaton(3), "s0", fixed_length_automaton(3), "s0",

@@ -29,7 +29,7 @@ def _run(name, config, backend=None):
     left, left_start, right, right_start = get(name).automata()
     return check_language_equivalence(
         left, left_start, right, right_start,
-        config=config, backend=backend, find_counterexamples=True,
+        config=config, backend=backend,
     )
 
 

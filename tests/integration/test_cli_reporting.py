@@ -163,11 +163,6 @@ class TestScenariosCli:
         assert main(["scenarios", "show", "mini_qinc"]) == 2
         assert "mini_qinq" in capsys.readouterr().err
 
-    def test_run_without_counterexample_explains_missing_verdict(self, capsys):
-        code = main(["scenarios", "run", "mini_qinq_broken", "--no-counterexample"])
-        assert code == 2
-        assert "--no-counterexample" in capsys.readouterr().out
-
     def test_dump_scenario_rejects_pair_scenarios(self, capsys):
         assert main(["dump-scenario", "mini_qinq"]) == 2
         err = capsys.readouterr().err

@@ -17,8 +17,22 @@ from repro.oracle.suite import (
     write_reports,
 )
 from repro.protocols import tiny
+from repro.smt.bvsolver import SatResult, SatStatus
+
+from ..helpers import OneShotBackend
 
 QUICK = CheckerConfig(track_memory=False, oracle_packets=80, oracle_seed=0)
+
+
+class NoModelsBackend(OneShotBackend):
+    """Answers every satisfiable query ``unknown``, so no entailment check
+    hands out a counter-model."""
+
+    def check_sat(self, formula, stop=None):
+        result = super().check_sat(formula, stop=stop)
+        if result.status is SatStatus.SAT:
+            return SatResult(SatStatus.UNKNOWN)
+        return result
 
 
 class TestCrossCheck:
@@ -90,12 +104,20 @@ class TestVerdictIntegration:
         assert result.statistics.oracle["minimized_to"] <= result.statistics.oracle["minimized_from"]
 
     def test_stuck_verdict_promoted_by_fuzzing(self):
+        # Without a counter-model the failed proof yields no witness: the
+        # verdict stays unknown unless the oracle finds a divergence.
+        stuck = check_initial_store_independence(
+            tiny.store_dependent(), "Start",
+            config=CheckerConfig(track_memory=False), backend=NoModelsBackend(),
+        )
+        assert stuck.verdict is None
         result = check_initial_store_independence(
-            tiny.store_dependent(), "Start", config=QUICK, find_counterexamples=False
+            tiny.store_dependent(), "Start", config=QUICK, backend=NoModelsBackend()
         )
         assert result.refuted
         cex = result.counterexample
         assert cex is not None and cex.left_accepts != cex.right_accepts
+        assert result.statistics.oracle["divergences"] > 0
 
     def test_contradicted_proof_raises(self):
         """A backend that rubber-stamps every entailment produces a bogus

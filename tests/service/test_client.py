@@ -142,7 +142,7 @@ class TestEngineRemoteMode:
                 EquivalenceJob(
                     tiny.incremental_bits(), "Start",
                     tiny.big_bits_wrong_length(), "Parse",
-                    find_counterexamples=True, job_id="broken",
+                    job_id="broken",
                 ),
             ]
             results = engine.run(jobs)

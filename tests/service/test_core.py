@@ -8,6 +8,7 @@ dispatch path the daemon uses.
 """
 
 import dataclasses
+import json
 import threading
 
 import pytest
@@ -16,11 +17,7 @@ from repro.core.algorithm import CheckerConfig
 from repro.core.equivalence import check_language_equivalence
 from repro.p4a.semantics import accepts
 from repro.protocols import mpls, tiny
-from repro.service.client import (
-    InProcessClient,
-    ServiceError,
-    check_options_from_config,
-)
+from repro.service.client import InProcessClient, ServiceError
 from repro.service.core import (
     PRIORITY_FULL,
     PRIORITY_MINI,
@@ -28,6 +25,8 @@ from repro.service.core import (
     ServiceCore,
     ServiceRequestError,
 )
+from repro.service.fingerprints import config_fingerprint
+from repro.service.protocol import ENDPOINTS
 from repro.smt.backend import SolverBackend
 from repro.smt.bvsolver import SatResult, SatStatus
 
@@ -317,7 +316,7 @@ class TestInProcessClient:
     def test_ping_and_stats_shapes(self):
         with InProcessClient() as client:
             ping = client.ping()
-            assert ping["protocol"] == "1" and not ping["draining"]
+            assert ping["protocol"] == "2" and not ping["draining"]
             stats = client.stats()
             assert set(stats) == {"server", "queue", "workers", "store"}
             assert stats["store"] is None  # no store configured
@@ -330,19 +329,58 @@ class TestInProcessClient:
             assert answer.metrics["states"] > 0
 
 
-class TestCheckOptionsFromConfig:
+def _non_default(name):
+    """A value of result field ``name`` other than its default."""
+    default = getattr(CheckerConfig(), name)
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    assert default is None, f"no non-default value known for {name!r}"
+    return 7
+
+
+class TestWireOptions:
     def test_defaults_serialize_to_empty_options(self):
-        assert check_options_from_config(CheckerConfig()) == {}
-        assert check_options_from_config(None) == {}
+        assert CheckerConfig().to_options() == {}
+        # Fields outside RESULT_FIELDS never travel.
+        assert CheckerConfig(cache_dir="/tmp/x", track_memory=True).to_options() == {}
 
     def test_only_deviations_travel(self):
-        options = check_options_from_config(
-            CheckerConfig(use_leaps=False, oracle_packets=5, oracle_seed=9),
-            find_counterexamples=False,
-        )
-        assert options == {
-            "use_leaps": False,
-            "oracle_packets": 5,
-            "oracle_seed": 9,
-            "find_counterexamples": False,
-        }
+        options = CheckerConfig(use_leaps=False, oracle_packets=5, oracle_seed=9).to_options()
+        assert options == {"use_leaps": False, "oracle_packets": 5, "oracle_seed": 9}
+
+    @pytest.mark.parametrize("name", CheckerConfig.RESULT_FIELDS)
+    def test_every_result_field_travels_parses_and_keys_the_store(self, name):
+        config = dataclasses.replace(CheckerConfig(), **{name: _non_default(name)})
+        options = config.to_options()
+        assert options == {name: getattr(config, name)}
+        params = json.loads(json.dumps(_check_params(options=options)))
+        core = ServiceCore(ServiceConfig(workers=0))
+        request = core._parse_check(params)
+        assert request.config == config
+        assert request.config_fp == config_fingerprint(config)
+        assert request.config_fp != config_fingerprint(CheckerConfig())
+        case = core._parse_case({"name": "Speculative loop", "options": options})
+        assert case.case_config.to_options() == options
+        for endpoint in ("check", "case"):
+            assert f"`{name}`" in dict(ENDPOINTS[endpoint].params)["options"]
+
+    @pytest.mark.parametrize("options", [
+        {"use_leaps": "false"},
+        {"oracle_packets": -3},
+        {"oracle_packets": "abc"},
+        {"oracle_seed": True},
+        {"find_counterexamples": False},
+        {"priority": "abc"},
+    ])
+    def test_malformed_options_are_bad_requests(self, options):
+        core = ServiceCore(ServiceConfig(workers=0))
+        for endpoint, params in (
+            ("check", _check_params(options=options)),
+            ("case", {"name": "Speculative loop", "options": options}),
+        ):
+            with pytest.raises(ServiceRequestError) as err:
+                core.handle(endpoint, params)
+            assert err.value.code == "bad_request"
+            assert next(iter(options)) in str(err.value)

@@ -68,19 +68,25 @@ class TestConfigFingerprint:
         assert base != config_fingerprint(
             CheckerConfig(minimize_counterexamples=False)
         )
-        assert base != config_fingerprint(CheckerConfig(), find_counterexamples=False)
+
+    def test_options_no_client_can_send_are_excluded(self):
+        # Only CheckerConfig.RESULT_FIELDS travel on the wire, so only they
+        # may key the store.
+        base = config_fingerprint(CheckerConfig())
+        assert base == config_fingerprint(CheckerConfig(max_iterations=10))
+        assert base == config_fingerprint(CheckerConfig(track_memory=True))
 
     def test_digests_are_pinned(self):
         # Persisted verdict stores are keyed by these digests; a change to
         # the hashed fields or their values would orphan every stored entry.
         assert config_fingerprint(CheckerConfig()) == (
-            "9405374a7b62a0e03088510a3dfeda212ea0e7f6efcb90149a7220beabe7cf23"
+            "79102308bafc3b6dbe7d32a8ea1056ea94c8ec8e7b21f35589aef72f3b228efd"
         )
         assert config_fingerprint(CheckerConfig(use_leaps=False)) == (
-            "82fc7af6b3b57d381debac8e1345fd88024350755b3fbbada1904c70741d5a02"
+            "dea5a1b1bbf058526bb41ab4aca6b92cdbc579c094193036c94787884f862fc5"
         )
-        assert config_fingerprint(CheckerConfig(), find_counterexamples=False) == (
-            "1f4443ac62050ad36d6a698b46c4acea86f38c3f802d877b51b8e9af88314f58"
+        assert config_fingerprint(CheckerConfig(oracle_packets=64, oracle_seed=7)) == (
+            "6809e6002e645064c6ab9f1385d59245d1aef8075a8decfebd55962a9999ed09"
         )
 
 

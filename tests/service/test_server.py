@@ -18,6 +18,26 @@ from repro.service.core import ServiceConfig
 from repro.service.server import ServerStartupError, ServiceServer
 
 
+#: Option values the service must answer with a typed ``bad_request``.
+MALFORMED_OPTIONS = (
+    {"use_leaps": "false"},
+    {"oracle_packets": -3},
+    {"oracle_packets": "abc"},
+)
+
+
+def _assert_malformed_options_rejected(address):
+    with ServiceClient(address) as client:
+        for options in MALFORMED_OPTIONS:
+            with pytest.raises(ServiceError) as err:
+                client.check(
+                    tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse",
+                    options=options,
+                )
+            assert (err.value.code, err.value.status) == ("bad_request", 400)
+        assert client.ping()["protocol"] == "2"  # the daemon is still up
+
+
 @pytest.fixture
 def unix_daemon(tmp_path):
     socket_path = str(tmp_path / "daemon.sock")
@@ -63,7 +83,7 @@ class TestUnixTransport:
         socket_path, _ = unix_daemon
         with ServiceClient(socket_path) as client:
             ping = client.ping()
-            assert ping["protocol"] == "1"
+            assert ping["protocol"] == "2"
             assert not ping["draining"]
 
     def test_check_round_trip_is_byte_identical(self, unix_daemon):
@@ -126,6 +146,10 @@ class TestUnixTransport:
         assert second["id"] == 2 and second["ok"]
         assert "queue" in second["result"]
 
+    def test_malformed_options_are_bad_requests(self, unix_daemon):
+        socket_path, _ = unix_daemon
+        _assert_malformed_options_rejected(socket_path)
+
     def test_socket_is_owner_only(self, unix_daemon):
         import os
         import stat
@@ -151,11 +175,15 @@ class TestHttpTransport:
     def test_ping_and_check(self, http_daemon):
         address, _ = http_daemon
         with ServiceClient(address) as client:
-            assert client.ping()["protocol"] == "1"
+            assert client.ping()["protocol"] == "2"
             outcome = client.check(
                 tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse"
             )
             assert outcome.proved
+
+    def test_malformed_options_are_bad_requests(self, http_daemon):
+        address, _ = http_daemon
+        _assert_malformed_options_rejected(address)
 
     def test_error_maps_to_http_status(self, http_daemon):
         address, _ = http_daemon
@@ -199,7 +227,7 @@ class TestLifecycle:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         with ServiceClient(socket_path) as client:
-            assert client.ping()["protocol"] == "1"
+            assert client.ping()["protocol"] == "2"
         server.request_shutdown()
         assert server.finished.wait(timeout=30)
 

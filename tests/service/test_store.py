@@ -11,6 +11,7 @@ from repro.p4a.bitvec import Bits
 from repro.core.counterexample import Counterexample
 from repro.logic.confrel import TRUE, FNot
 from repro.protocols import tiny
+from repro.service.fingerprints import PAIR_FINGERPRINT_VERSION
 from repro.service.store import (
     VerdictStore,
     decode_counterexample,
@@ -181,6 +182,23 @@ class TestCrashRecovery:
         assert store.get("k") is None
         assert store.keys() == []  # the orphan row was discarded
         store.close()
+
+
+class TestVersioning:
+    def test_version_one_rows_are_never_read(self, tmp_path):
+        # Version 1 digests hashed options no client can send; the store's
+        # file name carries the version, so an old store is a clean miss.
+        assert PAIR_FINGERPRINT_VERSION != "1"
+        directory = tmp_path / "s"
+        writer = VerdictStore(str(directory))
+        writer.put("k", "p", "c", verdict=False, counterexample=_witness())
+        writer.close()
+        os.replace(writer.path, directory / "verdicts_v1.sqlite")
+        reader = VerdictStore(str(directory))
+        assert reader.get("k") is None
+        assert reader.keys() == []
+        assert reader.statistics.misses == 1
+        reader.close()
 
 
 class TestConcurrency:

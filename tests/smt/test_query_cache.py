@@ -4,6 +4,8 @@ import hashlib
 import multiprocessing
 import sqlite3
 
+import pytest
+
 from repro import counters
 from repro.logic import folbv
 from repro.logic.confrel import LEFT, RIGHT, CHdr, CVar, FAnd, FEq
@@ -17,6 +19,7 @@ from repro.p4a.bitvec import Bits
 from repro.smt.backend import InternalBackend
 from repro.smt.cache import CachingBackend, PersistentQueryCache, make_backend
 from repro.smt.bvsolver import SatStatus
+from repro.service.store import VerdictStore
 
 
 def _sat_formula():
@@ -286,23 +289,26 @@ class TestCachingBackend:
             handle.close()
 
 
-def _open_fresh_cache(directory, barrier):
+def _open_fresh_cache(store_class, directory, barrier):
     barrier.wait(timeout=60)
-    PersistentQueryCache(directory).close()  # a failure sets the exit code
+    store_class(directory).close()  # a failure sets the exit code
 
 
-def test_processes_setting_up_one_fresh_cache_never_fail(tmp_path):
+@pytest.mark.parametrize("store_class", [PersistentQueryCache, VerdictStore])
+def test_processes_setting_up_one_fresh_cache_never_fail(tmp_path, store_class):
     # Processes opening a fresh file at once race to switch it to WAL and
     # create the table; sqlite fails the loser of a lock upgrade at once
     # ("database is locked") rather than waiting, so the setup must retry.
     # Fresh processes each round: their first connection is what races.
+    # The query cache and the verdict store share that setup.
     context = multiprocessing.get_context("spawn")
     exitcodes = []
     for round_index in range(8):
         barrier = context.Barrier(4)
         workers = [
             context.Process(
-                target=_open_fresh_cache, args=(str(tmp_path / f"c{round_index}"), barrier)
+                target=_open_fresh_cache,
+                args=(store_class, str(tmp_path / f"c{round_index}"), barrier),
             )
             for _ in range(4)
         ]
