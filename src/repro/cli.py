@@ -962,8 +962,9 @@ def _command_serve(args: argparse.Namespace) -> int:
     workers = args.workers if args.workers is not None else envconfig.jobs_from_env()
     cache_dir = args.cache_dir
     if cache_dir is None and args.store_dir:
-        # Keep the query cache next to the verdict store so a warm store
-        # also means warm solver queries for the replay path.
+        # Keep the query cache next to the verdict store, so the fresh
+        # solves of a restarted daemon start warm.  Replay never reads it: a
+        # stored proof is re-checked on a fresh backend with no cache.
         cache_dir = os.path.join(args.store_dir, "query-cache")
     cache_dir = envconfig.resolve_checker_config({"cache_dir": cache_dir}).cache_dir
     config = ServiceConfig(

@@ -26,11 +26,9 @@ from .equivalence import (
 )
 from .init_rels import initial_relation
 from .naive import (
-    DifferentialMismatch,
     ExplicitCheckResult,
     exhaustive_store_equivalence,
     explicit_bisimulation_check,
-    random_differential_test,
 )
 from .reachability import ReachabilityAnalysis
 from .templates import GuardedFormula, Template, TemplatePair, guard, leap_size
@@ -44,7 +42,6 @@ __all__ = [
     "CheckerError",
     "CheckerStatistics",
     "Counterexample",
-    "DifferentialMismatch",
     "EngineError",
     "EngineStatistics",
     "EntailmentChecker",
@@ -68,7 +65,6 @@ __all__ = [
     "guard",
     "initial_relation",
     "leap_size",
-    "random_differential_test",
     "verify_certificate",
     "wp_formula",
     "wp_set",

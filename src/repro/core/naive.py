@@ -3,22 +3,22 @@
 The paper motivates the symbolic algorithm with a back-of-the-envelope count:
 even the small MPLS example has on the order of 2^128 concrete configuration
 pairs, so any method that enumerates configurations explicitly is hopeless for
-realistic parsers.  This module implements those hopeless-but-simple methods —
-an explicit product-automaton bisimulation check and random differential
-testing — both as a baseline for the ablation benchmarks and as an independent
-oracle for tiny automata in the test suite.
+realistic parsers.  This module implements that hopeless-but-simple method —
+an explicit product-automaton bisimulation check, for fixed initial stores or
+for every store of a tiny automaton — both as a baseline for the ablation
+benchmarks and as an independent oracle for tiny automata in the test suite.  Random differential testing lives in
+:func:`repro.oracle.cross_check`.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
 from ..p4a.bitvec import Bits
-from ..p4a.semantics import Store, accepts, initial_configuration, step
+from ..p4a.semantics import Store, initial_configuration, step
 from ..p4a.syntax import P4Automaton, REJECT
 
 
@@ -107,59 +107,3 @@ def exhaustive_store_equivalence(
             if not result.equivalent:
                 return ExplicitCheckResult(False, visited, result.counterexample)
     return ExplicitCheckResult(True, visited)
-
-
-@dataclass
-class DifferentialMismatch:
-    packet: Bits
-    left_store: Store
-    right_store: Store
-    left_accepts: bool
-    right_accepts: bool
-
-
-def random_store(aut: P4Automaton, rng: random.Random) -> Store:
-    return {
-        name: Bits("".join(rng.choice("01") for _ in range(width)))
-        for name, width in aut.headers.items()
-    }
-
-
-def random_differential_test(
-    left_aut: P4Automaton,
-    left_start: str,
-    right_aut: P4Automaton,
-    right_start: str,
-    packets: int = 200,
-    max_bits: int = 256,
-    seed: int = 0,
-    share_store: bool = False,
-) -> Optional[DifferentialMismatch]:
-    """Fuzz both parsers with random packets (and random initial stores).
-
-    Returns the first disagreement found, or ``None``.  ``share_store=True``
-    uses the same random values for headers with the same name on both sides,
-    which is the right notion for self-comparisons.
-    """
-    rng = random.Random(seed)
-    for _ in range(packets):
-        length = rng.randint(0, max_bits)
-        packet = Bits("".join(rng.choice("01") for _ in range(length)))
-        left_store = random_store(left_aut, rng)
-        if share_store:
-            right_store = {
-                name: left_store.get(name, Bits.zeros(width))
-                if left_store.get(name, Bits.zeros(width)).width == width
-                else Bits.zeros(width)
-                for name, width in right_aut.headers.items()
-            }
-            for name, width in right_aut.headers.items():
-                if name not in left_store or left_store[name].width != width:
-                    right_store[name] = Bits("".join(rng.choice("01") for _ in range(width)))
-        else:
-            right_store = random_store(right_aut, rng)
-        left_accepts = accepts(left_aut, left_start, packet, left_store)
-        right_accepts = accepts(right_aut, right_start, packet, right_store)
-        if left_accepts != right_accepts:
-            return DifferentialMismatch(packet, left_store, right_store, left_accepts, right_accepts)
-    return None

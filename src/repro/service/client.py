@@ -1,17 +1,10 @@
 """Typed client library for the equivalence service.
 
-Two interchangeable clients implement the same surface:
-
-* :class:`ServiceClient` talks to a running daemon — JSON-lines over a unix
-  socket, or HTTP when given an ``http://`` address.  ``overloaded``
-  rejections are retried automatically using the server's ``retry_after``
-  hint (bounded; a saturated server eventually surfaces as
-  :class:`ServiceOverloadedError`).
-* :class:`InProcessClient` embeds a worker-less :class:`ServiceCore` and
-  runs every request inline.  It exists so callers can be written against
-  one API and degrade gracefully when no daemon is configured — this is the
-  fallback :func:`resolve_client` returns when ``LEAPFROG_SERVER`` is
-  unset.
+:class:`ServiceClient` talks to a running daemon — JSON-lines over a unix
+socket, or HTTP when given an ``http://`` address.  ``overloaded``
+rejections are retried automatically using the server's ``retry_after``
+hint (bounded; a saturated server eventually surfaces as
+:class:`ServiceOverloadedError`).
 
 Results come back typed: :class:`CheckOutcome` mirrors
 :class:`~repro.core.equivalence.EquivalenceResult` closely enough that CLI
@@ -37,7 +30,6 @@ from ..core.counterexample import Counterexample
 from ..counters import Counters
 from ..p4a.pretty import pretty
 from ..p4a.syntax import P4Automaton
-from .core import ServiceConfig, ServiceCore, ServiceRequestError
 from .store import decode_counterexample
 
 #: Default bound on automatic retries after ``overloaded`` rejections.
@@ -130,7 +122,7 @@ class CheckOutcome:
     def counterexample(self) -> Optional[Counterexample]:
         if self.counterexample_data is None:
             return None
-        return decode_counterexample(json.dumps(self.counterexample_data))
+        return decode_counterexample(self.counterexample_data)
 
     def __str__(self) -> str:
         return self.display
@@ -176,63 +168,7 @@ def _automaton_payload(automaton: P4Automaton, start: str) -> Dict[str, str]:
     return {"name": automaton.name, "source": pretty(automaton), "start": start}
 
 
-class _ClientBase:
-    """The typed call surface, shared by the remote and in-process clients."""
-
-    def request(self, endpoint: str, params: Optional[Dict[str, object]] = None
-                ) -> Dict[str, object]:
-        raise NotImplementedError
-
-    def ping(self) -> Dict[str, object]:
-        return self.request("ping")
-
-    def stats(self) -> Dict[str, object]:
-        return self.request("stats")
-
-    def drain(self) -> Dict[str, object]:
-        return self.request("drain")
-
-    def shutdown(self, drain: bool = True) -> Dict[str, object]:
-        return self.request("shutdown", {"drain": drain})
-
-    def check(
-        self,
-        left: P4Automaton,
-        left_start: str,
-        right: P4Automaton,
-        right_start: str,
-        options: Optional[Dict[str, object]] = None,
-    ) -> CheckOutcome:
-        params: Dict[str, object] = {
-            "left": _automaton_payload(left, left_start),
-            "right": _automaton_payload(right, right_start),
-        }
-        if options:
-            params["options"] = dict(options)
-        return CheckOutcome.from_result(self.request("check", params))
-
-    def case(
-        self,
-        name: str,
-        full: bool = False,
-        options: Optional[Dict[str, object]] = None,
-    ) -> CaseResult:
-        params: Dict[str, object] = {"name": name, "full": full}
-        if options:
-            params["options"] = dict(options)
-        return CaseResult.from_result(self.request("case", params))
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "_ClientBase":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class ServiceClient(_ClientBase):
+class ServiceClient:
     """Client for a running ``repro serve`` daemon."""
 
     def __init__(self, address: str, timeout: float = 600.0,
@@ -331,44 +267,52 @@ class ServiceClient(_ClientBase):
                     ) from None
                 time.sleep(exc.retry_after or 0.1)
 
+    # -- endpoints ------------------------------------------------------
 
-class InProcessClient(_ClientBase):
-    """The same call surface, served by an embedded worker-less core.
+    def ping(self) -> Dict[str, object]:
+        return self.request("ping")
 
-    Used as the fallback when no daemon address is configured: CLI code
-    talks to one client type and gets identical results either way.  The
-    embedded core can still be given a ``store_dir``, which makes this a
-    daemon-less way to build or read a verdict store.
-    """
+    def stats(self) -> Dict[str, object]:
+        return self.request("stats")
 
-    def __init__(self, config: Optional[ServiceConfig] = None) -> None:
-        if config is None:
-            config = ServiceConfig(workers=0)
-        elif config.workers != 0:
-            config = dataclasses.replace(config, workers=0)
-        self.core = ServiceCore(config)
+    def drain(self) -> Dict[str, object]:
+        return self.request("drain")
 
-    def request(self, endpoint: str, params: Optional[Dict[str, object]] = None
-                ) -> Dict[str, object]:
-        try:
-            return self.core.handle(endpoint, params or {})
-        except ServiceRequestError as exc:
-            from .protocol import ERROR_STATUS
+    def shutdown(self, drain: bool = True) -> Dict[str, object]:
+        return self.request("shutdown", {"drain": drain})
 
-            raise ServiceError(
-                exc.code, str(exc), status=ERROR_STATUS.get(exc.code, 500),
-                retry_after=exc.retry_after,
-            ) from None
+    def check(
+        self,
+        left: P4Automaton,
+        left_start: str,
+        right: P4Automaton,
+        right_start: str,
+        options: Optional[Dict[str, object]] = None,
+    ) -> CheckOutcome:
+        params: Dict[str, object] = {
+            "left": _automaton_payload(left, left_start),
+            "right": _automaton_payload(right, right_start),
+        }
+        if options:
+            params["options"] = dict(options)
+        return CheckOutcome.from_result(self.request("check", params))
+
+    def case(
+        self,
+        name: str,
+        full: bool = False,
+        options: Optional[Dict[str, object]] = None,
+    ) -> CaseResult:
+        params: Dict[str, object] = {"name": name, "full": full}
+        if options:
+            params["options"] = dict(options)
+        return CaseResult.from_result(self.request("case", params))
 
     def close(self) -> None:
-        self.core.shutdown()
+        pass
 
+    def __enter__(self) -> "ServiceClient":
+        return self
 
-def resolve_client(
-    server: Optional[str],
-    config: Optional[ServiceConfig] = None,
-) -> _ClientBase:
-    """A client for ``server`` when set, the in-process fallback otherwise."""
-    if server:
-        return ServiceClient(server)
-    return InProcessClient(config)
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -1,9 +1,9 @@
 """The transport-independent service core.
 
-One :class:`ServiceCore` instance sits behind every transport (unix socket,
-HTTP, or the in-process client) and implements the request lifecycle::
+One :class:`ServiceCore` instance sits behind every transport (unix socket
+or HTTP) and implements the request lifecycle::
 
-    client -> dedupe -> bounded priority queue -> warm worker -> store
+    client -> dedupe -> bounded priority queue -> worker thread -> store
                                                       |
                                                       v
                                    store hit: certificate/witness replay
@@ -22,16 +22,17 @@ HTTP, or the in-process client) and implements the request lifecycle::
   would exceed the bound is rejected immediately with an ``overloaded``
   error carrying a ``retry_after`` hint (429 over HTTP), instead of letting
   latency grow without bound.
-* **Warm workers** — each worker thread owns one solver backend that lives
-  across requests: the internal solver, stacked under the shared persistent
-  :class:`~repro.smt.cache.CachingBackend` when ``cache_dir`` is set.  Each
-  check builds its own entailment checker, so nothing a check memoizes
-  outlives it.
+* **Workers** — requests run only on the worker threads that
+  :meth:`ServiceCore.start` spawns.  A request's config carries the
+  daemon's ``cache_dir``, and the check builds and closes its own backend
+  from it, as every other command does: the internal solver, stacked under
+  the persistent :class:`~repro.smt.cache.CachingBackend` when
+  ``cache_dir`` is set.  Nothing a check memoizes outlives it.
 * **Store** — definitive verdicts land in the content-addressed
   :class:`~repro.service.store.VerdictStore`; a later identical request is
   served by replaying the stored certificate
   (:func:`repro.core.certificate.verify_certificate`, on a fresh backend
-  that shares nothing with the worker's) or witness
+  with no query cache) or witness
   (:func:`repro.oracle.minimize.confirm_counterexample`) — never by a
   fresh proof search.  A replay that fails (it never should) evicts the
   entry and falls back to a solve.
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -54,7 +54,6 @@ from ..core.certificate import verify_certificate
 from ..core.equivalence import EquivalenceResult, check_language_equivalence
 from ..p4a.surface import parse_automaton
 from ..p4a.syntax import P4Automaton
-from ..smt.cache import make_backend
 from .fingerprints import config_fingerprint, pair_fingerprint, store_key
 from .protocol import ENDPOINTS, PROTOCOL_VERSION
 from .store import VerdictStore, encode_counterexample
@@ -107,8 +106,8 @@ class ServiceConfig:
     mini_bits_threshold: int = MINI_BITS_THRESHOLD
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
 
@@ -154,11 +153,10 @@ class _Task:
 
 
 class _WorkerState:
-    """Per-worker warm state: a long-lived solver backend plus counters."""
+    """Per-worker counters, reported in the ``workers`` stats section."""
 
-    def __init__(self, worker_id: int, cache_dir: Optional[str]) -> None:
+    def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
-        self.backend = make_backend(cache_dir=cache_dir)
         self.solves = 0
         self.replays = 0
 
@@ -171,7 +169,11 @@ class _WorkerState:
 
 
 class ServiceCore:
-    """Dedupe + priority queue + warm workers + verdict store (no transport)."""
+    """Dedupe + priority queue + worker threads + verdict store (no transport).
+
+    Work requests (``check``, ``case``) run only on the worker threads, so
+    :meth:`start` must be called before :meth:`handle` is given one.
+    """
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config if config is not None else ServiceConfig()
@@ -190,7 +192,6 @@ class ServiceCore:
         self._started = time.monotonic()
         self._threads: List[threading.Thread] = []
         self._worker_states: List[_WorkerState] = []
-        self._inline_state: Optional[_WorkerState] = None
         # Counters (all guarded by self._lock).
         self.requests: Dict[str, int] = {}
         self.checks = 0
@@ -206,9 +207,9 @@ class ServiceCore:
     # Lifecycle
 
     def start(self) -> None:
-        """Spawn the worker pool (no-op when ``workers == 0``)."""
+        """Spawn the worker pool."""
         for worker_id in range(self.config.workers):
-            state = _WorkerState(worker_id, self.config.cache_dir)
+            state = _WorkerState(worker_id)
             thread = threading.Thread(
                 target=self._worker_loop, args=(state,),
                 name=f"leapfrog-worker-{worker_id}", daemon=True,
@@ -291,11 +292,10 @@ class ServiceCore:
             )
         return automaton, start
 
-    @staticmethod
-    def _parse_options(params: Dict[str, object], service_options: Dict[str, type]
+    def _parse_options(self, params: Dict[str, object], service_options: Dict[str, type]
                        ) -> Tuple[CheckerConfig, Dict[str, object]]:
-        """A work request's checker config and its ``service_options``
-        (name -> type; absent ones are left out)."""
+        """A work request's checker config, with the daemon's ``cache_dir``,
+        and its ``service_options`` (name -> type; absent ones are left out)."""
         options = params.get("options") or {}
         if not isinstance(options, dict):
             raise ServiceRequestError("bad_request", "options must be an object")
@@ -312,7 +312,7 @@ class ServiceCore:
             )
         except CheckerError as exc:
             raise ServiceRequestError("bad_request", str(exc)) from None
-        return config, service
+        return replace(config, cache_dir=self.config.cache_dir), service
 
     def _parse_check(self, params: Dict[str, object]) -> _CheckRequest:
         left, left_start = self._parse_side(params, "left")
@@ -424,7 +424,7 @@ class ServiceCore:
                 )
         result = check_language_equivalence(
             request.left, request.left_start, request.right, request.right_start,
-            config=request.config, backend=state.backend,
+            config=request.config,
         )
         elapsed = time.perf_counter() - started
         state.solves += 1
@@ -447,8 +447,8 @@ class ServiceCore:
     def _replay_from_store(self, request: _CheckRequest) -> Optional[EquivalenceResult]:
         """A stored verdict revalidated by replay, or ``None`` to solve.
 
-        A proof is re-checked on a fresh backend, never on the worker's: the
-        worker's query cache may have produced the verdict it would vouch for.
+        A proof is re-checked on a fresh backend with no query cache: the
+        cache may have produced the verdict it would vouch for.
         """
         entry = self.store.get(request.key)
         if entry is None:
@@ -498,7 +498,7 @@ class ServiceCore:
             }
         counterexample = None
         if result.counterexample is not None:
-            counterexample = json.loads(encode_counterexample(result.counterexample))
+            counterexample = encode_counterexample(result.counterexample)
         return {
             "verdict": self._verdict_name(result.verdict),
             "display": str(result),
@@ -532,7 +532,7 @@ class ServiceCore:
         config, service = self._parse_options(params, {"priority": int})
         key = f"case/{name}/{'full' if full else 'mini'}/{config_fingerprint(config)}"
         # A case answers a Table 2 row, whose Memory column needs tracing.
-        config = replace(config, cache_dir=self.config.cache_dir, track_memory=True)
+        config = replace(config, track_memory=True)
         priority = service.get("priority", PRIORITY_FULL if full else PRIORITY_MINI)
         return _Task(
             kind="case", key=key, priority=priority, seq=next(self._seq),
@@ -596,7 +596,7 @@ class ServiceCore:
             task = self._parse_case(params)
             with self._lock:
                 self.cases += 1
-            return self._wait_for(self._submit_task(task))
+            return self._wait_for(self._submit(task))
         raise ServiceRequestError("internal", f"unhandled endpoint {endpoint!r}")
 
     def _submit_check(self, request: _CheckRequest) -> Tuple[_Task, bool]:
@@ -604,14 +604,8 @@ class ServiceCore:
                      seq=next(self._seq), check=request)
         return self._submit(task)
 
-    def _submit_task(self, task: _Task) -> Tuple[_Task, bool]:
-        return self._submit(task)
-
     def _wait_for(self, submitted: Tuple[_Task, bool]) -> Dict[str, object]:
         task, attached = submitted
-        if not self._threads:
-            # No worker pool (in-process mode): run queued work inline.
-            self._run_pending_inline()
         task.done.wait()
         if task.error is not None:
             raise task.error
@@ -619,23 +613,6 @@ class ServiceCore:
         if attached and result.get("source") in ("solve", "store"):
             result["source"] = "dedupe"
         return result
-
-    # ------------------------------------------------------------------
-    # In-process (worker-less) execution
-
-    def _inline_worker(self) -> _WorkerState:
-        if self._inline_state is None:
-            self._inline_state = _WorkerState(-1, self.config.cache_dir)
-        return self._inline_state
-
-    def _run_pending_inline(self) -> None:
-        state = self._inline_worker()
-        while True:
-            with self._queue_cond:
-                if not self._heap:
-                    return
-                _, _, task = heapq.heappop(self._heap)
-            self._run_task(task, state)
 
     # ------------------------------------------------------------------
     # Statistics
@@ -660,8 +637,6 @@ class ServiceCore:
                 "draining": self._draining,
             }
         workers = [state.snapshot() for state in self._worker_states]
-        if self._inline_state is not None:
-            workers.append(self._inline_state.snapshot())
         return {
             "server": server,
             "queue": queue,

@@ -6,33 +6,30 @@ result without a fresh proof search:
 
 * the **verdict** (``equivalent`` / ``not_equivalent``; ``unknown`` results
   are never stored — they are not definitive);
-* the **certificate** of a proof, pickled into an on-disk blob addressed by
-  the sha256 of its bytes (identical certificates share one blob file);
+* the **certificate** of a proof, pickled into a ``BLOB`` column of the row;
 * the minimized **witness** of a refutation, as JSON (packet, stores,
   acceptance bits, leap widths);
 * the **oracle telemetry** recorded when the verdict was first computed, so
   a store hit reproduces the original run's output byte for byte.
 
-Layout on disk, under the store directory::
+The store is one sqlite file under the store directory::
 
-    verdicts_v<fingerprint-version>.sqlite   -- the index (WAL mode)
-    blobs/<sha256>.pkl                       -- pickled certificates
+    verdicts_v<fingerprint-version>_layout<layout-version>.sqlite  (WAL mode)
 
-The sqlite index is safe for concurrent use by several daemon workers and
-several processes: connections enable WAL journaling and an explicit busy
-timeout, every write is one short transaction, and in-process sharing is
-serialized by a lock.  Blob files are written atomically (temp file +
-rename), so a reader can never observe a half-written certificate.
+It is safe for concurrent use by several daemon workers and several
+processes: connections enable WAL journaling and an explicit busy timeout,
+every write is one short transaction, and in-process sharing is serialized
+by a lock.  A row and its certificate are written in one transaction, so a
+reader never sees one without the other.
 
 **Eviction**: when ``max_entries`` is set, inserting beyond the cap evicts
-the least-recently-*used* entries (``last_used`` is bumped on every hit)
-and deletes their blobs unless another surviving entry still references
-them.  Unset (the default) means the store grows without bound.
+the least-recently-*used* entries (``last_used`` is bumped on every hit).
+Unset (the default) means the store grows without bound.
 
-**Trust model**: certificate blobs are unpickled on load, so the store
-directory carries the same trust as the query cache — local, writable only
-by the operator.  Do not point the daemon at a store directory written by
-an untrusted party.
+**Trust model**: certificates are unpickled on load, so the store file
+carries the same trust as the query cache — local, writable only by the
+operator.  Do not point the daemon at a store directory written by an
+untrusted party.
 """
 
 from __future__ import annotations
@@ -44,13 +41,18 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.certificate import Certificate
 from ..core.counterexample import Counterexample
 from ..p4a.bitvec import Bits
 from ..smt.cache import open_database
 from .fingerprints import PAIR_FINGERPRINT_VERSION
+
+#: Version of the on-disk row layout, part of the file name with the
+#: fingerprint version: a store written under an older layout (layout 1 kept
+#: certificates as files in a ``blobs/`` directory) is a clean miss.
+STORE_LAYOUT_VERSION = "2"
 
 #: Documented meaning of every :class:`StoreStatistics` counter.  The docs
 #: generator renders this mapping into ``docs/service.md``; keep entries in
@@ -66,7 +68,7 @@ STORE_STATISTIC_FIELDS: Dict[str, str] = {
     ),
     "evictions": "entries removed by the LRU cap or after a failed replay",
     "entries": "entries currently in the index (gauge, not a counter)",
-    "blob_bytes": "total size of the certificate blobs on disk (gauge)",
+    "blob_bytes": "total size of the pickled certificates in the index (gauge)",
 }
 
 
@@ -87,21 +89,26 @@ class StoreStatistics:
         return {name: getattr(self, name) for name in STORE_STATISTIC_FIELDS}
 
 
-def encode_counterexample(cex: Counterexample) -> str:
-    """Witness → JSON (bitstrings only, so the payload is transport-safe)."""
-    return json.dumps({
-        "packet": cex.packet.to_bitstring(),
-        "left_store": {name: bits.to_bitstring() for name, bits in cex.left_store.items()},
-        "right_store": {name: bits.to_bitstring() for name, bits in cex.right_store.items()},
-        "left_accepts": cex.left_accepts,
-        "right_accepts": cex.right_accepts,
+def encode_counterexample(cex: Counterexample) -> Dict[str, object]:
+    """Witness → JSON-safe mapping (bitstrings only).
+
+    Keys come in sorted order at every level, so ``json.dumps`` of the
+    mapping is canonical with or without ``sort_keys``.
+    """
+    return {
         "leap_widths": list(cex.leap_widths),
+        "left_accepts": cex.left_accepts,
+        "left_store": {name: cex.left_store[name].to_bitstring()
+                       for name in sorted(cex.left_store)},
         "minimized_from": cex.minimized_from,
-    }, sort_keys=True)
+        "packet": cex.packet.to_bitstring(),
+        "right_accepts": cex.right_accepts,
+        "right_store": {name: cex.right_store[name].to_bitstring()
+                        for name in sorted(cex.right_store)},
+    }
 
 
-def decode_counterexample(payload: str) -> Counterexample:
-    data = json.loads(payload)
+def decode_counterexample(data: Dict[str, object]) -> Counterexample:
     return Counterexample(
         packet=Bits(data["packet"]),
         left_store={name: Bits(bits) for name, bits in data["left_store"].items()},
@@ -129,26 +136,22 @@ class StoredVerdict:
 
 
 class VerdictStore:
-    """The sqlite + blob-directory verdict store (see the module docstring)."""
+    """The one-file sqlite verdict store (see the module docstring)."""
 
     def __init__(self, directory: str, max_entries: Optional[int] = None) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         os.makedirs(directory, exist_ok=True)
-        self.directory = directory
         self.path = os.path.join(
-            directory, f"verdicts_v{PAIR_FINGERPRINT_VERSION}.sqlite"
+            directory,
+            f"verdicts_v{PAIR_FINGERPRINT_VERSION}_layout{STORE_LAYOUT_VERSION}.sqlite",
         )
-        self.blob_dir = os.path.join(directory, "blobs")
-        os.makedirs(self.blob_dir, exist_ok=True)
         self.max_entries = max_entries
         self.statistics = StoreStatistics()
         self._lock = threading.Lock()
         self._conn: Optional[sqlite3.Connection] = None
         with self._lock:
             self._connection()  # create the schema eagerly; misconfiguration fails fast
-
-    # ------------------------------------------------------------------
 
     def _connection(self) -> sqlite3.Connection:
         if self._conn is None:
@@ -159,7 +162,7 @@ class VerdictStore:
                 " pair_fp TEXT NOT NULL,"
                 " config_fp TEXT NOT NULL,"
                 " verdict TEXT NOT NULL,"
-                " certificate_blob TEXT,"
+                " certificate BLOB,"
                 " witness TEXT,"
                 " oracle TEXT,"
                 " solve_seconds REAL NOT NULL DEFAULT 0,"
@@ -170,42 +173,6 @@ class VerdictStore:
         return self._conn
 
     # ------------------------------------------------------------------
-    # Blobs
-
-    def _blob_path(self, digest: str) -> str:
-        return os.path.join(self.blob_dir, f"{digest}.pkl")
-
-    def _write_blob(self, payload: bytes) -> str:
-        import hashlib
-
-        digest = hashlib.sha256(payload).hexdigest()
-        path = self._blob_path(digest)
-        if not os.path.exists(path):
-            tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-            with open(tmp, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)  # atomic: readers never see partial blobs
-        return digest
-
-    def _read_blob(self, digest: str) -> Optional[bytes]:
-        try:
-            with open(self._blob_path(digest), "rb") as handle:
-                return handle.read()
-        except OSError:
-            return None
-
-    def _load_certificate(self, digest: str) -> Optional[Certificate]:
-        """The certificate in blob ``digest``, or ``None`` if it cannot be read."""
-        payload = self._read_blob(digest)
-        if payload is None:
-            return None
-        try:
-            return pickle.loads(payload)
-        except (pickle.UnpicklingError, EOFError, AttributeError, TypeError):
-            # Corrupt bytes, or nodes pickled in a layout the code no longer has.
-            return None
-
-    # ------------------------------------------------------------------
     # Lookup / insert
 
     def get(self, key: str) -> Optional[StoredVerdict]:
@@ -213,7 +180,7 @@ class VerdictStore:
         with self._lock:
             conn = self._connection()
             row = conn.execute(
-                "SELECT pair_fp, config_fp, verdict, certificate_blob, witness,"
+                "SELECT pair_fp, config_fp, verdict, certificate, witness,"
                 " oracle, solve_seconds, uses FROM verdicts WHERE key = ?",
                 (key,),
             ).fetchone()
@@ -225,14 +192,14 @@ class VerdictStore:
                     "UPDATE verdicts SET last_used = ?, uses = uses + 1 WHERE key = ?",
                     (time.time(), key),
                 )
-        pair_fp, config_fp, verdict, blob_digest, witness, oracle, seconds, uses = row
+        pair_fp, config_fp, verdict, pickled, witness, oracle, seconds, uses = row
         certificate = None
-        if blob_digest is not None:
-            certificate = self._load_certificate(blob_digest)
-            if certificate is None:
-                # The index outlived its blob (e.g. a crash between blob GC
-                # and index delete), or the blob predates the current logic
-                # node layout; treat as a miss and drop the row.
+        if pickled is not None:
+            try:
+                certificate = pickle.loads(pickled)
+            except (pickle.UnpicklingError, EOFError, AttributeError, TypeError):
+                # Corrupt bytes, or nodes pickled in a layout the code no
+                # longer has: treat as a miss and drop the row.
                 self.discard(key)
                 with self._lock:
                     self.statistics.misses += 1
@@ -245,7 +212,7 @@ class VerdictStore:
             config_fingerprint=config_fp,
             verdict=(verdict == "equivalent"),
             certificate=certificate,
-            counterexample=decode_counterexample(witness) if witness else None,
+            counterexample=decode_counterexample(json.loads(witness)) if witness else None,
             oracle=json.loads(oracle) if oracle else {},
             solve_seconds=seconds,
             uses=uses + 1,
@@ -263,25 +230,23 @@ class VerdictStore:
         solve_seconds: float = 0.0,
     ) -> None:
         """Record one definitive verdict (overwrites any entry at ``key``)."""
-        blob_digest = None
+        pickled = None
         if certificate is not None:
-            blob_digest = self._write_blob(
-                pickle.dumps(certificate, protocol=pickle.HIGHEST_PROTOCOL)
-            )
+            pickled = pickle.dumps(certificate, protocol=pickle.HIGHEST_PROTOCOL)
         now = time.time()
         with self._lock:
             conn = self._connection()
             with conn:
                 conn.execute(
                     "INSERT OR REPLACE INTO verdicts"
-                    " (key, pair_fp, config_fp, verdict, certificate_blob, witness,"
+                    " (key, pair_fp, config_fp, verdict, certificate, witness,"
                     "  oracle, solve_seconds, created, last_used, uses)"
                     " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 0)",
                     (
                         key, pair_fp, config_fp,
                         "equivalent" if verdict else "not_equivalent",
-                        blob_digest,
-                        encode_counterexample(counterexample)
+                        pickled,
+                        json.dumps(encode_counterexample(counterexample))
                         if counterexample is not None else None,
                         json.dumps(oracle, sort_keys=True) if oracle else None,
                         solve_seconds, now, now,
@@ -294,51 +259,25 @@ class VerdictStore:
         """Drop one entry (used after a failed replay); counts as an eviction."""
         with self._lock:
             conn = self._connection()
-            row = conn.execute(
-                "SELECT certificate_blob FROM verdicts WHERE key = ?", (key,)
-            ).fetchone()
-            if row is None:
-                return
             with conn:
-                conn.execute("DELETE FROM verdicts WHERE key = ?", (key,))
-            self.statistics.evictions += 1
-            self._collect_blob(conn, row[0])
+                deleted = conn.execute(
+                    "DELETE FROM verdicts WHERE key = ?", (key,)
+                ).rowcount
+            self.statistics.evictions += deleted
 
     def _evict_over_cap(self) -> None:
         if self.max_entries is None:
             return
         with self._lock:
             conn = self._connection()
-            count = conn.execute("SELECT COUNT(*) FROM verdicts").fetchone()[0]
-            excess = count - self.max_entries
-            if excess <= 0:
-                return
-            victims = conn.execute(
-                "SELECT key, certificate_blob FROM verdicts"
-                " ORDER BY last_used ASC, key ASC LIMIT ?",
-                (excess,),
-            ).fetchall()
             with conn:
-                conn.executemany(
-                    "DELETE FROM verdicts WHERE key = ?",
-                    [(key,) for key, _ in victims],
-                )
-            self.statistics.evictions += len(victims)
-            for _, blob in victims:
-                self._collect_blob(conn, blob)
-
-    def _collect_blob(self, conn: sqlite3.Connection, digest: Optional[str]) -> None:
-        """Delete a blob file once no surviving entry references it."""
-        if digest is None:
-            return
-        still_used = conn.execute(
-            "SELECT 1 FROM verdicts WHERE certificate_blob = ? LIMIT 1", (digest,)
-        ).fetchone()
-        if still_used is None:
-            try:
-                os.unlink(self._blob_path(digest))
-            except OSError:
-                pass
+                evicted = conn.execute(
+                    "DELETE FROM verdicts WHERE key IN ("
+                    " SELECT key FROM verdicts ORDER BY last_used ASC, key ASC"
+                    " LIMIT max(0, (SELECT COUNT(*) FROM verdicts) - ?))",
+                    (self.max_entries,),
+                ).rowcount
+            self.statistics.evictions += evicted
 
     def count_replay(self) -> None:
         """Record one successful certificate/witness replay."""
@@ -366,22 +305,12 @@ class VerdictStore:
             ).fetchall()
         return [key for (key,) in rows]
 
-    def gauges(self) -> Tuple[int, int]:
-        """Current ``(entries, blob_bytes)`` for the statistics snapshot."""
-        entries = len(self)
-        blob_bytes = 0
-        try:
-            for name in os.listdir(self.blob_dir):
-                if name.endswith(".pkl"):
-                    blob_bytes += os.path.getsize(os.path.join(self.blob_dir, name))
-        except OSError:
-            pass
-        return entries, blob_bytes
-
     def snapshot_statistics(self) -> Dict[str, int]:
         """Counters plus refreshed gauges, as one JSON-safe mapping."""
-        entries, blob_bytes = self.gauges()
         with self._lock:
+            entries, blob_bytes = self._connection().execute(
+                "SELECT COUNT(*), COALESCE(SUM(LENGTH(certificate)), 0) FROM verdicts"
+            ).fetchone()
             self.statistics.entries = entries
             self.statistics.blob_bytes = blob_bytes
             return self.statistics.as_dict()

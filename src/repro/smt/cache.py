@@ -14,8 +14,13 @@ with the answer so a cached ``sat`` still carries its witness.
 
 Caching is sound because the lowering chain is deterministic and fingerprints
 are structural: a formula with the same fingerprint is the same formula, so
-the solver would return the same status (and, with the deterministic internal
-solver, the same model).  The store's file name carries
+the solver would return the same status.  It need not return the same model:
+a cached counter-model was found in another check's solver state, and it
+steers the checks that read it, so a refutation's witness can depend on what
+the cache held (``mini_srv6_broken`` prints a different packet after other
+checks ran against a fresh cache than without one).  Every witness is
+replay-confirmed, so it is a real counterexample either way.  The store's
+file name carries
 ``FINGERPRINT_VERSION``, so rows keyed in an older digest format are never
 read.
 """

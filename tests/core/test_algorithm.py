@@ -15,7 +15,6 @@ from repro.core.equivalence import (
 from repro.core.naive import (
     exhaustive_store_equivalence,
     explicit_bisimulation_check,
-    random_differential_test,
 )
 from repro.logic.confrel import LEFT, RIGHT, CBuf, CHdr, CLit, CVar, FFalse, TRUE
 from repro.logic.simplify import mk_eq
@@ -309,17 +308,3 @@ class TestExplicitBaselines:
             tiny.incremental_bits_checked(), "Start", tiny.big_bits_checked(), "Parse"
         )
         assert result.equivalent
-
-    def test_random_differential_testing_finds_bug(self):
-        mismatch = random_differential_test(
-            tiny.incremental_bits_checked(), "Start", tiny.big_bits_wrong_check(), "Parse",
-            packets=300, max_bits=4,
-        )
-        assert mismatch is not None
-
-    def test_random_differential_testing_passes_equivalent(self):
-        mismatch = random_differential_test(
-            mpls.scaled_reference(2), "q1", mpls.scaled_vectorized(2), "q3",
-            packets=150, max_bits=20,
-        )
-        assert mismatch is None

@@ -1,12 +1,14 @@
 """Counters stay per check when several checks share one backend.
 
-A service worker keeps one solver backend across every request it serves.
+:func:`~repro.core.equivalence.check_language_equivalence` accepts a
+caller's backend, and a caller may hand the same one to several checks.
 Each check must still report only its own solver, entailment and cache
 counts: the first check on a fresh shared backend reports what an
 owned-backend run reports, and later checks on the same backend report
 identical counts instead of a running total.  Repeats within a check are
 answered by that check's own entailment memo, so nothing one check learns
-carries over to the next.
+carries over to the next.  A service worker, which builds a backend per
+request from the request's config, reports the same per-check counts.
 """
 
 from repro.core.equivalence import check_language_equivalence
@@ -50,7 +52,7 @@ def test_first_check_on_a_shared_backend_matches_an_owned_backend():
 def test_warm_checks_on_a_shared_backend_report_their_own_counts():
     first, second, third = _shared_backend_runs()
     assert second == third
-    # Without a cache directory the worker's backend holds no query cache,
+    # Without a cache directory the shared backend holds no query cache,
     # so a later check repeats the first one's work count for count.
     assert second == first
     assert second["cache"] == {}
@@ -64,7 +66,8 @@ def test_service_worker_reports_per_check_counters():
         "right": {"name": right.name, "source": pretty(right), "start": right_start},
         "options": {"no_store": True},
     }
-    core = ServiceCore(ServiceConfig(workers=0))
+    core = ServiceCore(ServiceConfig())
+    core.start()
     try:
         first, second, third = (
             _counts(core.handle("check", params)["statistics"]) for _ in range(3)

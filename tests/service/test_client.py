@@ -7,13 +7,10 @@ from repro.core.equivalence import check_language_equivalence
 from repro.protocols import tiny
 from repro.service.client import (
     CheckOutcome,
-    InProcessClient,
     ServiceClient,
     ServiceError,
     ServiceOverloadedError,
-    resolve_client,
 )
-from repro.service.core import ServiceConfig
 
 
 class TestOutcomeDecoding:
@@ -35,10 +32,11 @@ class TestOutcomeDecoding:
         assert outcome.counterexample is None
         assert outcome.elapsed_seconds == 0.25
 
-    def test_statistics_counts_survive_the_wire(self):
+    def test_statistics_counts_survive_the_wire(self, unix_daemon):
+        socket_path, _ = unix_daemon
         left, right = tiny.incremental_bits(), tiny.big_bits()
         local = check_language_equivalence(left, "Start", right, "Parse").statistics
-        with InProcessClient() as client:
+        with ServiceClient(socket_path) as client:
             remote = client.check(left, "Start", right, "Parse").statistics
         assert remote.entailment == local.entailment
         assert remote.cache == local.cache
@@ -98,61 +96,26 @@ class TestOverloadRetry:
         assert len(calls) == 1
 
 
-class TestResolveClient:
-    def test_falls_back_to_in_process(self):
-        client = resolve_client(None)
-        assert isinstance(client, InProcessClient)
-        client.close()
-
-    def test_address_selects_remote_client(self):
-        client = resolve_client("/tmp/somewhere.sock")
-        assert isinstance(client, ServiceClient)
-        assert client.transport == "unix"
-
-    def test_in_process_client_never_spawns_workers(self):
-        client = InProcessClient(ServiceConfig(workers=4))
-        assert client.core.config.workers == 0
-        client.close()
-
-
 class TestEngineRemoteMode:
-    def test_engine_routes_jobs_through_the_daemon(self, tmp_path):
-        # The engine's remote path against a real daemon lives in
-        # test_server.py (via the CLI); here the in-process core behind a
-        # unix socket would need a listener, so exercise the wiring with a
-        # daemon in a thread.
-        import threading
-
-        from repro.service.server import ServiceServer
-
-        socket_path = str(tmp_path / "engine.sock")
-        server = ServiceServer(
-            config=ServiceConfig(workers=1, store_dir=str(tmp_path / "store")),
-            socket_path=socket_path,
-        )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            engine = EquivalenceEngine(jobs=2, server=socket_path)
-            jobs = [
-                EquivalenceJob(
-                    tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse",
-                    job_id="equivalent",
-                ),
-                EquivalenceJob(
-                    tiny.incremental_bits(), "Start",
-                    tiny.big_bits_wrong_length(), "Parse",
-                    job_id="broken",
-                ),
-            ]
-            results = engine.run(jobs)
-            assert [r.job_id for r in results] == ["equivalent", "broken"]
-            assert results[0].ok and results[0].value.proved
-            assert results[1].ok and results[1].value.refuted
-            assert server.core.checks == 2  # the daemon did the solving
-        finally:
-            server.request_shutdown(drain=True)
-            assert server.finished.wait(timeout=30)
+    def test_engine_routes_jobs_through_the_daemon(self, unix_daemon):
+        socket_path, server = unix_daemon
+        engine = EquivalenceEngine(jobs=2, server=socket_path)
+        jobs = [
+            EquivalenceJob(
+                tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse",
+                job_id="equivalent",
+            ),
+            EquivalenceJob(
+                tiny.incremental_bits(), "Start",
+                tiny.big_bits_wrong_length(), "Parse",
+                job_id="broken",
+            ),
+        ]
+        results = engine.run(jobs)
+        assert [r.job_id for r in results] == ["equivalent", "broken"]
+        assert results[0].ok and results[0].value.proved
+        assert results[1].ok and results[1].value.refuted
+        assert server.core.checks == 2  # the daemon did the solving
 
     def test_remote_engine_errors_are_reported_not_raised(self, tmp_path):
         engine = EquivalenceEngine(jobs=1, server=str(tmp_path / "absent.sock"))

@@ -1,14 +1,17 @@
 """Tests for the transport-independent service core.
 
 The deterministic lifecycle properties — dedupe, priority ordering,
-backpressure, draining — are exercised at the queue level (no worker
-threads, so there are no races to time); replay and parity are exercised
-end to end through :class:`InProcessClient`, which runs the identical
-dispatch path the daemon uses.
+backpressure, draining — are exercised at the queue level: work is queued
+on a core whose workers are not started yet, so there are no races to
+time.  Replay and parity are exercised end to end through a live daemon
+(the ``unix_daemon`` and ``start_daemon`` fixtures of ``conftest.py``).
 """
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -17,7 +20,7 @@ from repro.core.algorithm import CheckerConfig
 from repro.core.equivalence import check_language_equivalence
 from repro.p4a.semantics import accepts
 from repro.protocols import mpls, tiny
-from repro.service.client import InProcessClient, ServiceError
+from repro.service.client import ServiceClient
 from repro.service.core import (
     PRIORITY_FULL,
     PRIORITY_MINI,
@@ -46,9 +49,10 @@ def _check_params(left=None, right=None, options=None):
 
 
 class TestConfigValidation:
-    def test_rejects_negative_workers(self):
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_a_core_without_workers(self, workers):
         with pytest.raises(ValueError):
-            ServiceConfig(workers=-1)
+            ServiceConfig(workers=workers)
 
     def test_rejects_empty_queue(self):
         with pytest.raises(ValueError):
@@ -57,19 +61,19 @@ class TestConfigValidation:
 
 class TestRequestParsing:
     def test_unknown_endpoint(self):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         with pytest.raises(ServiceRequestError) as err:
             core.handle("nope", {})
         assert err.value.code == "unknown_endpoint"
 
     def test_missing_automaton(self):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         with pytest.raises(ServiceRequestError) as err:
             core.handle("check", {"left": {"name": "x"}})
         assert err.value.code == "bad_request"
 
     def test_unparseable_source(self):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         params = _check_params()
         params["left"]["source"] = "this is not an automaton"
         with pytest.raises(ServiceRequestError) as err:
@@ -78,7 +82,7 @@ class TestRequestParsing:
         assert "does not parse" in str(err.value)
 
     def test_unknown_start_state(self):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         params = _check_params()
         params["left"]["start"] = "NoSuchState"
         with pytest.raises(ServiceRequestError) as err:
@@ -86,14 +90,14 @@ class TestRequestParsing:
         assert err.value.code == "bad_request"
 
     def test_unknown_option_is_rejected(self):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         with pytest.raises(ServiceRequestError) as err:
             core.handle("check", _check_params(options={"jobs": 4}))
         assert err.value.code == "bad_request"
         assert "jobs" in str(err.value)
 
     def test_unknown_case_name_lists_known(self):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         with pytest.raises(ServiceRequestError) as err:
             core.handle("case", {"name": "definitely-not-registered"})
         assert err.value.code == "bad_request"
@@ -102,22 +106,22 @@ class TestRequestParsing:
 
 class TestPriorities:
     def test_small_pairs_default_to_mini_priority(self):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         request = core._parse_check(_check_params())
         assert request.priority == PRIORITY_MINI
 
     def test_threshold_pushes_pairs_to_full_priority(self):
-        core = ServiceCore(ServiceConfig(workers=0, mini_bits_threshold=0))
+        core = ServiceCore(ServiceConfig(mini_bits_threshold=0))
         request = core._parse_check(_check_params())
         assert request.priority == PRIORITY_FULL
 
     def test_explicit_priority_option_wins(self):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         request = core._parse_check(_check_params(options={"priority": 3}))
         assert request.priority == 3
 
     def test_queue_pops_mini_first_and_ties_in_arrival_order(self):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         full = core._parse_check(_check_params(options={"priority": PRIORITY_FULL}))
         mini_a = core._parse_check(
             _check_params(options={"priority": PRIORITY_MINI, "oracle_seed": 1})
@@ -134,25 +138,26 @@ class TestPriorities:
 
 class TestDedupe:
     def test_identical_requests_share_one_task(self):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         first, attached_first = core._submit_check(core._parse_check(_check_params()))
         second, attached_second = core._submit_check(core._parse_check(_check_params()))
         assert second is first
         assert not attached_first and attached_second
         assert core.dedupe_hits == 1
-        core._run_pending_inline()
-        assert first.done.is_set()
+        core.start()
+        assert first.done.wait(timeout=60)
+        core.shutdown()
         assert first.result["verdict"] == "equivalent"
         assert core.solves == 1  # one unit of work for two requests
 
     def test_different_options_do_not_dedupe(self):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         first, _ = core._submit_check(core._parse_check(_check_params()))
         second, attached = core._submit_check(core._parse_check(
             _check_params(options={"use_leaps": False})
         ))
         assert second is not first and not attached
-        core._run_pending_inline()
+        assert core.shutdown(drain=False) == 2
 
     def test_concurrent_requests_agree_and_share_work(self):
         # The racy end-to-end version: worker threads plus client threads.
@@ -188,7 +193,7 @@ class TestDedupe:
 
 class TestBackpressure:
     def test_overloaded_rejection_carries_retry_after(self):
-        core = ServiceCore(ServiceConfig(workers=0, max_pending=1))
+        core = ServiceCore(ServiceConfig(max_pending=1))
         core._submit_check(core._parse_check(_check_params()))
         with pytest.raises(ServiceRequestError) as err:
             core._submit_check(core._parse_check(
@@ -197,21 +202,21 @@ class TestBackpressure:
         assert err.value.code == "overloaded"
         assert err.value.retry_after >= 0.1
         assert core.rejected_overloaded == 1
-        core._run_pending_inline()
+        assert core.shutdown(drain=False) == 1
 
     def test_dedupe_is_exempt_from_backpressure(self):
         # A duplicate of queued work adds no load; it must attach even when
         # the queue is at capacity.
-        core = ServiceCore(ServiceConfig(workers=0, max_pending=1))
+        core = ServiceCore(ServiceConfig(max_pending=1))
         first, _ = core._submit_check(core._parse_check(_check_params()))
         second, attached = core._submit_check(core._parse_check(_check_params()))
         assert attached and second is first
-        core._run_pending_inline()
+        assert core.shutdown(drain=False) == 1
 
 
 class TestDraining:
     def test_drain_stops_intake(self):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         assert core.handle("drain", {}) == {"draining": True, "pending": 0}
         with pytest.raises(ServiceRequestError) as err:
             core.handle("check", _check_params())
@@ -219,17 +224,17 @@ class TestDraining:
         assert core.rejected_draining == 1
 
     def test_shutdown_without_drain_cancels_queued_tasks(self):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         task, _ = core._submit_check(core._parse_check(_check_params()))
         cancelled = core.shutdown(drain=False)
         assert cancelled == 1
         assert task.error is not None and task.error.code == "draining"
 
 
-class TestInProcessClient:
-    def test_solve_then_store_replay_parity(self, tmp_path):
-        config = ServiceConfig(workers=0, store_dir=str(tmp_path / "store"))
-        with InProcessClient(config) as client:
+class TestStoreReplay:
+    def test_solve_then_store_replay_parity(self, unix_daemon):
+        socket_path, _ = unix_daemon
+        with ServiceClient(socket_path) as client:
             left, right = tiny.incremental_bits(), tiny.big_bits()
             first = client.check(left, "Start", right, "Parse")
             second = client.check(left, "Start", right, "Parse")
@@ -241,10 +246,11 @@ class TestInProcessClient:
             assert stats["stores"] == 1 and stats["replays"] == 1
             assert stats["replay_failures"] == 0
 
-    def test_replay_never_borrows_the_worker_backend(self, tmp_path):
+    def test_replay_never_borrows_the_solving_backend(self, unix_daemon, monkeypatch):
         # A stored proof whose certificate does not hold must fail replay
-        # even when the worker's backend (query cache included) would claim
-        # every obligation: the re-checker solves on a fresh backend.
+        # even when the backend the checks solve on (query cache included)
+        # would claim every obligation: the re-checker solves on a fresh
+        # backend of its own.
         class ClaimsUnsat(SolverBackend):
             def check_sat(self, formula, stop=None):
                 return SatResult(SatStatus.UNSAT)
@@ -252,27 +258,28 @@ class TestInProcessClient:
             def lookup(self, formula, fingerprint=None):
                 return SatResult(SatStatus.UNSAT)
 
-        config = ServiceConfig(workers=0, store_dir=str(tmp_path / "store"))
+        socket_path, server = unix_daemon
         left, right = mpls.scaled_reference(2), mpls.scaled_vectorized(2)
-        with InProcessClient(config) as client:
+        with ServiceClient(socket_path) as client:
             assert client.check(left, "q1", right, "q3").source == "solve"
-            store = client.core.store
+            store = server.core.store
             (key,) = store.keys()
             entry = store.get(key)
             store.put(
                 key, entry.pair_fingerprint, entry.config_fingerprint, verdict=True,
                 certificate=dataclasses.replace(entry.certificate, relation=()),
             )
-            client.core._inline_worker().backend = ClaimsUnsat()
+            monkeypatch.setattr("repro.core.algorithm.make_backend",
+                                lambda **_options: ClaimsUnsat())
             again = client.check(left, "q1", right, "q3")
             stats = client.stats()["store"]
         assert again.source == "solve"
         assert stats["replays"] == 0
         assert stats["replay_failures"] == 1
 
-    def test_refutation_witness_replays_concretely(self, tmp_path):
-        config = ServiceConfig(workers=0, store_dir=str(tmp_path / "store"))
-        with InProcessClient(config) as client:
+    def test_refutation_witness_replays_concretely(self, unix_daemon):
+        socket_path, _ = unix_daemon
+        with ServiceClient(socket_path) as client:
             left, right = tiny.incremental_bits(), tiny.big_bits_wrong_length()
             first = client.check(left, "Start", right, "Parse")
             second = client.check(left, "Start", right, "Parse")
@@ -283,22 +290,30 @@ class TestInProcessClient:
             assert accepts(left, "Start", witness.packet) != \
                 accepts(right, "Parse", witness.packet)
 
-    def test_store_survives_client_restart(self, tmp_path):
+    def test_store_survives_a_daemon_restart(self, tmp_path, start_daemon):
         # The crash-recovery story: a fresh daemon over the same store
         # directory answers by replay, not by re-solving.
-        store_dir = str(tmp_path / "store")
+        socket_path = str(tmp_path / "daemon.sock")
+        config = ServiceConfig(store_dir=str(tmp_path / "store"))
         left, right = tiny.incremental_bits(), tiny.big_bits()
-        with InProcessClient(ServiceConfig(workers=0, store_dir=store_dir)) as first:
-            cold = first.check(left, "Start", right, "Parse")
+        first = start_daemon(socket_path, config)
+        with ServiceClient(socket_path) as client:
+            cold = client.check(left, "Start", right, "Parse")
             assert cold.source == "solve"
-        with InProcessClient(ServiceConfig(workers=0, store_dir=store_dir)) as second:
-            warm = second.check(left, "Start", right, "Parse")
+        first.request_shutdown(drain=True)
+        assert first.finished.wait(timeout=30)
+        start_daemon(socket_path, config)
+        with ServiceClient(socket_path) as client:
+            warm = client.check(left, "Start", right, "Parse")
             assert warm.source == "store"
             assert str(warm) == str(cold)
+        # The store is one sqlite file (plus its WAL/SHM files).
+        assert all(name.startswith("verdicts_")
+                   for name in os.listdir(tmp_path / "store"))
 
-    def test_no_store_option_bypasses_the_store(self, tmp_path):
-        config = ServiceConfig(workers=0, store_dir=str(tmp_path / "store"))
-        with InProcessClient(config) as client:
+    def test_no_store_option_bypasses_the_store(self, unix_daemon):
+        socket_path, _ = unix_daemon
+        with ServiceClient(socket_path) as client:
             left, right = tiny.incremental_bits(), tiny.big_bits()
             client.check(left, "Start", right, "Parse", options={"no_store": True})
             again = client.check(left, "Start", right, "Parse",
@@ -306,27 +321,113 @@ class TestInProcessClient:
             assert again.source == "solve"
             assert client.stats()["store"]["stores"] == 0
 
-    def test_errors_surface_as_service_errors(self):
-        with InProcessClient() as client:
-            with pytest.raises(ServiceError) as err:
-                client.request("no-such-endpoint")
-            assert err.value.code == "unknown_endpoint"
-            assert err.value.status == 404
+    def test_stats_shape(self):
+        core = ServiceCore(ServiceConfig())
+        core.start()
+        try:
+            stats = core.handle("stats", {})
+        finally:
+            core.shutdown()
+        assert set(stats) == {"server", "queue", "workers", "store"}
+        assert stats["workers"] == [{"id": 0, "solves": 0, "replays": 0}]
+        assert stats["store"] is None  # no store configured
 
-    def test_ping_and_stats_shapes(self):
-        with InProcessClient() as client:
-            ping = client.ping()
-            assert ping["protocol"] == "2" and not ping["draining"]
-            stats = client.stats()
-            assert set(stats) == {"server", "queue", "workers", "store"}
-            assert stats["store"] is None  # no store configured
-
-    def test_case_endpoint_returns_metrics_row(self):
-        with InProcessClient() as client:
+    def test_case_endpoint_returns_metrics_row(self, unix_daemon):
+        socket_path, _ = unix_daemon
+        with ServiceClient(socket_path) as client:
             answer = client.case("Synthetic Cascade")
-            assert answer.verdict is True
-            assert answer.source == "solve"
-            assert answer.metrics["states"] > 0
+        assert answer.verdict is True
+        assert answer.source == "solve"
+        assert answer.metrics["states"] > 0
+
+
+class TestWorkerBackends:
+    @pytest.mark.parametrize("endpoint", ["check", "case"])
+    def test_daemon_cache_dir_reaches_every_request_config(self, endpoint):
+        # The daemon's query cache is where a check's backend comes from,
+        # not a result option: it reaches the config but not the store key.
+        cached = ServiceCore(ServiceConfig(cache_dir="/srv/query-cache"))
+        plain = ServiceCore(ServiceConfig())
+        if endpoint == "check":
+            with_cache = cached._parse_check(_check_params())
+            without = plain._parse_check(_check_params())
+            configs = (with_cache.config, without.config)
+        else:
+            with_cache = cached._parse_case({"name": "Speculative loop"})
+            without = plain._parse_case({"name": "Speculative loop"})
+            configs = (with_cache.case_config, without.case_config)
+        assert configs[0].cache_dir == "/srv/query-cache"
+        assert configs[1].cache_dir is None
+        assert with_cache.key == without.key
+
+    def test_requests_run_on_the_worker_threads(self, monkeypatch):
+        import repro.service.core as core_module
+
+        threads = []
+        solve = core_module.check_language_equivalence
+
+        def recording(*args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(core_module, "check_language_equivalence", recording)
+        core = ServiceCore(ServiceConfig(workers=2))
+        core.start()
+        try:
+            answer = core.handle("check", _check_params())
+            workers = core.handle("stats", {})["workers"]
+        finally:
+            core.shutdown()
+        assert answer["verdict"] == "equivalent"
+        assert threads in (["leapfrog-worker-0"], ["leapfrog-worker-1"])
+        assert sum(worker["solves"] for worker in workers) == 1
+
+    def test_each_check_builds_and_closes_its_own_backend(self, tmp_path, monkeypatch):
+        import repro.core.algorithm as algorithm
+
+        built, closed = [], []
+        make_backend = algorithm.make_backend
+
+        def recording(**options):
+            backend = make_backend(**options)
+            close = backend.close
+
+            def close_and_record():
+                closed.append(backend)
+                close()
+
+            backend.close = close_and_record
+            built.append((backend, options["cache_dir"]))
+            return backend
+
+        monkeypatch.setattr(algorithm, "make_backend", recording)
+        cache_dir = str(tmp_path / "query-cache")
+        core = ServiceCore(ServiceConfig(cache_dir=cache_dir))
+        core.start()
+        try:
+            for _ in range(2):
+                assert core.handle("check", _check_params())["source"] == "solve"
+        finally:
+            core.shutdown()
+        assert len(built) == 2
+        assert built[0][0] is not built[1][0]
+        assert [directory for _, directory in built] == [cache_dir, cache_dir]
+        assert [id(backend) for backend in closed] == [id(backend) for backend, _ in built]
+
+
+def test_workload_modules_load_no_service_module():
+    # The benchmarked entry points (Table 2 rows, campaigns, scenarios, the
+    # engine) must not pay for the daemon's imports.
+    code = (
+        "import sys\n"
+        "import repro.reporting.runner, repro.campaign.runner\n"
+        "import repro.scenarios, repro.core.engine\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.service')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+    output = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert output.strip() == "[]"
 
 
 def _non_default(name):
@@ -356,7 +457,7 @@ class TestWireOptions:
         options = config.to_options()
         assert options == {name: getattr(config, name)}
         params = json.loads(json.dumps(_check_params(options=options)))
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         request = core._parse_check(params)
         assert request.config == config
         assert request.config_fp == config_fingerprint(config)
@@ -375,7 +476,7 @@ class TestWireOptions:
         {"priority": "abc"},
     ])
     def test_malformed_options_are_bad_requests(self, options):
-        core = ServiceCore(ServiceConfig(workers=0))
+        core = ServiceCore(ServiceConfig())
         for endpoint, params in (
             ("check", _check_params(options=options)),
             ("case", {"name": "Speculative loop", "options": options}),

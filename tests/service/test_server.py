@@ -1,8 +1,9 @@
 """End-to-end daemon tests: real sockets, real workers, byte parity.
 
-Each fixture starts a :class:`ServiceServer` on a thread inside the test
-process — the same listener/dispatcher the ``repro serve`` subprocess runs —
-and talks to it through :class:`ServiceClient` over the actual transport.
+Each fixture (``unix_daemon`` lives in ``conftest.py``) starts a
+:class:`ServiceServer` on a thread inside the test process — the same
+listener/dispatcher the ``repro serve`` subprocess runs — and talks to it
+through :class:`ServiceClient` over the actual transport.
 """
 
 import json
@@ -36,20 +37,6 @@ def _assert_malformed_options_rejected(address):
                 )
             assert (err.value.code, err.value.status) == ("bad_request", 400)
         assert client.ping()["protocol"] == "2"  # the daemon is still up
-
-
-@pytest.fixture
-def unix_daemon(tmp_path):
-    socket_path = str(tmp_path / "daemon.sock")
-    server = ServiceServer(
-        config=ServiceConfig(workers=1, store_dir=str(tmp_path / "store")),
-        socket_path=socket_path,
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield socket_path, server
-    server.request_shutdown(drain=True)
-    assert server.finished.wait(timeout=30)
 
 
 @pytest.fixture
@@ -222,7 +209,7 @@ class TestLifecycle:
         dead.bind(socket_path)
         dead.close()  # leaves the file behind with nobody listening
         server = ServiceServer(
-            config=ServiceConfig(workers=0), socket_path=socket_path
+            config=ServiceConfig(workers=1), socket_path=socket_path
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -234,15 +221,15 @@ class TestLifecycle:
     def test_live_daemon_is_not_hijacked(self, unix_daemon):
         socket_path, _ = unix_daemon
         with pytest.raises(ServerStartupError) as err:
-            ServiceServer(config=ServiceConfig(workers=0), socket_path=socket_path)
+            ServiceServer(config=ServiceConfig(workers=1), socket_path=socket_path)
         assert "already listening" in str(err.value)
 
     def test_exactly_one_transport_required(self, tmp_path):
         with pytest.raises(ServerStartupError):
-            ServiceServer(config=ServiceConfig(workers=0))
+            ServiceServer(config=ServiceConfig(workers=1))
         with pytest.raises(ServerStartupError):
             ServiceServer(
-                config=ServiceConfig(workers=0),
+                config=ServiceConfig(workers=1),
                 socket_path=str(tmp_path / "s.sock"),
                 http_port=0,
             )

@@ -1,7 +1,9 @@
 """Tests for the content-addressed verdict store."""
 
+import json
 import os
 import pickle
+import sqlite3
 import threading
 
 import pytest
@@ -42,11 +44,25 @@ def _certificate():
 class TestWitnessCodec:
     def test_round_trip(self):
         cex = _witness("1011")
-        decoded = decode_counterexample(encode_counterexample(cex))
+        decoded = decode_counterexample(json.loads(json.dumps(encode_counterexample(cex))))
         assert decoded == cex
 
     def test_encoding_is_canonical(self):
-        assert encode_counterexample(_witness()) == encode_counterexample(_witness())
+        # The mapping goes on the wire as is, so its key order must be the
+        # sorted one at every level.
+        cex = Counterexample(
+            packet=Bits("10"), left_store={"b": Bits("0"), "a": Bits("1")},
+            right_store={}, left_accepts=True, right_accepts=False,
+            leap_widths=(2,), minimized_from=None,
+        )
+        encoded = encode_counterexample(cex)
+        assert json.dumps(encoded) == json.dumps(encoded, sort_keys=True)
+
+    def test_encoding_is_json_native(self):
+        # The store and the wire both JSON-encode the mapping once, so it
+        # must survive a JSON round trip unchanged (no tuples, no Bits).
+        encoded = encode_counterexample(_witness("0110"))
+        assert json.loads(json.dumps(encoded)) == encoded
 
 
 class TestPutGet:
@@ -65,7 +81,7 @@ class TestPutGet:
         assert store.statistics.hits == 1 and store.statistics.stores == 1
         store.close()
 
-    def test_proof_round_trips_through_blob(self, tmp_path):
+    def test_proof_round_trips_through_its_row(self, tmp_path):
         store = VerdictStore(str(tmp_path / "s"))
         certificate = _certificate()
         store.put("k1", "pair", "config", verdict=True, certificate=certificate)
@@ -73,7 +89,34 @@ class TestPutGet:
         assert entry is not None and entry.verdict is True
         assert entry.certificate is not None
         assert entry.certificate.summary() == certificate.summary()
-        assert len(os.listdir(store.blob_dir)) == 1
+        # One sqlite file (plus its WAL/SHM files) holds everything.
+        assert all(name.startswith(os.path.basename(store.path))
+                   for name in os.listdir(tmp_path / "s"))
+        store.close()
+
+    def test_identical_certificates_are_stored_under_each_key(self, tmp_path):
+        # Two keys with one certificate (same pair, other oracle options)
+        # hold a copy each.
+        store = VerdictStore(str(tmp_path / "s"))
+        certificate = _certificate()
+        store.put("a", "pair", "config-a", verdict=True, certificate=certificate)
+        single = store.snapshot_statistics()["blob_bytes"]
+        store.put("b", "pair", "config-b", verdict=True, certificate=certificate)
+        assert store.snapshot_statistics()["blob_bytes"] == 2 * single
+        for key in ("a", "b"):
+            assert store.get(key).certificate.summary() == certificate.summary()
+        store.close()
+
+    def test_put_replaces_the_row_at_its_key(self, tmp_path):
+        # A refutation stored over a proof leaves no certificate bytes behind.
+        store = VerdictStore(str(tmp_path / "s"))
+        store.put("k", "pair", "config", verdict=True, certificate=_certificate())
+        store.put("k", "pair", "config", verdict=False, counterexample=_witness())
+        entry = store.get("k")
+        assert entry.verdict is False and entry.certificate is None
+        assert entry.counterexample == _witness()
+        assert store.keys() == ["k"]
+        assert store.snapshot_statistics()["blob_bytes"] == 0
         store.close()
 
     def test_miss_is_counted(self, tmp_path):
@@ -82,10 +125,10 @@ class TestPutGet:
         assert store.statistics.misses == 1
         store.close()
 
-    def test_unloadable_blob_is_a_miss(self, tmp_path):
-        # A blob pickled with an older node layout (a frozen dataclass is
-        # rebuilt by __new__ without arguments, then its state) or a corrupt
-        # one: the entry is dropped and re-solved, never an error.
+    def test_unloadable_certificate_is_a_miss(self, tmp_path):
+        # A certificate pickled with an older node layout (a frozen dataclass
+        # is rebuilt by __new__ without arguments, then its state) or a
+        # corrupt one: the entry is dropped and re-solved, never an error.
         class _OldLayout:
             def __reduce__(self):
                 return FNot.__new__, (FNot,), {"operand": TRUE}
@@ -93,21 +136,12 @@ class TestPutGet:
         store = VerdictStore(str(tmp_path / "s"))
         for payload in (pickle.dumps(_OldLayout()), b"not a pickle"):
             store.put("k1", "pair", "config", verdict=True, certificate=_certificate())
-            [blob] = os.listdir(store.blob_dir)
-            with open(os.path.join(store.blob_dir, blob), "wb") as handle:
-                handle.write(payload)
+            with sqlite3.connect(store.path) as conn:
+                conn.execute("UPDATE verdicts SET certificate = ? WHERE key = 'k1'",
+                             (payload,))
             assert store.get("k1") is None
             assert "k1" not in set(store.keys())
         assert store.statistics.misses == 2
-        store.close()
-
-    def test_identical_certificates_share_one_blob(self, tmp_path):
-        store = VerdictStore(str(tmp_path / "s"))
-        certificate = _certificate()
-        store.put("k1", "p1", "c", verdict=True, certificate=certificate)
-        store.put("k2", "p2", "c", verdict=True, certificate=certificate)
-        assert len(store) == 2
-        assert len(os.listdir(store.blob_dir)) == 1
         store.close()
 
 
@@ -123,25 +157,25 @@ class TestEviction:
         assert store.statistics.evictions == 1
         store.close()
 
-    def test_eviction_collects_unreferenced_blobs(self, tmp_path):
+    def test_eviction_lowers_blob_bytes(self, tmp_path):
         store = VerdictStore(str(tmp_path / "s"), max_entries=1)
-        certificate = _certificate()
-        store.put("a", "p", "c", verdict=True, certificate=certificate)
-        assert len(os.listdir(store.blob_dir)) == 1
+        store.put("a", "p", "c", verdict=True, certificate=_certificate())
+        assert store.snapshot_statistics()["blob_bytes"] > 0
         store.put("b", "p", "c", verdict=False, counterexample=_witness())
         assert store.keys() == ["b"]
-        assert os.listdir(store.blob_dir) == []
+        assert store.snapshot_statistics()["blob_bytes"] == 0
         store.close()
 
-    def test_shared_blob_survives_partial_eviction(self, tmp_path):
+    def test_evicting_one_of_two_identical_certificates_keeps_the_other(self, tmp_path):
         store = VerdictStore(str(tmp_path / "s"))
         certificate = _certificate()
-        store.put("a", "p", "c", verdict=True, certificate=certificate)
-        store.put("b", "p", "c", verdict=True, certificate=certificate)
+        store.put("a", "pair", "config-a", verdict=True, certificate=certificate)
+        single = store.snapshot_statistics()["blob_bytes"]
+        store.put("b", "pair", "config-b", verdict=True, certificate=certificate)
         store.discard("a")
-        assert len(os.listdir(store.blob_dir)) == 1  # b still references it
-        store.discard("b")
-        assert os.listdir(store.blob_dir) == []
+        assert store.keys() == ["b"]
+        assert store.snapshot_statistics()["blob_bytes"] == single
+        assert store.get("b").certificate.summary() == certificate.summary()
         store.close()
 
     def test_discard_unknown_key_is_a_noop(self, tmp_path):
@@ -172,17 +206,6 @@ class TestCrashRecovery:
         assert refute is not None and refute.counterexample == _witness()
         reader.close()
 
-    def test_orphaned_index_row_is_dropped(self, tmp_path):
-        # A crash between blob GC and index delete can leave a row whose
-        # blob is gone; the store must treat it as a miss and self-heal.
-        store = VerdictStore(str(tmp_path / "s"))
-        store.put("k", "p", "c", verdict=True, certificate=_certificate())
-        for name in os.listdir(store.blob_dir):
-            os.unlink(os.path.join(store.blob_dir, name))
-        assert store.get("k") is None
-        assert store.keys() == []  # the orphan row was discarded
-        store.close()
-
 
 class TestVersioning:
     def test_version_one_rows_are_never_read(self, tmp_path):
@@ -199,6 +222,24 @@ class TestVersioning:
         assert reader.keys() == []
         assert reader.statistics.misses == 1
         reader.close()
+
+    def test_parent_layout_directory_is_a_clean_miss(self, tmp_path):
+        # Layout 1 kept an index named after the fingerprint version alone
+        # and the certificates as files in blobs/; neither is ever read.
+        directory = tmp_path / "s"
+        (directory / "blobs").mkdir(parents=True)
+        (directory / "blobs" / f"{'0' * 64}.pkl").write_bytes(
+            pickle.dumps(_certificate()))
+        with sqlite3.connect(directory / f"verdicts_v{PAIR_FINGERPRINT_VERSION}.sqlite") as conn:
+            conn.execute("CREATE TABLE verdicts (key TEXT PRIMARY KEY,"
+                         " certificate_blob TEXT)")
+            conn.execute("INSERT INTO verdicts VALUES ('k', ?)", ("0" * 64,))
+        store = VerdictStore(str(directory))
+        assert store.get("k") is None
+        assert store.keys() == []
+        store.put("k", "p", "c", verdict=False, counterexample=_witness())
+        assert store.get("k").counterexample == _witness()
+        store.close()
 
 
 class TestConcurrency:
